@@ -213,7 +213,27 @@ void DaricParty::close_with(CloseOutcome outcome, Round round) {
   if (durability_) durability_->closed(*this);
 }
 
+void DaricParty::set_online(bool online) {
+  online_ = online;
+  refresh_wake();
+}
+
+bool DaricParty::idle() const {
+  if (!open_) return true;
+  // The funding output confirmed before open_ was set, so "still unspent"
+  // and "no spender" coincide; is_unspent is the cheap lookup.
+  return online_ && offline_gap_ == 0 && !pending_revocation_txid_ && !pending_split_ &&
+         env_.ledger().is_unspent(fund_op_);
+}
+
+void DaricParty::refresh_wake() { env_.set_hook_awake(hook_, !idle()); }
+
 void DaricParty::on_round() {
+  monitor();
+  refresh_wake();
+}
+
+void DaricParty::monitor() {
   if (!open_) return;
   if (!online_) {
     // Theorem 1 accounting: every missed monitor round widens the gap the
@@ -369,8 +389,8 @@ DaricChannel::DaricChannel(sim::Environment& env, channel::ChannelParams params)
   disputes_counter_ = &m.counter("daric.disputes");
   weight_hist_ = &m.histogram("daric.onchain_weight");
   params_.validate(env_.delta());
-  env_.add_round_hook([this] { a_.on_round(); });
-  env_.add_round_hook([this] { b_.on_round(); });
+  a_.hook_ = env_.add_round_hook([this] { a_.on_round(); });
+  b_.hook_ = env_.add_round_hook([this] { b_.on_round(); });
 }
 
 bool DaricChannel::create() {
@@ -463,6 +483,8 @@ bool DaricChannel::create() {
     p.flag_ = channel::ChannelFlag::kStable;
     p.theta_sig_.clear();
     p.open_ = true;
+    env_.watch_spend(p.hook_, fund_op);
+    p.refresh_wake();
   };
   finalize(a_, commits.body_a, commits.script_a, commits.body_b, commits.script_b, cm_a_sig_b,
            sh_cm_a);

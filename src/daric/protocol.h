@@ -75,12 +75,14 @@ class DaricParty {
   /// Bytes of persistent storage the party currently holds (Table 1).
   std::size_t storage_bytes() const;
 
-  /// End-of-round monitor: the Punish phase of Appendix D.
+  /// End-of-round monitor: the Punish phase of Appendix D. Its round hook
+  /// sleeps through the rounds in which this would do nothing (idle()) and
+  /// wakes when the funding output is spent.
   void on_round();
 
   /// Crash/downtime control: an offline party's Punish monitor misses
   /// rounds (Theorem 1's liveness precondition is a bound on these gaps).
-  void set_online(bool online) { online_ = online; }
+  void set_online(bool online);
   bool online() const { return online_; }
 
   /// Durable-store hook; nullptr (the default) keeps the party ephemeral.
@@ -130,6 +132,13 @@ class DaricParty {
   const PeerTables& peer_tables() const;
 
   // Appendix-D helpers executed locally.
+  void monitor();
+  /// True when on_round() would change nothing: the channel is not open, or
+  /// it is open with the party online, no offline gap left to reset, no
+  /// split or revocation pending and the funding output unspent.
+  bool idle() const;
+  /// Puts the round hook to sleep exactly when idle().
+  void refresh_wake();
   void commit_to_published_split(const tx::Transaction& spender, const FloatingSplit& split,
                                  const script::Script& commit_script);
   void try_punish(const tx::Transaction& spender);
@@ -140,6 +149,7 @@ class DaricParty {
   sim::PartyId id_;
   channel::ChannelParams params_;
   sim::Environment& env_;
+  sim::Environment::HookId hook_ = 0;  // registered by DaricChannel
 
   // Cached registry handles (one name lookup at construction; the punish
   // monitor and close paths then never touch the registry mutex).

@@ -1,7 +1,6 @@
 #include "src/pcn/network.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 #include "src/obs/event.h"
@@ -13,8 +12,9 @@ using channel::StateVec;
 using sim::PartyId;
 
 void PaymentNetwork::add_node(const std::string& name) {
-  if (!nodes_.emplace(name, false).second)
+  if (!node_index_.emplace(name, nodes_.size()).second)
     throw std::invalid_argument("node already exists: " + name);
+  nodes_.push_back({name, false, {}});
 }
 
 std::size_t PaymentNetwork::open_channel(const std::string& left, const std::string& right,
@@ -26,12 +26,13 @@ std::size_t PaymentNetwork::open_channel(const std::string& left, const std::str
   p.cash_a = left_deposit;
   p.cash_b = right_deposit;
   p.t_punish = t_punish;
-  Edge e{left, right, std::make_unique<daricch::DaricChannel>(env_, p)};
+  Edge e{node_index_.at(left), node_index_.at(right),
+         std::make_unique<daricch::DaricChannel>(env_, p)};
   if (!e.ch->create()) throw std::runtime_error("channel creation failed");
+  const std::size_t index = channels_.size();
+  nodes_[e.left].channels.push_back(index);
+  nodes_[e.right].channels.push_back(index);
   channels_.push_back(std::move(e));
-  const std::size_t index = channels_.size() - 1;
-  adjacency_[left].push_back(index);
-  adjacency_[right].push_back(index);
   return index;
 }
 
@@ -47,23 +48,31 @@ Amount PaymentNetwork::spendable(const Edge& e, bool forward) const {
   return balance <= 1 ? 0 : balance - 1;
 }
 
-std::optional<std::vector<RouteHop>> PaymentNetwork::find_route(const std::string& from,
-                                                                const std::string& to,
+std::optional<std::vector<RouteHop>> PaymentNetwork::find_route(const std::string& from_name,
+                                                                const std::string& to_name,
                                                                 Amount amount) const {
-  if (!has_node(from) || !has_node(to) || from == to) return std::nullopt;
+  const auto from_it = node_index_.find(from_name);
+  const auto to_it = node_index_.find(to_name);
+  if (from_it == node_index_.end() || to_it == node_index_.end()) return std::nullopt;
+  const NodeId from = from_it->second, to = to_it->second;
+  if (from == to) return std::nullopt;
   // BFS over nodes; edges usable only with sufficient directional liquidity.
-  std::map<std::string, std::pair<std::string, RouteHop>> parent;
-  std::deque<std::string> queue{from};
-  std::map<std::string, bool> seen{{from, true}};
-  while (!queue.empty()) {
-    const std::string cur = queue.front();
-    queue.pop_front();
-    const auto adj = adjacency_.find(cur);
-    if (adj == adjacency_.end()) continue;
-    for (const std::size_t i : adj->second) {
+  // The FIFO queue and each node's channels in opening order fix the visit
+  // order, so the same network state always yields the same route.
+  struct Step {
+    NodeId prev;
+    RouteHop hop;
+  };
+  std::vector<Step> parent(nodes_.size());
+  std::vector<char> seen(nodes_.size(), 0);
+  std::vector<NodeId> queue{from};  // consumed front to back
+  seen[from] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId cur = queue[head];
+    for (const std::size_t i : nodes_[cur].channels) {
       const Edge& e = channels_[i];
       if (!e.ch->party(PartyId::kA).channel_open()) continue;
-      std::string next;
+      NodeId next = 0;
       bool forward = false;
       if (e.left == cur && spendable(e, true) >= amount) {
         next = e.right;
@@ -76,17 +85,14 @@ std::optional<std::vector<RouteHop>> PaymentNetwork::find_route(const std::strin
       }
       // Known-offline intermediaries cannot forward; the recipient itself
       // may still be offline (detected at lock time).
-      if (next != to && nodes_.at(next)) continue;
+      if (next != to && nodes_[next].offline) continue;
       if (seen[next]) continue;
-      seen[next] = true;
+      seen[next] = 1;
       parent[next] = {cur, {i, forward}};
       if (next == to) {
         std::vector<RouteHop> route;
-        std::string walk = to;
-        while (walk != from) {
-          route.push_back(parent[walk].second);
-          walk = parent[walk].first;
-        }
+        for (NodeId walk = to; walk != from; walk = parent[walk].prev)
+          route.push_back(parent[walk].hop);
         std::reverse(route.begin(), route.end());
         return route;
       }
@@ -148,8 +154,7 @@ std::optional<PaymentId> PaymentNetwork::begin_payment(const std::string& from,
   for (std::size_t h = 0; h < route->size(); ++h) {
     const RouteHop& hop = (*route)[h];
     Edge& e = channels_[hop.channel_index];
-    const std::string& receiver = hop.forward ? e.right : e.left;
-    if (nodes_.at(receiver)) {  // receiver offline: cannot lock further
+    if (nodes_[hop.forward ? e.right : e.left].offline) {  // receiver offline: cannot lock further
       failed = true;
       break;
     }
@@ -244,16 +249,18 @@ bool PaymentNetwork::pay(const std::string& from, const std::string& to, Amount 
 }
 
 void PaymentNetwork::set_offline(const std::string& name, bool offline) {
-  nodes_.at(name) = offline;
+  nodes_[node_index_.at(name)].offline = offline;
 }
 
 Amount PaymentNetwork::balance(const std::string& node) const {
+  const auto it = node_index_.find(node);
+  if (it == node_index_.end()) return 0;
   Amount sum = 0;
   for (const Edge& e : channels_) {
     if (!e.ch->party(PartyId::kA).channel_open()) continue;
     const auto& st = e.ch->party(PartyId::kA).state();
-    if (e.left == node) sum += st.to_a;
-    if (e.right == node) sum += st.to_b;
+    if (e.left == it->second) sum += st.to_a;
+    if (e.right == it->second) sum += st.to_b;
   }
   return sum;
 }

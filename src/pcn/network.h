@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/daric/protocol.h"
@@ -42,7 +43,7 @@ class PaymentNetwork {
         hold_rounds_(&env.metrics().histogram("pcn.htlc_hold_rounds")) {}
 
   void add_node(const std::string& name);
-  bool has_node(const std::string& name) const { return nodes_.contains(name); }
+  bool has_node(const std::string& name) const { return node_index_.contains(name); }
 
   /// Opens a Daric channel between two registered nodes; `left` plays the
   /// role of party A. Returns the channel index.
@@ -78,15 +79,26 @@ class PaymentNetwork {
 
   std::size_t channel_count() const { return channels_.size(); }
   daricch::DaricChannel& channel(std::size_t i) { return *channels_.at(i).ch; }
-  const std::string& left_node(std::size_t i) const { return channels_.at(i).left; }
-  const std::string& right_node(std::size_t i) const { return channels_.at(i).right; }
+  const std::string& left_node(std::size_t i) const { return nodes_[channels_.at(i).left].name; }
+  const std::string& right_node(std::size_t i) const {
+    return nodes_[channels_.at(i).right].name;
+  }
 
   /// Number of successfully completed payments.
   int payments_completed() const { return payments_completed_; }
 
  private:
+  /// Dense node index, assigned in add_node order.
+  using NodeId = std::size_t;
+  struct Node {
+    std::string name;
+    bool offline = false;
+    // Channel indices touching the node, in opening order, so routing scans
+    // node degree instead of every channel in the network.
+    std::vector<std::size_t> channels;
+  };
   struct Edge {
-    std::string left, right;
+    NodeId left, right;
     std::unique_ptr<daricch::DaricChannel> ch;
   };
   struct PendingPayment {
@@ -114,11 +126,9 @@ class PaymentNetwork {
   obs::Counter* payments_failed_;
   obs::Counter* payments_aborted_;
   obs::Histogram* hold_rounds_;
-  std::map<std::string, bool> nodes_;  // name -> offline?
+  std::vector<Node> nodes_;  // indexed by NodeId
+  std::unordered_map<std::string, NodeId> node_index_;
   std::vector<Edge> channels_;
-  // Channel indices touching each node, maintained by open_channel, so
-  // routing scans node degree instead of every channel in the network.
-  std::map<std::string, std::vector<std::size_t>> adjacency_;
   std::map<PaymentId, PendingPayment> pending_;
   int payments_completed_ = 0;
   int payment_counter_ = 0;

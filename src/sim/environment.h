@@ -1,6 +1,13 @@
 // Simulation environment: ledger + clock + message accounting, plus the
 // per-round hooks parties and watchtowers register to monitor the chain.
 //
+// Hooks run in registration order, but only while awake. Every hook starts
+// awake; one may put itself to sleep for the rounds in which it would do
+// nothing, and ask to be woken when a confirmed transaction spends an
+// outpoint it watches. The environment finds those spends with a cursor over
+// the ledger's append-only accepted list, so spends confirmed by a direct
+// ledger().advance_rounds() still wake their watchers on the next round.
+//
 // Message delivery goes through an explicit DeliveryQueue: transmit()
 // enqueues the message, advances the clock until its delivery round, and
 // reports how many copies arrived (0 when the fault injector dropped it).
@@ -13,8 +20,10 @@
 // the chaos drills and tools read instead of keeping bespoke statistics.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 
 #include "src/ledger/ledger.h"
 #include "src/obs/metrics.h"
@@ -35,6 +44,7 @@ class Environment {
         msg_delayed_(&metrics_.counter("sim.msg.delayed")),
         msg_duplicated_(&metrics_.counter("sim.msg.duplicated")),
         rounds_(&metrics_.counter("sim.rounds")),
+        hooks_run_(&metrics_.counter("sim.hooks.run")),
         msg_latency_(&metrics_.histogram("sim.msg.latency_rounds")) {
     ledger_.set_obs(&tracer_, &metrics_);
   }
@@ -67,16 +77,42 @@ class Environment {
   void set_message_delay_budget(Round budget) { message_delay_budget_ = budget; }
   Round message_delay_budget() const { return message_delay_budget_; }
 
-  /// Registers a hook executed at the end of every round (punish watchers).
-  void add_round_hook(std::function<void()> hook) { hooks_.push_back(std::move(hook)); }
+  /// Handle of a round hook: its position in registration order.
+  using HookId = std::size_t;
 
-  /// Advances one round: ledger processing first, then monitoring hooks.
+  /// Registers a hook executed at the end of every round in which it is
+  /// awake (punish watchers). Hooks start awake.
+  HookId add_round_hook(std::function<void()> hook) {
+    hooks_.push_back(std::move(hook));
+    awake_.push_back(1);
+    return hooks_.size() - 1;
+  }
+
+  /// Puts a hook to sleep or wakes it. Only a hook whose call would change
+  /// nothing may sleep: a sleeping hook misses rounds until it is woken by
+  /// this call or by a spend of an outpoint it watches.
+  void set_hook_awake(HookId id, bool awake) { awake_.at(id) = awake ? 1 : 0; }
+
+  /// Wakes `id` in the first round whose hooks run after a confirmed
+  /// transaction spends `op` (before any hook of that round).
+  void watch_spend(HookId id, const tx::OutPoint& op) { watchers_.emplace(op, id); }
+
+  /// Advances one round: ledger processing first, then the awake hooks.
   void advance_round() {
     ledger_.advance_round();
     rounds_->inc();
     if (tracer_.enabled())
       tracer_.emit(now(), obs::EventKind::kRoundAdvance, "sim", {}, {});
-    for (const auto& hook : hooks_) hook();
+    wake_spent_watchers();
+    // Indexed, not iterated: a hook may wake or put to sleep any hook,
+    // itself included, and a later hook woken this way still runs now.
+    std::uint64_t ran = 0;
+    for (HookId i = 0, n = hooks_.size(); i < n; ++i) {
+      if (!awake_[i]) continue;
+      hooks_[i]();
+      ++ran;
+    }
+    hooks_run_->inc(ran);
   }
   void advance_rounds(Round n) {
     for (Round i = 0; i < n; ++i) advance_round();
@@ -146,12 +182,29 @@ class Environment {
   void message_round(PartyId from, std::string type) { transmit(from, std::move(type)); }
 
  private:
+  /// Scans the transactions confirmed since the last scan and wakes every
+  /// hook watching an outpoint they spend. A spent outpoint stays spent, so
+  /// its watches are dropped once they fire.
+  void wake_spent_watchers() {
+    const auto& accepted = ledger_.accepted();
+    for (; scanned_ < accepted.size(); ++scanned_) {
+      for (const tx::TxIn& in : accepted[scanned_].tx.inputs) {
+        const auto [first, last] = watchers_.equal_range(in.prevout);
+        for (auto it = first; it != last; ++it) awake_[it->second] = 1;
+        watchers_.erase(first, last);
+      }
+    }
+  }
+
   ledger::Ledger ledger_;
   MessageLog log_;
   DeliveryQueue queue_;
   FaultInjector* injector_ = nullptr;
   Round message_delay_budget_ = 3;
   std::vector<std::function<void()>> hooks_;
+  std::vector<std::uint8_t> awake_;  // per hook, kept apart so the scan stays dense
+  std::unordered_multimap<tx::OutPoint, HookId, tx::OutPointHasher> watchers_;
+  std::size_t scanned_ = 0;  // accepted() entries already checked for watched spends
   obs::Tracer tracer_;
   obs::Registry metrics_;
   obs::Counter* msg_sent_;
@@ -160,6 +213,7 @@ class Environment {
   obs::Counter* msg_delayed_;
   obs::Counter* msg_duplicated_;
   obs::Counter* rounds_;
+  obs::Counter* hooks_run_;
   obs::Histogram* msg_latency_;
 };
 

@@ -2,7 +2,6 @@
 // multi-channel watchtower service, and off-chain sub-channels.
 #include <gtest/gtest.h>
 
-#include "src/channel/tower_service.h"
 #include "src/daric/persistence.h"
 #include "src/daric/subchannels.h"
 #include "src/daric/watchtower.h"
@@ -156,7 +155,7 @@ TEST(Persistence, RestoredPartyForceClosesWithLatestState) {
 
 TEST(TowerService, WatchesManyChannelsAndAggregatesStorage) {
   sim::Environment env(kDelta, crypto::schnorr_scheme());
-  channel::TowerService service;
+  std::vector<std::unique_ptr<daricch::DaricWatchtower>> towers;
   std::vector<std::unique_ptr<daricch::DaricChannel>> channels;
   const int n_channels = 5;
   for (int i = 0; i < n_channels; ++i) {
@@ -165,35 +164,40 @@ TEST(TowerService, WatchesManyChannelsAndAggregatesStorage) {
     ASSERT_TRUE(channels.back()->create());
     ASSERT_TRUE(channels.back()->update({450'000, 550'000, {}}));
     auto& ch = *channels.back();
-    auto tower = std::make_unique<daricch::DaricWatchtower>(
+    towers.push_back(std::make_unique<daricch::DaricWatchtower>(
         ch.params(), PartyId::kB, ch.funding_outpoint(), ch.party(PartyId::kA).pub(),
-        ch.party(PartyId::kB).pub());
-    tower->update_package(daricch::make_watchtower_package(ch.party(PartyId::kB)));
-    service.add(std::move(tower));
+        ch.party(PartyId::kB).pub()));
+    towers.back()->update_package(daricch::make_watchtower_package(ch.party(PartyId::kB)));
   }
-  env.add_round_hook([&] { service.on_round(env.ledger()); });
+  env.add_round_hook([&] {
+    for (const auto& t : towers) t->on_round(env.ledger());
+  });
+  auto total_storage = [&] {
+    std::size_t sum = 0;
+    for (const auto& t : towers) sum += t->storage_bytes();
+    return sum;
+  };
 
-  const std::size_t storage_1_update = service.total_storage_bytes();
+  const std::size_t storage_1_update = total_storage();
   // Many more updates: aggregate storage must not grow (O(#channels) only).
   for (int u = 0; u < 10; ++u) {
-    for (int i = 0; i < n_channels; ++i) {
-      ASSERT_TRUE(channels[static_cast<std::size_t>(i)]->update({450'000 - u, 550'000 + u, {}}));
-      service.tower(static_cast<std::size_t>(i));
-      static_cast<daricch::DaricWatchtower&>(service.tower(static_cast<std::size_t>(i)))
-          .update_package(daricch::make_watchtower_package(
-              channels[static_cast<std::size_t>(i)]->party(PartyId::kB)));
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      ASSERT_TRUE(channels[i]->update({450'000 - u, 550'000 + u, {}}));
+      towers[i]->update_package(daricch::make_watchtower_package(channels[i]->party(PartyId::kB)));
     }
   }
-  EXPECT_EQ(service.total_storage_bytes(), storage_1_update);
+  EXPECT_EQ(total_storage(), storage_1_update);
 
   // Two of the five channels turn fraudulent; only those towers react.
   channels[1]->publish_old_commit(PartyId::kA, 2);
   channels[3]->publish_old_commit(PartyId::kA, 0);
   env.advance_rounds(10);
-  EXPECT_EQ(service.reactions(), 2);
-  EXPECT_TRUE(service.tower(1).reacted());
-  EXPECT_TRUE(service.tower(3).reacted());
-  EXPECT_FALSE(service.tower(0).reacted());
+  int reactions = 0;
+  for (const auto& t : towers) reactions += t->reacted() ? 1 : 0;
+  EXPECT_EQ(reactions, 2);
+  EXPECT_TRUE(towers[1]->reacted());
+  EXPECT_TRUE(towers[3]->reacted());
+  EXPECT_FALSE(towers[0]->reacted());
 }
 
 // --- Sub-channels (Sec. 8 "Other applications") -------------------------

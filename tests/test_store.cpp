@@ -458,6 +458,109 @@ TEST(MonitorGap, BoundaryReportsObservedGap) {
   EXPECT_GT(lost.observed_gap, t - d);
 }
 
+// --- Monitor wake-up (party hooks sleep until the funding output is spent) --
+
+std::uint64_t hooks_run(sim::Environment& env) {
+  return env.metrics().counter("sim.hooks.run").value();
+}
+
+/// Rounds between the revoked commit's confirmation and the victim's
+/// revocation post (the revocation confirms Δ after it is posted).
+Round reaction_rounds(const sim::Environment& env, const Hash256& cheat_txid) {
+  const auto rv = env.ledger().spender_of({cheat_txid, 0});
+  if (!rv) return -1;
+  return *env.ledger().confirmation_round(rv->txid()) - kDelta -
+         *env.ledger().confirmation_round(cheat_txid);
+}
+
+TEST(MonitorWake, SleepingVictimPunishesInTheConfirmingRound) {
+  ChannelFixture f("wake-1");
+  ASSERT_TRUE(f.ch.create());
+  ASSERT_TRUE(f.ch.update({450'000, 550'000, {}}));
+  ASSERT_TRUE(f.ch.update({400'000, 600'000, {}}));
+  const std::uint64_t before = hooks_run(f.env);
+  f.env.advance_rounds(3);
+  ASSERT_EQ(hooks_run(f.env), before);  // both monitors asleep
+
+  const Hash256 cheat = f.ch.archived_commits(PartyId::kA)[0].txid();
+  f.ch.publish_old_commit(PartyId::kA, 0);
+  for (int r = 0; r < 20 && f.ch.party(PartyId::kB).channel_open(); ++r) f.env.advance_round();
+  EXPECT_EQ(f.ch.party(PartyId::kB).outcome(), daricch::CloseOutcome::kPunished);
+  // Woken before any hook of the round the commit confirms: it reacts at
+  // once, exactly as a monitor called every round would.
+  EXPECT_EQ(reaction_rounds(f.env, cheat), 0);
+}
+
+TEST(MonitorWake, SpendConfirmedWithoutHooksStillWakesTheVictim) {
+  ChannelFixture f("wake-2");
+  ASSERT_TRUE(f.ch.create());
+  ASSERT_TRUE(f.ch.update({450'000, 550'000, {}}));
+  ASSERT_TRUE(f.ch.update({400'000, 600'000, {}}));
+  const Hash256 cheat = f.ch.archived_commits(PartyId::kA)[0].txid();
+  f.ch.publish_old_commit(PartyId::kA, 0);
+  // The commit confirms inside a direct ledger advance: no hook runs, so
+  // only the environment's scan of accepted() can notice the spend.
+  f.env.ledger().advance_rounds(kDelta + 1);
+  ASSERT_TRUE(f.env.ledger().is_confirmed(cheat));
+  for (int r = 0; r < 20 && f.ch.party(PartyId::kB).channel_open(); ++r) f.env.advance_round();
+  EXPECT_EQ(f.ch.party(PartyId::kB).outcome(), daricch::CloseOutcome::kPunished);
+  // The first hook round after the jump: one round past confirmation plus
+  // the extra ledger round, still within Theorem 1's T − Δ.
+  EXPECT_EQ(reaction_rounds(f.env, cheat), 2);
+  EXPECT_LE(reaction_rounds(f.env, cheat), f.ch.params().t_punish - kDelta);
+}
+
+TEST(MonitorWake, OfflineBeforeCreateCountsOnlyOpenRounds) {
+  ChannelFixture f("wake-3");
+  daricch::DaricParty& a = f.ch.party(PartyId::kA);
+  a.set_online(false);
+  ASSERT_TRUE(f.ch.create());  // its rounds pass before the channel is open
+  EXPECT_EQ(a.missed_rounds(), 0);
+  for (int i = 0; i < 4; ++i) f.env.advance_round();
+  EXPECT_EQ(a.missed_rounds(), 4);
+  EXPECT_EQ(a.max_offline_gap(), 4);
+}
+
+TEST(MonitorWake, OnlineWithoutARoundDoesNotResetTheGap) {
+  ChannelFixture f("wake-4");
+  ASSERT_TRUE(f.ch.create());
+  daricch::DaricParty& a = f.ch.party(PartyId::kA);
+  a.set_online(false);
+  for (int i = 0; i < 3; ++i) f.env.advance_round();
+  a.set_online(true);
+  a.set_online(false);  // no round saw the party online: the gap goes on
+  for (int i = 0; i < 2; ++i) f.env.advance_round();
+  EXPECT_EQ(a.missed_rounds(), 5);
+  EXPECT_EQ(a.max_offline_gap(), 5);
+
+  a.set_online(true);
+  f.env.advance_round();  // this online round resets the gap
+  a.set_online(false);
+  f.env.advance_round();
+  EXPECT_EQ(a.missed_rounds(), 6);
+  EXPECT_EQ(a.max_offline_gap(), 5);
+}
+
+TEST(MonitorWake, QuiescentChannelsRunNoPartyMonitor) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  std::vector<std::unique_ptr<daricch::DaricChannel>> chans;
+  for (int i = 0; i < 50; ++i) {
+    chans.push_back(std::make_unique<daricch::DaricChannel>(
+        env, make_params("quiet-" + std::to_string(i))));
+    ASSERT_TRUE(chans.back()->create());
+  }
+  std::uint64_t before = hooks_run(env);
+  env.advance_rounds(10);
+  EXPECT_EQ(hooks_run(env), before);
+
+  int calls = 0;
+  env.add_round_hook([&calls] { ++calls; });  // a plain hook stays awake
+  before = hooks_run(env);
+  env.advance_rounds(10);
+  EXPECT_EQ(calls, 10);
+  EXPECT_EQ(hooks_run(env) - before, 10u);
+}
+
 // --- TowerService ---------------------------------------------------------
 
 TEST(MetricsLog, SnapshotsPersistRecoverAndSelfCompact) {

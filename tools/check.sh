@@ -3,7 +3,7 @@
 # ASan+UBSan, a bounded model-check run, the secret-hygiene lint, and —
 # when the binary is installed — clang-tidy over the library sources.
 #
-# Usage: tools/check.sh [--fast|--bench|--chaos|--durable|--analyze|--tsan|--trace|--obs|--tidy]
+# Usage: tools/check.sh [--fast|--bench|--chaos|--durable|--analyze|--tsan|--trace|--obs|--tidy|--perfbench]
 #   --fast    skip the sanitizer rebuild (plain tests + model check + lint)
 #   --bench   build Release, run the crypto + update microbenches, write
 #             BENCH_crypto.json / BENCH_update_microbench.json at the repo
@@ -11,7 +11,9 @@
 #             cost vs the previously committed update microbench)
 #   --chaos   fixed-seed 200-schedule fault-injection sweep (Daric + all
 #             baselines) plus the downtime-boundary scan and the committed
-#             regression schedules, under ASan+UBSan
+#             regression schedules, under ASan+UBSan; the sweep, crash-replay
+#             and boundary reports must match tests/golden/behaviour.sha256
+#             byte for byte
 #   --durable crash-replay gate under ASan+UBSan: 200 schedules that kill a
 #             party at a message boundary (with torn/garbage log tails) and
 #             recover it from the durable store, plus the store unit tests
@@ -22,11 +24,19 @@
 #   --tsan    build with ThreadSanitizer and run the tier-1 suite under it
 #   --trace   observability gate: run daric_trace on canned scenarios and a
 #             chaos schedule replay, then validate every artifact with
-#             tools/validate_trace.py
+#             tools/validate_trace.py; the artifacts of all 12 canned
+#             scenarios and of the funds-loss schedule replay must match
+#             tests/golden/behaviour.sha256 byte for byte
 #   --obs     telemetry gate: the sharded-registry torture tests under
 #             ThreadSanitizer, a daric_monitor --once smoke run (Theorem-1
 #             SLO must hold), and a Prometheus-exposition lint of the
 #             monitor's output via tools/validate_trace.py --prom
+#   --perfbench  end-to-end benchmark determinism: perfbench/run.py
+#             --self-test (same seed, same counts, traced or not)
+#
+# tests/golden/behaviour.sha256 pins the behaviour of an accepted commit;
+# regenerate it (tools/behaviour_digest.py --write) only when a change is
+# meant to alter protocol behaviour, and say so in the change.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,6 +50,7 @@ TSAN=0
 TRACE=0
 OBS=0
 TIDY=0
+PERFBENCH=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 [[ "${1:-}" == "--bench" ]] && BENCH=1
 [[ "${1:-}" == "--chaos" ]] && CHAOS=1
@@ -49,8 +60,16 @@ TIDY=0
 [[ "${1:-}" == "--trace" ]] && TRACE=1
 [[ "${1:-}" == "--obs" ]] && OBS=1
 [[ "${1:-}" == "--tidy" ]] && TIDY=1
+[[ "${1:-}" == "--perfbench" ]] && PERFBENCH=1
 
 step() { printf '\n=== %s ===\n' "$*"; }
+
+if [[ "$PERFBENCH" == 1 ]]; then
+  step "end-to-end benchmark self-test (perfbench/run.py)"
+  python3 perfbench/run.py --self-test
+  echo; echo "check.sh --perfbench: every workload repeats its counts per seed"
+  exit 0
+fi
 
 run_tidy() {
   if ! command -v clang-tidy >/dev/null 2>&1; then
@@ -115,6 +134,10 @@ if [[ "$TRACE" == 1 ]]; then
     --jsonl build/trace-replay/trace.jsonl \
     --chrome build/trace-replay/trace_chrome.json \
     --metrics build/trace-replay/metrics.json
+
+  step "behaviour digests: trace artifacts vs tests/golden/behaviour.sha256"
+  python3 tools/behaviour_digest.py --build build --group trace \
+    --check tests/golden/behaviour.sha256
 
   echo; echo "check.sh --trace: all trace artifacts valid"
   exit 0
@@ -307,6 +330,10 @@ if [[ "$CHAOS" == 1 ]]; then
     echo "replay $sched"
     ./build-asan/tools/daric_chaos --replay "$sched" --protocol daric
   done
+
+  step "behaviour digests: chaos reports vs tests/golden/behaviour.sha256"
+  python3 tools/behaviour_digest.py --build build-asan --group chaos \
+    --check tests/golden/behaviour.sha256
 
   echo; echo "check.sh --chaos: all sweeps clean"
   exit 0
