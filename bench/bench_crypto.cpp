@@ -1,5 +1,5 @@
-// Crypto hot-path benchmarks (google-benchmark): scalar multiplication,
-// signature verification, and batch verification. BM_*NaiveLadder variants
+// Crypto hot-path benchmarks (google-benchmark): field arithmetic, scalar
+// multiplication, signing, signature verification, and batch verification. BM_*NaiveLadder variants
 // re-run the full pre-optimization implementation (naive double-and-add
 // ladder AND generic field arithmetic) so `tools/check.sh --bench` can record
 // the speedup ratio in BENCH_crypto.json; the acceptance bar is
@@ -225,6 +225,65 @@ Scalar bench_scalar(const std::string& label) {
           .view());
 }
 
+// --- field arithmetic ------------------------------------------------------
+// Dependent chains: each iteration consumes the previous result, so these
+// time latency, the cost a point formula's critical path pays.
+
+crypto::Fe bench_fe(const std::string& label) {
+  return crypto::Fe::from_be_bytes_reduce(
+      crypto::Sha256::hash({reinterpret_cast<const Byte*>(label.data()), label.size()}).view());
+}
+
+void BM_FeMul(benchmark::State& state) {
+  crypto::Fe x = bench_fe("fe/x");
+  const crypto::Fe y = bench_fe("fe/y");
+  for (auto _ : state) {
+    x = x * y;
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeMul);
+
+void BM_FeSqr(benchmark::State& state) {
+  crypto::Fe x = bench_fe("fe/x");
+  for (auto _ : state) {
+    x = x.sqr();
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeSqr);
+
+void BM_FeAdd(benchmark::State& state) {
+  crypto::Fe x = bench_fe("fe/x");
+  const crypto::Fe y = bench_fe("fe/y");
+  for (auto _ : state) {
+    x = x + y;
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeAdd);
+
+void BM_FeInv(benchmark::State& state) {
+  crypto::Fe x = bench_fe("fe/x");
+  for (auto _ : state) {
+    x = x.inv();
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeInv);
+
+// The addition chain is fixed, so the timing does not depend on whether the
+// chained input happens to be a square.
+void BM_FeSqrt(benchmark::State& state) {
+  crypto::Fe x = bench_fe("fe/x");
+  crypto::Fe root = bench_fe("fe/y");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x.sqrt(root));
+    x = x + root;
+  }
+}
+BENCHMARK(BM_FeSqrt);
+
 // --- scalar multiplication -------------------------------------------------
 
 void BM_MulVarPointWnaf(benchmark::State& state) {
@@ -266,11 +325,19 @@ struct SigFixture {
   Bytes ecdsa_sig = crypto::ecdsa_sign(kp.sk, msg);
 };
 
+// The RFC 6979 path: HMAC-DRBG nonce plus a second mul_gen for the public key.
 void BM_SchnorrSign(benchmark::State& state) {
   const SigFixture f;
   for (auto _ : state) benchmark::DoNotOptimize(crypto::schnorr_sign(f.kp.sk, f.msg));
 }
 BENCHMARK(BM_SchnorrSign);
+
+// The path every engine signs through (SignatureScheme::sign_with).
+void BM_SchnorrSignWith(benchmark::State& state) {
+  const SigFixture f;
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::schnorr_sign(f.kp, f.msg));
+}
+BENCHMARK(BM_SchnorrSignWith);
 
 void BM_SchnorrVerify(benchmark::State& state) {
   const SigFixture f;
@@ -278,6 +345,16 @@ void BM_SchnorrVerify(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::schnorr_verify(f.kp.pk, f.msg, f.schnorr_sig));
 }
 BENCHMARK(BM_SchnorrVerify);
+
+// Verification against a counterparty key's precomputed table, as the
+// engines do (SignatureScheme::verify_cached).
+void BM_SchnorrVerifyCached(benchmark::State& state) {
+  const SigFixture f;
+  const crypto::PrecomputedPoint pre(f.kp.pk);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(crypto::schnorr_verify(pre, f.msg, f.schnorr_sig));
+}
+BENCHMARK(BM_SchnorrVerifyCached);
 
 void BM_SchnorrVerifyNaiveLadder(benchmark::State& state) {
   const SigFixture f;

@@ -4,24 +4,9 @@
 
 namespace daric::crypto {
 
-namespace {
-constexpr const modarith::Params& params() { return detail::kFieldParams; }
-}  // namespace
-
 Fe Fe::from_u256(const U256& v) {
-  if (v >= params().m) throw std::invalid_argument("Fe out of range");
-  Fe f;
-  f.v_ = v;
-  return f;
-}
-
-Fe Fe::from_be_bytes_reduce(BytesView b) {
-  U512 wide;
-  const U256 v = U256::from_be_bytes(b);
-  for (int i = 0; i < 4; ++i) wide.limb[static_cast<std::size_t>(i)] = v.limb[static_cast<std::size_t>(i)];
-  Fe f;
-  f.v_ = modarith::reduce512(wide, params());
-  return f;
+  if (v >= modulus()) throw std::invalid_argument("Fe out of range");
+  return from_raw(v);
 }
 
 namespace {

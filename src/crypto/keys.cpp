@@ -6,8 +6,10 @@
 namespace daric::crypto {
 
 KeyPair derive_keypair(std::string_view label) {
-  const Hash256 h =
-      Sha256::tagged("daric/keygen", {reinterpret_cast<const Byte*>(label.data()), label.size()});
+  static const Sha256 kTagged = Sha256::tagged_init("daric/keygen");  // copied per call
+  Sha256 hasher = kTagged;
+  hasher.update({reinterpret_cast<const Byte*>(label.data()), label.size()});
+  const Hash256 h = hasher.finalize();
   Scalar sk = Scalar::from_be_bytes_reduce(h.view());
   if (ct_is_zero(sk.to_be_bytes())) sk = Scalar(1);  // astronomically unlikely; keep keys valid
   return {sk, Point::mul_gen(sk)};

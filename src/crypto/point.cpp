@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -20,6 +21,18 @@ struct Jac {
 struct AffGe {
   Fe x{}, y{};
 };
+
+// Entry of a long-lived table (mul_gen's windows, the generator wNAF tables,
+// PrecomputedPoint): a true-affine point in canonical 4x64 limbs, unpacked on
+// lookup. 64 B instead of AffGe's 80 B keeps the per-peer-key tables at the
+// size they had before the field moved to 5x52 limbs.
+struct PackedGe {
+  U256 x{}, y{};
+};
+
+PackedGe pack(const AffGe& a) { return {a.x.raw(), a.y.raw()}; }
+AffGe unpack(const PackedGe& e) { return {Fe::from_raw(e.x), Fe::from_raw(e.y)}; }
+const AffGe& unpack(const AffGe& e) { return e; }
 
 Jac to_jac(const Point& p) {
   if (p.is_infinity()) return {};
@@ -148,9 +161,10 @@ int wnaf(std::int16_t* naf, U256 k, unsigned w) {
 }
 
 // Table lookup for wNAF digit d (odd, nonzero): entry (|d|-1)/2, negated
-// for negative digits.
-AffGe wnaf_lookup(const AffGe* table, int digit) {
-  AffGe g = table[(digit > 0 ? digit : -digit) >> 1];
+// for negative digits. Tables hold AffGe (built per call) or PackedGe.
+template <typename Entry>
+AffGe wnaf_lookup(const Entry* table, int digit) {
+  AffGe g = unpack(table[(digit > 0 ? digit : -digit) >> 1]);
   if (digit < 0) g.y = g.y.neg();
   return g;
 }
@@ -278,32 +292,35 @@ void batch_inverse(std::vector<Fe>& v) {
   v[0] = acc;
 }
 
+// Writes the (non-infinity) Jacobian entries to out[0..entries.size()) in
+// true affine coordinates, normalized with a single batched inversion.
+void pack_affine(std::span<const Jac> entries, PackedGe* out) {
+  std::vector<Fe> zs(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) zs[i] = entries[i].z;
+  batch_inverse(zs);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Fe zi2 = zs[i].sqr();
+    out[i] = pack({entries[i].x * zi2, entries[i].y * zi2 * zs[i]});
+  }
+}
+
 // --- Generator wNAF tables --------------------------------------------------
 
-// Fills table[0..n) with the odd multiples {1,3,...,2n-1}·base in true affine
-// coordinates, normalized with a single batched inversion.
-void build_odd_multiples(const Jac& base, AffGe* table, int n) {
+// Fills table[0..n) with the odd multiples {1,3,...,2n-1}·base.
+void build_odd_multiples(const Jac& base, PackedGe* table, int n) {
   const Jac d = jac_dbl(base);
   std::vector<Jac> entry(static_cast<std::size_t>(n));
   entry[0] = base;
-  for (int i = 1; i < n; ++i)
-    entry[static_cast<std::size_t>(i)] = jac_add(entry[static_cast<std::size_t>(i - 1)], d);
-  std::vector<Fe> zs(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) zs[static_cast<std::size_t>(i)] = entry[static_cast<std::size_t>(i)].z;
-  batch_inverse(zs);
-  for (int i = 0; i < n; ++i) {
-    const Fe zi2 = zs[static_cast<std::size_t>(i)].sqr();
-    table[i] = {entry[static_cast<std::size_t>(i)].x * zi2,
-                entry[static_cast<std::size_t>(i)].y * zi2 * zs[static_cast<std::size_t>(i)]};
-  }
+  for (std::size_t i = 1; i < entry.size(); ++i) entry[i] = jac_add(entry[i - 1], d);
+  pack_affine(entry, table);
 }
 
 // Generator scalars split exactly as b = b_lo + 2^128·b_hi, each half walked
 // against its own static table (G and 2^128·G), so the generator streams fit
 // the same ~130-doubling chain as the GLV-split variable point.
 struct GenTables {
-  AffGe lo[kTableSizeG];  // odd multiples of G
-  AffGe hi[kTableSizeG];  // odd multiples of 2^128·G
+  PackedGe lo[kTableSizeG];  // odd multiples of G
+  PackedGe hi[kTableSizeG];  // odd multiples of 2^128·G
 };
 
 const GenTables& gen_wnaf_tables() {
@@ -357,7 +374,7 @@ Jac strauss_jac(const Scalar& a, const Point& p, const Scalar& b) {
     gz2 = global_z.sqr();
     gz3 = gz2 * global_z;
   }
-  const auto add_gen = [&](Jac acc, const AffGe* table, int digit) {
+  const auto add_gen = [&](Jac acc, const PackedGe* table, int digit) {
     AffGe g = wnaf_lookup(table, digit);
     if (rescale_g) {
       g.x = g.x * gz2;
@@ -384,8 +401,8 @@ Jac strauss_jac(const Scalar& a, const Point& p, const Scalar& b) {
 // normalized by multi_mul's batched inversion).
 struct PreTablesData {
   Point p;
-  AffGe tab[kTableSizePre];
-  AffGe ltab[kTableSizePre];
+  PackedGe tab[kTableSizePre];
+  PackedGe ltab[kTableSizePre];
 };
 
 // a·(±P) + b·G over a precomputed true-affine table: same interleaved ladder
@@ -437,37 +454,31 @@ Jac jac_scalar_mul_ladder(const Jac& base, const Scalar& k) {
 }
 
 // Precomputed 8-bit-window table for k*G: win[w][j-1] = j * 256^w * G, in
-// true affine coordinates (one batched inversion normalizes all 32·255
-// entries at build time). Signing then needs only 32 mixed additions (8M+3S
-// each) and zero doublings. Every window is visited in order regardless of
-// k, so the window sequence does not depend on the scalar; as with the old
-// 4-bit table, the entry index within a window does (acceptable here — see
-// keys.h on the simulation's threat model).
+// true affine coordinates (one batched inversion per window, so only one
+// window's Jacobian entries are alive at a time). Signing then needs only 32
+// mixed additions (8M+3S each) and zero doublings. Every window is visited in
+// order regardless of k, so the window sequence does not depend on the
+// scalar; as with the old 4-bit table, the entry index within a window does
+// (acceptable here — see keys.h on the simulation's threat model).
 struct GenTable {
-  std::array<std::array<AffGe, 255>, 32> win;
+  std::array<std::array<PackedGe, 255>, 32> win;
 };
 
 const GenTable& gen_table() {
   static GenTable table;
   static std::once_flag once;
   std::call_once(once, [] {
-    std::vector<Jac> entries(32 * 255);
+    std::vector<Jac> entries(255);
     Jac base = to_jac(Point::generator());
-    for (int w = 0; w < 32; ++w) {
+    for (auto& win : table.win) {
       Jac acc;
-      for (int j = 0; j < 255; ++j) {
+      for (Jac& e : entries) {
         acc = jac_add(acc, base);
-        entries[static_cast<std::size_t>(w * 255 + j)] = acc;
+        e = acc;
       }
+      pack_affine(entries, win.data());
       // base <<= 8 bits
       for (int d = 0; d < 8; ++d) base = jac_dbl(base);
-    }
-    std::vector<Fe> zs(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) zs[i] = entries[i].z;
-    batch_inverse(zs);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const Fe zi2 = zs[i].sqr();
-      table.win[i / 255][i % 255] = {entries[i].x * zi2, entries[i].y * zi2 * zs[i]};
     }
   });
   return table;
@@ -485,7 +496,7 @@ PrecomputedPoint::PrecomputedPoint(const Point& p) : impl_(std::make_unique<Impl
   build_odd_multiples(to_jac(p), impl_->d.tab, kTableSizePre);
   const Fe& beta = glv_beta();
   for (int i = 0; i < kTableSizePre; ++i)
-    impl_->d.ltab[i] = {beta * impl_->d.tab[i].x, impl_->d.tab[i].y};
+    impl_->d.ltab[i] = {(beta * Fe::from_raw(impl_->d.tab[i].x)).raw(), impl_->d.tab[i].y};
 }
 
 PrecomputedPoint::~PrecomputedPoint() = default;
@@ -506,8 +517,8 @@ Point Point::generator() {
 Point Point::from_affine(const Fe& x, const Fe& y) {
   if (!on_curve(x, y)) throw std::invalid_argument("point not on curve");
   Point p;
-  p.x_ = x;
-  p.y_ = y;
+  p.x_ = x.normalized();
+  p.y_ = y.normalized();
   p.infinity_ = false;
   return p;
 }
@@ -531,7 +542,7 @@ Point Point::neg() const {
   if (infinity_) return {};
   Point p;
   p.x_ = x_;
-  p.y_ = y_.neg();
+  p.y_ = y_.neg().normalized();
   p.infinity_ = false;
   return p;
 }
@@ -587,8 +598,8 @@ bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
   // signs when the input is the table base's negation) or a fresh width-5
   // table built below.
   struct LadderTerm {
-    const AffGe* tab = nullptr;   // odd multiples of the base point
-    const AffGe* ltab = nullptr;  // beta-transformed (GLV lambda stream)
+    const PackedGe* tab = nullptr;   // odd multiples of the base point
+    const PackedGe* ltab = nullptr;  // beta-transformed (GLV lambda stream)
     unsigned w = kWnafWindowP;
     int sign = 1;
     std::size_t input = 0;  // index into coeffs/points
@@ -616,21 +627,22 @@ bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
   // Fresh per-point odd-multiples tables, converted to true affine with a
   // single batched inversion across the whole call; each point also gets the
   // beta-transformed table for its GLV lambda-stream.
-  std::vector<std::array<AffGe, kTableSizeP>> tables(fresh.size());
-  std::vector<std::array<AffGe, kTableSizeP>> ltables(fresh.size());
+  std::vector<std::array<AffGe, kTableSizeP>> frames(fresh.size());
+  std::vector<std::array<PackedGe, kTableSizeP>> tables(fresh.size());
+  std::vector<std::array<PackedGe, kTableSizeP>> ltables(fresh.size());
   std::vector<Fe> zs(fresh.size());
   for (std::size_t j = 0; j < fresh.size(); ++j)
-    zs[j] = effective_affine_table(tables[j].data(), points[terms[fresh[j]].input]);
+    zs[j] = effective_affine_table(frames[j].data(), points[terms[fresh[j]].input]);
   batch_inverse(zs);
   const Fe& beta = glv_beta();
   for (std::size_t j = 0; j < fresh.size(); ++j) {
     const Fe zi2 = zs[j].sqr();
     const Fe zi3 = zi2 * zs[j];
     for (std::size_t t = 0; t < tables[j].size(); ++t) {
-      auto& e = tables[j][t];
-      e.x = e.x * zi2;
-      e.y = e.y * zi3;
-      ltables[j][t] = {beta * e.x, e.y};
+      const AffGe& e = frames[j][t];
+      const Fe x = e.x * zi2;
+      tables[j][t] = pack({x, e.y * zi3});
+      ltables[j][t] = {(beta * x).raw(), tables[j][t].y};
     }
     terms[fresh[j]].tab = tables[j].data();
     terms[fresh[j]].ltab = ltables[j].data();
@@ -693,7 +705,7 @@ Point Point::mul_gen(const Scalar& k) {
     const unsigned byte =
         static_cast<unsigned>(v.limb[static_cast<std::size_t>(w / 8)] >> (w % 8 * 8) & 0xff);
     if (byte != 0)
-      acc = jac_add_aff(acc, t.win[static_cast<std::size_t>(w)][static_cast<std::size_t>(byte - 1)]);
+      acc = jac_add_aff(acc, unpack(t.win[static_cast<std::size_t>(w)][static_cast<std::size_t>(byte - 1)]));
   }
   return from_jac(acc);
 }

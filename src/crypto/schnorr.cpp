@@ -8,9 +8,14 @@
 
 namespace daric::crypto {
 
+// The tagged hashes below start from a midstate that already absorbed the
+// 64-byte SHA256(tag)||SHA256(tag) prefix; each call copies it.
+
 Scalar schnorr_challenge(const Point& r, const Point& pk, const Hash256& msg) {
-  const Bytes data = concat({r.compressed(), pk.compressed(), msg.view()});
-  return Scalar::from_be_bytes_reduce(Sha256::tagged("daric/schnorr", data).view());
+  static const Sha256 kTagged = Sha256::tagged_init("daric/schnorr");
+  Sha256 h = kTagged;
+  h.update(r.compressed()).update(pk.compressed()).update(msg.view());
+  return Scalar::from_be_bytes_reduce(h.finalize().view());
 }
 
 namespace {
@@ -46,9 +51,10 @@ Bytes schnorr_sign(const KeyPair& kp, const Hash256& msg) {
   // the public key and the message. Deterministic; distinct messages give
   // independent nonces. k = 0 has probability ~2^-256 but the scheme must
   // not emit R = infinity, so fall back to the RFC 6979 path if it happens.
-  const Bytes data = concat({kp.sk.to_be_bytes(), kp.pk.compressed(), msg.view()});
-  const Scalar k =
-      Scalar::from_be_bytes_reduce(Sha256::tagged("daric/schnorr-nonce", data).view());
+  static const Sha256 kTagged = Sha256::tagged_init("daric/schnorr-nonce");
+  Sha256 h = kTagged;
+  h.update(kp.sk.to_be_bytes()).update(kp.pk.compressed()).update(msg.view());
+  const Scalar k = Scalar::from_be_bytes_reduce(h.finalize().view());
   if (k.is_zero()) return schnorr_sign(kp.sk, msg);
   return sign_with_nonce(k, kp.sk, kp.pk, msg);
 }
@@ -78,10 +84,12 @@ namespace {
 // to find signatures satisfying the combined equation for coefficients that
 // are themselves a hash of those signatures.
 Scalar batch_randomizer(const Hash256& seed, std::uint32_t index) {
-  Bytes data(seed.view().begin(), seed.view().end());
-  for (int shift = 24; shift >= 0; shift -= 8)
-    data.push_back(static_cast<Byte>(index >> shift));
-  const Hash256 h = Sha256::tagged("daric/batch-randomizer", data);
+  static const Sha256 kTagged = Sha256::tagged_init("daric/batch-randomizer");
+  const Byte index_be[] = {static_cast<Byte>(index >> 24), static_cast<Byte>(index >> 16),
+                           static_cast<Byte>(index >> 8), static_cast<Byte>(index)};
+  Sha256 hasher = kTagged;
+  hasher.update(seed.view()).update(index_be);
+  const Hash256 h = hasher.finalize();
   Bytes half(32, 0);
   std::copy(h.view().begin(), h.view().begin() + 16, half.begin() + 16);
   return Scalar::from_be_bytes_reduce(half);

@@ -44,7 +44,8 @@ std::int64_t Histogram::bucket_bound(std::size_t idx) {
   const std::size_t g = (idx - 64) / 32;
   const std::size_t sub = (idx - 64) % 32;
   const int shift = static_cast<int>(g) + 1;
-  return (static_cast<std::int64_t>(32 + sub + 1) << shift) - 1;
+  // Unsigned: the last bucket's bound is 2^63 - 1, and 2^63 overflows int64.
+  return static_cast<std::int64_t>((std::uint64_t{32 + sub + 1} << shift) - 1);
 }
 
 void Histogram::observe(std::int64_t v) {

@@ -230,6 +230,222 @@ TEST(FieldTest, NonResidueRejected) {
   EXPECT_FALSE(Fe(1).neg().sqrt(root));
 }
 
+// Lock-step differential test of the 5x52 limb kernels against modarith's
+// 4x64 reference arithmetic, which shares no code with them. Results feed
+// back into a register file, so most operands carry the unreduced limbs a
+// previous operation left behind; fresh operands are biased toward the
+// carry and reduction edges (0, 1, p-1, p-2, small values, and
+// representatives at or above p near 2^256). Seeded, so a failure replays.
+class FieldOracle {
+ public:
+  static constexpr const crypto::modarith::Params& kP = crypto::detail::kFieldParams;
+
+  struct Reg {
+    Fe fe;
+    U256 ref;  // canonical value, < p
+  };
+
+  std::uint64_t next() {  // splitmix64
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111eb;
+    return z ^ (z >> 31);
+  }
+
+  // A fresh operand, entered through each of Fe's constructors.
+  Reg fresh() {
+    U256 v;
+    const std::uint64_t small = next() >> 31;  // < 2^33
+    switch (next() % 9) {
+      case 0: v = U256(next() % 3); break;                      // 0, 1, 2
+      case 1: crypto::sub_with_borrow(kP.m, U256(1 + next() % 2), v); break;  // p-1, p-2
+      case 2: v = U256(small); break;
+      case 3: crypto::sub_with_borrow(U256(~0ull, ~0ull, ~0ull, ~0ull), U256(small), v); break;
+      case 4:  // p..2^256-1, often p itself
+        crypto::add_with_carry(kP.m, U256(next() % 2 == 0 ? small % 4 : small % 0x1000003d1), v);
+        break;
+      case 5:  // runs of ones across the limb boundaries at bits 52, 104, 156
+        v = U256(next() | 0xfff0000000000000, next() | 0xff000000000, ~0ull, next());
+        break;
+      default: v = U256(next(), next(), next(), next()); break;
+    }
+    const U256 ref = crypto::modarith::add_mod(v, U256(0), kP);
+    switch (next() % 3) {
+      case 0: return {Fe::from_raw(v), ref};
+      case 1: return {Fe::from_be_bytes_reduce(v.to_be_bytes()), ref};
+      default:
+        return {v.limb[1] == 0 && v.limb[2] == 0 && v.limb[3] == 0 ? Fe(v.limb[0])
+                                                                   : Fe::from_u256(ref),
+                ref};
+    }
+  }
+
+  Reg& pick() { return regs[next() % regs.size()]; }
+  Reg operand() { return next() % 4 == 0 ? fresh() : pick(); }
+
+  std::array<Reg, 8> regs{};
+
+ private:
+  std::uint64_t state_ = 0x5eed;
+};
+
+::testing::AssertionResult observes_as(const Fe& fe, const U256& ref) {
+  if (fe.raw() != ref) return ::testing::AssertionFailure() << "raw() differs";
+  if (fe.is_zero() != ref.is_zero()) return ::testing::AssertionFailure() << "is_zero differs";
+  if (fe.is_odd() != ref.is_odd()) return ::testing::AssertionFailure() << "is_odd differs";
+  if (!(fe == Fe::from_raw(ref))) return ::testing::AssertionFailure() << "== differs";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(FieldOracleTest, LockStepWithModarithMillionSteps) {
+  namespace ma = crypto::modarith;
+  FieldOracle o;
+  for (auto& r : o.regs) r = o.fresh();
+  for (int step = 0; step < 1'000'000; ++step) {
+    const FieldOracle::Reg a = o.operand();
+    const FieldOracle::Reg b = o.operand();
+    FieldOracle::Reg r;
+    const int op = static_cast<int>(o.next() % 5);
+    switch (op) {
+      case 0: r = {a.fe + b.fe, ma::add_mod(a.ref, b.ref, o.kP)}; break;
+      case 1: r = {a.fe - b.fe, ma::sub_mod(a.ref, b.ref, o.kP)}; break;
+      case 2: r = {a.fe * b.fe, ma::mul_mod(a.ref, b.ref, o.kP)}; break;
+      case 3: r = {a.fe.sqr(), ma::sqr_mod(a.ref, o.kP)}; break;
+      default: r = {a.fe.neg(), ma::sub_mod(U256(0), a.ref, o.kP)}; break;
+    }
+    ASSERT_TRUE(observes_as(r.fe, r.ref)) << "step " << step << " op " << op;
+    ASSERT_EQ(r.fe == b.fe, r.ref == b.ref) << "step " << step;
+    o.pick() = r;
+    if (step % 1000 == 0) {
+      ASSERT_EQ(r.fe.to_be_bytes(), r.ref.to_be_bytes()) << "step " << step;
+      if (!r.ref.is_zero()) {
+        ASSERT_EQ(r.fe.inv().raw(), ma::inv_mod(r.ref, o.kP)) << "inv at step " << step;
+      }
+      U256 exp;  // (p + 1) / 4
+      crypto::add_with_carry(o.kP.m, U256(1), exp);
+      const U256 cand = ma::pow_mod(r.ref, crypto::shr(exp, 2), o.kP);
+      Fe root;
+      const bool is_qr = ma::sqr_mod(cand, o.kP) == r.ref;
+      ASSERT_EQ(r.fe.sqrt(root), is_qr) << "sqrt at step " << step;
+      if (is_qr) {
+        ASSERT_EQ(root.raw(), cand) << "sqrt at step " << step;
+      }
+    }
+  }
+}
+
+// --- Known answers ---------------------------------------------------------
+//
+// Bytes produced by the 4x64 field this repo used before the 5x52 limbs. The
+// cross-checks above all run on the field under test, so only fixed bytes
+// catch a field that is consistently wrong.
+
+TEST(KnownAnswer, DerivedPublicKeys) {
+  const std::pair<const char*, const char*> kKeys[] = {
+      {"", "0367ea4a6ea23674e5281a6164f8c25d3243a1882b067bce286d9311bc333fa4c1"},
+      {"a", "024d9da49e2cdfe67920f1a841bc87d0febac52b9e062eb6eb75fdb5b191d881d9"},
+      {"alice", "02b58a8444693b5f4f428e625d1f423c8f42619e27dbc562ac11cff61d65dde684"},
+      {"bob", "033af63bff7665022f12789ebcbbcc19fd6b02fcbcc1345058a12998f42ef3d29f"},
+      {"alice/main", "02621f942a9ced6ec0c5f28b7ae05cb7b192dfe29ce0247050e7bf488f017ce343"},
+      {"bob/main", "0205c41b8fec95a0394ab4650125a07fb72aa7bb1cce0d3c114f5c85d06c81e7e9"},
+      {"alice/rv/0", "02105f91f235262e1e3589d9c106569b8d49ffd77b015e452c2418b4da040e4acd"},
+      {"bob/rv/1", "0334b7f9a5c1d192fc82298533d564a3f7019c66efb27c293c2627485061564043"},
+      {"alice/sp/2", "038f3442dee64fdf18c3608681bb3153d76d13410d9625dfb570e535e72ba0cfac"},
+      {"tower", "038bb71b6758eb79880b7ddc9fd8d6b82d14d1b54f3459e3ee37abda308cb59c35"},
+      {"funding", "034a12f10870e4a1c2b99cf245672a568b5c1a3f19cc0d2750deffd76b10f06d29"},
+      {"htlc/preimage", "03ee215391f6d7f42464ef65ab3c84cec05199e6b7087cd2666f51b18eb7cce1a9"},
+      {"kat-12", "031a52814604b189c6659bd562bbe8fa385582a7ae8df8fb25de3889aad3f21b4c"},
+      {"kat-13", "02606e0225aa1979fbefce70f9ad548ec7c0b1bff25e15a105197a53bdef147a09"},
+      {"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
+       "03ce292aaaf29b3d030a8af87379686827047d273c399b84c4d3ee1f69041e7b35"},
+      {"label with spaces", "03c881f0d98ebaaf2d0cc3552dab873e869d6362a46fa412fc7861e335a99a120a"},
+  };
+  for (const auto& [label, hex] : kKeys) {
+    const Point pk = crypto::derive_keypair(label).pk;
+    EXPECT_EQ(to_hex(pk.compressed()), hex) << "label '" << label << "'";
+    const auto parsed = Point::from_compressed(from_hex(hex));
+    ASSERT_TRUE(parsed.has_value()) << label;
+    EXPECT_EQ(*parsed, pk) << label;
+  }
+}
+
+TEST(KnownAnswer, Signatures) {
+  struct Vector {
+    const char* schnorr_keypair;  // schnorr_sign(KeyPair, msg)
+    const char* schnorr_sk;       // schnorr_sign(sk, msg), RFC 6979 nonce
+    const char* ecdsa;
+  };
+  const Vector kVectors[] = {
+      {"037c37dd6c1f644a2ddd664f19f3dc1387a4452d2c04fa66863508ef6c10ec8f34656eff493e482d217fa6ec"
+       "4dcb4f6e1f5d70219e78a82bea9d941b91bfc62f06",
+       "038186ce755e244ea3aaea2a366adc95bd7bc4fab8db9204639d53cd358f2d0ec82cd3a7ed61bbe48c03a4c9"
+       "e2c0c7ca10765b0b53b9edfbea0082794af6b920ef",
+       "045c514c16b0b5d3ab968e1c78333d14b4608af4f70c6450daa69e48ec62d5a059cd31054a77759f1bb12407"
+       "db0e55a2bba3d9e2e1918489cc3444ae95d2775c"},
+      {"0312c18e28b8bb401549dff7438b3cddb3a0434bafa71284858eac46b09764e2a9a1225074f2bcbd96f84b38"
+       "b68c7a4f28b31802ac42754683005ad746dc3434ac",
+       "0382af4f9a293079173eb3aedb698c5e27ec476fb9b17c0f9e780e2d4661d6254873be7bb464932995f6e8cd"
+       "610c51ef96f209e6bd2e5741df07298258439a0512",
+       "e7e9053f04bbc94cea3c2f77481621c9e66637d3fa55569d3aa9611201f2128f148d8392a84dbea73b76e580"
+       "b1c662563cb45f3742576dff7c40f1cd9bd7738f"},
+      {"0332f9bc451933eb07651ca5de87e4edec571b2a809b5f1f20af77914fab7ee7560b2274640d7c5a05ef5b34"
+       "45b0cc4cd270864d7206e279801a3779f98bf1baf3",
+       "02c7e41a29d9123e7da40a87115785eddb537306fb191ceeeb4573d87f325b2c8c6b27fd07bd5d05329d498c"
+       "310cf3e345124b2865100e65c05acd56acf1bd096e",
+       "6c41c030985776444b1c70b39d0e25b57a36d5e13521f9799a7666df10459d7a3461c094cf0fbb6161385fb7"
+       "2a8bf0e963dfef388baf63e23d41e2eb30a3f274"},
+      {"02cfe50725d8ef4fb0da0100f53a7795a37f8baebc321448fc1b590e643327b56b6e8d9151d6e83da631810f"
+       "9044ca407f0178b6b524a56eeb2b0e28979438abae",
+       "025b894347a401614545d54f3fe38ad8f65b2be9237b8ba5c18662c015fa42d7142f9f046a2ec0f9629315d7"
+       "f6846645021555ad5aa96c17ad410ae843e4cd4895",
+       "5d5e3f8607c29e7da07b79c089e59132f75ae952f2086a0b43be290548cf14fd39cbc17e62f465d5d289df8c"
+       "424f1c8f6a0cc67e668ba106939180d5d7bd4c4e"},
+  };
+  for (std::size_t i = 0; i < std::size(kVectors); ++i) {
+    const auto kp = crypto::derive_keypair("kat-sig-" + std::to_string(i));
+    const Hash256 msg = crypto::Sha256::hash(str_bytes("kat-msg-" + std::to_string(i)));
+    EXPECT_EQ(to_hex(crypto::schnorr_sign(kp, msg)), kVectors[i].schnorr_keypair) << i;
+    EXPECT_EQ(to_hex(crypto::schnorr_sign(kp.sk, msg)), kVectors[i].schnorr_sk) << i;
+    EXPECT_EQ(to_hex(crypto::ecdsa_sign(kp.sk, msg)), kVectors[i].ecdsa) << i;
+  }
+}
+
+TEST(KnownAnswer, AdaptorPreSignatures) {
+  const std::pair<const char*, const char*> kPre[] = {
+      {"023d2831da2d742d3e699cfa138f044d671676cf656fcdc7a16200f9b16bc10b5a",
+       "62a97f7633e25dff23aa465ac571919e8efdad6b3bec64b02f4f35eb1dddc860"},
+      {"029ece6fed4cda3600234ccd02b28215cc23866d3600eb1bb875f5e41518e1db57",
+       "a3877bced29628b163e053b5a9fe44fbae002e58b65f506f6e03418d5466f99a"},
+  };
+  for (std::size_t i = 0; i < std::size(kPre); ++i) {
+    const std::string n = std::to_string(i);
+    const auto signer = crypto::derive_keypair("kat-adaptor-signer-" + n);
+    const auto witness = crypto::derive_keypair("kat-adaptor-witness-" + n);
+    const Hash256 msg = crypto::Sha256::hash(str_bytes("kat-adaptor-msg-" + n));
+    const auto pre = crypto::adaptor_pre_sign(signer.sk, msg, witness.pk);
+    EXPECT_EQ(to_hex(pre.r_hat.compressed()), kPre[i].first) << i;
+    EXPECT_EQ(to_hex(pre.s_hat.to_be_bytes()), kPre[i].second) << i;
+  }
+}
+
+TEST(KnownAnswer, GeneratorMultiples) {
+  U256 n_minus_1;
+  crypto::sub_with_borrow(Scalar::order(), U256(1), n_minus_1);
+  const std::pair<U256, const char*> kMultiples[] = {
+      {U256(1), "0279be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"},
+      {U256(2), "02c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5"},
+      {U256(3), "02f9308a019258c31049344f85f89d5229b531c845836f99b08601f113bce036f9"},
+      {U256(0, 0, 1, 0), "028f68b9d2f63b5f339239c1ad981f162ee88c5678723ea3351b7b444c9ec4c0da"},
+      {n_minus_1, "0379be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"},
+  };
+  for (const auto& [k, hex] : kMultiples) {
+    const Scalar s = Scalar::from_u256(k);
+    EXPECT_EQ(to_hex(Point::mul_gen(s).compressed()), hex);
+    EXPECT_EQ(to_hex((Point::generator() * s).compressed()), hex);
+    EXPECT_EQ(to_hex(Point::mul_ladder_vartime(Point::generator(), s).compressed()), hex);
+  }
+}
+
 TEST(ScalarTest, Arithmetic) {
   const Scalar a = Scalar::from_be_bytes_reduce(crypto::Sha256::hash(str_bytes("s1")).view());
   const Scalar b = Scalar::from_be_bytes_reduce(crypto::Sha256::hash(str_bytes("s2")).view());

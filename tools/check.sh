@@ -32,7 +32,9 @@
 #             SLO must hold), and a Prometheus-exposition lint of the
 #             monitor's output via tools/validate_trace.py --prom
 #   --perfbench  end-to-end benchmark determinism: perfbench/run.py
-#             --self-test (same seed, same counts, traced or not)
+#             --self-test (same seed, same counts, traced or not), then every
+#             BENCHMARK.json workload for 2 s untraced and traced from a fresh
+#             build tree; each run must exit 0 with "correct": true
 #
 # tests/golden/behaviour.sha256 pins the behaviour of an accepted commit;
 # regenerate it (tools/behaviour_digest.py --write) only when a change is
@@ -67,7 +69,31 @@ step() { printf '\n=== %s ===\n' "$*"; }
 if [[ "$PERFBENCH" == 1 ]]; then
   step "end-to-end benchmark self-test (perfbench/run.py)"
   python3 perfbench/run.py --self-test
-  echo; echo "check.sh --perfbench: every workload repeats its counts per seed"
+
+  step "every workload builds, runs and passes its output checks"
+  # A fresh build tree, so the gate sees what a clean checkout builds: a
+  # src/ API change that breaks perfbench/ fails here, not in a later
+  # benchmark run.
+  target_dir="$(mktemp -d)"
+  trap 'rm -rf "$target_dir"' EXIT
+  workloads="$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  for workload in $workloads; do
+    for trace in 0 1; do
+      if ! out="$(CARGO_TARGET_DIR="$target_dir" python3 perfbench/run.py \
+                  --workload "$workload" --seed 1 --seconds 2 --trace "$trace")"; then
+        printf '%s\n' "$out" | tail -n 5 >&2
+        echo "ERROR: perfbench $workload --trace $trace exited nonzero" >&2
+        exit 1
+      fi
+      if ! printf '%s\n' "$out" | tail -n 1 | python3 -c \
+          'import json, sys; sys.exit(json.loads(sys.stdin.read()).get("correct") is not True)'; then
+        echo "ERROR: perfbench $workload --trace $trace: last line lacks \"correct\": true" >&2
+        exit 1
+      fi
+      echo "$workload --trace $trace: ok"
+    done
+  done
+  echo; echo "check.sh --perfbench: every workload repeats its counts per seed and runs correctly"
   exit 0
 fi
 
