@@ -80,7 +80,7 @@ int main() {
     ch.publish_old_commit(sim::PartyId::kA, 0);
     ch.run_until_closed();
     std::printf("  outcome: %s after %lld rounds (bound: Delta = %lld per hop)\n",
-                daricch::close_outcome_name(ch.party(sim::PartyId::kB).outcome()),
+                channel::outcome_name(ch.party(sim::PartyId::kB).outcome()),
                 static_cast<long long>(*ch.party(sim::PartyId::kB).closed_round() - start),
                 static_cast<long long>(daric_reaction_bound(env.delta())));
   }

@@ -35,7 +35,7 @@ int main() {
   const auto commit = env.ledger().spender_of(channel.funding_outpoint());
   const auto revocation = env.ledger().spender_of({commit->txid(), 0});
   std::printf("Bob's outcome: %s (after %lld rounds)\n",
-              daricch::close_outcome_name(channel.party(PartyId::kB).outcome()),
+              channel::outcome_name(channel.party(PartyId::kB).outcome()),
               static_cast<long long>(*channel.party(PartyId::kB).closed_round() - fraud_round));
   std::printf("Revocation transaction pays Bob %lld sat — the *entire* capacity.\n",
               static_cast<long long>(revocation->outputs[0].cash));

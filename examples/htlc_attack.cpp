@@ -47,7 +47,7 @@ int main() {
   ch.publish_old_commit(PartyId::kA, 1);
   ch.run_until_closed();
   std::printf("outcome: %s — the only transaction the ledger accepts on top of a\n",
-              daricch::close_outcome_name(ch.party(PartyId::kB).outcome()));
+              channel::outcome_name(ch.party(PartyId::kB).outcome()));
   std::printf("revoked commit is the victim's revocation; there is nothing to pin.\n");
   return 0;
 }

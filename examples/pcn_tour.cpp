@@ -43,7 +43,7 @@ int main() {
   ch.publish_old_commit(PartyId::kA, 0);
   ch.run_until_closed();
   std::printf("  outcome: %s — carol holds the channel's full capacity.\n",
-              daricch::close_outcome_name(ch.party(PartyId::kB).outcome()));
+              channel::outcome_name(ch.party(PartyId::kB).outcome()));
   std::printf("  the rest of the network keeps routing: pay alice->erin: %s\n",
               net.pay("alice", "erin", 50'000) ? "ok" : "failed");
   return 0;

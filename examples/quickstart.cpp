@@ -48,7 +48,7 @@ int main() {
   std::printf("Cooperative close...\n");
   channel.cooperative_close();
   std::printf("  outcome: %s at round %lld\n",
-              daricch::close_outcome_name(channel.party(PartyId::kA).outcome()),
+              channel::outcome_name(channel.party(PartyId::kA).outcome()),
               static_cast<long long>(*channel.party(PartyId::kA).closed_round()));
   const auto close_tx = env.ledger().spender_of(channel.funding_outpoint());
   std::printf("  on-chain split: A=%lld, B=%lld\n",

@@ -5,7 +5,6 @@
 #include "src/channel/storage.h"
 #include "src/daric/builders.h"
 #include "src/obs/span.h"
-#include "src/tx/weight.h"
 #include "src/tx/sighash.h"
 
 namespace daric::cerberus {
@@ -62,11 +61,7 @@ std::size_t CerberusWatchtower::storage_bytes() const {
 
 CerberusChannel::CerberusChannel(sim::Environment& env, channel::ChannelParams params,
                                  Amount tower_reward)
-    : env_(env),
-      params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "cerberus")),
-      tower_reward_(tower_reward) {
-  params_.validate(env_.delta());
+    : Engine(env, std::move(params), "cerberus"), tower_reward_(tower_reward) {
   if (tower_reward_ <= 0 || tower_reward_ >= params_.capacity())
     throw std::invalid_argument("tower reward must be positive and below the capacity");
   const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/cb");
@@ -159,22 +154,18 @@ bool CerberusChannel::create() {
   tower_b_ = CerberusWatchtower(fund_op_);
   st_ = {params_.cash_a, params_.cash_b, {}};
   sn_ = 0;
-  env_.message_round(PartyId::kA, "cb/create");
+  if (send_reliable(PartyId::kA, "cb/create") == 0) return false;
   sign_state(0, st_);
   open_ = true;
-  obs_.opened->inc();
+  note_opened();
   return true;
 }
 
 bool CerberusChannel::update(const channel::StateVec& next) {
   OBS_SPAN("cerberus.update.total");
-  if (!open_) throw std::logic_error("channel not open");
-  if (next.total() != params_.capacity())
-    throw std::invalid_argument("state must preserve capacity");
-  if (next.to_a <= tower_reward_ || next.to_b <= tower_reward_)
-    throw std::invalid_argument("balances must exceed the tower reward");
-  env_.message_round(PartyId::kA, "cb/commit-sig");
-  env_.message_round(PartyId::kB, "cb/revocation-sig");
+  check_next_state(next, tower_reward_ + 1);  // balances must exceed the tower reward
+  if (send_or_close(PartyId::kA, "cb/commit-sig") == 0) return false;
+  if (send_or_close(PartyId::kB, "cb/revocation-sig") == 0) return false;
   // Revoke the *current* state: both parties co-sign the revocation txs
   // for both old commits and hand them to the victims' towers.
   const std::uint32_t old = sn_;
@@ -188,40 +179,33 @@ bool CerberusChannel::update(const channel::StateVec& next) {
   sign_state(old + 1, next);
   ++sn_;
   st_ = next;
-  obs_.updates->inc();
+  note_updated({});
   return true;
 }
 
-bool CerberusChannel::cooperative_close() {
-  if (!open_) throw std::logic_error("channel not open");
+bool CerberusChannel::cooperative_close(PartyId initiator) {
+  require_open();
   const auto& scheme = env_.scheme();
-  tx::Transaction close;
-  close.inputs = {{fund_op_}};
-  close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
   const Bytes sa = tx::sign_input(close, 0, main_a_.sk, scheme, SighashFlag::kAll);
   const Bytes sb = tx::sign_input(close, 0, main_b_.sk, scheme, SighashFlag::kAll);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  env_.message_round(PartyId::kA, "cb/close");
-  obs_.weight->observe(static_cast<std::int64_t>(tx::measure(close).weight()));
-  env_.ledger().post(close);
-  expected_close_txid_ = close.txid();
-  return run_until_closed();
+  return post_cooperative_close(initiator, "cb/close", close);
 }
 
 void CerberusChannel::force_close(PartyId who) {
   if (!open_) return;
   const tx::Transaction& cm = who == PartyId::kA ? commit_a_ : commit_b_;
-  obs_.force_close->inc();
-  obs_.weight->observe(static_cast<std::int64_t>(tx::measure(cm).weight()));
+  observe_weight(cm);
+  note_force_close(who, sn_);
   env_.ledger().post(cm);
 }
 
 void CerberusChannel::publish_old_commit(PartyId who, std::uint32_t state) {
   for (const CommitRecord& r : archive_) {
     if (r.owner == who && r.state == state) {
-      obs_.disputes->inc();
-      obs_.weight->observe(static_cast<std::int64_t>(tx::measure(r.tx).weight()));
+      observe_weight(r.tx);
+      note_dispute(who, state);
       env_.ledger().post(r.tx);
       return;
     }
@@ -229,18 +213,12 @@ void CerberusChannel::publish_old_commit(PartyId who, std::uint32_t state) {
   throw std::out_of_range("no archived commit");
 }
 
-void CerberusChannel::note_closed(CbOutcome outcome) {
-  outcome_ = outcome;
-  open_ = false;
-  obs_.closed->inc();
-}
-
 void CerberusChannel::on_round() {
-  if (!open_ || outcome_ != CbOutcome::kNone) return;
+  if (!monitoring()) return;
   auto& ledger = env_.ledger();
 
   if (pending_txid_) {
-    if (ledger.is_confirmed(*pending_txid_)) note_closed(CbOutcome::kPunished);
+    if (ledger.is_confirmed(*pending_txid_)) close_as(channel::Outcome::kPunished);
     return;
   }
   if (pending_sweep_) {
@@ -259,7 +237,7 @@ void CerberusChannel::on_round() {
       pending_sweep_->posted = true;
       pending_sweep_->txid = sweep.txid();
     } else if (pending_sweep_->posted && ledger.is_confirmed(pending_sweep_->txid)) {
-      note_closed(CbOutcome::kNonCollaborative);
+      close_as(channel::Outcome::kNonCollaborative);
     }
     return;
   }
@@ -267,8 +245,8 @@ void CerberusChannel::on_round() {
   const auto spender = ledger.spender_of(fund_op_);
   if (!spender) return;
   const Hash256 id = spender->txid();
-  if (expected_close_txid_ && id == *expected_close_txid_) {
-    note_closed(CbOutcome::kCooperative);
+  if (coop_close_txid_ == id) {
+    close_as(channel::Outcome::kCooperative);
     return;
   }
   const CommitRecord* rec = nullptr;
@@ -285,8 +263,8 @@ void CerberusChannel::on_round() {
     const auto taker = ledger.spender_of({id, 0});
     if (taker) {
       pending_txid_ = taker->txid();
-      obs_.punish_posted->inc();
-      if (ledger.is_confirmed(*pending_txid_)) note_closed(CbOutcome::kPunished);
+      note_punish(other(rec->owner), rec->state, sn_);
+      if (ledger.is_confirmed(*pending_txid_)) close_as(channel::Outcome::kPunished);
     }
     return;
   }
@@ -299,14 +277,6 @@ void CerberusChannel::on_round() {
                                 (conf ? *conf : env_.now()) + params_.t_punish,
                                 false,
                                 {}};
-}
-
-bool CerberusChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (outcome_ != CbOutcome::kNone) return true;
-    env_.advance_round();
-  }
-  return outcome_ != CbOutcome::kNone;
 }
 
 std::size_t CerberusChannel::party_storage_bytes(PartyId who) const {

@@ -8,18 +8,12 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/channel/watchtower.h"
 #include "src/daric/wallet.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
-#include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
 namespace daric::cerberus {
-
-enum class CbOutcome { kNone, kCooperative, kNonCollaborative, kPunished };
 
 /// Commit-output script (H.6, 115 bytes):
 ///   IF 2 <rev1> <rev2> 2 CHECKMULTISIG ELSE <T> CSV DROP <delayed> CHECKSIG ENDIF
@@ -52,20 +46,23 @@ class CerberusWatchtower : public channel::Watchtower {
   bool reacted_ = false;
 };
 
-class CerberusChannel {
+/// The channel-level monitor follows the monitor flag; the two towers are
+/// separate round hooks with their own availability (Watchtower::set_online).
+class CerberusChannel : public channel::Engine {
  public:
   /// `tower_reward` is carved out of the cheater's punished funds.
   CerberusChannel(sim::Environment& env, channel::ChannelParams params, Amount tower_reward);
 
-  bool create();
-  bool update(const channel::StateVec& next);
-  bool cooperative_close();
-  void force_close(sim::PartyId who);
-  void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  bool create() override;
+  bool update(const channel::StateVec& next) override;
+  bool cooperative_close(sim::PartyId initiator) override;
+  void force_close(sim::PartyId who) override;
+  void publish_old_commit(sim::PartyId who, std::uint32_t state) override;
 
-  bool run_until_closed(Round max_rounds = 400);
-  CbOutcome outcome() const { return outcome_; }
-  std::uint32_t state_number() const { return sn_; }
+  std::uint32_t state_number() const override { return sn_; }
+  BytesView payout_pk(sim::PartyId who) const override {
+    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
+  }
 
   std::size_t party_storage_bytes(sim::PartyId who) const;  // O(n)
   CerberusWatchtower& tower(sim::PartyId who) {
@@ -77,7 +74,6 @@ class CerberusChannel {
   tx::OutPoint funding_outpoint() const { return fund_op_; }
   Bytes tower_reward_pk() const { return tower_key_.pk.compressed(); }
   Amount tower_reward() const { return tower_reward_; }
-  const channel::ChannelParams& params() const { return params_; }
 
  private:
   struct CommitRecord {
@@ -94,17 +90,11 @@ class CerberusChannel {
   tx::Transaction build_revocation(const CommitRecord& rec, sim::PartyId victim) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
-  /// Records the outcome and bumps the closed counter.
-  void note_closed(CbOutcome outcome);
 
-  sim::Environment& env_;
-  channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   Amount tower_reward_;
   daricch::DaricPubKeys pub_a_, pub_b_;
   crypto::KeyPair main_a_, main_b_, delayed_a_, delayed_b_, tower_key_;
 
-  bool open_ = false;
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
   tx::OutPoint fund_op_;
@@ -118,8 +108,6 @@ class CerberusChannel {
   CerberusWatchtower tower_a_{tx::OutPoint{}};
   CerberusWatchtower tower_b_{tx::OutPoint{}};
 
-  CbOutcome outcome_ = CbOutcome::kNone;
-  std::optional<Hash256> expected_close_txid_;
   std::optional<Hash256> pending_txid_;
   struct PendingSweep {
     tx::OutPoint op;

@@ -36,6 +36,22 @@ CommitPair gen_commit(const tx::OutPoint& fund_outpoint, Amount cash, const Dari
   return c;
 }
 
+std::optional<CommitMatch> match_counterparty_commit(const tx::Transaction& spender,
+                                                     sim::PartyId client, const DaricPubKeys& a,
+                                                     const DaricPubKeys& b, std::uint32_t s0,
+                                                     Round t_punish, std::uint32_t max_state) {
+  if (spender.outputs.size() != 1 || spender.nlocktime < s0) return std::nullopt;
+  const std::uint32_t j = spender.nlocktime - s0;
+  if (j > max_state) return std::nullopt;
+  const auto csv = static_cast<std::uint32_t>(t_punish);
+  // A's commits are guarded by rv keys, B's by rv2 (Appendix B).
+  script::Script guess = client == sim::PartyId::kA
+                             ? commit_script(a.sp, b.sp, a.rv2, b.rv2, s0 + j, csv)  // TX^B_CM,j
+                             : commit_script(a.sp, b.sp, a.rv, b.rv, s0 + j, csv);   // TX^A_CM,j
+  if (spender.outputs[0].cond != tx::Condition::p2wsh(guess)) return std::nullopt;
+  return CommitMatch{j, std::move(guess)};
+}
+
 tx::Transaction gen_split(const channel::StateVec& st, std::uint32_t state,
                           const channel::ChannelParams& p, const DaricPubKeys& a,
                           const DaricPubKeys& b) {

@@ -3,10 +3,14 @@
 // assembly helpers.
 #pragma once
 
+#include <cstdint>
+#include <optional>
+
 #include "src/channel/params.h"
 #include "src/channel/state.h"
 #include "src/daric/scripts.h"
 #include "src/daric/wallet.h"
+#include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
 namespace daric::daricch {
@@ -32,6 +36,23 @@ struct CommitPair {
 };
 CommitPair gen_commit(const tx::OutPoint& fund_outpoint, Amount cash, const DaricPubKeys& a,
                       const DaricPubKeys& b, std::uint32_t state, const channel::ChannelParams& p);
+
+/// A published commit the client's revocation transaction can spend.
+struct CommitMatch {
+  std::uint32_t state = 0;  // j, read off the commit's nLockTime (Sec. 8)
+  script::Script script;    // its output script, for the revocation witness
+};
+
+/// The punishability test of the party monitor and both watchtowers: is
+/// `spender` a commit of the *counterparty* of `client` (TX^A_RV spends
+/// TX^B_CM and vice versa), and of which state j ≤ `max_state`? Each caller
+/// keeps its own revoked-state bound; a state above `max_state` is rejected
+/// before any script is built.
+std::optional<CommitMatch> match_counterparty_commit(const tx::Transaction& spender,
+                                                     sim::PartyId client, const DaricPubKeys& a,
+                                                     const DaricPubKeys& b, std::uint32_t s0,
+                                                     Round t_punish,
+                                                     std::uint32_t max_state = UINT32_MAX);
 
 /// Floating split transaction body [TX_SP,i]‾: nLT = S0+i, outputs = θ⃗.
 /// The input is bound at publish time.

@@ -15,16 +15,6 @@ namespace daric::daricch {
 using script::SighashFlag;
 using sim::PartyId;
 
-const char* close_outcome_name(CloseOutcome o) {
-  switch (o) {
-    case CloseOutcome::kNone: return "none";
-    case CloseOutcome::kCooperative: return "cooperative";
-    case CloseOutcome::kNonCollaborative: return "non-collaborative";
-    case CloseOutcome::kPunished: return "punished";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Verifies a wire signature against a precomputed counterparty key, reusing
@@ -52,43 +42,23 @@ bool queue_wire(std::vector<crypto::SigBatchItem>& batch, const tx::SighashCache
   return true;
 }
 
-/// Records the on-chain weight of an engine-originated transaction through a
-/// cached histogram handle (events stay behind tracer().enabled()).
-void observe_weight(obs::Histogram* h, const tx::Transaction& t) {
-  h->observe(static_cast<std::int64_t>(tx::measure(t).weight()));
-}
-
-void emit_closed(sim::Environment& env, obs::Counter* closed,
-                 const channel::ChannelParams& params, PartyId id, CloseOutcome outcome) {
-  closed->inc();
-  if (env.tracer().enabled())
-    env.tracer().emit(env.now(), obs::EventKind::kChannelState, "daric", params.id,
-                      sim::party_name(id),
-                      {obs::Attr::s("phase", "closed"),
-                       obs::Attr::s("outcome", close_outcome_name(outcome))});
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // DaricParty
 // ---------------------------------------------------------------------------
 
-DaricParty::DaricParty(PartyId id, const channel::ChannelParams& params, sim::Environment& env,
-                       tx::OutPoint funding_source, crypto::KeyPair funding_key)
-    : id_(id),
+DaricParty::DaricParty(DaricChannel& ch, PartyId id, const channel::ChannelParams& params,
+                       sim::Environment& env, tx::OutPoint funding_source,
+                       crypto::KeyPair funding_key)
+    : ch_(ch),
+      id_(id),
       params_(params),
       env_(env),
       funding_source_(funding_source),
       funding_key_(std::move(funding_key)),
       keys_(DaricKeys::derive(sim::party_name(id), params.id)),
-      pub_own_(to_pub(keys_)) {
-  auto& m = env.metrics();
-  closed_counter_ = &m.counter("daric.closed");
-  punish_counter_ = &m.counter("daric.punish.posted");
-  force_close_counter_ = &m.counter("daric.force_close");
-  weight_hist_ = &m.histogram("daric.onchain_weight");
-}
+      pub_own_(to_pub(keys_)) {}
 
 std::size_t DaricParty::storage_bytes() const {
   if (!open_) return 0;
@@ -146,25 +116,6 @@ void DaricParty::set_fee_source(const FeeSource& source, Amount fee) {
   punish_fee_ = fee;
 }
 
-bool DaricParty::is_counterparty_commit(const tx::Transaction& spender, std::uint32_t* state_out,
-                                        script::Script* script_out) const {
-  if (spender.outputs.size() != 1) return false;
-  if (spender.nlocktime < params_.s0) return false;
-  const std::uint32_t j = spender.nlocktime - params_.s0;
-  const auto csv = static_cast<std::uint32_t>(params_.t_punish);
-  // A's commits are guarded by rv keys, B's by rv2 (Appendix B).
-  const DaricPubKeys& pa = id_ == PartyId::kA ? pub_own_ : pub_other_;
-  const DaricPubKeys& pb = id_ == PartyId::kA ? pub_other_ : pub_own_;
-  const script::Script guess =
-      id_ == PartyId::kA
-          ? commit_script(pa.sp, pb.sp, pa.rv2, pb.rv2, params_.s0 + j, csv)   // TX^B_CM,j
-          : commit_script(pa.sp, pb.sp, pa.rv, pb.rv, params_.s0 + j, csv);    // TX^A_CM,j
-  if (spender.outputs[0].cond != tx::Condition::p2wsh(guess)) return false;
-  *state_out = j;
-  *script_out = guess;
-  return true;
-}
-
 void DaricParty::commit_to_published_split(const tx::Transaction& spender,
                                            const FloatingSplit& split,
                                            const script::Script& commit_scr) {
@@ -176,19 +127,17 @@ void DaricParty::commit_to_published_split(const tx::Transaction& spender,
                                 (confirmed ? *confirmed : env_.now()) + params_.t_punish, false};
 }
 
-void DaricParty::try_punish(const tx::Transaction& spender) {
-  std::uint32_t j = 0;
-  script::Script cscript;
-  if (!is_counterparty_commit(spender, &j, &cscript)) return;
+void DaricParty::try_punish(const tx::Transaction& spender, const CommitMatch& commit) {
+  const std::uint32_t j = commit.state;
   if (j >= sn_ || theta_sig_.empty()) return;  // latest state or nothing revoked yet
 
   tx::Transaction rv = gen_revoke(pub_own_.main, params_.capacity(), sn_ - 1, params_);
   bind_floating(rv, {spender.txid(), 0});
   const Bytes own = sign_own_revocation(rv);
   if (id_ == PartyId::kA) {
-    attach_revoke_witness(rv, 0, cscript, own, theta_sig_);  // [rv2_A, rv2_B]
+    attach_revoke_witness(rv, 0, commit.script, own, theta_sig_);  // [rv2_A, rv2_B]
   } else {
-    attach_revoke_witness(rv, 0, cscript, theta_sig_, own);  // [rv_A, rv_B]
+    attach_revoke_witness(rv, 0, commit.script, theta_sig_, own);  // [rv_A, rv_B]
   }
   if (fee_outpoint_value_ && fee_key_) {
     attach_fee(rv, {fee_outpoint_value_->first, fee_outpoint_value_->second, *fee_key_},
@@ -196,20 +145,15 @@ void DaricParty::try_punish(const tx::Transaction& spender) {
   }
   env_.ledger().post(rv);
   pending_revocation_txid_ = rv.txid();
-  punish_counter_->inc();
-  observe_weight(weight_hist_, rv);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kPunish, "daric", params_.id,
-                       sim::party_name(id_),
-                       {obs::Attr::i("revoked_state", j),
-                        obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
+  ch_.observe_weight(rv);
+  ch_.note_punish(id_, j, sn_);
 }
 
 void DaricParty::close_with(CloseOutcome outcome, Round round) {
   outcome_ = outcome;
   closed_round_ = round;
   open_ = false;
-  emit_closed(env_, closed_counter_, params_, id_, outcome_);
+  ch_.emit_closed(sim::party_name(id_), outcome_);
   if (durability_) durability_->closed(*this);
 }
 
@@ -257,10 +201,8 @@ void DaricParty::monitor() {
     if (!pending_split_->posted && env_.now() >= pending_split_->post_round) {
       ledger.post(pending_split_->bound);
       pending_split_->posted = true;
-      observe_weight(weight_hist_, pending_split_->bound);
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "daric", params_.id,
-                           sim::party_name(id_), {obs::Attr::s("phase", "split_posted")});
+      ch_.observe_weight(pending_split_->bound);
+      ch_.note_phase(sim::party_name(id_), "split_posted");
     } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->bound.txid())) {
       close_with(CloseOutcome::kNonCollaborative, env_.now());
     }
@@ -297,10 +239,11 @@ void DaricParty::monitor() {
   }
 
   // Not in I: if it is a revoked counterparty commit, punish instantly.
-  std::uint32_t j = 0;
-  script::Script cscript;
-  if (is_counterparty_commit(*spender, &j, &cscript)) {
-    try_punish(*spender);
+  const DaricPubKeys& pa = id_ == PartyId::kA ? pub_own_ : pub_other_;
+  const DaricPubKeys& pb = id_ == PartyId::kA ? pub_other_ : pub_own_;
+  if (const auto commit =
+          match_counterparty_commit(*spender, id_, pa, pb, params_.s0, params_.t_punish)) {
+    try_punish(*spender, *commit);
     return;
   }
   // Otherwise it is one of *our own* revoked commits (republished by a
@@ -313,13 +256,8 @@ void DaricParty::force_close() {
   if (!open_) return;
   const bool use_new = flag_ == channel::ChannelFlag::kUpdating && cm_own_new_.has_value();
   const tx::Transaction& cm = use_new ? *cm_own_new_ : cm_own_;
-  force_close_counter_->inc();
-  observe_weight(weight_hist_, cm);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "daric", params_.id,
-                       sim::party_name(id_),
-                       {obs::Attr::i("sn", static_cast<std::int64_t>(use_new ? sn_ + 1 : sn_)),
-                        obs::Attr::i("revoked", 0)});
+  ch_.observe_weight(cm);
+  ch_.note_force_close(id_, use_new ? sn_ + 1 : sn_);
   env_.ledger().post(cm);
   // The Punish monitor picks it up once confirmed and schedules the split.
 }
@@ -341,54 +279,15 @@ crypto::KeyPair funding_keypair(const channel::ChannelParams& p, PartyId id) {
 
 }  // namespace
 
-namespace {
-/// Delivery attempts per protocol message before the sender concludes the
-/// link (or the counterparty) is dead and falls back to force-close.
-constexpr int kMaxSendAttempts = 3;
-}  // namespace
-
-int DaricChannel::send_reliable(DaricParty& sender, const char* type) {
-  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
-    if (attempt > 0) {
-      retries_counter_->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kMsgRetry, "daric", params_.id,
-                           sim::party_name(sender.id_),
-                           {obs::Attr::s("type", type), obs::Attr::i("attempt", attempt)});
-    }
-    const auto d = env_.transmit(sender.id_, type);
-    if (d.copies > 0) return d.copies;
-    // Dropped: the sender's ack timeout fires and it re-sends.
-  }
-  return 0;
-}
-
-int DaricChannel::send_or_close(DaricParty& sender, const char* type) {
-  const int copies = send_reliable(sender, type);
-  if (copies == 0) {
-    sender.force_close();
-    run_until_closed();
-  }
-  return copies;
-}
-
 DaricChannel::DaricChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env),
-      params_(std::move(params)),
-      a_(PartyId::kA, params_, env,
+    : Engine(env, std::move(params), "daric"),
+      a_(*this, PartyId::kA, params_, env,
          mint_funding_source(env, params_.cash_a, funding_keypair(params_, PartyId::kA)),
          funding_keypair(params_, PartyId::kA)),
-      b_(PartyId::kB, params_, env,
+      b_(*this, PartyId::kB, params_, env,
          mint_funding_source(env, params_.cash_b, funding_keypair(params_, PartyId::kB)),
          funding_keypair(params_, PartyId::kB)),
       tcache_(params_, a_.pub_own_, b_.pub_own_) {
-  auto& m = env_.metrics();
-  retries_counter_ = &m.counter("daric.msg.retries");
-  opened_counter_ = &m.counter("daric.channels_opened");
-  updates_counter_ = &m.counter("daric.updates");
-  disputes_counter_ = &m.counter("daric.disputes");
-  weight_hist_ = &m.histogram("daric.onchain_weight");
-  params_.validate(env_.delta());
   a_.hook_ = env_.add_round_hook([this] { a_.on_round(); });
   b_.hook_ = env_.add_round_hook([this] { b_.on_round(); });
 }
@@ -399,7 +298,7 @@ bool DaricChannel::create() {
 
   // Step 1: createInfo in both directions (one message round). A timeout
   // before the funding transaction exists simply abandons the channel.
-  if (send_reliable(a_, "createInfo") == 0) return false;
+  if (send_reliable(PartyId::kA, "createInfo") == 0) return false;
   a_.pub_other_ = b_.pub_own_;
   b_.pub_other_ = a_.pub_own_;
 
@@ -414,7 +313,7 @@ bool DaricChannel::create() {
   tx::SighashCache sh_split(split0), sh_cm_a(commits.body_a), sh_cm_b(commits.body_b);
 
   // Step 3: createCom — exchange split (ANYPREVOUT) and cross-commit sigs.
-  if (send_reliable(a_, "createCom") == 0) return false;
+  if (send_reliable(PartyId::kA, "createCom") == 0) return false;
   const Bytes sp_sig_a =
       tx::sign_input(split0, 0, a_.keys_.sp, scheme, SighashFlag::kAllAnyPrevOut, &sh_split);
   const Bytes sp_sig_b =
@@ -442,7 +341,7 @@ bool DaricChannel::create() {
     return false;
 
   // Step 5: exchange funding signatures and post TX_FU.
-  if (send_reliable(a_, "createFund") == 0) return false;
+  if (send_reliable(PartyId::kA, "createFund") == 0) return false;
   tx::Transaction tx_fu = fund.body;
   // Each input is a P2WPKH funding source: input 0 = A's, input 1 = B's.
   // The ALL-family digest is input-index independent, so one cache serves
@@ -495,21 +394,14 @@ bool DaricChannel::create() {
   archive_a_.push_back(a_.cm_own_);
   archive_b_.push_back(b_.cm_own_);
   archive_splits_.push_back({split0, sp_sig_a, sp_sig_b, commits.script_a, commits.script_b});
-  opened_counter_->inc();
-  observe_weight(weight_hist_, tx_fu);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "daric", params_.id, {},
-                       {obs::Attr::s("phase", "open"), obs::Attr::i("sn", 0)});
+  observe_weight(tx_fu);
+  note_opened();
   return true;
 }
 
 bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
-  if (!a_.open_ || !b_.open_) throw std::logic_error("channel not open");
+  check_next_state(next, params_.min_balance());
   if (a_.flag_ != channel::ChannelFlag::kStable) throw std::logic_error("update in flight");
-  if (next.total() != params_.capacity())
-    throw std::invalid_argument("state must preserve the channel capacity");
-  if (next.to_a < params_.min_balance() || next.to_b < params_.min_balance())
-    throw std::invalid_argument("state violates the minimum-balance reserve");
 
   OBS_SPAN("daric.update.total");
   const auto& scheme = env_.scheme();
@@ -535,25 +427,17 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
     return scheme.verify_batch(batch);
   };
 
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "daric", params_.id,
-                       sim::party_name(proposer),
-                       {obs::Attr::s("phase", "updating"),
-                        obs::Attr::i("sn", static_cast<std::int64_t>(i) + 1)});
+  note_phase(sim::party_name(proposer), "updating", i + 1);
 
-  auto abort_by = [&](DaricParty& silent, DaricParty& honest, int msg) {
-    if (silent.behavior.abort_update_before_msg == msg) {
-      honest.force_close();
-      run_until_closed();
-      return true;
-    }
-    return false;
+  // Injected misbehaviour: `silent` goes quiet before sending message `msg`.
+  auto silent_before = [](const DaricParty& silent, int msg) {
+    return silent.behavior.abort_update_before_msg == msg;
   };
 
   // Message 1: updateReq (P → Q). No receiver state is mutated yet, so a
   // duplicate delivery is a no-op; a timeout aborts to force-close.
-  if (abort_by(p, q, 1)) return false;
-  if (send_or_close(p, "updateReq") == 0) return false;
+  if (silent_before(p, 1)) return abort_to(q.id_);
+  if (send_or_close(p.id_, "updateReq") == 0) return false;
 
   // Q builds the new bodies and its ANYPREVOUT split signature. The bodies
   // are patched template skeletons; the references stay valid (and
@@ -595,20 +479,17 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   };
 
   // Message 2: updateInfo (Q → P).
-  if (abort_by(q, p, 2)) return false;
+  if (silent_before(q, 2)) return abort_to(p.id_);
   const Bytes sp_sig_q = timed_sign(split_body, q.keys_.sp, SighashFlag::kAllAnyPrevOut, &sh_split);
-  const int n2 = send_or_close(q, "updateInfo");
+  const int n2 = send_or_close(q.id_, "updateInfo");
   if (n2 == 0) return false;
 
   // P queues Q's split signature and stores Γ'^P (flag := 2); re-applied per
   // delivered copy, so a duplicated updateInfo leaves the same Γ'^P
   // (idempotent handler).
   if (!queue_wire(batch_p, sh_split, SighashFlag::kAllAnyPrevOut, p.peer_tables().sp, sp_sig_q,
-                  scheme)) {
-    p.force_close();
-    run_until_closed();
-    return false;
-  }
+                  scheme))
+    return abort_to(p.id_);
   const Bytes sp_sig_p = timed_sign(split_body, p.keys_.sp, SighashFlag::kAllAnyPrevOut, &sh_split);
   const Bytes split_sig_a = p.id_ == PartyId::kA ? sp_sig_p : sp_sig_q;
   const Bytes split_sig_b = p.id_ == PartyId::kA ? sp_sig_q : sp_sig_p;
@@ -623,18 +504,15 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   }
 
   // Message 3: updateComP (P → Q) with σ̃^P_SP and σ^P on [TX^Q_CM,i+1].
-  if (abort_by(p, q, 3)) return false;
+  if (silent_before(p, 3)) return abort_to(q.id_);
   const Bytes cm_q_sig_p = timed_sign(body_q, p.keys_.main, SighashFlag::kAll, &sh_q);
-  const int n3 = send_or_close(p, "updateComP");
+  const int n3 = send_or_close(p.id_, "updateComP");
   if (n3 == 0) return false;
 
   if (!queue_wire(batch_q, sh_split, SighashFlag::kAllAnyPrevOut, q.peer_tables().sp, sp_sig_p,
                   scheme) ||
-      !queue_wire(batch_q, sh_q, SighashFlag::kAll, q.peer_tables().main, cm_q_sig_p, scheme)) {
-    q.force_close();
-    run_until_closed();
-    return false;
-  }
+      !queue_wire(batch_q, sh_q, SighashFlag::kAll, q.peer_tables().main, cm_q_sig_p, scheme))
+    return abort_to(q.id_);
   // Q assembles its own new commit and stores Γ'^Q (idempotent per copy:
   // the witness is rebuilt from the fresh body every time). cm_q_sig_p is
   // still only structurally checked here; if its queued curve check fails
@@ -654,9 +532,9 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   }
 
   // Message 4: updateComQ (Q → P) with σ^Q on [TX^P_CM,i+1].
-  if (abort_by(q, p, 4)) return false;
+  if (silent_before(q, 4)) return abort_to(p.id_);
   const Bytes cm_p_sig_q = timed_sign(body_p, q.keys_.main, SighashFlag::kAll, &sh_p);
-  const int n4 = send_or_close(q, "updateComQ");
+  const int n4 = send_or_close(q.id_, "updateComQ");
   if (n4 == 0) return false;
 
   // P's flush point: past this message P reveals its revocation of state i,
@@ -664,9 +542,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   if (!queue_wire(batch_p, sh_p, SighashFlag::kAll, p.peer_tables().main, cm_p_sig_q, scheme) ||
       !timed_flush(batch_p)) {
     reset_gamma_prime(p);
-    p.force_close();
-    run_until_closed();
-    return false;
+    return abort_to(p.id_);
   }
   for (int copy = 0; copy < n4; ++copy) {
     p.cm_own_new_ = body_p;
@@ -699,9 +575,9 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   // send may never post a commit the counterparty can now punish.
   const SighashFlag rv_flag = revocation_flag(params_);
   if (p.durability_) p.durability_->persist(p);
-  if (abort_by(p, q, 5)) return false;
+  if (silent_before(p, 5)) return abort_to(q.id_);
   const Bytes rv_q_sig_p = timed_sign(rv_q, rv_sign_key(p, q), rv_flag, &sh_rv_q);
-  const int n5 = send_or_close(p, "revokeP");
+  const int n5 = send_or_close(p.id_, "revokeP");
   if (n5 == 0) return false;
 
   // Q's flush point: promotion Γ' → Γ (and message 6, Q's own revocation)
@@ -709,9 +585,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   if (!queue_wire(batch_q, sh_rv_q, rv_flag, rv_verify_pre(q, q), rv_q_sig_p, scheme) ||
       !timed_flush(batch_q)) {
     reset_gamma_prime(q);
-    q.force_close();
-    run_until_closed();
-    return false;
+    return abort_to(q.id_);
   }
   // Promotion Γ' → Γ is guarded on the kUpdating flag, so a duplicated
   // revoke message replays as a no-op.
@@ -735,18 +609,15 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   // for Q: its promotion to i+1 must be durable before its revocation of i
   // is externalized.
   if (q.durability_) q.durability_->persist(q);
-  if (abort_by(q, p, 6)) return false;
+  if (silent_before(q, 6)) return abort_to(p.id_);
   const Bytes rv_p_sig_q = timed_sign(rv_p, rv_sign_key(q, p), rv_flag, &sh_rv_p);
-  const int n6 = send_or_close(q, "revokeQ");
+  const int n6 = send_or_close(q.id_, "revokeQ");
   if (n6 == 0) return false;
 
   // P's batch flushed at message 4, so Γ'^P is fully verified: on failure
   // here force_close correctly posts the new commit (agreed state i+1).
-  if (!verify_wire_cached(sh_rv_p, rv_flag, rv_verify_pre(p, p), rv_p_sig_q, scheme)) {
-    p.force_close();
-    run_until_closed();
-    return false;
-  }
+  if (!verify_wire_cached(sh_rv_p, rv_flag, rv_verify_pre(p, p), rv_p_sig_q, scheme))
+    return abort_to(p.id_);
   for (int copy = 0; copy < n6; ++copy) promote(p, rv_p_sig_q);
   if (p.durability_) p.durability_->persist(p);
 
@@ -754,17 +625,12 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   archive_b_.push_back(b_.cm_own_);
   archive_splits_.push_back(
       {split_body, split_sig_a, split_sig_b, commits.script_a, commits.script_b});
-  updates_counter_->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "daric", params_.id,
-                       sim::party_name(proposer),
-                       {obs::Attr::s("phase", "updated"),
-                        obs::Attr::i("sn", static_cast<std::int64_t>(i) + 1)});
+  note_updated(sim::party_name(proposer));
   return true;
 }
 
 bool DaricChannel::cooperative_close(PartyId initiator) {
-  if (!a_.open_ || !b_.open_) throw std::logic_error("channel not open");
+  require_open();
   const auto& scheme = env_.scheme();
   DaricParty& p = party(initiator);
   DaricParty& q = party(other(initiator));
@@ -772,30 +638,21 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
   tx::Transaction fin = gen_fin_split(p.fund_op_, p.st_, a_.pub_own_, b_.pub_own_);
   const tx::SighashCache sh_fin(fin);
   const Bytes sig_p = tx::sign_input(fin, 0, p.keys_.main, scheme, SighashFlag::kAll, &sh_fin);
-  if (send_or_close(p, "closeP") == 0) return false;
+  if (send_or_close(p.id_, "closeP") == 0) return false;
 
-  if (q.behavior.refuse_close) {
-    p.force_close();
-    run_until_closed();
-    return false;
-  }
+  if (q.behavior.refuse_close) return abort_to(p.id_);
   const Bytes sig_q = tx::sign_input(fin, 0, q.keys_.main, scheme, SighashFlag::kAll, &sh_fin);
-  if (send_or_close(q, "closeQ") == 0) return false;
+  if (send_or_close(q.id_, "closeQ") == 0) return false;
 
-  if (!verify_wire_cached(sh_fin, SighashFlag::kAll, p.peer_tables().main, sig_q, scheme)) {
-    p.force_close();
-    run_until_closed();
-    return false;
-  }
+  if (!verify_wire_cached(sh_fin, SighashFlag::kAll, p.peer_tables().main, sig_q, scheme))
+    return abort_to(p.id_);
   const Bytes& sig_a = initiator == PartyId::kA ? sig_p : sig_q;
   const Bytes& sig_b = initiator == PartyId::kA ? sig_q : sig_p;
   attach_funding_witness(fin, 0, p.fund_script_, sig_a, sig_b);
   a_.expected_coop_txid_ = fin.txid();
   b_.expected_coop_txid_ = fin.txid();
-  observe_weight(weight_hist_, fin);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "daric", params_.id,
-                       sim::party_name(initiator), {obs::Attr::s("phase", "coop_close_posted")});
+  observe_weight(fin);
+  note_phase(sim::party_name(initiator), "coop_close_posted");
   env_.ledger().post(fin);
   return run_until_closed();
 }
@@ -803,13 +660,8 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
 void DaricChannel::publish_old_commit(PartyId who, std::uint32_t state) {
   const auto& archive = who == PartyId::kA ? archive_a_ : archive_b_;
   if (state >= archive.size()) throw std::out_of_range("no archived commit for that state");
-  disputes_counter_->inc();
-  observe_weight(weight_hist_, archive[state]);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "daric", params_.id,
-                       sim::party_name(who),
-                       {obs::Attr::i("sn", static_cast<std::int64_t>(state)),
-                        obs::Attr::i("revoked", state < a_.sn_ ? 1 : 0)});
+  observe_weight(archive[state]);
+  note_dispute(who, state);
   env_.ledger().post(archive[state]);
 }
 
@@ -824,14 +676,6 @@ void DaricChannel::publish_old_split(PartyId who, std::uint32_t state, Round del
       who == PartyId::kA ? as.commit_script_a : as.commit_script_b;
   attach_split_witness(bound, 0, commit_script, as.sig_a, as.sig_b);
   env_.ledger().post_with_delay(bound, delay);
-}
-
-bool DaricChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (!a_.open_ && !b_.open_) return true;
-    env_.advance_round();
-  }
-  return !a_.open_ && !b_.open_;
 }
 
 // ---------------------------------------------------------------------------

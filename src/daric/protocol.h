@@ -11,24 +11,20 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/crypto/point.h"
 #include "src/daric/builders.h"
 #include "src/daric/skeleton.h"
 #include "src/obs/metrics.h"
-#include "src/sim/environment.h"
-#include "src/sim/party.h"
 
 namespace daric::daricch {
 
-enum class CloseOutcome { kNone, kCooperative, kNonCollaborative, kPunished };
+using CloseOutcome = channel::Outcome;
 
 struct WatchtowerPackage;  // defined in daric/watchtower.h
 struct ChannelSnapshot;    // defined in daric/persistence.h
 class DaricParty;
-
-const char* close_outcome_name(CloseOutcome o);
+class DaricChannel;
 
 /// Durability callback wired into the protocol's fsync points. persist() is
 /// invoked at every moment the party's state is about to become binding —
@@ -54,8 +50,8 @@ struct Behavior {
 
 class DaricParty {
  public:
-  DaricParty(sim::PartyId id, const channel::ChannelParams& params, sim::Environment& env,
-             tx::OutPoint funding_source, crypto::KeyPair funding_key);
+  DaricParty(DaricChannel& ch, sim::PartyId id, const channel::ChannelParams& params,
+             sim::Environment& env, tx::OutPoint funding_source, crypto::KeyPair funding_key);
 
   sim::PartyId id() const { return id_; }
   const DaricKeys& keys() const { return keys_; }
@@ -141,22 +137,14 @@ class DaricParty {
   void refresh_wake();
   void commit_to_published_split(const tx::Transaction& spender, const FloatingSplit& split,
                                  const script::Script& commit_script);
-  void try_punish(const tx::Transaction& spender);
-  bool is_counterparty_commit(const tx::Transaction& spender, std::uint32_t* state_out,
-                              script::Script* script_out) const;
+  void try_punish(const tx::Transaction& spender, const CommitMatch& commit);
   Bytes sign_own_revocation(const tx::Transaction& bound_body) const;
 
+  DaricChannel& ch_;  // the engine shell: instruments and lifecycle events
   sim::PartyId id_;
   channel::ChannelParams params_;
   sim::Environment& env_;
   sim::Environment::HookId hook_ = 0;  // registered by DaricChannel
-
-  // Cached registry handles (one name lookup at construction; the punish
-  // monitor and close paths then never touch the registry mutex).
-  obs::Counter* closed_counter_;
-  obs::Counter* punish_counter_;
-  obs::Counter* force_close_counter_;
-  obs::Histogram* weight_hist_;
 
   // Funding source (the paper's tid_P) and its key.
   tx::OutPoint funding_source_;
@@ -225,23 +213,28 @@ class DaricParty {
 
 /// Orchestrates the two parties over the environment. Each protocol message
 /// costs one network round (F_GDC's 1-round delivery).
-class DaricChannel {
+class DaricChannel : public channel::Engine {
  public:
   DaricChannel(sim::Environment& env, channel::ChannelParams params);
 
   /// Create phase (6 steps). Returns true once TX_FU confirmed.
-  bool create();
+  bool create() override;
 
   /// Update phase: P proposes the next state. Returns true on UPDATED at
   /// both sides; false if an injected abort triggered ForceClose.
-  bool update(const channel::StateVec& next, sim::PartyId proposer = sim::PartyId::kA);
+  bool update(const channel::StateVec& next, sim::PartyId proposer);
+  /// The contract's update: A proposes.
+  bool update(const channel::StateVec& next) override { return update(next, sim::PartyId::kA); }
 
   /// Collaborative close via the modified split TX_SP̄.
-  bool cooperative_close(sim::PartyId initiator = sim::PartyId::kA);
+  bool cooperative_close(sim::PartyId initiator = sim::PartyId::kA) override;
+
+  /// ForceClose^P(id) by `who`.
+  void force_close(sim::PartyId who) override { party(who).force_close(); }
 
   /// Fraud injection: `who` publishes its own commit of old state `state`.
   /// Requires that state to have existed; uses the test-harness archive.
-  void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  void publish_old_commit(sim::PartyId who, std::uint32_t state) override;
 
   /// Attacker endgame: binds the archived split of `state` to `who`'s
   /// already-published commit of that state and posts it with `delay`.
@@ -249,11 +242,19 @@ class DaricChannel {
   /// cheater sweeps when every monitor stays dark past T − Δ.
   void publish_old_split(sim::PartyId who, std::uint32_t state, Round delay = 1);
 
-  /// Runs rounds until both parties consider the channel closed (or limit).
-  bool run_until_closed(Round max_rounds = 200);
+  std::uint32_t state_number() const override { return a_.sn_; }
+  BytesView payout_pk(sim::PartyId who) const override { return party(who).pub().main; }
+  channel::Outcome outcome(sim::PartyId who) const override { return party(who).outcome(); }
+  /// Both parties consider the channel closed.
+  bool closed() const override { return !a_.open_ && !b_.open_; }
+  /// Each party runs its own Punish monitor.
+  void set_monitor_online(bool a, bool b) override {
+    a_.set_online(a);
+    b_.set_online(b);
+  }
 
   DaricParty& party(sim::PartyId p) { return p == sim::PartyId::kA ? a_ : b_; }
-  const channel::ChannelParams& params() const { return params_; }
+  const DaricParty& party(sim::PartyId p) const { return p == sim::PartyId::kA ? a_ : b_; }
   tx::OutPoint funding_outpoint() const { return a_.fund_op_; }
 
   /// Test-harness archive of every signed own-commit (what a *dishonest*
@@ -262,23 +263,11 @@ class DaricChannel {
     return p == sim::PartyId::kA ? archive_a_ : archive_b_;
   }
 
+ protected:
+  bool is_open() const override { return a_.open_ && b_.open_; }
+
  private:
-  /// One delivery attempt per round; re-sends on drop up to the retry
-  /// budget. Returns delivered copies (0 = the abort timeout fired).
-  int send_reliable(DaricParty& sender, const char* type);
-  /// send_reliable, then abort-to-force-close by `sender` on timeout.
-  /// Returns 0 after closing the channel, else the delivered copy count.
-  int send_or_close(DaricParty& sender, const char* type);
-
-  sim::Environment& env_;
-  channel::ChannelParams params_;
-
-  // Cached registry handles for the channel-level paths (update/create).
-  obs::Counter* retries_counter_;
-  obs::Counter* opened_counter_;
-  obs::Counter* updates_counter_;
-  obs::Counter* disputes_counter_;
-  obs::Histogram* weight_hist_;
+  friend class DaricParty;  // reports its monitor's events through the shell
 
   DaricParty a_, b_;
   /// Per-channel template skeletons (declared after a_/b_: initialized from

@@ -37,23 +37,14 @@ DaricWatchtower::DaricWatchtower(const channel::ChannelParams& params, PartyId c
 void DaricWatchtower::monitor(ledger::Ledger& l) {
   if (reacted_ || !pkg_) return;
   const auto spender = l.spender_of(fund_op_);
-  if (!spender || spender->outputs.size() != 1) return;
-  if (spender->nlocktime < params_.s0) return;
-  const std::uint32_t j = spender->nlocktime - params_.s0;
-  if (j > pkg_->revoked_state) return;  // not a revoked state
-
-  // Only the *counterparty's* commits are punishable with the client's
-  // revocation transaction (TX^A_RV spends TX^B_CM and vice versa).
-  const auto csv = static_cast<std::uint32_t>(params_.t_punish);
-  const script::Script guess =
-      client_ == PartyId::kA
-          ? commit_script(pub_a_.sp, pub_b_.sp, pub_a_.rv2, pub_b_.rv2, params_.s0 + j, csv)
-          : commit_script(pub_a_.sp, pub_b_.sp, pub_a_.rv, pub_b_.rv, params_.s0 + j, csv);
-  if (spender->outputs[0].cond != tx::Condition::p2wsh(guess)) return;
+  if (!spender) return;
+  const auto commit = match_counterparty_commit(*spender, client_, pub_a_, pub_b_, params_.s0,
+                                                params_.t_punish, pkg_->revoked_state);
+  if (!commit) return;
 
   tx::Transaction rv = pkg_->rv_body;
   bind_floating(rv, {spender->txid(), 0});
-  attach_revoke_witness(rv, 0, guess, pkg_->sig_a, pkg_->sig_b);
+  attach_revoke_witness(rv, 0, commit->script, pkg_->sig_a, pkg_->sig_b);
   l.post(rv);
   reacted_ = true;
 }

@@ -5,10 +5,8 @@
 #include "src/channel/storage.h"
 #include "src/daric/builders.h"
 #include "src/daric/scripts.h"
-#include "src/obs/event.h"
 #include "src/obs/span.h"
 #include "src/tx/sighash.h"
-#include "src/tx/weight.h"
 
 namespace daric::eltoo {
 
@@ -17,43 +15,10 @@ using sim::PartyId;
 
 namespace {
 std::size_t idx(PartyId p) { return p == PartyId::kA ? 0 : 1; }
-constexpr int kMaxSendAttempts = 3;
-
-void observe_weight(obs::Histogram* h, const tx::Transaction& t) {
-  h->observe(static_cast<std::int64_t>(tx::measure(t).weight()));
-}
-
-void emit_closed(sim::Environment& env, obs::Counter* closed,
-                 const channel::ChannelParams& params, std::uint32_t settled_state,
-                 const char* how) {
-  closed->inc();
-  if (env.tracer().enabled())
-    env.tracer().emit(env.now(), obs::EventKind::kChannelState, "eltoo", params.id, {},
-                      {obs::Attr::s("phase", "closed"), obs::Attr::s("outcome", how),
-                       obs::Attr::i("settled_state", static_cast<std::int64_t>(settled_state))});
-}
-
 }  // namespace
 
-int EltooChannel::send_reliable(PartyId from, const char* type) {
-  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
-    if (attempt > 0) {
-      obs_.retries->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kMsgRetry, "eltoo", params_.id,
-                           sim::party_name(from),
-                           {obs::Attr::s("type", type), obs::Attr::i("attempt", attempt)});
-    }
-    const auto d = env_.transmit(from, type);
-    if (d.copies > 0) return d.copies;
-  }
-  return 0;
-}
-
 EltooChannel::EltooChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env), params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "eltoo", "override.posted")) {
-  params_.validate(env_.delta());
+    : Engine(env, std::move(params), "eltoo", "override.posted") {
   const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/eltoo");
   const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/eltoo");
   pub_a_ = to_pub(ka);
@@ -136,65 +101,33 @@ bool EltooChannel::create() {
   // leaves no funds stranded in the 2-of-2.
   if (send_reliable(PartyId::kA, "eltoo/create") == 0) return false;
   fund_op_ = env_.ledger().mint(params_.capacity(), tx::Condition::p2wsh(fund_script_));
-  fund_txid_ = fund_op_.txid;
   sign_state(0, st_);
   open_ = true;
-  obs_.opened->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "eltoo", params_.id, {},
-                       {obs::Attr::s("phase", "open"), obs::Attr::i("sn", 0)});
+  note_opened();
   return true;
 }
 
 bool EltooChannel::update(const channel::StateVec& next) {
   OBS_SPAN("eltoo.update.total");
-  if (!open_) throw std::logic_error("channel not open");
-  if (next.total() != params_.capacity())
-    throw std::invalid_argument("state must preserve capacity");
-  if (next.to_a <= 0 || next.to_b <= 0)
-    throw std::invalid_argument("both balances must stay positive");
-  auto send_or_close = [&](PartyId from, const char* type) {
-    if (send_reliable(from, type) > 0) return true;
-    force_close(from);
-    run_until_closed();
-    return false;
-  };
-  if (!send_or_close(PartyId::kA, "eltoo/update-sigs-1")) return false;
-  if (!send_or_close(PartyId::kB, "eltoo/update-sigs-2")) return false;
+  check_next_state(next, 1);
+  if (send_or_close(PartyId::kA, "eltoo/update-sigs-1") == 0) return false;
+  if (send_or_close(PartyId::kB, "eltoo/update-sigs-2") == 0) return false;
   sign_state(sn_ + 1, next);
   ++sn_;
   st_ = next;
-  obs_.updates->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "eltoo", params_.id, {},
-                       {obs::Attr::s("phase", "updated"),
-                        obs::Attr::i("sn", static_cast<std::int64_t>(sn_))});
+  note_updated({});
   return true;
 }
 
-bool EltooChannel::cooperative_close() {
-  if (!open_) throw std::logic_error("channel not open");
+bool EltooChannel::cooperative_close(PartyId initiator) {
+  require_open();
   const auto& scheme = env_.scheme();
-  tx::Transaction close;
-  close.inputs = {{fund_op_}};
-  close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
   const tx::SighashCache sh_close(close);
   const Bytes sa = tx::sign_input(close, 0, upd_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, upd_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  if (send_reliable(PartyId::kA, "eltoo/close") == 0) {
-    force_close(PartyId::kA);
-    run_until_closed();
-    return false;
-  }
-  observe_weight(obs_.weight, close);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "eltoo", params_.id, {},
-                       {obs::Attr::s("phase", "coop_close_posted")});
-  env_.ledger().post(close);
-  expected_close_txid_ = close.txid();
-  return run_until_closed();
+  return post_cooperative_close(initiator, "eltoo/close", close);
 }
 
 void EltooChannel::post_update_bound(std::uint32_t state, const tx::OutPoint& op,
@@ -210,18 +143,13 @@ void EltooChannel::post_update_bound(std::uint32_t state, const tx::OutPoint& op
     t.witnesses[0].stack = {Bytes{}, s.upd_sig_a, s.upd_sig_b, Bytes{}};
     t.witnesses[0].witness_script = prev_script;
   }
-  observe_weight(obs_.weight, t);
+  observe_weight(t);
   env_.ledger().post(t);
 }
 
-void EltooChannel::publish_old_update(PartyId who, std::uint32_t state) {
+void EltooChannel::publish_old_commit(PartyId who, std::uint32_t state) {
   if (state >= archive_.size()) throw std::out_of_range("no such archived state");
-  obs_.disputes->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "eltoo", params_.id,
-                       sim::party_name(who),
-                       {obs::Attr::i("sn", static_cast<std::int64_t>(state)),
-                        obs::Attr::i("revoked", state < sn_ ? 1 : 0)});
+  note_dispute(who, state);
   if (env_.ledger().is_unspent(fund_op_)) {
     post_update_bound(state, fund_op_, {}, true);
     return;
@@ -248,27 +176,24 @@ void EltooChannel::set_reacting(PartyId who, bool reacts) { reacts_[idx(who)] = 
 
 void EltooChannel::force_close(PartyId who) {
   if (!open_) return;
-  obs_.force_close->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "eltoo", params_.id,
-                       sim::party_name(who),
-                       {obs::Attr::i("sn", static_cast<std::int64_t>(sn_)),
-                        obs::Attr::i("revoked", 0)});
+  note_force_close(who, sn_);
   if (env_.ledger().is_unspent(fund_op_)) post_update_bound(sn_, fund_op_, {}, true);
   // Settlement is scheduled by the monitor once the update confirms.
 }
 
+void EltooChannel::settle(std::uint32_t state, channel::Outcome o, const char* how) {
+  settled_state_ = state;
+  close_as(o, how, state);
+}
+
 void EltooChannel::on_round() {
-  if (!open_ || settled_state_) return;
-  if (!monitor_online_) return;
+  if (!monitoring()) return;
   auto& ledger = env_.ledger();
 
   auto spender = ledger.spender_of(fund_op_);
   if (!spender) return;
-  if (expected_close_txid_ && spender->txid() == *expected_close_txid_) {
-    settled_state_ = sn_;
-    open_ = false;
-    emit_closed(env_, obs_.closed, params_, *settled_state_, "cooperative");
+  if (coop_close_txid_ == spender->txid()) {
+    settle(sn_, channel::Outcome::kCooperative, "cooperative");
     return;
   }
 
@@ -278,10 +203,8 @@ void EltooChannel::on_round() {
   for (;;) {
     if (spender->outputs.size() != 1) {
       // A settlement (two or more outputs) finalized the channel.
-      settled_state_ = cur_state;
-      open_ = false;
-      emit_closed(env_, obs_.closed, params_, *settled_state_,
-                  cur_state < sn_ ? "stale-settled" : "settled");
+      settle(cur_state, channel::Outcome::kNonCollaborative,
+             cur_state < sn_ ? "stale-settled" : "settled");
       return;
     }
     holder = *spender;
@@ -295,7 +218,6 @@ void EltooChannel::on_round() {
   if (!tip_txid_ || *tip_txid_ != holder.txid()) {
     tip_txid_ = holder.txid();
     tip_state_ = cur_state;
-    tip_confirm_round_ = conf;
     settlement_posted_ = false;
     reacted_for_tip_ = false;
   }
@@ -307,11 +229,11 @@ void EltooChannel::on_round() {
       // The override is eltoo's stand-in for punishment: record it under the
       // same punish counter/event so cross-engine dashboards line up.
       obs_.punish_posted->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kPunish, "eltoo", params_.id, {},
-                           {obs::Attr::s("kind", "override"),
-                            obs::Attr::i("stale_state", static_cast<std::int64_t>(cur_state)),
-                            obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
+      if (tracing())
+        emit(obs::EventKind::kPunish, {},
+             {obs::Attr::s("kind", "override"),
+              obs::Attr::i("stale_state", static_cast<std::int64_t>(cur_state)),
+              obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
       post_update_bound(sn_, {holder.txid(), 0}, archive_.at(cur_state).out_script, false);
       reacted_for_tip_ = true;
     }
@@ -326,22 +248,11 @@ void EltooChannel::on_round() {
     t.witnesses.resize(1);
     t.witnesses[0].stack = {Bytes{}, s.set_sig_a, s.set_sig_b, Bytes{1}};
     t.witnesses[0].witness_script = s.out_script;
-    observe_weight(obs_.weight, t);
-    if (env_.tracer().enabled())
-      env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "eltoo", params_.id, {},
-                         {obs::Attr::s("phase", "settlement_posted"),
-                          obs::Attr::i("sn", static_cast<std::int64_t>(sn_))});
+    observe_weight(t);
+    note_phase({}, "settlement_posted", sn_);
     ledger.post(t);
     settlement_posted_ = true;
   }
-}
-
-bool EltooChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (settled_state_) return true;
-    env_.advance_round();
-  }
-  return settled_state_.has_value();
 }
 
 std::size_t EltooChannel::party_storage_bytes(PartyId who) const {

@@ -5,29 +5,27 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/daric/wallet.h"
 #include "src/eltoo/scripts.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
-#include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
 namespace daric::eltoo {
 
-class EltooChannel {
+/// Outcomes: kCooperative, or kNonCollaborative once a settlement confirms
+/// (settled_state() says which state won). eltoo never punishes.
+class EltooChannel : public channel::Engine {
  public:
   EltooChannel(sim::Environment& env, channel::ChannelParams params);
 
-  bool create();
-  bool update(const channel::StateVec& next);  // two message rounds
-  bool cooperative_close();
+  bool create() override;
+  bool update(const channel::StateVec& next) override;  // two message rounds
+  bool cooperative_close(sim::PartyId initiator) override;
   /// Honest unilateral close: post latest update, settle after T.
-  void force_close(sim::PartyId who);
-  /// Fraud: `who` publishes update transaction of old state `state`, bound
-  /// to the funding output (or to whatever currently holds the funds).
-  void publish_old_update(sim::PartyId who, std::uint32_t state);
+  void force_close(sim::PartyId who) override;
+  /// Fraud: `who` publishes the update transaction of old state `state`,
+  /// bound to the funding output (or to whatever currently holds the funds).
+  void publish_old_commit(sim::PartyId who, std::uint32_t state) override;
   /// The attacker's endgame: bind & post the archived settlement for
   /// `state` once its CSV matured (only meaningful if nobody reacted).
   void attacker_settle(sim::PartyId who, std::uint32_t state);
@@ -35,19 +33,15 @@ class EltooChannel {
   /// Whether a party's monitor overrides stale updates (p in Sec. 6.2).
   void set_reacting(sim::PartyId who, bool reacts);
 
-  /// Downtime control for the chaos drills: while offline the channel's
-  /// chain monitor skips rounds entirely.
-  void set_monitor_online(bool v) { monitor_online_ = v; }
-  bool monitor_online() const { return monitor_online_; }
-
-  bool run_until_closed(Round max_rounds = 400);
-  bool closed() const { return settled_state_.has_value(); }
+  bool punishes() const override { return false; }
   /// State number whose settlement (or cooperative close) finalized.
   std::optional<std::uint32_t> settled_state() const { return settled_state_; }
 
-  std::uint32_t state_number() const { return sn_; }
+  std::uint32_t state_number() const override { return sn_; }
+  BytesView payout_pk(sim::PartyId who) const override {
+    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
+  }
   std::size_t party_storage_bytes(sim::PartyId who) const;
-  const channel::ChannelParams& params() const { return params_; }
   /// Latest update/settlement bodies (for size measurements).
   const tx::Transaction& latest_update_body() const { return upd_body_; }
   const tx::Transaction& latest_settlement_body() const { return set_body_; }
@@ -62,23 +56,19 @@ class EltooChannel {
   tx::Transaction build_update_body(std::uint32_t state) const;
   tx::Transaction build_settlement_body(const channel::StateVec& st, std::uint32_t state) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
-  int send_reliable(sim::PartyId from, const char* type);
   void on_round();
   void post_update_bound(std::uint32_t state, const tx::OutPoint& op,
                          const script::Script& prev_script, bool spending_funding);
+  /// Resolves the channel at `state`; `how` names it in the closed event.
+  void settle(std::uint32_t state, channel::Outcome o, const char* how);
 
-  sim::Environment& env_;
-  channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   daricch::DaricPubKeys pub_a_, pub_b_;  // only .main used for balances
   crypto::KeyPair upd_a_, upd_b_;
 
-  bool open_ = false;
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
   tx::OutPoint fund_op_;
   script::Script fund_script_;
-  Hash256 fund_txid_;
 
   // Latest floating pair (what honest parties store — O(1)).
   tx::Transaction upd_body_;
@@ -96,16 +86,12 @@ class EltooChannel {
   std::vector<ArchivedState> archive_;
 
   bool reacts_[2] = {true, true};
-  bool monitor_online_ = true;
   // Monitor bookkeeping: the update tx currently holding the funds.
   std::optional<Hash256> tip_txid_;
   std::uint32_t tip_state_ = 0;
-  std::optional<Round> tip_confirm_round_;
   bool settlement_posted_ = false;
   bool reacted_for_tip_ = false;
-  std::optional<std::uint32_t> pending_settle_state_;
   std::optional<std::uint32_t> settled_state_;
-  std::optional<Hash256> expected_close_txid_;
 };
 
 }  // namespace daric::eltoo

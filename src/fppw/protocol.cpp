@@ -2,13 +2,13 @@
 
 #include <stdexcept>
 
+#include "src/channel/publisher.h"
 #include "src/channel/storage.h"
 #include "src/daric/builders.h"
 #include "src/daric/scripts.h"
 #include "src/fppw/scripts.h"
 #include "src/obs/span.h"
 #include "src/tx/sighash.h"
-#include "src/tx/weight.h"
 
 namespace daric::fppw {
 
@@ -17,10 +17,7 @@ using script::SighashFlag;
 using sim::PartyId;
 
 FppwChannel::FppwChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env),
-      params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "fppw")) {
-  params_.validate(env_.delta());
+    : Engine(env, std::move(params), "fppw") {
   if (!env_.scheme().supports_adaptor())
     throw std::invalid_argument("FPPW needs adaptor signatures (publisher identification)");
   const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/fppw");
@@ -120,23 +117,19 @@ bool FppwChannel::create() {
                                 tx::Condition::p2wsh(fund_script_));
   st_ = {params_.cash_a, params_.cash_b, {}};
   sn_ = 0;
-  env_.message_round(PartyId::kA, "fppw/create");
+  if (send_reliable(PartyId::kA, "fppw/create") == 0) return false;
   sign_state(0, st_);
   open_ = true;
-  obs_.opened->inc();
+  note_opened();
   return true;
 }
 
 bool FppwChannel::update(const channel::StateVec& next) {
   OBS_SPAN("fppw.update.total");
-  if (!open_) throw std::logic_error("channel not open");
-  if (next.total() != params_.capacity())
-    throw std::invalid_argument("state must preserve capacity");
-  if (next.to_a <= 0 || next.to_b <= 0)
-    throw std::invalid_argument("both balances must stay positive");
-  env_.message_round(PartyId::kA, "fppw/presig");
-  env_.message_round(PartyId::kB, "fppw/split-sig");
-  env_.message_round(PartyId::kA, "fppw/revoke");
+  check_next_state(next, 1);
+  if (send_or_close(PartyId::kA, "fppw/presig") == 0) return false;
+  if (send_or_close(PartyId::kB, "fppw/split-sig") == 0) return false;
+  if (send_or_close(PartyId::kA, "fppw/revoke") == 0) return false;
   // Revoke the current state: both revocation variants go to the tower.
   const std::uint32_t old = sn_;
   tower_revocations_.push_back(
@@ -146,7 +139,7 @@ bool FppwChannel::update(const channel::StateVec& next) {
   sign_state(old + 1, next);
   ++sn_;
   st_ = next;
-  obs_.updates->inc();
+  note_updated({});
   return true;
 }
 
@@ -169,55 +162,42 @@ tx::Transaction FppwChannel::assemble_commit(PartyId publisher, std::uint32_t st
   return t;
 }
 
-bool FppwChannel::cooperative_close() {
-  if (!open_) throw std::logic_error("channel not open");
+bool FppwChannel::cooperative_close(PartyId initiator) {
+  require_open();
   const auto& scheme = env_.scheme();
-  tx::Transaction close;
-  close.inputs = {{fund_op_}};
-  close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
   close.outputs.push_back({collateral(), tx::Condition::p2wpkh(tower_payout_.pk.compressed())});
   const Bytes sa = tx::sign_input(close, 0, main_a_.sk, scheme, SighashFlag::kAll);
   const Bytes sb = tx::sign_input(close, 0, main_b_.sk, scheme, SighashFlag::kAll);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  env_.message_round(PartyId::kA, "fppw/close");
-  obs_.weight->observe(static_cast<std::int64_t>(tx::measure(close).weight()));
-  env_.ledger().post(close);
-  expected_close_txid_ = close.txid();
-  return run_until_closed();
+  return post_cooperative_close(initiator, "fppw/close", close);
 }
 
 void FppwChannel::force_close(PartyId who) {
   if (!open_) return;
   const tx::Transaction cm = assemble_commit(who, sn_);
-  obs_.force_close->inc();
-  obs_.weight->observe(static_cast<std::int64_t>(tx::measure(cm).weight()));
+  observe_weight(cm);
+  note_force_close(who, sn_);
   env_.ledger().post(cm);
 }
 
 void FppwChannel::publish_old_commit(PartyId who, std::uint32_t state) {
   if (state >= archive_.size()) throw std::out_of_range("no archived commit");
   const tx::Transaction cm = assemble_commit(who, state);
-  obs_.disputes->inc();
-  obs_.weight->observe(static_cast<std::int64_t>(tx::measure(cm).weight()));
+  observe_weight(cm);
+  note_dispute(who, state);
   env_.ledger().post(cm);
 }
 
-void FppwChannel::note_closed(FppwOutcome outcome) {
-  outcome_ = outcome;
-  open_ = false;
-  obs_.closed->inc();
-}
-
 void FppwChannel::on_round() {
-  if (!open_ || outcome_ != FppwOutcome::kNone) return;
+  if (!monitoring()) return;
   auto& ledger = env_.ledger();
   const auto& scheme = env_.scheme();
 
   if (pending_txid_) {
     if (ledger.is_confirmed(*pending_txid_))
-      note_closed(pending_is_compensation_ ? FppwOutcome::kCompensated
-                                           : FppwOutcome::kPunished);
+      close_as(pending_is_compensation_ ? channel::Outcome::kCompensated
+                                        : channel::Outcome::kPunished);
     return;
   }
   if (pending_split_) {
@@ -226,86 +206,64 @@ void FppwChannel::on_round() {
       ledger.post(bound);
       post_round = -1;
     } else if (post_round == -1 && ledger.is_confirmed(bound.txid())) {
-      note_closed(FppwOutcome::kNonCollaborative);
+      close_as(channel::Outcome::kNonCollaborative);
     }
     return;
   }
 
+  // The archived state whose commit has txid `id`, and who published it.
+  auto state_of = [this](const Hash256& id) -> std::optional<std::uint32_t> {
+    for (std::uint32_t i = 0; i < archive_.size(); ++i)
+      if (archive_[i].commit_body.txid() == id) return i;
+    return std::nullopt;
+  };
+  auto publisher_of = [&](const tx::Transaction& commit, std::uint32_t state) {
+    const StateSecrets sec = state_secrets(state);
+    const ArchivedState& rec = archive_[state];
+    return channel::identify_publisher(commit, rec.pre_a, rec.pre_b, sec.y_a.pk, sec.y_b.pk,
+                                       scheme);
+  };
+
   // Tower-failure path: fraud seen, tower offline, CSV matured.
   if (fraud_seen_round_ && !tower_online_) {
-    if (env_.now() >= *fraud_seen_round_ + params_.t_punish) {
-      // Identify the publisher by extraction, then claim the collateral.
-      const auto spender = ledger.spender_of(fund_op_);
-      std::uint32_t state = 0;
-      const ArchivedState* rec = nullptr;
-      for (std::uint32_t i = 0; i < archive_.size(); ++i) {
-        if (archive_[i].commit_body.txid() == *fraud_commit_txid_) {
-          rec = &archive_[i];
-          state = i;
-          break;
-        }
-      }
-      if (!rec || !spender) return;
-      const StateSecrets sec = state_secrets(state);
-      const auto raw_a =
-          script::decode_wire_sig(spender->witnesses[0].stack[1], scheme.signature_size());
-      const auto raw_b =
-          script::decode_wire_sig(spender->witnesses[0].stack[2], scheme.signature_size());
-      if (!raw_a || !raw_b) return;
-      for (PartyId publisher : {PartyId::kA, PartyId::kB}) {
-        const bool a_pub = publisher == PartyId::kA;
-        crypto::Scalar y;
-        try {
-          y = crypto::adaptor_extract(a_pub ? raw_b->raw : raw_a->raw,
-                                      a_pub ? rec->pre_b : rec->pre_a);
-        } catch (const std::invalid_argument&) {
-          continue;
-        }
-        if (!(crypto::Point::mul_gen(y) == (a_pub ? sec.y_a.pk : sec.y_b.pk))) continue;
-
-        tx::Transaction pen;
-        pen.inputs = {{{*fraud_commit_txid_, 1}}};
-        pen.nlocktime = 0;
-        pen.outputs = {{collateral(),
-                        tx::Condition::p2wpkh(a_pub ? pub_b_.main : pub_a_.main)}};
-        const Hash256 digest = tx::sighash_digest(pen, 0, SighashFlag::kAll);
-        const Bytes sig_pen = script::encode_wire_sig(
-            scheme.sign((a_pub ? pen_b_ : pen_a_).sk, digest), SighashFlag::kAll);
-        const Bytes sig_y =
-            script::encode_wire_sig(scheme.sign(y, digest), SighashFlag::kAll);
-        pen.witnesses.resize(1);
-        pen.witnesses[0].stack = {Bytes{}, sig_pen, sig_y,
-                                  a_pub ? Bytes{1} : Bytes{}, Bytes{}};
-        pen.witnesses[0].witness_script = rec->out1;
-        ledger.post(pen);
-        obs_.punish_posted->inc();
-        pending_txid_ = pen.txid();
-        pending_is_compensation_ = true;
-        return;
-      }
-    }
+    if (env_.now() < *fraud_seen_round_ + params_.t_punish) return;
+    // Identify the publisher by extraction, then claim the collateral.
+    const auto spender = ledger.spender_of(fund_op_);
+    const auto state = state_of(*fraud_commit_txid_);
+    if (!state || !spender) return;
+    const auto publisher = publisher_of(*spender, *state);
+    if (!publisher) return;
+    const bool a_pub = publisher->who == PartyId::kA;
+    tx::Transaction pen;
+    pen.inputs = {{{*fraud_commit_txid_, 1}}};
+    pen.nlocktime = 0;
+    pen.outputs = {{collateral(), tx::Condition::p2wpkh(a_pub ? pub_b_.main : pub_a_.main)}};
+    const Hash256 digest = tx::sighash_digest(pen, 0, SighashFlag::kAll);
+    const Bytes sig_pen = script::encode_wire_sig(scheme.sign((a_pub ? pen_b_ : pen_a_).sk, digest),
+                                                  SighashFlag::kAll);
+    const Bytes sig_y =
+        script::encode_wire_sig(scheme.sign(publisher->y, digest), SighashFlag::kAll);
+    pen.witnesses.resize(1);
+    pen.witnesses[0].stack = {Bytes{}, sig_pen, sig_y, a_pub ? Bytes{1} : Bytes{}, Bytes{}};
+    pen.witnesses[0].witness_script = archive_[*state].out1;
+    ledger.post(pen);
+    note_punish(other(publisher->who), *state, sn_);
+    pending_txid_ = pen.txid();
+    pending_is_compensation_ = true;
     return;
   }
 
   const auto spender = ledger.spender_of(fund_op_);
   if (!spender) return;
   const Hash256 id = spender->txid();
-  if (expected_close_txid_ && id == *expected_close_txid_) {
-    note_closed(FppwOutcome::kCooperative);
+  if (coop_close_txid_ == id) {
+    close_as(channel::Outcome::kCooperative);
     return;
   }
-  std::uint32_t state = 0;
-  const ArchivedState* rec = nullptr;
-  for (std::uint32_t i = 0; i < archive_.size(); ++i) {
-    if (archive_[i].commit_body.txid() == id) {
-      rec = &archive_[i];
-      state = i;
-      break;
-    }
-  }
-  if (!rec) return;
+  const auto state = state_of(id);
+  if (!state) return;
 
-  if (state < sn_) {
+  if (*state < sn_) {
     // Revoked: the tower (if online) fires the pre-signed revocation for
     // the non-publishing victim.
     if (!tower_online_) {
@@ -313,19 +271,9 @@ void FppwChannel::on_round() {
       fraud_commit_txid_ = id;
       return;
     }
-    // Identify the publisher: if B's on-chain signature slot is the
-    // adaptor-completion of pre_b, then A published, so B is the victim.
-    const StateSecrets sec = state_secrets(state);
-    const auto raw_b =
-        script::decode_wire_sig(spender->witnesses[0].stack[2], scheme.signature_size());
-    PartyId victim = PartyId::kA;  // assume B published
-    if (raw_b) {
-      try {
-        const crypto::Scalar y = crypto::adaptor_extract(raw_b->raw, rec->pre_b);
-        if (crypto::Point::mul_gen(y) == sec.y_a.pk) victim = PartyId::kB;
-      } catch (const std::invalid_argument&) {
-      }
-    }
+    // An unidentified publisher is taken to be B.
+    const auto publisher = publisher_of(*spender, *state);
+    const PartyId victim = publisher && publisher->who == PartyId::kA ? PartyId::kB : PartyId::kA;
     for (const RevocationRecord& rv : tower_revocations_) {
       if (rv.commit_txid != id) continue;
       // The stored pair is [victim=A, victim=B]; match by payout key.
@@ -333,7 +281,7 @@ void FppwChannel::on_round() {
       const bool pays_a = payout == tx::Condition::p2wpkh(pub_a_.main);
       if ((victim == PartyId::kA) == pays_a) {
         ledger.post(rv.revocation);
-        obs_.punish_posted->inc();
+        note_punish(victim, *state, sn_);
         pending_txid_ = rv.revocation.txid();
         pending_is_compensation_ = false;
         return;
@@ -350,14 +298,6 @@ void FppwChannel::on_round() {
   split.witnesses[0].stack = {Bytes{}, split_sig_a_, split_sig_b_, Bytes{}};
   split.witnesses[0].witness_script = out0_;
   pending_split_ = {{(conf ? *conf : env_.now()) + params_.t_punish, std::move(split)}};
-}
-
-bool FppwChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (outcome_ != FppwOutcome::kNone) return true;
-    env_.advance_round();
-  }
-  return outcome_ != FppwOutcome::kNone;
 }
 
 std::size_t FppwChannel::party_storage_bytes(PartyId who) const {

@@ -20,48 +20,39 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/crypto/adaptor.h"
 #include "src/daric/wallet.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
-#include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
 namespace daric::fppw {
 
-enum class FppwOutcome {
-  kNone,
-  kCooperative,
-  kNonCollaborative,
-  kPunished,          // tower fired the revocation
-  kCompensated,       // tower failed; victim took the collateral
-};
-
-class FppwChannel {
+/// Outcomes: kPunished when the tower fired the revocation, kCompensated
+/// when it failed and the victim took the collateral. The tower reacts from
+/// the channel-level monitor, so the monitor flag gates it like the parties.
+class FppwChannel : public channel::Engine {
  public:
   FppwChannel(sim::Environment& env, channel::ChannelParams params);
 
-  bool create();
-  bool update(const channel::StateVec& next);
-  bool cooperative_close();
-  void force_close(sim::PartyId who);
-  void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  bool create() override;
+  bool update(const channel::StateVec& next) override;
+  bool cooperative_close(sim::PartyId initiator) override;
+  void force_close(sim::PartyId who) override;
+  void publish_old_commit(sim::PartyId who, std::uint32_t state) override;
 
   /// Take the watchtower offline (the fairness scenario).
   void set_tower_online(bool online) { tower_online_ = online; }
 
-  bool run_until_closed(Round max_rounds = 400);
-  FppwOutcome outcome() const { return outcome_; }
-  std::uint32_t state_number() const { return sn_; }
+  std::uint32_t state_number() const override { return sn_; }
+  BytesView payout_pk(sim::PartyId who) const override {
+    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
+  }
 
   std::size_t party_storage_bytes(sim::PartyId who) const;   // O(n)
   std::size_t tower_storage_bytes() const;                   // O(n)
   const tx::Transaction& latest_commit_body() const { return commit_body_; }
   tx::OutPoint funding_outpoint() const { return fund_op_; }
   Amount collateral() const { return params_.capacity(); }
-  const channel::ChannelParams& params() const { return params_; }
 
  private:
   struct StateSecrets {
@@ -75,19 +66,13 @@ class FppwChannel {
   tx::Transaction build_revocation(std::uint32_t state, sim::PartyId victim) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
-  /// Records the outcome and bumps the closed counter.
-  void note_closed(FppwOutcome outcome);
 
-  sim::Environment& env_;
-  channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   daricch::DaricPubKeys pub_a_, pub_b_;
   crypto::KeyPair main_a_, main_b_;             // funding / split keys
   crypto::KeyPair rev_a_, rev_b_, rev_w_;       // revocation (3-of-3)
   crypto::KeyPair pen_a_, pen_b_;               // penalty keys
   crypto::KeyPair tower_payout_;
 
-  bool open_ = false;
   bool tower_online_ = true;
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
@@ -115,8 +100,6 @@ class FppwChannel {
   };
   std::vector<RevocationRecord> tower_revocations_;
 
-  FppwOutcome outcome_ = FppwOutcome::kNone;
-  std::optional<Hash256> expected_close_txid_;
   std::optional<Hash256> pending_txid_;
   bool pending_is_compensation_ = false;
   std::optional<std::pair<Round, tx::Transaction>> pending_split_;

@@ -2,67 +2,21 @@
 
 #include <stdexcept>
 
+#include "src/channel/publisher.h"
 #include "src/channel/storage.h"
 #include "src/crypto/sha256.h"
 #include "src/daric/builders.h"
 #include "src/daric/scripts.h"
-#include "src/obs/event.h"
 #include "src/obs/span.h"
 #include "src/tx/sighash.h"
-#include "src/tx/weight.h"
 
 namespace daric::generalized {
 
 using script::SighashFlag;
 using sim::PartyId;
 
-namespace {
-constexpr int kMaxSendAttempts = 3;
-
-const char* gc_outcome_name(GcOutcome o) {
-  switch (o) {
-    case GcOutcome::kNone: return "none";
-    case GcOutcome::kCooperative: return "cooperative";
-    case GcOutcome::kNonCollaborative: return "non-collaborative";
-    case GcOutcome::kPunished: return "punished";
-  }
-  return "unknown";
-}
-
-void observe_weight(obs::Histogram* h, const tx::Transaction& t) {
-  h->observe(static_cast<std::int64_t>(tx::measure(t).weight()));
-}
-
-}  // namespace
-
-void GeneralizedChannel::note_closed(GcOutcome outcome) {
-  obs_.closed->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "generalized", params_.id, {},
-                       {obs::Attr::s("phase", "closed"),
-                        obs::Attr::s("outcome", gc_outcome_name(outcome))});
-}
-
-int GeneralizedChannel::send_reliable(PartyId from, const char* type) {
-  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
-    if (attempt > 0) {
-      obs_.retries->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kMsgRetry, "generalized", params_.id,
-                           sim::party_name(from),
-                           {obs::Attr::s("type", type), obs::Attr::i("attempt", attempt)});
-    }
-    const auto d = env_.transmit(from, type);
-    if (d.copies > 0) return d.copies;
-  }
-  return 0;
-}
-
 GeneralizedChannel::GeneralizedChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env),
-      params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "generalized")) {
-  params_.validate(env_.delta());
+    : Engine(env, std::move(params), "generalized") {
   if (!env_.scheme().supports_adaptor())
     throw std::invalid_argument(
         "Generalized channels need adaptor signatures; scheme '" + env_.scheme().name() +
@@ -153,28 +107,15 @@ bool GeneralizedChannel::create() {
   fund_op_ = env_.ledger().mint(params_.capacity(), tx::Condition::p2wsh(fund_script_));
   sign_state(0, st_);
   open_ = true;
-  obs_.opened->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "generalized", params_.id, {},
-                       {obs::Attr::s("phase", "open"), obs::Attr::i("sn", 0)});
+  note_opened();
   return true;
 }
 
 bool GeneralizedChannel::update(const channel::StateVec& next) {
   OBS_SPAN("generalized.update.total");
-  if (!open_) throw std::logic_error("channel not open");
-  if (next.total() != params_.capacity())
-    throw std::invalid_argument("state must preserve capacity");
-  if (next.to_a <= 0 || next.to_b <= 0)
-    throw std::invalid_argument("both balances must stay positive");
-  auto send_or_close = [&](PartyId from, const char* type) {
-    if (send_reliable(from, type) > 0) return true;
-    force_close(from);
-    run_until_closed();
-    return false;
-  };
-  if (!send_or_close(PartyId::kA, "gc/presig")) return false;
-  if (!send_or_close(PartyId::kB, "gc/split-sig")) return false;
+  check_next_state(next, 1);
+  if (send_or_close(PartyId::kA, "gc/presig") == 0) return false;
+  if (send_or_close(PartyId::kB, "gc/split-sig") == 0) return false;
   sign_state(sn_ + 1, next);
   if (send_reliable(PartyId::kA, "gc/revoke") == 0) {
     // Both sides fully signed state sn_+1 and nothing was revoked yet; the
@@ -183,20 +124,14 @@ bool GeneralizedChannel::update(const channel::StateVec& next) {
     // no longer bind to.
     ++sn_;
     st_ = next;
-    force_close(PartyId::kA);
-    run_until_closed();
-    return false;
+    return abort_to(PartyId::kA);
   }
   const StateSecrets old = state_secrets(sn_);
   revealed_r_a_.push_back(old.r_a);
   revealed_r_b_.push_back(old.r_b);
   ++sn_;
   st_ = next;
-  obs_.updates->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "generalized", params_.id, {},
-                       {obs::Attr::s("phase", "updated"),
-                        obs::Attr::i("sn", static_cast<std::int64_t>(sn_))});
+  note_updated({});
   return true;
 }
 
@@ -218,83 +153,50 @@ tx::Transaction GeneralizedChannel::assemble_commit(PartyId publisher, std::uint
   return t;
 }
 
-bool GeneralizedChannel::cooperative_close() {
-  if (!open_) throw std::logic_error("channel not open");
+bool GeneralizedChannel::cooperative_close(PartyId initiator) {
+  require_open();
   const auto& scheme = env_.scheme();
-  tx::Transaction close;
-  close.inputs = {{fund_op_}};
-  close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
   const tx::SighashCache sh_close(close);
   const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  if (send_reliable(PartyId::kA, "gc/close") == 0) {
-    force_close(PartyId::kA);
-    run_until_closed();
-    return false;
-  }
-  observe_weight(obs_.weight, close);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "generalized", params_.id, {},
-                       {obs::Attr::s("phase", "coop_close_posted")});
-  env_.ledger().post(close);
-  expected_close_txid_ = close.txid();
-  return run_until_closed();
+  return post_cooperative_close(initiator, "gc/close", close);
 }
 
 void GeneralizedChannel::force_close(PartyId who) {
   if (!open_) return;
   const tx::Transaction cm = assemble_commit(who, sn_);
-  obs_.force_close->inc();
-  observe_weight(obs_.weight, cm);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "generalized", params_.id,
-                       sim::party_name(who),
-                       {obs::Attr::i("sn", static_cast<std::int64_t>(sn_)),
-                        obs::Attr::i("revoked", 0)});
+  observe_weight(cm);
+  note_force_close(who, sn_);
   env_.ledger().post(cm);
 }
 
 void GeneralizedChannel::publish_old_commit(PartyId who, std::uint32_t state) {
   if (state >= archive_.size()) throw std::out_of_range("no archived commit for that state");
   const tx::Transaction cm = assemble_commit(who, state);
-  obs_.disputes->inc();
-  observe_weight(obs_.weight, cm);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "generalized", params_.id,
-                       sim::party_name(who),
-                       {obs::Attr::i("sn", static_cast<std::int64_t>(state)),
-                        obs::Attr::i("revoked", state < sn_ ? 1 : 0)});
+  observe_weight(cm);
+  note_dispute(who, state);
   env_.ledger().post(cm);
 }
 
 void GeneralizedChannel::on_round() {
-  if (!open_ || outcome_ != GcOutcome::kNone) return;
-  if (!monitor_online_) return;
+  if (!monitoring()) return;
   auto& ledger = env_.ledger();
   const auto& scheme = env_.scheme();
 
   if (pending_punish_txid_) {
-    if (ledger.is_confirmed(*pending_punish_txid_)) {
-      outcome_ = GcOutcome::kPunished;
-      open_ = false;
-      note_closed(outcome_);
-    }
+    if (ledger.is_confirmed(*pending_punish_txid_)) close_as(channel::Outcome::kPunished);
     return;
   }
   if (pending_split_) {
     if (!pending_split_->posted && env_.now() >= pending_split_->post_round) {
-      observe_weight(obs_.weight, pending_split_->bound);
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "generalized",
-                           params_.id, {}, {obs::Attr::s("phase", "split_posted")});
+      observe_weight(pending_split_->bound);
+      note_phase({}, "split_posted");
       ledger.post(pending_split_->bound);
       pending_split_->posted = true;
     } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->bound.txid())) {
-      outcome_ = GcOutcome::kNonCollaborative;
-      open_ = false;
-      note_closed(outcome_);
+      close_as(channel::Outcome::kNonCollaborative);
     }
     return;
   }
@@ -302,10 +204,8 @@ void GeneralizedChannel::on_round() {
   const auto spender = ledger.spender_of(fund_op_);
   if (!spender) return;
   const Hash256 id = spender->txid();
-  if (expected_close_txid_ && id == *expected_close_txid_) {
-    outcome_ = GcOutcome::kCooperative;
-    open_ = false;
-    note_closed(outcome_);
+  if (coop_close_txid_ == id) {
+    close_as(channel::Outcome::kCooperative);
     return;
   }
 
@@ -335,64 +235,30 @@ void GeneralizedChannel::on_round() {
 
   // Revoked state: identify the publisher by adaptor extraction, then
   // punish with (extracted y, revealed r).
-  if (spender->witnesses.empty() || spender->witnesses[0].stack.size() != 3) return;
   const StateSecrets sec = state_secrets(state);
-  const auto raw_a = script::decode_wire_sig(spender->witnesses[0].stack[1],
-                                             scheme.signature_size());
-  const auto raw_b = script::decode_wire_sig(spender->witnesses[0].stack[2],
-                                             scheme.signature_size());
-  if (!raw_a || !raw_b) return;
-
-  auto try_punish = [&](PartyId publisher) {
-    const bool a_published = publisher == PartyId::kA;
-    const crypto::AdaptorPreSig& pre = a_published ? rec->pre_b : rec->pre_a;
-    const Bytes& on_chain = a_published ? raw_b->raw : raw_a->raw;
-    crypto::Scalar y;
-    try {
-      y = crypto::adaptor_extract(on_chain, pre);
-    } catch (const std::invalid_argument&) {
-      return false;
-    }
-    const crypto::Point expect = a_published ? sec.y_a.pk : sec.y_b.pk;
-    if (!(crypto::Point::mul_gen(y) == expect)) return false;
-
-    const Bytes& r = a_published ? revealed_r_a_.at(state) : revealed_r_b_.at(state);
-    tx::Transaction punish;
-    punish.inputs = {{{id, 0}}};
-    punish.nlocktime = 0;
-    punish.outputs = {{params_.capacity(),
-                       tx::Condition::p2wpkh(a_published ? pub_b_.main : pub_a_.main)}};
-    const Hash256 digest = tx::sighash_digest(punish, 0, SighashFlag::kAll);
-    const Bytes sig_y = script::encode_wire_sig(scheme.sign(y, digest), SighashFlag::kAll);
-    const crypto::Scalar& victim_sk = a_published ? main_b_.sk : main_a_.sk;
-    const Bytes sig_main = script::encode_wire_sig(scheme.sign(victim_sk, digest),
-                                                   SighashFlag::kAll);
-    punish.witnesses.resize(1);
-    // Branch selectors: outer ε (punish side), inner 1 = punish A / ε = punish B.
-    punish.witnesses[0].stack = {sig_main, r, sig_y,
-                                 a_published ? Bytes{1} : Bytes{}, Bytes{}};
-    punish.witnesses[0].witness_script = rec->out_script;
-    obs_.punish_posted->inc();
-    observe_weight(obs_.weight, punish);
-    if (env_.tracer().enabled())
-      env_.tracer().emit(env_.now(), obs::EventKind::kPunish, "generalized", params_.id,
-                         sim::party_name(a_published ? PartyId::kB : PartyId::kA),
-                         {obs::Attr::i("revoked_state", static_cast<std::int64_t>(state)),
-                          obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
-    ledger.post(punish);
-    pending_punish_txid_ = punish.txid();
-    return true;
-  };
-
-  if (!try_punish(PartyId::kA)) try_punish(PartyId::kB);
-}
-
-bool GeneralizedChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (outcome_ != GcOutcome::kNone) return true;
-    env_.advance_round();
-  }
-  return outcome_ != GcOutcome::kNone;
+  const auto publisher = channel::identify_publisher(*spender, rec->pre_a, rec->pre_b,
+                                                     sec.y_a.pk, sec.y_b.pk, scheme);
+  if (!publisher) return;
+  const bool a_published = publisher->who == PartyId::kA;
+  const Bytes& r = a_published ? revealed_r_a_.at(state) : revealed_r_b_.at(state);
+  tx::Transaction punish;
+  punish.inputs = {{{id, 0}}};
+  punish.nlocktime = 0;
+  punish.outputs = {{params_.capacity(),
+                     tx::Condition::p2wpkh(a_published ? pub_b_.main : pub_a_.main)}};
+  const Hash256 digest = tx::sighash_digest(punish, 0, SighashFlag::kAll);
+  const Bytes sig_y = script::encode_wire_sig(scheme.sign(publisher->y, digest), SighashFlag::kAll);
+  const crypto::Scalar& victim_sk = a_published ? main_b_.sk : main_a_.sk;
+  const Bytes sig_main = script::encode_wire_sig(scheme.sign(victim_sk, digest),
+                                                 SighashFlag::kAll);
+  punish.witnesses.resize(1);
+  // Branch selectors: outer ε (punish side), inner 1 = punish A / ε = punish B.
+  punish.witnesses[0].stack = {sig_main, r, sig_y, a_published ? Bytes{1} : Bytes{}, Bytes{}};
+  punish.witnesses[0].witness_script = rec->out_script;
+  observe_weight(punish);
+  note_punish(other(publisher->who), state, sn_);
+  ledger.post(punish);
+  pending_punish_txid_ = punish.txid();
 }
 
 std::size_t GeneralizedChannel::party_storage_bytes(PartyId who) const {

@@ -6,47 +6,36 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/crypto/adaptor.h"
 #include "src/daric/wallet.h"
 #include "src/generalized/scripts.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
-#include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
 namespace daric::generalized {
 
-enum class GcOutcome { kNone, kCooperative, kNonCollaborative, kPunished };
-
-class GeneralizedChannel {
+class GeneralizedChannel : public channel::Engine {
  public:
   /// Throws std::invalid_argument if the environment's signature scheme has
   /// no adaptor construction (e.g. plain ECDSA).
   GeneralizedChannel(sim::Environment& env, channel::ChannelParams params);
 
-  bool create();
-  bool update(const channel::StateVec& next);
-  bool cooperative_close();
+  bool create() override;
+  bool update(const channel::StateVec& next) override;
+  bool cooperative_close(sim::PartyId initiator) override;
   /// Unilateral close by `who`: completes the counterparty's adaptor
   /// pre-signature (revealing y on-chain) and posts commit_sn.
-  void force_close(sim::PartyId who);
+  void force_close(sim::PartyId who) override;
   /// Fraud: publish the archived commit of an old state.
-  void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  void publish_old_commit(sim::PartyId who, std::uint32_t state) override;
 
-  bool run_until_closed(Round max_rounds = 400);
-  GcOutcome outcome() const { return outcome_; }
-  bool closed() const { return outcome_ != GcOutcome::kNone; }
-  /// Downtime control for the chaos drills: while offline the channel's
-  /// chain monitor skips rounds entirely.
-  void set_monitor_online(bool v) { monitor_online_ = v; }
-  bool monitor_online() const { return monitor_online_; }
-  std::uint32_t state_number() const { return sn_; }
+  std::uint32_t state_number() const override { return sn_; }
+  BytesView payout_pk(sim::PartyId who) const override {
+    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
+  }
 
   std::size_t party_storage_bytes(sim::PartyId who) const;  // O(n)
   const tx::Transaction& latest_commit_body() const { return commit_body_; }
-  const channel::ChannelParams& params() const { return params_; }
 
  private:
   struct StateSecrets {
@@ -58,18 +47,11 @@ class GeneralizedChannel {
   tx::Transaction build_commit_body(std::uint32_t state) const;
   tx::Transaction assemble_commit(sim::PartyId publisher, std::uint32_t state) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
-  int send_reliable(sim::PartyId from, const char* type);
   void on_round();
-  /// Bumps the closed counter and emits the closed lifecycle event.
-  void note_closed(GcOutcome outcome);
 
-  sim::Environment& env_;
-  channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   daricch::DaricPubKeys pub_a_, pub_b_;
   crypto::KeyPair main_a_, main_b_;
 
-  bool open_ = false;
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
   tx::OutPoint fund_op_;
@@ -93,9 +75,6 @@ class GeneralizedChannel {
   // Revealed revocation preimages (the O(n) storage term): index = state.
   std::vector<Bytes> revealed_r_a_, revealed_r_b_;
 
-  bool monitor_online_ = true;
-  GcOutcome outcome_ = GcOutcome::kNone;
-  std::optional<Hash256> expected_close_txid_;
   std::optional<Hash256> pending_punish_txid_;
   struct PendingSplit {
     tx::Transaction bound;

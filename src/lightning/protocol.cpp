@@ -6,62 +6,16 @@
 #include "src/crypto/sha256.h"
 #include "src/daric/builders.h"
 #include "src/daric/scripts.h"
-#include "src/obs/event.h"
 #include "src/obs/span.h"
 #include "src/tx/sighash.h"
-#include "src/tx/weight.h"
 
 namespace daric::lightning {
 
 using script::SighashFlag;
 using sim::PartyId;
 
-namespace {
-constexpr int kMaxSendAttempts = 3;
-
-const char* ln_outcome_name(LnOutcome o) {
-  switch (o) {
-    case LnOutcome::kNone: return "none";
-    case LnOutcome::kCooperative: return "cooperative";
-    case LnOutcome::kNonCollaborative: return "non-collaborative";
-    case LnOutcome::kPunished: return "punished";
-  }
-  return "unknown";
-}
-
-void observe_weight(obs::Histogram* h, const tx::Transaction& t) {
-  h->observe(static_cast<std::int64_t>(tx::measure(t).weight()));
-}
-
-}  // namespace
-
-void LightningChannel::note_closed(LnOutcome outcome) {
-  obs_.closed->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "lightning", params_.id, {},
-                       {obs::Attr::s("phase", "closed"),
-                        obs::Attr::s("outcome", ln_outcome_name(outcome))});
-}
-
-int LightningChannel::send_reliable(PartyId from, const char* type) {
-  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
-    if (attempt > 0) {
-      obs_.retries->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kMsgRetry, "lightning", params_.id,
-                           sim::party_name(from),
-                           {obs::Attr::s("type", type), obs::Attr::i("attempt", attempt)});
-    }
-    const auto d = env_.transmit(from, type);
-    if (d.copies > 0) return d.copies;
-  }
-  return 0;
-}
-
 LightningChannel::LightningChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env), params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "lightning")) {
-  params_.validate(env_.delta());
+    : Engine(env, std::move(params), "lightning") {
   const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/ln");
   const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/ln");
   pub_a_ = to_pub(ka);
@@ -143,94 +97,53 @@ bool LightningChannel::create() {
   fund_op_ = env_.ledger().mint(params_.capacity(), tx::Condition::p2wsh(fund_script_));
   sign_state(0, st_);
   open_ = true;
-  obs_.opened->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "lightning", params_.id, {},
-                       {obs::Attr::s("phase", "open"), obs::Attr::i("sn", 0)});
+  note_opened();
   return true;
 }
 
 bool LightningChannel::update(const channel::StateVec& next) {
   OBS_SPAN("lightning.update.total");
-  if (!open_) throw std::logic_error("channel not open");
-  if (next.total() != params_.capacity())
-    throw std::invalid_argument("state must preserve capacity");
-  if (next.to_a <= 0 || next.to_b <= 0)
-    throw std::invalid_argument("both balances must stay positive");
+  check_next_state(next, 1);
   // Two rounds to cross-sign the new commitments, one to exchange the old
   // states' revocation secrets. A peer silent past the retry budget means
   // the sender aborts to its newest fully-signed commit.
-  auto send_or_close = [&](PartyId from, const char* type) {
-    if (send_reliable(from, type) > 0) return true;
-    force_close(from);
-    run_until_closed();
-    return false;
-  };
-  if (!send_or_close(PartyId::kA, "ln/commit-sig")) return false;
-  if (!send_or_close(PartyId::kB, "ln/commit-sig")) return false;
+  if (send_or_close(PartyId::kA, "ln/commit-sig") == 0) return false;
+  if (send_or_close(PartyId::kB, "ln/commit-sig") == 0) return false;
   sign_state(sn_ + 1, next);
-  if (!send_or_close(PartyId::kA, "ln/revoke")) return false;
+  if (send_or_close(PartyId::kA, "ln/revoke") == 0) return false;
   // Reveal the state-sn_ secrets; the counterparty stores them forever.
   secrets_of_a_.push_back(revocation_keypair(PartyId::kA, sn_).sk.to_be_bytes());
   secrets_of_b_.push_back(revocation_keypair(PartyId::kB, sn_).sk.to_be_bytes());
   ++sn_;
   st_ = next;
-  obs_.updates->inc();
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "lightning", params_.id, {},
-                       {obs::Attr::s("phase", "updated"),
-                        obs::Attr::i("sn", static_cast<std::int64_t>(sn_))});
+  note_updated({});
   return true;
 }
 
-bool LightningChannel::cooperative_close() {
-  if (!open_) throw std::logic_error("channel not open");
+bool LightningChannel::cooperative_close(PartyId initiator) {
+  require_open();
   const auto& scheme = env_.scheme();
-  tx::Transaction close;
-  close.inputs = {{fund_op_}};
-  close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
   const tx::SighashCache sh_close(close);
   const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  if (send_reliable(PartyId::kA, "ln/close") == 0) {
-    force_close(PartyId::kA);
-    run_until_closed();
-    return false;
-  }
-  observe_weight(obs_.weight, close);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "lightning", params_.id, {},
-                       {obs::Attr::s("phase", "coop_close_posted")});
-  env_.ledger().post(close);
-  expected_close_txid_ = close.txid();
-  return run_until_closed();
+  return post_cooperative_close(initiator, "ln/close", close);
 }
 
 void LightningChannel::force_close(PartyId who) {
   if (!open_) return;
   const tx::Transaction& cm = who == PartyId::kA ? commit_a_ : commit_b_;
-  obs_.force_close->inc();
-  observe_weight(obs_.weight, cm);
-  if (env_.tracer().enabled())
-    env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "lightning", params_.id,
-                       sim::party_name(who),
-                       {obs::Attr::i("sn", static_cast<std::int64_t>(sn_)),
-                        obs::Attr::i("revoked", 0)});
+  observe_weight(cm);
+  note_force_close(who, sn_);
   env_.ledger().post(cm);
 }
 
 void LightningChannel::publish_old_commit(PartyId who, std::uint32_t state) {
   for (const CommitRecord& r : archive_) {
     if (r.owner == who && r.state == state) {
-      obs_.disputes->inc();
-      observe_weight(obs_.weight, r.tx);
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "lightning", params_.id,
-                           sim::party_name(who),
-                           {obs::Attr::i("sn", static_cast<std::int64_t>(state)),
-                            obs::Attr::i("revoked", state < sn_ ? 1 : 0)});
+      observe_weight(r.tx);
+      note_dispute(who, state);
       env_.ledger().post(r.tx);
       return;
     }
@@ -239,16 +152,11 @@ void LightningChannel::publish_old_commit(PartyId who, std::uint32_t state) {
 }
 
 void LightningChannel::on_round() {
-  if (!open_ || outcome_ != LnOutcome::kNone) return;
-  if (!monitor_online_) return;
+  if (!monitoring()) return;
   auto& ledger = env_.ledger();
 
   if (pending_claim_txid_) {
-    if (ledger.is_confirmed(*pending_claim_txid_)) {
-      outcome_ = LnOutcome::kPunished;
-      open_ = false;
-      note_closed(outcome_);
-    }
+    if (ledger.is_confirmed(*pending_claim_txid_)) close_as(channel::Outcome::kPunished);
     return;
   }
   if (pending_sweep_) {
@@ -264,18 +172,13 @@ void LightningChannel::on_round() {
       sweep.witnesses.resize(1);
       sweep.witnesses[0].stack = {sig, Bytes{}};  // ELSE (delayed) branch
       sweep.witnesses[0].witness_script = pending_sweep_->script;
-      observe_weight(obs_.weight, sweep);
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "lightning", params_.id,
-                           sim::party_name(pending_sweep_->owner),
-                           {obs::Attr::s("phase", "sweep_posted")});
+      observe_weight(sweep);
+      note_phase(sim::party_name(pending_sweep_->owner), "sweep_posted");
       ledger.post(sweep);
       pending_sweep_->posted = true;
       pending_sweep_->txid = sweep.txid();
     } else if (pending_sweep_->posted && ledger.is_confirmed(pending_sweep_->txid)) {
-      outcome_ = LnOutcome::kNonCollaborative;
-      open_ = false;
-      note_closed(outcome_);
+      close_as(channel::Outcome::kNonCollaborative);
     }
     return;
   }
@@ -283,10 +186,8 @@ void LightningChannel::on_round() {
   const auto spender = ledger.spender_of(fund_op_);
   if (!spender) return;
   const Hash256 id = spender->txid();
-  if (expected_close_txid_ && id == *expected_close_txid_) {
-    outcome_ = LnOutcome::kCooperative;
-    open_ = false;
-    note_closed(outcome_);
+  if (coop_close_txid_ == id) {
+    close_as(channel::Outcome::kCooperative);
     return;
   }
 
@@ -313,13 +214,8 @@ void LightningChannel::on_round() {
     claim.witnesses.resize(1);
     claim.witnesses[0].stack = {sig, Bytes{1}};  // IF (revocation) branch
     claim.witnesses[0].witness_script = rec->to_local;
-    obs_.punish_posted->inc();
-    observe_weight(obs_.weight, claim);
-    if (env_.tracer().enabled())
-      env_.tracer().emit(env_.now(), obs::EventKind::kPunish, "lightning", params_.id,
-                         sim::party_name(victim_is_a ? PartyId::kA : PartyId::kB),
-                         {obs::Attr::i("revoked_state", static_cast<std::int64_t>(rec->state)),
-                          obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
+    observe_weight(claim);
+    note_punish(victim_is_a ? PartyId::kA : PartyId::kB, rec->state, sn_);
     ledger.post(claim);
     pending_claim_txid_ = claim.txid();
     return;
@@ -334,14 +230,6 @@ void LightningChannel::on_round() {
                                 (conf ? *conf : env_.now()) + params_.t_punish,
                                 false,
                                 {}};
-}
-
-bool LightningChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (outcome_ != LnOutcome::kNone) return true;
-    env_.advance_round();
-  }
-  return outcome_ != LnOutcome::kNone;
 }
 
 std::size_t LightningChannel::party_storage_bytes(PartyId who) const {

@@ -4,37 +4,24 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/daric/wallet.h"
 #include "src/lightning/scripts.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
-#include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
 namespace daric::lightning {
 
-enum class LnOutcome { kNone, kCooperative, kNonCollaborative, kPunished };
-
-class LightningChannel {
+class LightningChannel : public channel::Engine {
  public:
   LightningChannel(sim::Environment& env, channel::ChannelParams params);
 
-  bool create();
-  bool update(const channel::StateVec& next);  // 3 message rounds
-  bool cooperative_close();
-  void force_close(sim::PartyId who);
-  void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  bool create() override;
+  bool update(const channel::StateVec& next) override;  // 3 message rounds
+  bool cooperative_close(sim::PartyId initiator) override;
+  void force_close(sim::PartyId who) override;
+  void publish_old_commit(sim::PartyId who, std::uint32_t state) override;
 
-  bool run_until_closed(Round max_rounds = 400);
-  LnOutcome outcome() const { return outcome_; }
-  bool closed() const { return outcome_ != LnOutcome::kNone; }
-  /// Downtime control for the chaos drills: while offline the channel's
-  /// chain monitor skips rounds entirely.
-  void set_monitor_online(bool v) { monitor_online_ = v; }
-  bool monitor_online() const { return monitor_online_; }
-  std::uint32_t state_number() const { return sn_; }
+  std::uint32_t state_number() const override { return sn_; }
   const channel::StateVec& state() const { return st_; }
 
   /// O(n): stored counterparty revocation secrets dominate.
@@ -47,10 +34,9 @@ class LightningChannel {
   /// Revocation secret of `owner`'s commit #state, as revealed to the
   /// counterparty (throws unless state < sn, i.e. actually revoked).
   crypto::Scalar revealed_secret(sim::PartyId owner, std::uint32_t state) const;
-  BytesView payout_pk(sim::PartyId who) const {
+  BytesView payout_pk(sim::PartyId who) const override {
     return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
   }
-  const channel::ChannelParams& params() const { return params_; }
 
  private:
   struct CommitRecord {
@@ -64,19 +50,12 @@ class LightningChannel {
   tx::Transaction build_commit(sim::PartyId owner, std::uint32_t state,
                                const channel::StateVec& st, script::Script* to_local_out) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
-  int send_reliable(sim::PartyId from, const char* type);
   void on_round();
-  /// Bumps the closed counter and emits the closed lifecycle event.
-  void note_closed(LnOutcome outcome);
 
-  sim::Environment& env_;
-  channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   daricch::DaricPubKeys pub_a_, pub_b_;
   crypto::KeyPair main_a_, main_b_;       // funding / commit keys
   crypto::KeyPair delayed_a_, delayed_b_;
 
-  bool open_ = false;
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
   tx::OutPoint fund_op_;
@@ -85,16 +64,13 @@ class LightningChannel {
   tx::Transaction commit_a_, commit_b_;  // latest, fully signed
   script::Script to_local_a_, to_local_b_;
 
-  // Revealed revocation secrets: secrets_for_[x] = secrets of x's *own* old
+  // Revealed revocation secrets: secrets_of_x_ = the secrets of x's *own* old
   // commits, held by the counterparty (this is the O(n) storage).
   std::vector<Bytes> secrets_of_a_, secrets_of_b_;
 
   // Archive of every signed commit (identification + fraud injection).
   std::vector<CommitRecord> archive_;
 
-  bool monitor_online_ = true;
-  LnOutcome outcome_ = LnOutcome::kNone;
-  std::optional<Hash256> expected_close_txid_;
   std::optional<Hash256> pending_claim_txid_;
   struct PendingSweep {
     tx::OutPoint to_local_op;

@@ -1,12 +1,9 @@
 #include "src/obs/scenarios.h"
 
 #include "src/crypto/sig_scheme.h"
-#include "src/daric/protocol.h"
 #include "src/eltoo/protocol.h"
-#include "src/generalized/protocol.h"
-#include "src/lightning/protocol.h"
 #include "src/pcn/network.h"
-#include "src/sim/environment.h"
+#include "src/sim/faults/drill.h"
 
 namespace daric::obs {
 
@@ -38,105 +35,46 @@ ScenarioRun finish(sim::Environment& env, bool ok, std::string detail) {
   return r;
 }
 
-ScenarioRun run_daric(sim::Environment& env, const std::string& scenario) {
-  if (scenario == "htlc") {
-    pcn::PaymentNetwork net(env);
-    net.add_node("A");
-    net.add_node("B");
-    net.add_node("C");
-    net.open_channel("A", "B", 50, 50, kTPunish);
-    net.open_channel("B", "C", 50, 50, kTPunish);
-    const bool ok = net.pay("A", "C", 10);
-    return finish(env, ok && net.payments_completed() == 1,
-                  ok ? "multi-hop payment settled" : "multi-hop payment failed");
-  }
+ScenarioRun run_htlc(sim::Environment& env) {
+  pcn::PaymentNetwork net(env);
+  net.add_node("A");
+  net.add_node("B");
+  net.add_node("C");
+  net.open_channel("A", "B", 50, 50, kTPunish);
+  net.open_channel("B", "C", 50, 50, kTPunish);
+  const bool ok = net.pay("A", "C", 10);
+  return finish(env, ok && net.payments_completed() == 1,
+                ok ? "multi-hop payment settled" : "multi-hop payment failed");
+}
 
-  daricch::DaricChannel ch(env, make_params("daric"));
-  if (!ch.create()) return finish(env, false, "create failed");
+ScenarioRun run_channel(sim::Environment& env, sim::faults::Protocol proto,
+                        const std::string& scenario) {
+  const auto ch = sim::faults::make_engine(proto, env, make_params(protocol_name(proto)));
+  if (!ch->create()) return finish(env, false, "create failed");
   if (scenario == "update") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)) ||
-        !ch.update(shifted(48, 52)))
+    if (!ch->update(shifted(45, 55)) || !ch->update(shifted(40, 60)) ||
+        !ch->update(shifted(48, 52)))
       return finish(env, false, "update failed");
-    const bool ok = ch.cooperative_close() &&
-                    ch.party(PartyId::kA).outcome() == daricch::CloseOutcome::kCooperative;
+    const bool ok = ch->cooperative_close(PartyId::kA) &&
+                    ch->outcome(PartyId::kA) == channel::Outcome::kCooperative;
     return finish(env, ok, ok ? "cooperative close" : "cooperative close failed");
   }
   if (scenario == "force-close") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)))
+    if (!ch->update(shifted(45, 55)) || !ch->update(shifted(40, 60)))
       return finish(env, false, "update failed");
     // B publishes the revoked state-0 commit; A's monitor must post the
     // revocation within T − Δ of the dispute (Theorem 1).
-    ch.publish_old_commit(PartyId::kB, 0);
-    const bool closed = ch.run_until_closed();
-    const bool ok = closed &&
-                    ch.party(PartyId::kA).outcome() == daricch::CloseOutcome::kPunished;
-    return finish(env, ok, ok ? "cheater punished" : "punishment did not land");
-  }
-  return finish(env, false, "unknown scenario: " + scenario);
-}
-
-ScenarioRun run_lightning(sim::Environment& env, const std::string& scenario) {
-  lightning::LightningChannel ch(env, make_params("lightning"));
-  if (!ch.create()) return finish(env, false, "create failed");
-  if (scenario == "update") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)) ||
-        !ch.update(shifted(48, 52)))
-      return finish(env, false, "update failed");
-    const bool ok =
-        ch.cooperative_close() && ch.outcome() == lightning::LnOutcome::kCooperative;
-    return finish(env, ok, ok ? "cooperative close" : "cooperative close failed");
-  }
-  if (scenario == "force-close") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)))
-      return finish(env, false, "update failed");
-    ch.publish_old_commit(PartyId::kB, 0);
-    const bool ok =
-        ch.run_until_closed() && ch.outcome() == lightning::LnOutcome::kPunished;
-    return finish(env, ok, ok ? "cheater punished" : "punishment did not land");
-  }
-  return finish(env, false, "unknown scenario: " + scenario);
-}
-
-ScenarioRun run_eltoo(sim::Environment& env, const std::string& scenario) {
-  eltoo::EltooChannel ch(env, make_params("eltoo"));
-  if (!ch.create()) return finish(env, false, "create failed");
-  if (scenario == "update") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)) ||
-        !ch.update(shifted(48, 52)))
-      return finish(env, false, "update failed");
-    const bool ok = ch.cooperative_close() && ch.settled_state() == ch.state_number();
-    return finish(env, ok, ok ? "cooperative close" : "cooperative close failed");
-  }
-  if (scenario == "force-close") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)))
-      return finish(env, false, "update failed");
+    ch->publish_old_commit(PartyId::kB, 0);
+    const bool closed = ch->run_until_closed();
+    if (ch->punishes()) {
+      const bool ok = closed && ch->outcome(PartyId::kA) == channel::Outcome::kPunished;
+      return finish(env, ok, ok ? "cheater punished" : "punishment did not land");
+    }
     // eltoo has no punishment: the honest side can only override the stale
     // update with the latest one and settle there.
-    ch.publish_old_update(PartyId::kB, 0);
-    const bool ok = ch.run_until_closed() && ch.settled_state() == ch.state_number();
+    const auto& el = dynamic_cast<const eltoo::EltooChannel&>(*ch);
+    const bool ok = closed && el.settled_state() == el.state_number();
     return finish(env, ok, ok ? "stale update overridden" : "override did not land");
-  }
-  return finish(env, false, "unknown scenario: " + scenario);
-}
-
-ScenarioRun run_generalized(sim::Environment& env, const std::string& scenario) {
-  generalized::GeneralizedChannel ch(env, make_params("generalized"));
-  if (!ch.create()) return finish(env, false, "create failed");
-  if (scenario == "update") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)) ||
-        !ch.update(shifted(48, 52)))
-      return finish(env, false, "update failed");
-    const bool ok =
-        ch.cooperative_close() && ch.outcome() == generalized::GcOutcome::kCooperative;
-    return finish(env, ok, ok ? "cooperative close" : "cooperative close failed");
-  }
-  if (scenario == "force-close") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)))
-      return finish(env, false, "update failed");
-    ch.publish_old_commit(PartyId::kB, 0);
-    const bool ok =
-        ch.run_until_closed() && ch.outcome() == generalized::GcOutcome::kPunished;
-    return finish(env, ok, ok ? "cheater punished" : "punishment did not land");
   }
   return finish(env, false, "unknown scenario: " + scenario);
 }
@@ -156,12 +94,10 @@ ScenarioRun run_scenario(const std::string& engine, const std::string& scenario)
   if (scenario == "htlc" && engine != "daric") {
     return finish(env, false, "htlc scenario rides on the Daric PCN; use --engine daric");
   }
-  if (engine == "daric") return run_daric(env, scenario);
-  if (engine == "lightning") return run_lightning(env, scenario);
-  if (engine == "eltoo") return run_eltoo(env, scenario);
-  if (engine == "generalized") return run_generalized(env, scenario);
-  ScenarioRun r = finish(env, false, "unknown engine: " + engine);
-  return r;
+  if (scenario == "htlc") return run_htlc(env);
+  const auto proto = sim::faults::protocol_from_name(engine);
+  if (!proto) return finish(env, false, "unknown engine: " + engine);
+  return run_channel(env, *proto, scenario);
 }
 
 }  // namespace daric::obs

@@ -176,11 +176,6 @@ class Environment {
     return {arrived, extra};
   }
 
-  /// Charges one message round to the clock (off-chain traffic). Legacy
-  /// entry point: delivery result intentionally ignored by callers that
-  /// predate fault injection.
-  void message_round(PartyId from, std::string type) { transmit(from, std::move(type)); }
-
  private:
   /// Scans the transactions confirmed since the last scan and wakes every
   /// hook watching an outpoint they spend. A spent outpoint stays spent, so

@@ -24,6 +24,9 @@ using channel::StateVec;
 constexpr Amount kCashA = 60'000;
 constexpr Amount kCashB = 40'000;
 constexpr Amount kCapacity = kCashA + kCashB;
+/// Rounds the Daric endgame and crash recovery wait for the victim's or the
+/// restored monitor to resolve (a funds-loss endgame waits them all out).
+constexpr Round kEndgameRounds = 400;
 
 /// Sum of unspent P2WPKH outputs paying `pk33`.
 Amount credited(const ledger::Ledger& l, BytesView pk33) {
@@ -119,7 +122,7 @@ EndgameResult run_cheat_endgame(Environment& env, daricch::DaricChannel& ch, Par
     env.advance_round();
   }
   victim.set_online(true);
-  for (int i = 0; i < 400 && victim.channel_open(); ++i) {
+  for (Round i = 0; i < kEndgameRounds && victim.channel_open(); ++i) {
     maybe_sweep();
     env.advance_round();
   }
@@ -132,9 +135,88 @@ EndgameResult run_cheat_endgame(Environment& env, daricch::DaricChannel& ch, Par
   return res;
 }
 
-DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
+/// Daric crash recovery off the durable store: the victim's surviving state
+/// is exactly what its ChannelStore synced, plus whatever fragment of the
+/// in-flight write the disk kept. Recovery truncates that tail, restores a
+/// standalone monitor from the last durable snapshot and force-closes from
+/// it. Returns whether the restored monitor resolved the channel.
+bool recover_from_store(Environment& env, const FaultSchedule& s, const CrashPoint& crash,
+                        const daricch::DaricParty& victim, const store::MemoryBackend& disk) {
+  Bytes image = disk.durable_image();
+  if (crash.torn_bytes != 0) {
+    if (crash.corrupt_tail) {
+      // Bit rot in the unsynced tail: garbage after the synced prefix.
+      for (std::uint32_t k = 0; k < crash.torn_bytes; ++k)
+        image.push_back(static_cast<Byte>(mix(s.seed, 0x7042ull + k)));
+    } else {
+      // Torn write: a strict prefix of a record that never hit the sync
+      // barrier, so recovery must drop it without touching earlier ones.
+      const Bytes frame = store::encode_record(
+          store::encode_put(store::ChannelStore::channel_key(victim), Bytes(48, 0xab)));
+      const std::size_t take = std::min<std::size_t>(crash.torn_bytes, frame.size() - 1);
+      image.insert(image.end(), frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(take));
+    }
+  }
+  store::MemoryBackend crashed_disk;
+  crashed_disk.replace(image);
+  store::ChannelStore recovered_store(crashed_disk);
+  const Bytes* blob = recovered_store.get(store::ChannelStore::channel_key(victim));
+  if (!blob) return false;
+  daricch::RestoredParty restored(env, daricch::deserialize_snapshot(*blob));
+  const auto hook = env.add_round_hook([&restored] { restored.on_round(); });
+  restored.force_close();
+  for (Round r = 0; r < kEndgameRounds && !restored.done(); ++r) env.advance_round();
+  env.set_hook_awake(hook, false);  // `restored` dies with this frame
+  return restored.done();
+}
+
+/// Channel-id tag per engine; the id feeds every key derivation.
+const char* id_tag(Protocol p) {
+  switch (p) {
+    case Protocol::kDaric: return "daric";
+    case Protocol::kLightning: return "ln";
+    case Protocol::kGeneralized: return "gc";
+    case Protocol::kEltoo: return "eltoo";
+  }
+  return "?";
+}
+
+std::size_t idx(PartyId p) { return p == PartyId::kA ? 0 : 1; }
+
+}  // namespace
+
+const char* protocol_name(Protocol p) {
+  switch (p) {
+    case Protocol::kDaric: return "daric";
+    case Protocol::kLightning: return "lightning";
+    case Protocol::kGeneralized: return "generalized";
+    case Protocol::kEltoo: return "eltoo";
+  }
+  return "?";
+}
+
+std::optional<Protocol> protocol_from_name(std::string_view name) {
+  for (const Protocol p : kProtocols)
+    if (name == protocol_name(p)) return p;
+  return std::nullopt;
+}
+
+std::unique_ptr<channel::Engine> make_engine(Protocol p, Environment& env,
+                                             channel::ChannelParams params) {
+  switch (p) {
+    case Protocol::kDaric: return std::make_unique<daricch::DaricChannel>(env, std::move(params));
+    case Protocol::kLightning:
+      return std::make_unique<lightning::LightningChannel>(env, std::move(params));
+    case Protocol::kGeneralized:
+      return std::make_unique<generalized::GeneralizedChannel>(env, std::move(params));
+    case Protocol::kEltoo: return std::make_unique<eltoo::EltooChannel>(env, std::move(params));
+  }
+  return nullptr;
+}
+
+DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& o) {
   DrillReport rep;
-  rep.protocol = Protocol::kDaric;
+  rep.protocol = proto;
   rep.seed = s.seed;
 
   Environment env(s.delta, crypto::schnorr_scheme());
@@ -146,50 +228,50 @@ DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
   if (o.sink) env.tracer().add_sink(o.sink);
 
   channel::ChannelParams params;
-  params.id = "chaos-daric-" + std::to_string(s.seed);
+  params.id = std::string("chaos-") + id_tag(proto) + "-" + std::to_string(s.seed);
   params.cash_a = kCashA;
   params.cash_b = kCashB;
   params.t_punish = s.t_punish;
 
-  // Monitor blackouts run before the party monitors each round; the
+  // Monitor blackouts run before the engine's monitors each round; the
   // endgame phases (crash, fraud) take over the online flags themselves.
-  daricch::DaricChannel* chp = nullptr;
+  channel::Engine* chp = nullptr;
   bool windows_active = true;
   env.add_round_hook([&env, &s, &chp, &windows_active] {
     if (!chp || !windows_active) return;
     const Round r = env.now();
-    bool on_a = true, on_b = true;
-    for (const DowntimeWindow& w : s.downtime) {
-      if (r >= w.start && r < w.start + w.length)
-        (w.victim == PartyId::kA ? on_a : on_b) = false;
-    }
-    chp->party(PartyId::kA).set_online(on_a);
-    chp->party(PartyId::kB).set_online(on_b);
+    bool on[2] = {true, true};
+    for (const DowntimeWindow& w : s.downtime)
+      if (r >= w.start && r < w.start + w.length) on[idx(w.victim)] = false;
+    chp->set_monitor_online(on[0], on[1]);
   });
 
-  daricch::DaricChannel ch(env, params);
+  const std::unique_ptr<channel::Engine> engine = make_engine(proto, env, params);
+  channel::Engine& ch = *engine;
   chp = &ch;
+  auto* const daric = dynamic_cast<daricch::DaricChannel*>(&ch);
 
-  // Every drill runs both parties over a durable channel store so the
-  // engine's fsync points fire on every schedule, not only crashing ones.
-  // Crash recovery reads the victim's state back from its backend image.
-  store::MemoryBackend backend_a;
-  store::MemoryBackend backend_b;
-  store::ChannelStore store_a(backend_a, &env.metrics());
-  store::ChannelStore store_b(backend_b, &env.metrics());
-  ch.party(PartyId::kA).set_durability_hook(&store_a);
-  ch.party(PartyId::kB).set_durability_hook(&store_b);
+  // Daric runs both parties over a durable channel store so the engine's
+  // fsync points fire on every schedule, not only crashing ones. Crash
+  // recovery reads the victim's state back from its backend image.
+  store::MemoryBackend backend[2];
+  std::optional<store::ChannelStore> stores[2];
+  if (daric) {
+    for (const PartyId p : {PartyId::kA, PartyId::kB})
+      daric->party(p).set_durability_hook(&stores[idx(p)].emplace(backend[idx(p)], &env.metrics()));
+  }
 
   rep.create_ok = ch.create();
   if (!rep.create_ok) {
-    // Abandoned open: both funding sources must still sit untouched.
-    const auto key = [&params](PartyId id) {
-      return crypto::derive_keypair(params.id + "/" + party_name(id) + "/funding-source");
+    // Abandoned open: Daric's funding sources must still sit untouched (the
+    // baselines mint only after the handshake).
+    const auto source = [&](PartyId id) {
+      const auto key = crypto::derive_keypair(params.id + "/" + party_name(id) + "/funding-source");
+      return credited(env.ledger(), key.pk.compressed());
     };
     rep.closed = true;
     rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = credited(env.ledger(), key(PartyId::kA).pk.compressed()) == kCashA &&
-                    credited(env.ledger(), key(PartyId::kB).pk.compressed()) == kCashB;
+    rep.payout_ok = !daric || (source(PartyId::kA) == kCashA && source(PartyId::kB) == kCashB);
     rep.ok = rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
     rep.detail = "create aborted";
     finish_report(rep, env, o);
@@ -199,8 +281,8 @@ DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
   StateVec stable{kCashA, kCashB, {}};
   std::optional<StateVec> attempted;
   bool update_aborted = false;
-  const std::optional<CrashPoint> crash =
-      s.crashes.empty() ? std::nullopt : std::optional<CrashPoint>(s.crashes[0]);
+  // Crashes are Daric-only: recovery needs its durable store.
+  const CrashPoint* crash = daric && !s.crashes.empty() ? &s.crashes[0] : nullptr;
   // A mid-update crash only makes sense for a message the victim actually
   // sends (the proposer — always A here — sends 1/3/5, the responder
   // 2/4/6); a mismatched pairing degrades to the legacy post-update crash.
@@ -217,14 +299,13 @@ DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
       // update: everything after the engine's last fsync is gone, and the
       // counterparty sees only silence and force-closes.
       windows_active = false;
-      daricch::DaricParty& victim = ch.party(crash->victim);
+      daricch::DaricParty& victim = daric->party(crash->victim);
       victim.set_online(false);
       victim.behavior.abort_update_before_msg = static_cast<int>(crash->at_msg);
       crashed_mid = true;
     }
     if (!ch.update(next)) {
-      if (crashed_mid) break;
-      update_aborted = true;
+      update_aborted = !crashed_mid;
       break;
     }
     stable = next;
@@ -235,8 +316,8 @@ DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
 
   const Payout got_stable{stable.to_a, stable.to_b};
   auto audit = [&](std::initializer_list<Payout> candidates) {
-    const Payout got{credited(env.ledger(), ch.party(PartyId::kA).pub().main),
-                     credited(env.ledger(), ch.party(PartyId::kB).pub().main)};
+    const Payout got{credited(env.ledger(), ch.payout_pk(PartyId::kA)),
+                     credited(env.ledger(), ch.payout_pk(PartyId::kB))};
     rep.conservation_ok = conserved(env.ledger());
     rep.payout_ok = payout_matches(got, candidates);
   };
@@ -245,51 +326,16 @@ DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
     // The retry budget ran out mid-update and one side force-closed; the
     // split may pay either the last stable or the attempted state (both
     // are fully signed by both parties).
-    rep.closed = ch.run_until_closed(300);
+    rep.closed = ch.run_until_closed();
     audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
     rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
     rep.detail = "update aborted to force-close";
-  } else if (crashed_mid || (crash && rep.updates_done == crash->after_update)) {
-    // Crash-recovery off the durable store: the victim's surviving state is
-    // exactly what its ChannelStore synced, plus whatever fragment of the
-    // in-flight write the disk kept. Recovery truncates that tail and
-    // restores a standalone monitor from the last durable snapshot.
+  } else if (crash && (crashed_mid || rep.updates_done == crash->after_update)) {
     rep.crashed = true;
     windows_active = false;
-    daricch::DaricParty& victim = ch.party(crash->victim);
+    daricch::DaricParty& victim = daric->party(crash->victim);
     victim.set_online(false);  // the crashed process never comes back
-
-    Bytes image =
-        (crash->victim == PartyId::kA ? backend_a : backend_b).durable_image();
-    if (crash->torn_bytes != 0) {
-      if (crash->corrupt_tail) {
-        // Bit rot in the unsynced tail: garbage after the synced prefix.
-        for (std::uint32_t k = 0; k < crash->torn_bytes; ++k)
-          image.push_back(static_cast<Byte>(mix(s.seed, 0x7042ull + k)));
-      } else {
-        // Torn write: a strict prefix of a record that never hit the sync
-        // barrier, so recovery must drop it without touching earlier ones.
-        const Bytes frame = store::encode_record(store::encode_put(
-            store::ChannelStore::channel_key(victim), Bytes(48, 0xab)));
-        const std::size_t take =
-            std::min<std::size_t>(crash->torn_bytes, frame.size() - 1);
-        image.insert(image.end(), frame.begin(),
-                     frame.begin() + static_cast<std::ptrdiff_t>(take));
-      }
-    }
-    store::MemoryBackend crashed_disk;
-    crashed_disk.replace(image);
-    store::ChannelStore recovered_store(crashed_disk);
-    const Bytes* blob =
-        recovered_store.get(store::ChannelStore::channel_key(victim));
-    rep.closed = false;
-    if (blob) {
-      daricch::RestoredParty restored(env, daricch::deserialize_snapshot(*blob));
-      env.add_round_hook([&restored] { restored.on_round(); });
-      restored.force_close();
-      for (int r = 0; r < 400 && !restored.done(); ++r) env.advance_round();
-      rep.closed = restored.done();
-    }
+    rep.closed = recover_from_store(env, s, *crash, victim, backend[idx(crash->victim)]);
     if (crashed_mid && attempted) {
       // A mid-update crash may settle at either fully-signed state: the old
       // one (crash before the victim saw the new commit fully signed) or
@@ -304,40 +350,58 @@ DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
     rep.cheated = true;
     windows_active = false;
     const PartyId cheater = s.cheat.cheater;
-    const EndgameResult res = run_cheat_endgame(env, ch, cheater, s.cheat.state,
-                                                s.cheat.victim_offline, s.t_punish, s.delta);
-    rep.closed = res.closed;
-    rep.punished = res.punished;
-    rep.funds_lost = res.funds_lost;
+    const PartyId victim = other(cheater);
+    if (daric) {
+      const EndgameResult res = run_cheat_endgame(env, *daric, cheater, s.cheat.state,
+                                                  s.cheat.victim_offline, s.t_punish, s.delta);
+      rep.closed = res.closed;
+      rep.punished = res.punished;
+      rep.funds_lost = res.funds_lost;
+    } else {
+      // Every monitor stays dark while the revoked commit confirms.
+      ch.set_monitor_online(false, false);
+      ch.publish_old_commit(cheater, s.cheat.state);
+      env.advance_rounds(s.cheat.victim_offline);
+      ch.set_monitor_online(true, true);
+      rep.closed = ch.run_until_closed();
+      rep.punished = ch.outcome(victim) == channel::Outcome::kPunished;
+    }
     rep.conservation_ok = conserved(env.ledger());
     if (s.cheat.expect_loss) {
       // The crafted boundary schedule: the victim must come out short.
-      const Amount victim_credit = credited(
-          env.ledger(), ch.party(other(cheater)).pub().main);
-      const Amount owed = cheater == PartyId::kA ? stable.to_b : stable.to_a;
-      rep.payout_ok = victim_credit < owed;
+      const Amount owed = victim == PartyId::kA ? stable.to_a : stable.to_b;
+      rep.payout_ok = credited(env.ledger(), ch.payout_pk(victim)) < owed;
       rep.ok = rep.closed && rep.conservation_ok && rep.funds_lost && !rep.punished &&
                rep.payout_ok;
       rep.detail = "expected funds loss beyond T - delta";
-    } else {
-      const Payout want = cheater == PartyId::kA ? Payout{0, kCapacity}
-                                                 : Payout{kCapacity, 0};
-      audit({want});
+    } else if (ch.punishes()) {
+      // The victim takes the whole capacity: the cheater's funds and its own.
+      audit({victim == PartyId::kA ? Payout{kCapacity, 0} : Payout{0, kCapacity}});
       rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && rep.punished &&
                !rep.funds_lost;
       rep.detail = "fraud punished";
+    } else {
+      // eltoo has no punishment: the honest monitor overrides the stale
+      // update with the newest one and settles the latest state.
+      const auto& eltoo_ch = dynamic_cast<const eltoo::EltooChannel&>(ch);
+      audit({got_stable});
+      rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok &&
+               eltoo_ch.settled_state() == rep.updates_done;
+      rep.detail = "stale update overridden";
     }
   } else {
     const bool coop = mix(s.seed, 0xc105eull) % 2 == 0;
     const PartyId initiator = mix(s.seed, 0x1417ull) % 2 == 0 ? PartyId::kA : PartyId::kB;
     bool done;
     if (coop) {
-      done = ch.cooperative_close(initiator);
+      // The seed picks who closes; a baseline drill's cooperative close is
+      // always A's.
+      done = ch.cooperative_close(daric ? initiator : PartyId::kA);
     } else {
-      ch.party(initiator).force_close();
-      done = ch.run_until_closed(300);
+      ch.force_close(initiator);
+      done = ch.run_until_closed();
     }
-    if (!done) done = ch.run_until_closed(300);
+    if (!done) done = ch.run_until_closed();
     rep.closed = done;
     audit({got_stable});
     rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
@@ -345,368 +409,6 @@ DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
   }
   finish_report(rep, env, o);
   return rep;
-}
-
-// ---------------------------------------------------------------------------
-// Lightning
-// ---------------------------------------------------------------------------
-
-DrillReport run_lightning(const FaultSchedule& s, const DrillObs& o) {
-  DrillReport rep;
-  rep.protocol = Protocol::kLightning;
-  rep.seed = s.seed;
-
-  Environment env(s.delta, crypto::schnorr_scheme());
-  env.set_message_delay_budget(s.delay_budget);
-  ChaosInjector inj(s);
-  env.set_fault_injector(&inj);
-  env.ledger().set_delay_policy(
-      [&inj](const tx::Transaction&, Round d) { return inj.post_delay(0, d); });
-  if (o.sink) env.tracer().add_sink(o.sink);
-
-  channel::ChannelParams params;
-  params.id = "chaos-ln-" + std::to_string(s.seed);
-  params.cash_a = kCashA;
-  params.cash_b = kCashB;
-  params.t_punish = s.t_punish;
-
-  lightning::LightningChannel* chp = nullptr;
-  bool windows_active = true;
-  env.add_round_hook([&env, &s, &chp, &windows_active] {
-    if (!chp || !windows_active) return;
-    const Round r = env.now();
-    bool online = true;
-    for (const DowntimeWindow& w : s.downtime)
-      if (r >= w.start && r < w.start + w.length) online = false;
-    chp->set_monitor_online(online);
-  });
-
-  lightning::LightningChannel ch(env, params);
-  chp = &ch;
-
-  rep.create_ok = ch.create();
-  if (!rep.create_ok) {
-    rep.closed = true;
-    rep.conservation_ok = conserved(env.ledger());  // nothing minted
-    rep.payout_ok = true;
-    rep.ok = rep.conservation_ok && !s.cheat.expect_loss;
-    rep.detail = "create aborted";
-    finish_report(rep, env, o);
-    return rep;
-  }
-
-  StateVec stable{kCashA, kCashB, {}};
-  std::optional<StateVec> attempted;
-  bool update_aborted = false;
-  for (std::uint32_t i = 0; i < s.updates; ++i) {
-    const Amount to_a = update_to_a(s.seed, i);
-    const StateVec next{to_a, kCapacity - to_a, {}};
-    attempted = next;
-    if (!ch.update(next)) {
-      update_aborted = true;
-      break;
-    }
-    stable = next;
-    attempted.reset();
-    ++rep.updates_done;
-  }
-
-  auto audit = [&](std::initializer_list<Payout> candidates) {
-    const Payout got{credited(env.ledger(), ch.payout_pk(PartyId::kA)),
-                     credited(env.ledger(), ch.payout_pk(PartyId::kB))};
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = payout_matches(got, candidates);
-  };
-  const Payout got_stable{stable.to_a, stable.to_b};
-
-  if (update_aborted) {
-    rep.closed = ch.run_until_closed(400);
-    audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = "update aborted to force-close";
-  } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
-    rep.cheated = true;
-    windows_active = false;
-    ch.set_monitor_online(false);
-    ch.publish_old_commit(s.cheat.cheater, s.cheat.state);
-    env.advance_rounds(s.cheat.victim_offline);
-    ch.set_monitor_online(true);
-    rep.closed = ch.run_until_closed(400);
-    rep.punished = ch.outcome() == lightning::LnOutcome::kPunished;
-    // The victim claims the cheater's to_local and keeps its own direct
-    // output from the published old commit: the whole capacity.
-    const PartyId victim = other(s.cheat.cheater);
-    const Payout want = victim == PartyId::kA ? Payout{kCapacity, 0} : Payout{0, kCapacity};
-    audit({want});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && rep.punished;
-    rep.detail = "fraud punished";
-  } else {
-    const bool coop = mix(s.seed, 0xc105eull) % 2 == 0;
-    bool done;
-    if (coop) {
-      done = ch.cooperative_close();
-    } else {
-      ch.force_close(mix(s.seed, 0x1417ull) % 2 == 0 ? PartyId::kA : PartyId::kB);
-      done = ch.run_until_closed(400);
-    }
-    if (!done) done = ch.run_until_closed(400);
-    rep.closed = done;
-    audit({got_stable});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = coop ? "cooperative close" : "force close";
-  }
-  finish_report(rep, env, o);
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// Generalized channels
-// ---------------------------------------------------------------------------
-
-DrillReport run_generalized(const FaultSchedule& s, const DrillObs& o) {
-  DrillReport rep;
-  rep.protocol = Protocol::kGeneralized;
-  rep.seed = s.seed;
-
-  Environment env(s.delta, crypto::schnorr_scheme());
-  env.set_message_delay_budget(s.delay_budget);
-  ChaosInjector inj(s);
-  env.set_fault_injector(&inj);
-  env.ledger().set_delay_policy(
-      [&inj](const tx::Transaction&, Round d) { return inj.post_delay(0, d); });
-  if (o.sink) env.tracer().add_sink(o.sink);
-
-  channel::ChannelParams params;
-  params.id = "chaos-gc-" + std::to_string(s.seed);
-  params.cash_a = kCashA;
-  params.cash_b = kCashB;
-  params.t_punish = s.t_punish;
-
-  generalized::GeneralizedChannel* chp = nullptr;
-  bool windows_active = true;
-  env.add_round_hook([&env, &s, &chp, &windows_active] {
-    if (!chp || !windows_active) return;
-    const Round r = env.now();
-    bool online = true;
-    for (const DowntimeWindow& w : s.downtime)
-      if (r >= w.start && r < w.start + w.length) online = false;
-    chp->set_monitor_online(online);
-  });
-
-  generalized::GeneralizedChannel ch(env, params);
-  chp = &ch;
-
-  // The engine keeps its payout keys private; re-derive them from the
-  // deterministic wallet (same derivation path the constructor uses).
-  const Bytes pk_a = to_pub(daricch::DaricKeys::derive("A", params.id + "/gc")).main;
-  const Bytes pk_b = to_pub(daricch::DaricKeys::derive("B", params.id + "/gc")).main;
-
-  rep.create_ok = ch.create();
-  if (!rep.create_ok) {
-    rep.closed = true;
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = true;
-    rep.ok = rep.conservation_ok && !s.cheat.expect_loss;
-    rep.detail = "create aborted";
-    finish_report(rep, env, o);
-    return rep;
-  }
-
-  StateVec stable{kCashA, kCashB, {}};
-  std::optional<StateVec> attempted;
-  bool update_aborted = false;
-  for (std::uint32_t i = 0; i < s.updates; ++i) {
-    const Amount to_a = update_to_a(s.seed, i);
-    const StateVec next{to_a, kCapacity - to_a, {}};
-    attempted = next;
-    if (!ch.update(next)) {
-      update_aborted = true;
-      break;
-    }
-    stable = next;
-    attempted.reset();
-    ++rep.updates_done;
-  }
-
-  auto audit = [&](std::initializer_list<Payout> candidates) {
-    const Payout got{credited(env.ledger(), pk_a), credited(env.ledger(), pk_b)};
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = payout_matches(got, candidates);
-  };
-  const Payout got_stable{stable.to_a, stable.to_b};
-
-  if (update_aborted) {
-    rep.closed = ch.run_until_closed(400);
-    audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = "update aborted to force-close";
-  } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
-    rep.cheated = true;
-    windows_active = false;
-    ch.set_monitor_online(false);
-    ch.publish_old_commit(s.cheat.cheater, s.cheat.state);
-    env.advance_rounds(s.cheat.victim_offline);
-    ch.set_monitor_online(true);
-    rep.closed = ch.run_until_closed(400);
-    rep.punished = ch.outcome() == generalized::GcOutcome::kPunished;
-    const PartyId victim = other(s.cheat.cheater);
-    const Payout want = victim == PartyId::kA ? Payout{kCapacity, 0} : Payout{0, kCapacity};
-    audit({want});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && rep.punished;
-    rep.detail = "fraud punished";
-  } else {
-    const bool coop = mix(s.seed, 0xc105eull) % 2 == 0;
-    bool done;
-    if (coop) {
-      done = ch.cooperative_close();
-    } else {
-      ch.force_close(mix(s.seed, 0x1417ull) % 2 == 0 ? PartyId::kA : PartyId::kB);
-      done = ch.run_until_closed(400);
-    }
-    if (!done) done = ch.run_until_closed(400);
-    rep.closed = done;
-    audit({got_stable});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = coop ? "cooperative close" : "force close";
-  }
-  finish_report(rep, env, o);
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// eltoo
-// ---------------------------------------------------------------------------
-
-DrillReport run_eltoo(const FaultSchedule& s, const DrillObs& o) {
-  DrillReport rep;
-  rep.protocol = Protocol::kEltoo;
-  rep.seed = s.seed;
-
-  Environment env(s.delta, crypto::schnorr_scheme());
-  env.set_message_delay_budget(s.delay_budget);
-  ChaosInjector inj(s);
-  env.set_fault_injector(&inj);
-  env.ledger().set_delay_policy(
-      [&inj](const tx::Transaction&, Round d) { return inj.post_delay(0, d); });
-  if (o.sink) env.tracer().add_sink(o.sink);
-
-  channel::ChannelParams params;
-  params.id = "chaos-eltoo-" + std::to_string(s.seed);
-  params.cash_a = kCashA;
-  params.cash_b = kCashB;
-  params.t_punish = s.t_punish;
-
-  eltoo::EltooChannel* chp = nullptr;
-  bool windows_active = true;
-  env.add_round_hook([&env, &s, &chp, &windows_active] {
-    if (!chp || !windows_active) return;
-    const Round r = env.now();
-    bool online = true;
-    for (const DowntimeWindow& w : s.downtime)
-      if (r >= w.start && r < w.start + w.length) online = false;
-    chp->set_monitor_online(online);
-  });
-
-  eltoo::EltooChannel ch(env, params);
-  chp = &ch;
-
-  const Bytes pk_a = to_pub(daricch::DaricKeys::derive("A", params.id + "/eltoo")).main;
-  const Bytes pk_b = to_pub(daricch::DaricKeys::derive("B", params.id + "/eltoo")).main;
-
-  rep.create_ok = ch.create();
-  if (!rep.create_ok) {
-    rep.closed = true;
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = true;
-    rep.ok = rep.conservation_ok && !s.cheat.expect_loss;
-    rep.detail = "create aborted";
-    finish_report(rep, env, o);
-    return rep;
-  }
-
-  StateVec stable{kCashA, kCashB, {}};
-  std::optional<StateVec> attempted;
-  bool update_aborted = false;
-  for (std::uint32_t i = 0; i < s.updates; ++i) {
-    const Amount to_a = update_to_a(s.seed, i);
-    const StateVec next{to_a, kCapacity - to_a, {}};
-    attempted = next;
-    if (!ch.update(next)) {
-      update_aborted = true;
-      break;
-    }
-    stable = next;
-    attempted.reset();
-    ++rep.updates_done;
-  }
-
-  auto audit = [&](std::initializer_list<Payout> candidates) {
-    const Payout got{credited(env.ledger(), pk_a), credited(env.ledger(), pk_b)};
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = payout_matches(got, candidates);
-  };
-  const Payout got_stable{stable.to_a, stable.to_b};
-
-  if (update_aborted) {
-    rep.closed = ch.run_until_closed(400);
-    audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = "update aborted to force-close";
-  } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
-    // eltoo has no punishment: the honest monitor overrides the stale
-    // update with the newest one and settles the latest state.
-    rep.cheated = true;
-    windows_active = false;
-    ch.set_monitor_online(false);
-    ch.publish_old_update(s.cheat.cheater, s.cheat.state);
-    env.advance_rounds(s.cheat.victim_offline);
-    ch.set_monitor_online(true);
-    rep.closed = ch.run_until_closed(400);
-    rep.punished = false;
-    const bool overridden =
-        ch.settled_state().has_value() && *ch.settled_state() == rep.updates_done;
-    audit({got_stable});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && overridden;
-    rep.detail = "stale update overridden";
-  } else {
-    const bool coop = mix(s.seed, 0xc105eull) % 2 == 0;
-    bool done;
-    if (coop) {
-      done = ch.cooperative_close();
-    } else {
-      ch.force_close(mix(s.seed, 0x1417ull) % 2 == 0 ? PartyId::kA : PartyId::kB);
-      done = ch.run_until_closed(400);
-    }
-    if (!done) done = ch.run_until_closed(400);
-    rep.closed = done;
-    audit({got_stable});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = coop ? "cooperative close" : "force close";
-  }
-  finish_report(rep, env, o);
-  return rep;
-}
-
-}  // namespace
-
-const char* protocol_name(Protocol p) {
-  switch (p) {
-    case Protocol::kDaric: return "daric";
-    case Protocol::kLightning: return "lightning";
-    case Protocol::kGeneralized: return "generalized";
-    case Protocol::kEltoo: return "eltoo";
-  }
-  return "?";
-}
-
-DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& obs) {
-  switch (proto) {
-    case Protocol::kDaric: return run_daric(s, obs);
-    case Protocol::kLightning: return run_lightning(s, obs);
-    case Protocol::kGeneralized: return run_generalized(s, obs);
-    case Protocol::kEltoo: return run_eltoo(s, obs);
-  }
-  return {};
 }
 
 BoundaryReport run_downtime_boundary(Round offline_rounds, Round t_punish, Round delta) {

@@ -13,8 +13,12 @@
 // T − Δ failure boundary instead of hand-waving it.
 #pragma once
 
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
+#include "src/channel/engine.h"
 #include "src/sim/faults/schedule.h"
 
 namespace daric::obs {
@@ -23,9 +27,20 @@ class Sink;
 
 namespace daric::sim::faults {
 
+/// The engines the drill, the trace scenarios and the tools construct by
+/// name. Cerberus and FPPW implement the same contract but are built
+/// directly: the drill has no payout expectations for their tower reward
+/// and collateral yet.
 enum class Protocol { kDaric, kLightning, kGeneralized, kEltoo };
+inline constexpr Protocol kProtocols[] = {Protocol::kDaric, Protocol::kLightning,
+                                          Protocol::kGeneralized, Protocol::kEltoo};
 
 const char* protocol_name(Protocol p);
+/// Inverse of protocol_name; nullopt for an unknown name.
+std::optional<Protocol> protocol_from_name(std::string_view name);
+/// Builds `p`'s engine over `env`.
+std::unique_ptr<channel::Engine> make_engine(Protocol p, Environment& env,
+                                             channel::ChannelParams params);
 
 struct DrillReport {
   Protocol protocol = Protocol::kDaric;
@@ -60,7 +75,9 @@ struct DrillObs {
   std::string* metrics_text = nullptr;
 };
 
-/// Replays `s` against one protocol engine. Deterministic: the report is a
+/// Replays `s` against one protocol engine, driven through the
+/// channel::Engine contract; Daric adds its durable stores, crash recovery
+/// and the cheater's split-sweep endgame. Deterministic: the report is a
 /// pure function of (proto, s); the obs attachment only observes the run
 /// and never perturbs it.
 DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& obs = {});

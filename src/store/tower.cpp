@@ -249,24 +249,14 @@ void TowerService::react(ledger::Ledger& l, const IndexEntry& slot,
   const WatchEntry e =
       deserialize_watch_entry(BytesView{payload}.subspan(1));
 
-  // Same punishability test as DaricWatchtower::monitor, off the loaded
-  // record: revoked state, and the counterparty's commit script.
-  if (spender.outputs.size() != 1) return;
-  if (spender.nlocktime < e.s0) return;
-  const std::uint32_t j = spender.nlocktime - e.s0;
-  if (j > e.revoked_state) return;
-  const auto csv = static_cast<std::uint32_t>(e.t_punish);
-  const script::Script guess =
-      e.client == PartyId::kA
-          ? daricch::commit_script(e.pub_a.sp, e.pub_b.sp, e.pub_a.rv2, e.pub_b.rv2,
-                                   e.s0 + j, csv)
-          : daricch::commit_script(e.pub_a.sp, e.pub_b.sp, e.pub_a.rv, e.pub_b.rv,
-                                   e.s0 + j, csv);
-  if (spender.outputs[0].cond != tx::Condition::p2wsh(guess)) return;
+  // The monitor's punishability test, off the loaded record.
+  const auto commit = daricch::match_counterparty_commit(spender, e.client, e.pub_a, e.pub_b,
+                                                         e.s0, e.t_punish, e.revoked_state);
+  if (!commit) return;
 
   tx::Transaction rv = e.rv_body;
   daricch::bind_floating(rv, {spender.txid(), 0});
-  daricch::attach_revoke_witness(rv, 0, guess, e.sig_a, e.sig_b);
+  daricch::attach_revoke_witness(rv, 0, commit->script, e.sig_a, e.sig_b);
   l.post(rv);
   ++reactions_;
   if (reacted_counter_) reacted_counter_->inc();

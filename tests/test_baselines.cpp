@@ -35,8 +35,8 @@ TEST(Lightning, CreateUpdateCooperativeClose) {
   ASSERT_TRUE(ch.update({50'000, 50'000, {}}));
   ASSERT_TRUE(ch.update({30'000, 70'000, {}}));
   EXPECT_EQ(ch.state_number(), 2u);
-  ASSERT_TRUE(ch.cooperative_close());
-  EXPECT_EQ(ch.outcome(), lightning::LnOutcome::kCooperative);
+  ASSERT_TRUE(ch.cooperative_close(PartyId::kA));
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kCooperative);
 }
 
 TEST(Lightning, ForceCloseSweepsAfterDelay) {
@@ -46,7 +46,7 @@ TEST(Lightning, ForceCloseSweepsAfterDelay) {
   ASSERT_TRUE(ch.update({45'000, 55'000, {}}));
   ch.force_close(PartyId::kA);
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), lightning::LnOutcome::kNonCollaborative);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kNonCollaborative);
 }
 
 class LightningPunishSweep : public ::testing::TestWithParam<std::uint32_t> {};
@@ -58,7 +58,7 @@ TEST_P(LightningPunishSweep, RevokedCommitPunished) {
   for (int i = 1; i <= 3; ++i) ASSERT_TRUE(ch.update({60'000 - i * 1000, 40'000 + i * 1000, {}}));
   ch.publish_old_commit(PartyId::kA, GetParam());
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), lightning::LnOutcome::kPunished);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kPunished);
 }
 
 INSTANTIATE_TEST_SUITE_P(States, LightningPunishSweep, ::testing::Values(0u, 1u, 2u));
@@ -100,7 +100,7 @@ TEST(Eltoo, CreateUpdateCooperativeClose) {
   eltoo::EltooChannel ch(env, make_params("el-1"));
   ASSERT_TRUE(ch.create());
   ASSERT_TRUE(ch.update({55'000, 45'000, {}}));
-  ASSERT_TRUE(ch.cooperative_close());
+  ASSERT_TRUE(ch.cooperative_close(PartyId::kA));
   EXPECT_EQ(ch.settled_state(), 1u);
 }
 
@@ -119,7 +119,7 @@ TEST(Eltoo, StaleUpdateOverriddenByReactingParty) {
   eltoo::EltooChannel ch(env, make_params("el-3"));
   ASSERT_TRUE(ch.create());
   for (int i = 1; i <= 3; ++i) ASSERT_TRUE(ch.update({60'000 - i * 1000, 40'000 + i * 1000, {}}));
-  ch.publish_old_update(PartyId::kA, 1);
+  ch.publish_old_commit(PartyId::kA, 1);
   ASSERT_TRUE(ch.run_until_closed());
   // No punishment exists, but the final settled state is the latest one.
   EXPECT_EQ(ch.settled_state(), 3u);
@@ -133,7 +133,7 @@ TEST(Eltoo, NonReactingVictimLosesToOldState) {
   ASSERT_TRUE(ch.update({10'000, 90'000, {}}));  // B's favourable latest state
   ch.set_reacting(PartyId::kA, false);
   ch.set_reacting(PartyId::kB, false);  // B crashed / DoSed (prob. 1-p event)
-  ch.publish_old_update(PartyId::kA, 1);
+  ch.publish_old_commit(PartyId::kA, 1);
   env.advance_rounds(kT + kDelta + 2);
   ch.attacker_settle(PartyId::kA, 1);
   ASSERT_TRUE(ch.run_until_closed());
@@ -164,8 +164,8 @@ TEST(Generalized, CreateUpdateCooperativeClose) {
   generalized::GeneralizedChannel ch(env, make_params("gc-1"));
   ASSERT_TRUE(ch.create());
   ASSERT_TRUE(ch.update({48'000, 52'000, {}}));
-  ASSERT_TRUE(ch.cooperative_close());
-  EXPECT_EQ(ch.outcome(), generalized::GcOutcome::kCooperative);
+  ASSERT_TRUE(ch.cooperative_close(PartyId::kA));
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kCooperative);
 }
 
 TEST(Generalized, ForceCloseSplitsAfterDelay) {
@@ -175,7 +175,7 @@ TEST(Generalized, ForceCloseSplitsAfterDelay) {
   ASSERT_TRUE(ch.update({48'000, 52'000, {}}));
   ch.force_close(PartyId::kB);
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), generalized::GcOutcome::kNonCollaborative);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kNonCollaborative);
 }
 
 class GeneralizedPunishSweep
@@ -192,7 +192,7 @@ TEST_P(GeneralizedPunishSweep, PublisherIdentifiedAndPunished) {
   for (int i = 1; i <= 3; ++i) ASSERT_TRUE(ch.update({60'000 - i * 500, 40'000 + i * 500, {}}));
   ch.publish_old_commit(cheater, state);
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), generalized::GcOutcome::kPunished);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kPunished);
 }
 
 INSTANTIATE_TEST_SUITE_P(CheaterAndState, GeneralizedPunishSweep,
@@ -228,7 +228,7 @@ TEST_P(SchemeSweep, LightningLifecycleAndPunish) {
   ASSERT_TRUE(ch.update({30'000, 70'000, {}}));
   ch.publish_old_commit(PartyId::kA, 0);
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), lightning::LnOutcome::kPunished);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kPunished);
 }
 
 TEST_P(SchemeSweep, EltooLifecycleAndOverride) {
@@ -237,7 +237,7 @@ TEST_P(SchemeSweep, EltooLifecycleAndOverride) {
   ASSERT_TRUE(ch.create());
   ASSERT_TRUE(ch.update({50'000, 50'000, {}}));
   ASSERT_TRUE(ch.update({30'000, 70'000, {}}));
-  ch.publish_old_update(PartyId::kA, 1);
+  ch.publish_old_commit(PartyId::kA, 1);
   ASSERT_TRUE(ch.run_until_closed());
   EXPECT_EQ(ch.settled_state(), 2u);
 }

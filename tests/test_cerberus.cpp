@@ -8,7 +8,6 @@
 namespace daric {
 namespace {
 
-using cerberus::CbOutcome;
 using cerberus::CerberusChannel;
 using channel::StateVec;
 using sim::PartyId;
@@ -50,8 +49,8 @@ TEST(Cerberus, CreateUpdateCooperativeClose) {
   ASSERT_TRUE(ch.update({450'000, 550'000, {}}));
   ASSERT_TRUE(ch.update({300'000, 700'000, {}}));
   EXPECT_EQ(ch.state_number(), 2u);
-  ASSERT_TRUE(ch.cooperative_close());
-  EXPECT_EQ(ch.outcome(), CbOutcome::kCooperative);
+  ASSERT_TRUE(ch.cooperative_close(PartyId::kA));
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kCooperative);
 }
 
 TEST(Cerberus, ForceCloseSweepsAfterDelay) {
@@ -61,7 +60,7 @@ TEST(Cerberus, ForceCloseSweepsAfterDelay) {
   ASSERT_TRUE(ch.update({450'000, 550'000, {}}));
   ch.force_close(PartyId::kB);
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), CbOutcome::kNonCollaborative);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kNonCollaborative);
 }
 
 class CerberusPunishSweep : public ::testing::TestWithParam<std::uint32_t> {};
@@ -74,7 +73,7 @@ TEST_P(CerberusPunishSweep, TowerPunishesAndCollectsReward) {
 
   ch.publish_old_commit(PartyId::kA, GetParam());
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), CbOutcome::kPunished);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kPunished);
   EXPECT_TRUE(ch.tower(PartyId::kB).reacted());
 
   // The revocation pays (capacity − reward) to B and the reward to the tower.

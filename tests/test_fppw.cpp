@@ -10,7 +10,6 @@ namespace {
 
 using channel::StateVec;
 using fppw::FppwChannel;
-using fppw::FppwOutcome;
 using sim::PartyId;
 
 constexpr Round kDelta = 2;
@@ -45,8 +44,8 @@ TEST(Fppw, CreateUpdateCooperativeClose) {
   ASSERT_TRUE(ch.create());
   ASSERT_TRUE(ch.update({450'000, 550'000, {}}));
   ASSERT_TRUE(ch.update({300'000, 700'000, {}}));
-  ASSERT_TRUE(ch.cooperative_close());
-  EXPECT_EQ(ch.outcome(), FppwOutcome::kCooperative);
+  ASSERT_TRUE(ch.cooperative_close(PartyId::kA));
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kCooperative);
   // The tower's collateral came back in the close transaction.
   const auto close = env.ledger().spender_of(ch.funding_outpoint());
   ASSERT_TRUE(close.has_value());
@@ -60,7 +59,7 @@ TEST(Fppw, ForceCloseSplitsAfterDelay) {
   ASSERT_TRUE(ch.update({450'000, 550'000, {}}));
   ch.force_close(PartyId::kB);
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), FppwOutcome::kNonCollaborative);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kNonCollaborative);
 }
 
 class FppwPunishSweep : public ::testing::TestWithParam<std::tuple<int, std::uint32_t>> {};
@@ -75,7 +74,7 @@ TEST_P(FppwPunishSweep, OnlineTowerFiresRevocation) {
   for (int i = 1; i <= 3; ++i) ASSERT_TRUE(ch.update({500'000 - i * 1000, 500'000 + i * 1000, {}}));
   ch.publish_old_commit(cheater, state);
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), FppwOutcome::kPunished);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kPunished);
 
   // The revocation paid the channel funds to the victim and returned the
   // collateral to the tower.
@@ -102,7 +101,7 @@ TEST(Fppw, OfflineTowerVictimTakesCollateral) {
 
   ch.publish_old_commit(PartyId::kA, 0);
   ASSERT_TRUE(ch.run_until_closed());
-  EXPECT_EQ(ch.outcome(), FppwOutcome::kCompensated);
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kCompensated);
 
   // The penalty transaction paid the collateral to the victim B.
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());

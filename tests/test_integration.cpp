@@ -169,10 +169,10 @@ TEST(Integration, EltooSurvivesRepeatedStalePublishesWhenReacting) {
   eltoo::EltooChannel ch(env, make_params("int-eltoo"));
   ASSERT_TRUE(ch.create());
   for (int i = 1; i <= 4; ++i) ASSERT_TRUE(ch.update({500'000 - i * 1000, 500'000 + i * 1000, {}}));
-  ch.publish_old_update(PartyId::kA, 1);
+  ch.publish_old_commit(PartyId::kA, 1);
   env.advance_rounds(4);  // victim overrides with state 4
   // The attacker tries an even older state on top — CLTV floor forbids it.
-  ch.publish_old_update(PartyId::kA, 2);
+  ch.publish_old_commit(PartyId::kA, 2);
   ASSERT_TRUE(ch.run_until_closed());
   EXPECT_EQ(ch.settled_state(), 4u);
 }

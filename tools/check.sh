@@ -4,7 +4,10 @@
 # when the binary is installed — clang-tidy over the library sources.
 #
 # Usage: tools/check.sh [--fast|--bench|--chaos|--durable|--analyze|--tsan|--trace|--obs|--tidy|--perfbench]
-#   --fast    skip the sanitizer rebuild (plain tests + model check + lint)
+#   (none)    plain tier-1 tests, the behaviour digests of the plain build,
+#             analyzer, model check, lint, then the ASan+UBSan tier-1 pass
+#   --fast    skip the sanitizer rebuild (plain tests + behaviour digests +
+#             model check + lint)
 #   --bench   build Release, run the crypto + update microbenches, write
 #             BENCH_crypto.json / BENCH_update_microbench.json at the repo
 #             root, and regenerate BENCH_trace_overhead.json (disabled-tracer
@@ -384,6 +387,9 @@ step "plain build + tier-1 tests"
 cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+step "behaviour digests: chaos reports and trace artifacts vs tests/golden/behaviour.sha256"
+python3 tools/behaviour_digest.py --build build --check tests/golden/behaviour.sha256
 
 step "static script/transaction analyzer (all engines, lints + spend graph + auth)"
 ./build/tools/daric_analyze --graph --json build/analyze_report.json

@@ -77,12 +77,8 @@ int fail_with_schedule(const FaultSchedule& s, const DrillReport& r) {
 }
 
 std::vector<Protocol> protocols_for(const std::string& name) {
-  if (name == "daric") return {Protocol::kDaric};
-  if (name == "lightning") return {Protocol::kLightning};
-  if (name == "generalized") return {Protocol::kGeneralized};
-  if (name == "eltoo") return {Protocol::kEltoo};
-  if (name == "all")
-    return {Protocol::kDaric, Protocol::kLightning, Protocol::kGeneralized, Protocol::kEltoo};
+  if (name == "all") return {std::begin(kProtocols), std::end(kProtocols)};
+  if (const auto p = protocol_from_name(name)) return {*p};
   throw std::runtime_error("unknown protocol '" + name + "'");
 }
 

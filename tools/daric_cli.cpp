@@ -90,7 +90,7 @@ int run_lifecycle(const Options& opt) {
   }
   ch.cooperative_close();
   std::printf("closed: %s\n",
-              daricch::close_outcome_name(ch.party(PartyId::kA).outcome()));
+              channel::outcome_name(ch.party(PartyId::kA).outcome()));
   return ch.party(PartyId::kA).outcome() == daricch::CloseOutcome::kCooperative ? 0 : 1;
 }
 
@@ -106,7 +106,7 @@ int run_punish(const Options& opt) {
   ch.publish_old_commit(PartyId::kA, static_cast<std::uint32_t>(opt.cheat_state));
   ch.run_until_closed();
   std::printf("B's outcome: %s after %lld rounds\n",
-              daricch::close_outcome_name(ch.party(PartyId::kB).outcome()),
+              channel::outcome_name(ch.party(PartyId::kB).outcome()),
               static_cast<long long>(*ch.party(PartyId::kB).closed_round() - start));
   return ch.party(PartyId::kB).outcome() == daricch::CloseOutcome::kPunished ? 0 : 1;
 }

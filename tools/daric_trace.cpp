@@ -90,10 +90,7 @@ int run_scenario_mode(const std::string& engine, const std::string& scenario,
 }
 
 Protocol protocol_from(const std::string& name) {
-  if (name == "daric") return Protocol::kDaric;
-  if (name == "lightning") return Protocol::kLightning;
-  if (name == "generalized") return Protocol::kGeneralized;
-  if (name == "eltoo") return Protocol::kEltoo;
+  if (const auto p = protocol_from_name(name)) return *p;
   throw std::runtime_error("unknown protocol '" + name + "'");
 }
 
