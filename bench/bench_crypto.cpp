@@ -1,5 +1,6 @@
 // Crypto hot-path benchmarks (google-benchmark): field arithmetic, scalar
-// multiplication, signing, signature verification, and batch verification. BM_*NaiveLadder variants
+// multiplication, signing, signature verification, batch verification and
+// the ledger round that consumes it. BM_*NaiveLadder variants
 // re-run the full pre-optimization implementation (naive double-and-add
 // ladder AND generic field arithmetic) so `tools/check.sh --bench` can record
 // the speedup ratio in BENCH_crypto.json; the acceptance bar is
@@ -17,6 +18,9 @@
 #include "src/crypto/keys.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
+#include "src/ledger/ledger.h"
+#include "src/script/standard.h"
+#include "src/tx/sighash.h"
 
 namespace {
 
@@ -394,7 +398,91 @@ void BM_SchnorrVerifyBatch(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(crypto::schnorr_verify_batch(items));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SchnorrVerifyBatch)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_SchnorrVerifyBatch)
+    ->Arg(2)->Arg(8)->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
+
+// One batch-shaped sum (per signature a 128-bit randomizer times R and a
+// full-width scalar times P, plus a generator term) on both sides of
+// Point::kBucketMinTerms. Arg = number of nonzero terms. Setting that
+// constant to 0 or to SIZE_MAX runs every size by one method, which is how
+// the crossover was measured.
+void BM_MultiMul(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<Scalar> coeffs;
+  std::vector<Point> points;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string tag = "msm/" + std::to_string(i);
+    Scalar k = bench_scalar(tag + "/k");
+    if (i % 2 == 0) k = Scalar::from_u256(crypto::U256{k.raw().limb[0], k.raw().limb[1], 0, 0});
+    coeffs.push_back(k);
+    points.push_back(Point::mul_gen(bench_scalar(tag + "/p")));
+  }
+  const Scalar g = bench_scalar("msm/g");
+  for (auto _ : state)
+    benchmark::DoNotOptimize(Point::multi_mul_is_infinity_vartime(coeffs, points, g));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MultiMul)->Arg(16)->Arg(24)->Arg(32)->Arg(40)->Arg(48)->Arg(64)->Arg(128)->Arg(256);
+
+// --- ledger round ------------------------------------------------------------
+
+// N two-of-two commit spends due in one Ledger::advance_round(): the
+// ledger::validate_transaction rung of the layer ladder, and the measurement
+// behind the ledger's claim-pass threshold (src/ledger/ledger.cpp). With
+// `one_bad_sig`, the middle commit carries a tampered s, so the round's
+// batch fails after its full sum and every signature is then verified
+// inline. A fresh ledger per iteration mints the same funding outpoints, so
+// the spends signed once stay valid; only the round itself is timed.
+void ledger_round(benchmark::State& state, bool one_bad_sig) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto& scheme = crypto::schnorr_scheme();
+  const auto ka = crypto::derive_keypair("bench-round/a");
+  const auto kb = crypto::derive_keypair("bench-round/b");
+  const script::Script funding = script::multisig_2of2(ka.pk.compressed(), kb.pk.compressed());
+  const auto fund = [&](ledger::Ledger& l) {
+    std::vector<tx::OutPoint> ops;
+    for (std::size_t i = 0; i < n; ++i)
+      ops.push_back(l.mint(100'000, tx::Condition::p2wsh(funding)));
+    return ops;
+  };
+  std::vector<tx::Transaction> commits;
+  {
+    ledger::Ledger l(1, scheme);
+    for (const tx::OutPoint& op : fund(l)) {
+      tx::Transaction t;
+      t.inputs = {{op}};
+      t.outputs = {{60'000, tx::Condition::p2wpkh(ka.pk.compressed())},
+                   {40'000, tx::Condition::p2wpkh(kb.pk.compressed())}};
+      t.witnesses.resize(1);
+      t.witnesses[0].witness_script = funding;
+      t.witnesses[0].stack = {
+          Bytes{}, tx::sign_input(t, 0, ka, scheme, script::SighashFlag::kAll),
+          tx::sign_input(t, 0, kb, scheme, script::SighashFlag::kAll)};
+      commits.push_back(std::move(t));
+    }
+  }
+  const std::size_t bad = n / 2;
+  if (one_bad_sig) commits[bad].witnesses[0].stack[1][50] ^= 0x01;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto l = std::make_unique<ledger::Ledger>(1, scheme);
+    fund(*l);
+    for (const tx::Transaction& t : commits) l->post_with_delay(t, 0);
+    state.ResumeTiming();
+    l->advance_round();
+    state.PauseTiming();
+    if (!l->is_confirmed(commits.back().txid()) ||
+        l->is_confirmed(commits[bad].txid()) == one_bad_sig)
+      state.SkipWithError("unexpected verdict");
+    l.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+void BM_LedgerRound(benchmark::State& state) { ledger_round(state, false); }
+BENCHMARK(BM_LedgerRound)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(16)->Arg(64)->Arg(188);
+void BM_LedgerRoundOneBadSig(benchmark::State& state) { ledger_round(state, true); }
+BENCHMARK(BM_LedgerRoundOneBadSig)->Arg(188);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "src/cerberus/protocol.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/channel/storage.h"
@@ -221,22 +222,27 @@ void CerberusChannel::on_round() {
     if (ledger.is_confirmed(*pending_txid_)) close_as(channel::Outcome::kPunished);
     return;
   }
-  if (pending_sweep_) {
-    if (!pending_sweep_->posted && env_.now() >= pending_sweep_->post_round) {
-      tx::Transaction sweep;
-      sweep.inputs = {{pending_sweep_->op}};
-      sweep.nlocktime = 0;
-      const bool a = pending_sweep_->owner == PartyId::kA;
-      sweep.outputs = {{pending_sweep_->cash, tx::Condition::p2wpkh(a ? pub_a_.main : pub_b_.main)}};
-      const Bytes sig = tx::sign_input(sweep, 0, (a ? delayed_a_ : delayed_b_).sk,
-                                       env_.scheme(), SighashFlag::kAll);
-      sweep.witnesses.resize(1);
-      sweep.witnesses[0].stack = {sig, Bytes{}};
-      sweep.witnesses[0].witness_script = pending_sweep_->script;
-      ledger.post(sweep);
-      pending_sweep_->posted = true;
-      pending_sweep_->txid = sweep.txid();
-    } else if (pending_sweep_->posted && ledger.is_confirmed(pending_sweep_->txid)) {
+  if (!sweeps_.empty()) {
+    if (!sweeps_posted_ && env_.now() >= sweep_round_) {
+      for (PendingSweep& sw : sweeps_) {
+        tx::Transaction sweep;
+        sweep.inputs = {{sw.op}};
+        sweep.nlocktime = 0;
+        const bool a = sw.owner == PartyId::kA;
+        sweep.outputs = {{sw.cash, tx::Condition::p2wpkh(a ? pub_a_.main : pub_b_.main)}};
+        const Bytes sig = tx::sign_input(sweep, 0, (a ? delayed_a_ : delayed_b_).sk,
+                                         env_.scheme(), SighashFlag::kAll);
+        sweep.witnesses.resize(1);
+        sweep.witnesses[0].stack = {sig, Bytes{}};
+        sweep.witnesses[0].witness_script = sw.script;
+        ledger.post(sweep);
+        sw.txid = sweep.txid();
+      }
+      sweeps_posted_ = true;
+    } else if (sweeps_posted_ &&
+               std::all_of(sweeps_.begin(), sweeps_.end(), [&](const PendingSweep& sw) {
+                 return ledger.is_confirmed(sw.txid);
+               })) {
       close_as(channel::Outcome::kNonCollaborative);
     }
     return;
@@ -268,15 +274,12 @@ void CerberusChannel::on_round() {
     }
     return;
   }
-  // Latest commit: owner sweeps its local output after T.
+  // Latest commit: after T, the owner sweeps its local output 0 and the
+  // counterparty its output 1, each with its own delayed key.
   const auto conf = ledger.confirmation_round(id);
-  pending_sweep_ = PendingSweep{{id, 0},
-                                rec->out0_script,
-                                rec->owner,
-                                rec->tx.outputs[0].cash,
-                                (conf ? *conf : env_.now()) + params_.t_punish,
-                                false,
-                                {}};
+  sweep_round_ = (conf ? *conf : env_.now()) + params_.t_punish;
+  sweeps_ = {{{id, 0}, rec->out0_script, rec->owner, rec->tx.outputs[0].cash, {}},
+             {{id, 1}, rec->out1_script, other(rec->owner), rec->tx.outputs[1].cash, {}}};
 }
 
 std::size_t CerberusChannel::party_storage_bytes(PartyId who) const {

@@ -109,16 +109,17 @@ class CerberusChannel : public channel::Engine {
   CerberusWatchtower tower_b_{tx::OutPoint{}};
 
   std::optional<Hash256> pending_txid_;
+  /// A latest commit's output, spent by `owner`'s delayed key after T.
   struct PendingSweep {
     tx::OutPoint op;
     script::Script script;
     sim::PartyId owner;
     Amount cash = 0;
-    Round post_round = 0;
-    bool posted = false;
-    Hash256 txid;
+    Hash256 txid;  // once posted
   };
-  std::optional<PendingSweep> pending_sweep_;
+  std::vector<PendingSweep> sweeps_;
+  Round sweep_round_ = 0;
+  bool sweeps_posted_ = false;
 };
 
 }  // namespace daric::cerberus

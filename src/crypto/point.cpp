@@ -440,6 +440,100 @@ Jac strauss_pre_jac(const Scalar& a, const PreTablesData& pt, int sign, const Sc
   return acc;
 }
 
+// --- Bucket (Pippenger) multi-scalar multiplication --------------------------
+
+// One input of the bucket sum: an affine point and a coefficient below
+// 2^129. Coefficients of 128 bits or fewer (the batch randomizers) are used
+// as they are; wider ones are GLV-split into two half-width terms.
+struct BucketTerm {
+  AffGe p;
+  U256 k;
+};
+
+void push_bucket_terms(std::vector<BucketTerm>& out, const Point& p, const Scalar& k) {
+  const AffGe a{p.x(), p.y()};
+  if ((k.raw().limb[2] | k.raw().limb[3]) == 0) {
+    out.push_back({a, k.raw()});
+    return;
+  }
+  const GlvSplit sp = glv_split(k);
+  if (!sp.k1.is_zero()) out.push_back({{a.x, sp.neg1 ? a.y.neg() : a.y}, sp.k1});
+  if (!sp.k2.is_zero())
+    out.push_back({{glv_beta() * a.x, sp.neg2 ? a.y.neg() : a.y}, sp.k2});
+}
+
+// `len` (< 64) bits of k starting at bit `pos`; bits past 255 read as zero.
+std::uint64_t bits_at(const U256& k, unsigned pos, unsigned len) {
+  const unsigned limb = pos / 64;
+  const unsigned shift = pos % 64;
+  if (limb >= 4) return 0;
+  std::uint64_t v = k.limb[limb] >> shift;
+  if (shift + len > 64 && limb + 1 < 4) v |= k.limb[limb + 1] << (64 - shift);
+  return v & ((std::uint64_t{1} << len) - 1);
+}
+
+// Σ kᵢ·Pᵢ by buckets: each coefficient is cut into signed c-bit digits;
+// per window, every point is added once into the bucket of its digit's
+// magnitude, and the 2^(c−1) buckets are combined with two running sums.
+// The windows are folded top-down with c doublings each. Unlike the Strauss
+// ladder there are no per-point tables, and a point costs one mixed
+// addition per window instead of a scan at every bit.
+Jac bucket_sum(std::span<const BucketTerm> terms) {
+  if (terms.empty()) return {};
+  unsigned bits = 0;
+  for (const BucketTerm& t : terms) bits = std::max(bits, t.k.bit_length());
+  // Window width minimizing windows × (one mixed addition per term + two
+  // full additions per bucket, weighted 3:2 against a mixed one). The +1
+  // bit leaves room for the last signed digit's carry.
+  const std::size_t n = terms.size();
+  unsigned c = 1;
+  std::size_t best = SIZE_MAX;
+  for (unsigned w = 1; w <= 16; ++w) {
+    const std::size_t cost = ((bits + w) / w) * (2 * n + (std::size_t{3} << w));
+    if (cost < best) {
+      best = cost;
+      c = w;
+    }
+  }
+  const unsigned windows = (bits + c) / c;
+  const std::int64_t half = std::int64_t{1} << (c - 1);
+
+  // Signed digits in [−2^(c−1), 2^(c−1)], window-major.
+  std::vector<std::int32_t> digits(windows * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::int64_t carry = 0;
+    for (unsigned w = 0; w < windows; ++w) {
+      std::int64_t d = static_cast<std::int64_t>(bits_at(terms[i].k, w * c, c)) + carry;
+      carry = d > half ? 1 : 0;
+      if (carry) d -= 2 * half;
+      digits[w * n + i] = static_cast<std::int32_t>(d);
+    }
+  }
+
+  std::vector<Jac> buckets(static_cast<std::size_t>(half));
+  Jac acc;
+  for (unsigned w = windows; w-- > 0;) {
+    for (unsigned d = 0; d < c; ++d) acc = jac_dbl(acc);
+    std::fill(buckets.begin(), buckets.end(), Jac{});
+    const std::int32_t* row = &digits[w * n];
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int32_t d = row[i];
+      if (d == 0) continue;
+      const AffGe& p = terms[i].p;
+      Jac& b = buckets[static_cast<std::size_t>(d > 0 ? d : -d) - 1];
+      b = jac_add_aff(b, d > 0 ? p : AffGe{p.x, p.y.neg()});
+    }
+    // Σ j·B_j = Σ_j (B_j + B_{j+1} + … + B_max).
+    Jac running, window_sum;
+    for (std::size_t j = buckets.size(); j-- > 0;) {
+      running = jac_add(running, buckets[j]);
+      window_sum = jac_add(window_sum, running);
+    }
+    acc = jac_add(acc, window_sum);
+  }
+  return acc;
+}
+
 // vartime: end
 
 Jac jac_scalar_mul_ladder(const Jac& base, const Scalar& k) {
@@ -593,6 +687,19 @@ bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
     throw std::invalid_argument("multi_mul: size mismatch");
   if (!pres.empty() && pres.size() != points.size())
     throw std::invalid_argument("multi_mul: pres size mismatch");
+  const auto active = [&](std::size_t i) {
+    return !points[i].is_infinity() && !coeffs[i].is_zero();
+  };
+  std::size_t n_active = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) n_active += active(i) ? 1 : 0;
+  if (n_active >= kBucketMinTerms) {
+    std::vector<BucketTerm> terms;
+    terms.reserve(2 * points.size() + 2);
+    for (std::size_t i = 0; i < points.size(); ++i)
+      if (active(i)) push_bucket_terms(terms, points[i], coeffs[i]);
+    if (!gen_coeff.is_zero()) push_bucket_terms(terms, generator(), gen_coeff);
+    return bucket_sum(terms).infinity;
+  }
   // One ladder term per active (nonzero) input. A term walks either a
   // caller-supplied precomputed table (width-7, possibly with flipped digit
   // signs when the input is the table base's negation) or a fresh width-5
@@ -608,7 +715,7 @@ bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
   std::vector<std::size_t> fresh;  // active inputs without a usable table
   terms.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].is_infinity() || coeffs[i].is_zero()) continue;
+    if (!active(i)) continue;
     LadderTerm t;
     t.input = i;
     const PrecomputedPoint* pre = pres.empty() ? nullptr : pres[i];

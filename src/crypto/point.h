@@ -6,8 +6,9 @@
 //   * k·G uses a fixed 4-bit-window precomputed generator table (signing
 //     side — access pattern independent of which window entries are hit);
 //   * verification uses Strauss–Shamir interleaving (`mul_add_*_vartime`)
-//     and, for many signatures, one multi-scalar ladder
-//     (`multi_mul_is_infinity_vartime`).
+//     and, for many signatures, one multi-scalar sum
+//     (`multi_mul_is_infinity_vartime`): a shared Strauss ladder for a few
+//     terms, buckets (Pippenger) for many.
 // The `_vartime` suffix marks functions whose running time depends on their
 // scalar inputs; they must only ever see public data (signatures, challenge
 // scalars, public keys).
@@ -63,17 +64,28 @@ class Point {
                                      const Scalar& b, const Point& expect);
 
   /// Whether Σ coeffs[i]·points[i] + gen_coeff·G is the point at infinity —
-  /// the core of batch signature verification. One shared doubling chain,
-  /// per-point wNAF tables normalized with a single batched inversion.
-  /// Variable time; requires coeffs.size() == points.size().
+  /// the core of batch signature verification. Variable time; requires
+  /// coeffs.size() == points.size().
   static bool multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
                                             std::span<const Point> points,
                                             const Scalar& gen_coeff);
 
+  /// multi_mul_is_infinity_vartime interleaves wNAF streams (Strauss) below
+  /// this many nonzero terms (two per signature in a batch) and adds the
+  /// affine inputs into buckets (Pippenger) from there on. BM_MultiMul
+  /// (bench/bench_crypto.cpp, Release, one pinned CPU of a 4-CPU VM, six
+  /// alternating runs) with this constant set to SIZE_MAX and to 0 to force
+  /// each method: Strauss wins at 24 terms (buckets 1.12× its median time),
+  /// the two tie from 32 to 48 (1.01–1.06×, each ahead in about half the
+  /// runs), and buckets win from 64 (0.76×). The engines' 2–5-signature
+  /// update batches (4–10 terms) stay on Strauss.
+  static constexpr std::size_t kBucketMinTerms = 32;
+
   /// Batch MSM variant taking an optional precomputed table per point
   /// (`pres` empty, or one entry per point, nullptr where none exists; a
-  /// table also serves the point's negation). Points with a table skip both
-  /// the per-call table build and the shared normalization inversion.
+  /// table also serves the point's negation). On the Strauss path, points
+  /// with a table skip both the per-call table build and the shared
+  /// normalization inversion; the bucket path needs no tables.
   static bool multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
                                             std::span<const Point> points,
                                             std::span<const PrecomputedPoint* const> pres,

@@ -1,6 +1,8 @@
 #include "src/ledger/ledger.h"
 
+#include <iterator>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "src/crypto/sha256.h"
 #include "src/tx/weight.h"
@@ -12,6 +14,18 @@ namespace {
 
 /// Short txid label for trace attributes (first 8 hex chars).
 std::string txid_label(const Hash256& id) { return id.hex().substr(0, 8); }
+
+// Below this many due transactions a round has no claim pass. BM_LedgerRound
+// (bench/bench_crypto.cpp, Release, one pinned CPU of a 4-CPU VM), run with
+// the constant set to 1 and to SIZE_MAX: with the pass, rounds of 1/2/3/4
+// due two-of-two spends took 1.04/0.90/0.87/0.90× the time without it
+// (medians of eight alternating runs; the pass was ahead in only 5–6 of the
+// 8 at each size), and at 188 due 21.3 against 45.1 ms. No perfbench
+// workload has a round of three due, so 3 and 4 pick the same rounds there
+// (DESIGN.md counts them). Any claims go to one verify_batch: it verifies a
+// single item singly, and per item BM_SchnorrVerifyBatch/2 costs 0.98× a
+// BM_SchnorrVerify and /8 0.73×, so no claim count favours single checks.
+constexpr std::size_t kClaimMinDue = 4;
 
 }  // namespace
 
@@ -59,18 +73,52 @@ void Ledger::advance_rounds(Round n) {
   for (Round i = 0; i < n; ++i) advance_round();
 }
 
+// Claim pass over a round's due transactions, in FIFO order. A transaction
+// that repeats a txid or an outpoint of an earlier due one is skipped, and
+// the rest are validated against the pre-round UTXO set with every signature
+// check recorded as a claim instead of verified. Only the claims of
+// transactions that pass are kept; they are proved together, and the set
+// holds them only if the proof accepted them. The sequential pass in
+// process_due stays the only judge of every verdict: the set can only spare
+// it verifications whose answer is true.
+tx::ProvenSigs Ledger::prove_round_signatures(std::span<const Pending> due) const {
+  tx::ProvenSigs proven;
+  if (due.size() < kClaimMinDue || !scheme_.supports_batch_verify()) return proven;
+  std::unordered_set<Hash256, Hash256Hasher> txids;
+  std::unordered_set<tx::OutPoint, tx::OutPointHasher> spent;
+  std::vector<crypto::SigBatchItem> claims;
+  std::vector<crypto::SigBatchItem> tx_claims;
+  for (const Pending& p : due) {
+    bool conflict = !txids.insert(p.tx.txid()).second;
+    for (const tx::TxIn& in : p.tx.inputs) conflict = !spent.insert(in.prevout).second || conflict;
+    if (conflict) continue;
+    tx_claims.clear();
+    const ValidationContext ctx{utxos_, seen_txids_, now_, scheme_, {nullptr, &tx_claims}};
+    if (validate_transaction(p.tx, ctx) != TxError::kOk) continue;
+    claims.insert(claims.end(), std::make_move_iterator(tx_claims.begin()),
+                  std::make_move_iterator(tx_claims.end()));
+  }
+  if (!claims.empty() && scheme_.verify_batch(claims))
+    for (const crypto::SigBatchItem& c : claims) proven.insert(c);
+  return proven;
+}
+
 void Ledger::process_due() {
   // FIFO over the queue; entries due now (or earlier) are processed.
-  std::uint64_t confirmed_this_round = 0;
+  std::vector<Pending> due;
   std::deque<Pending> keep;
-  while (!queue_.empty()) {
-    Pending p = std::move(queue_.front());
-    queue_.pop_front();
-    if (p.due > now_) {
+  for (Pending& p : queue_) {
+    if (p.due > now_)
       keep.push_back(std::move(p));
-      continue;
-    }
-    const TxError err = validate_transaction(p.tx, {utxos_, seen_txids_, now_, scheme_});
+    else
+      due.push_back(std::move(p));
+  }
+  queue_ = std::move(keep);
+  const tx::ProvenSigs proven = prove_round_signatures(due);
+  std::uint64_t confirmed_this_round = 0;
+  for (const Pending& p : due) {
+    const TxError err =
+        validate_transaction(p.tx, {utxos_, seen_txids_, now_, scheme_, {&proven, nullptr}});
     records_[p.record_index].processed = true;
     records_[p.record_index].result = err;
     if (err != TxError::kOk) {
@@ -105,7 +153,6 @@ void Ledger::process_due() {
     tx_by_id_[id] = p.tx;
     accepted_.push_back({now_, p.tx});
   }
-  queue_ = std::move(keep);
   if (txs_per_round_) txs_per_round_->observe(static_cast<std::int64_t>(confirmed_this_round));
 }
 

@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/ledger/validation.h"
@@ -54,7 +55,10 @@ class Ledger {
   using DelayPolicy = std::function<Round(const tx::Transaction& t, Round delta)>;
   void set_delay_policy(DelayPolicy policy) { delay_policy_ = std::move(policy); }
 
-  /// Advances one round, processing all due posts in FIFO order.
+  /// Advances one round, processing all due posts in FIFO order. When
+  /// enough are due and the scheme batches, their signatures are proved
+  /// together first (see process_due); the verdicts stay those of the
+  /// sequential pass.
   void advance_round();
   void advance_rounds(Round n);
 
@@ -76,17 +80,19 @@ class Ledger {
   Amount fees_total() const { return fees_total_; }
 
  private:
-  void process_due();
-
-  Round delta_;
-  const crypto::SignatureScheme& scheme_;
-  Round now_ = 0;
-
   struct Pending {
     tx::Transaction tx;
     Round due = 0;
     std::size_t record_index = 0;
   };
+
+  void process_due();
+  tx::ProvenSigs prove_round_signatures(std::span<const Pending> due) const;
+
+  Round delta_;
+  const crypto::SignatureScheme& scheme_;
+  Round now_ = 0;
+
   std::deque<Pending> queue_;
   std::vector<PostRecord> records_;
   DelayPolicy delay_policy_;

@@ -1,7 +1,5 @@
 #include "src/ledger/validation.h"
 
-#include "src/tx/sighash.h"
-
 namespace daric::ledger {
 
 const char* tx_error_name(TxError e) {
@@ -32,40 +30,21 @@ TxError validate_transaction(const tx::Transaction& t, const ValidationContext& 
   }
 
   // Rule 2: input and witness validity. Sighash prefixes are shared across
-  // inputs through a per-transaction cache, and P2WPKH signature checks are
-  // deferred into one batch verification when the scheme supports it (P2WPKH
-  // carries exactly one signature with fixed semantics; P2WSH scripts may
-  // branch on CHECKSIG results, so they always verify inline).
+  // inputs through a per-transaction cache.
   if (t.inputs.empty()) return TxError::kMissingInput;
   Amount in_sum = 0;
   std::unordered_set<tx::OutPoint, tx::OutPointHasher> spent;
   const tx::SighashCache sighash_cache(t);
-  const bool batch = ctx.scheme.supports_batch_verify();
-  std::vector<crypto::SigBatchItem> deferred;
   for (std::size_t i = 0; i < t.inputs.size(); ++i) {
     const tx::OutPoint& op = t.inputs[i].prevout;
     if (!spent.insert(op).second) return TxError::kDuplicateInput;
     const auto utxo = ctx.utxos.find(op);
     if (!utxo) return TxError::kMissingInput;
     const Round age = ctx.now - utxo->recorded_round;
-    bool claimed = false;
-    if (batch) {
-      if (auto claim = tx::p2wpkh_sig_claim(t, i, utxo->output, ctx.scheme, sighash_cache)) {
-        deferred.push_back(std::move(*claim));
-        claimed = true;
-      }
-    }
-    if (!claimed &&
-        tx::verify_input(t, i, utxo->output, ctx.scheme, age, &sighash_cache) !=
-            script::ScriptError::kOk)
+    if (tx::verify_input(t, i, utxo->output, ctx.scheme, age, &sighash_cache, ctx.sigs) !=
+        script::ScriptError::kOk)
       return TxError::kBadWitness;
     in_sum += utxo->output.cash;
-  }
-  if (deferred.size() == 1) {
-    if (!ctx.scheme.verify(deferred[0].pk, deferred[0].msg, deferred[0].sig))
-      return TxError::kBadWitness;
-  } else if (!deferred.empty()) {
-    if (!ctx.scheme.verify_batch(deferred)) return TxError::kBadWitness;
   }
 
   // Rule 4: value validity.

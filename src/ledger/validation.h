@@ -6,6 +6,7 @@
 
 #include "src/crypto/sig_scheme.h"
 #include "src/ledger/utxo_set.h"
+#include "src/tx/sighash.h"
 #include "src/tx/transaction.h"
 
 namespace daric::ledger {
@@ -28,6 +29,9 @@ struct ValidationContext {
   const std::unordered_set<Hash256, Hash256Hasher>& seen_txids;
   Round now = 0;
   const crypto::SignatureScheme& scheme;
+  /// Signature checks the caller records or has proved already (default:
+  /// verify every one).
+  tx::SigClaims sigs{};
 };
 
 TxError validate_transaction(const tx::Transaction& t, const ValidationContext& ctx);

@@ -100,18 +100,42 @@ Hash256 SighashCache::digest(std::size_t input_index, script::SighashFlag flag) 
   return result;
 }
 
+namespace {
+
+std::string proven_key(BytesView pubkey, const Hash256& digest, BytesView sig) {
+  std::string k;
+  k.reserve(pubkey.size() + 32 + sig.size());
+  for (BytesView part : {pubkey, digest.view(), sig}) k.append(part.begin(), part.end());
+  return k;
+}
+
+}  // namespace
+
+void ProvenSigs::insert(const crypto::SigBatchItem& claim) {
+  keys_.insert(proven_key(claim.pk.compressed(), claim.msg, claim.sig));
+}
+
+bool ProvenSigs::contains(BytesView pubkey, const Hash256& digest, BytesView sig) const {
+  return !keys_.empty() && keys_.contains(proven_key(pubkey, digest, sig));
+}
+
 bool TxSigChecker::check_sig(BytesView wire_sig, BytesView pubkey) const {
   if (pubkey.size() != script::kPubKeySize) return false;
   const auto decoded = script::decode_wire_sig(wire_sig, scheme_.signature_size());
   if (!decoded) return false;
-  const auto pk = crypto::Point::from_compressed(pubkey);
-  if (!pk) return false;
   // SIGHASH_SINGLE with no matching output has no digest. An adversarial
   // witness must fail validation here, not throw out of it (the historic
   // Bitcoin "SIGHASH_SINGLE bug" surface the static analyzer lints as DA011).
   if (is_single(decoded->flag) && input_index_ >= tx_.outputs.size()) return false;
   const Hash256 digest = cache_ ? cache_->digest(input_index_, decoded->flag)
                                 : sighash_digest(tx_, input_index_, decoded->flag);
+  if (claims_.proven && claims_.proven->contains(pubkey, digest, decoded->raw)) return true;
+  const auto pk = crypto::Point::from_compressed(pubkey);
+  if (!pk) return false;
+  if (claims_.record) {
+    claims_.record->push_back({*pk, digest, decoded->raw});
+    return true;
+  }
   return scheme_.verify(*pk, digest, decoded->raw);
 }
 
@@ -123,12 +147,13 @@ bool TxSigChecker::check_sequence(std::uint32_t age) const {
 
 script::ScriptError verify_input(const Transaction& tx, std::size_t input_index,
                                  const Output& spent, const crypto::SignatureScheme& scheme,
-                                 Round utxo_age, const SighashCache* cache) {
+                                 Round utxo_age, const SighashCache* cache,
+                                 SigClaims claims) {
   using script::ScriptError;
   if (input_index >= tx.inputs.size() || input_index >= tx.witnesses.size())
     return ScriptError::kStackUnderflow;
   const Witness& wit = tx.witnesses[input_index];
-  const TxSigChecker checker(tx, input_index, scheme, utxo_age, cache);
+  const TxSigChecker checker(tx, input_index, scheme, utxo_age, cache, claims);
 
   switch (spent.cond.type) {
     case Condition::Type::kP2WPKH: {
@@ -150,31 +175,6 @@ script::ScriptError verify_input(const Transaction& tx, std::size_t input_index,
     }
   }
   return ScriptError::kBadOpcode;
-}
-
-std::optional<crypto::SigBatchItem> p2wpkh_sig_claim(const Transaction& tx,
-                                                     std::size_t input_index,
-                                                     const Output& spent,
-                                                     const crypto::SignatureScheme& scheme,
-                                                     const SighashCache& cache) {
-  if (spent.cond.type != Condition::Type::kP2WPKH) return std::nullopt;
-  if (input_index >= tx.inputs.size() || input_index >= tx.witnesses.size())
-    return std::nullopt;
-  const Witness& wit = tx.witnesses[input_index];
-  if (wit.stack.size() != 2 || wit.witness_script) return std::nullopt;
-  const Bytes& sig = wit.stack[0];
-  const Bytes& pubkey = wit.stack[1];
-  if (pubkey.size() != script::kPubKeySize) return std::nullopt;
-  const crypto::Hash160 h = crypto::hash160(pubkey);
-  if (Bytes(h.view().begin(), h.view().end()) != spent.cond.program) return std::nullopt;
-  const auto decoded = script::decode_wire_sig(sig, scheme.signature_size());
-  if (!decoded) return std::nullopt;
-  const auto pk = crypto::Point::from_compressed(pubkey);
-  if (!pk) return std::nullopt;
-  // SINGLE with no matching output: decline the claim so the fallback path
-  // reports it exactly as the direct path would.
-  if (is_single(decoded->flag) && input_index >= tx.outputs.size()) return std::nullopt;
-  return crypto::SigBatchItem{*pk, cache.digest(input_index, decoded->flag), decoded->raw};
 }
 
 Bytes sign_input(const Transaction& tx, std::size_t input_index, const crypto::Scalar& sk,

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <map>
-#include <optional>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "src/crypto/sha256.h"
 #include "src/crypto/sig_scheme.h"
@@ -64,14 +66,36 @@ class SighashCache {
   mutable std::map<script::SighashFlag, Entry> entries_;
 };
 
+/// Signature checks proved valid before the scripts that ask for them run,
+/// keyed by the 33-byte key, the digest and the raw signature (without the
+/// sighash flag byte). Insert only what a verification accepted.
+class ProvenSigs {
+ public:
+  void insert(const crypto::SigBatchItem& claim);
+  bool contains(BytesView pubkey, const Hash256& digest, BytesView sig) const;
+
+ private:
+  std::unordered_set<std::string> keys_;
+};
+
+/// What TxSigChecker does with a signature check instead of verifying it.
+struct SigClaims {
+  /// A check in this set answers true without verification.
+  const ProvenSigs* proven = nullptr;
+  /// When set, nothing is verified: every check with a well-formed key and
+  /// signature is appended here as a claim and answers true, so a caller
+  /// can prove a whole ledger round's claims in one batch.
+  std::vector<crypto::SigBatchItem>* record = nullptr;
+};
+
 /// SigChecker bound to one input of a transaction plus chain context.
 class TxSigChecker final : public script::SigChecker {
  public:
   TxSigChecker(const Transaction& tx, std::size_t input_index,
                const crypto::SignatureScheme& scheme, Round utxo_age,
-               const SighashCache* cache = nullptr)
+               const SighashCache* cache = nullptr, SigClaims claims = {})
       : tx_(tx), input_index_(input_index), scheme_(scheme), utxo_age_(utxo_age),
-        cache_(cache) {}
+        cache_(cache), claims_(claims) {}
 
   bool check_sig(BytesView wire_sig, BytesView pubkey) const override;
   bool check_locktime(std::uint32_t lock) const override;
@@ -83,27 +107,17 @@ class TxSigChecker final : public script::SigChecker {
   const crypto::SignatureScheme& scheme_;
   Round utxo_age_;
   const SighashCache* cache_;
+  SigClaims claims_;
 };
 
 /// Full SegWit-v0 verification of one input against the output it spends.
 /// `utxo_age` is the number of rounds since the spent output confirmed.
-/// `cache`, when given, must have been built over `tx`.
+/// `cache`, when given, must have been built over `tx`. `claims` is passed
+/// to the input's TxSigChecker.
 script::ScriptError verify_input(const Transaction& tx, std::size_t input_index,
                                  const Output& spent, const crypto::SignatureScheme& scheme,
-                                 Round utxo_age, const SighashCache* cache = nullptr);
-
-/// If input `input_index` is a structurally well-formed P2WPKH spend of
-/// `spent`, returns the (pubkey, digest, signature) claim it asserts, suitable
-/// for deferred batch verification. Returns nullopt on any mismatch — the
-/// caller must then run verify_input to get the precise error. P2WPKH carries
-/// exactly one signature with fixed semantics, so deferring it cannot change
-/// the verdict; script-path (P2WSH) spends may branch on CHECKSIG results and
-/// are never claimed here.
-std::optional<crypto::SigBatchItem> p2wpkh_sig_claim(const Transaction& tx,
-                                                     std::size_t input_index,
-                                                     const Output& spent,
-                                                     const crypto::SignatureScheme& scheme,
-                                                     const SighashCache& cache);
+                                 Round utxo_age, const SighashCache* cache = nullptr,
+                                 SigClaims claims = {});
 
 /// Convenience: sign `tx`'s digest under `flag` and wrap as a wire signature.
 Bytes sign_input(const Transaction& tx, std::size_t input_index, const crypto::Scalar& sk,

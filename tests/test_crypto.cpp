@@ -885,5 +885,132 @@ TEST(SchnorrBatch, SchemeInterfaceRoutesBatches) {
   EXPECT_FALSE(ecdsa.verify_batch(eitems));
 }
 
+// --- Multi-scalar sums: Strauss, buckets and the naive ladder ----------------
+//
+// multi_mul_is_infinity_vartime only answers "is the sum infinity?", so each
+// case appends the negated ladder sum −S as one more term: the call must
+// then report infinity, and must not once the generator coefficient moves by
+// one. It sums by Strauss below Point::kBucketMinTerms nonzero terms and by
+// buckets from there on, so the sizes below put cases on both sides, and
+// each method agrees with the ladder, and so with the other.
+
+constexpr std::size_t kCrossover = Point::kBucketMinTerms;
+
+struct MsmCase {
+  std::vector<Scalar> coeffs;
+  std::vector<Point> points;
+  Scalar gen{0};
+};
+
+Point ladder_sum(const MsmCase& c) {
+  Point sum = Point::mul_ladder_vartime(Point::generator(), c.gen);
+  for (std::size_t i = 0; i < c.points.size(); ++i)
+    sum = sum + Point::mul_ladder_vartime(c.points[i], c.coeffs[i]);
+  return sum;
+}
+
+// Batch-shaped random terms: even ones get 128-bit coefficients (like the
+// randomizers), odd ones full-width (like aᵢ·eᵢ).
+MsmCase random_msm(const std::string& label, std::size_t n) {
+  MsmCase c;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int k = static_cast<int>(i);
+    Scalar a = sweep_scalar(label + "/k", k);
+    if (i % 2 == 0) a = Scalar::from_u256(U256{a.raw().limb[0], a.raw().limb[1], 0, 0});
+    c.coeffs.push_back(a);
+    c.points.push_back(Point::mul_gen(sweep_scalar(label + "/p", k)));
+  }
+  c.gen = sweep_scalar(label + "/g", 0);
+  return c;
+}
+
+void expect_sum_matches_ladder(MsmCase c, const std::string& what) {
+  const Point sum = ladder_sum(c);
+  c.coeffs.push_back(Scalar(1));
+  c.points.push_back(sum.neg());
+  EXPECT_TRUE(Point::multi_mul_is_infinity_vartime(c.coeffs, c.points, c.gen)) << what;
+  EXPECT_FALSE(Point::multi_mul_is_infinity_vartime(c.coeffs, c.points, c.gen + Scalar(1)))
+      << what << " (off by G)";
+}
+
+TEST(MsmDifferential, RandomSumsOnBothSidesOfTheCrossover) {
+  // n random terms plus −S: Strauss up to kCrossover − 2, buckets from
+  // kCrossover − 1 on.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{6}, kCrossover - 2, kCrossover - 1,
+                              kCrossover, 3 * kCrossover}) {
+    for (int seed = 0; seed < 2; ++seed) {
+      const std::string label = "msm/" + std::to_string(n) + "/" + std::to_string(seed);
+      expect_sum_matches_ladder(random_msm(label, n), label);
+    }
+  }
+}
+
+TEST(MsmDifferential, EdgeInputs) {
+  const Scalar minus_one = Scalar(1).neg();  // n − 1
+  // 4 terms take Strauss; 2·kCrossover keep buckets even with two terms
+  // zeroed or at infinity.
+  for (const std::size_t n : {std::size_t{4}, 2 * kCrossover}) {
+    const std::string tag = " n=" + std::to_string(n);
+    MsmCase base = random_msm("msm-edge/" + std::to_string(n), n);
+    const Point p = base.points[1];
+    const Scalar k = base.coeffs[1];
+
+    MsmCase zeros = base;
+    zeros.coeffs[0] = Scalar(0);
+    zeros.coeffs[n - 1] = Scalar(0);
+    expect_sum_matches_ladder(zeros, "zero coefficients" + tag);
+
+    MsmCase inf = base;
+    inf.points[0] = Point();
+    inf.points.push_back(Point());
+    inf.coeffs.push_back(k);
+    expect_sum_matches_ladder(inf, "points at infinity" + tag);
+
+    MsmCase repeated = base;
+    repeated.points.push_back(p);
+    repeated.coeffs.push_back(k);  // same point, same digits in every window
+    expect_sum_matches_ladder(repeated, "repeated point" + tag);
+
+    MsmCase opposite = base;
+    opposite.points.push_back(p.neg());
+    opposite.coeffs.push_back(k);  // cancels term 1 exactly
+    expect_sum_matches_ladder(opposite, "P and -P" + tag);
+
+    MsmCase order_minus_one = base;
+    order_minus_one.coeffs[2] = minus_one;
+    order_minus_one.coeffs[3] = minus_one;
+    expect_sum_matches_ladder(order_minus_one, "coefficient n-1" + tag);
+
+    MsmCase no_gen = base;
+    no_gen.gen = Scalar(0);
+    expect_sum_matches_ladder(no_gen, "gen_coeff 0" + tag);
+
+    // Sums that vanish on their own, with gen_coeff 0: per point
+    // k·P + k·(−P) and 1·P + (n−1)·P.
+    std::vector<Point> pts;
+    std::vector<Scalar> ks;
+    for (std::size_t i = 0; i < n; i += 4) {
+      pts.insert(pts.end(), {base.points[i], base.points[i].neg(), base.points[i],
+                             base.points[i]});
+      ks.insert(ks.end(), {base.coeffs[i], base.coeffs[i], Scalar(1), minus_one});
+    }
+    EXPECT_TRUE(Point::multi_mul_is_infinity_vartime(ks, pts, Scalar(0))) << tag;
+    EXPECT_FALSE(Point::multi_mul_is_infinity_vartime(ks, pts, Scalar(1))) << tag;
+  }
+}
+
+TEST(SchnorrBatch, RejectsOneTamperedItemAroundTheCrossover) {
+  const std::size_t sigs = kCrossover / 2;  // two terms per signature
+  for (const std::size_t n : {sigs - 1, sigs, 4 * sigs}) {
+    const auto items = make_batch(static_cast<int>(n));
+    ASSERT_TRUE(crypto::schnorr_verify_batch(items)) << "n=" << n;
+    for (const std::size_t victim : {std::size_t{0}, n / 2, n - 1}) {
+      auto tampered = items;
+      tampered[victim].sig[50] ^= 0x01;  // s stays a valid scalar encoding
+      EXPECT_FALSE(crypto::schnorr_verify_batch(tampered)) << "n=" << n << " victim=" << victim;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace daric

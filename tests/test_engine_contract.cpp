@@ -1,8 +1,9 @@
 // The channel::Engine contract over all six engines, driven only through
-// channel::Engine&: an honest lifecycle pays the last balances to the
-// parties' payout keys, and a revoked commit published while both monitors
-// are dark stays unanswered until they return, then resolves the way the
-// engine promises (punishment, the tower's cut, or eltoo's override).
+// channel::Engine&: an honest lifecycle and a force close pay the last
+// balances to the parties' payout keys, and a revoked commit published
+// while both monitors are dark stays unanswered until they return, then
+// resolves the way the engine promises (punishment, the tower's cut, or
+// eltoo's override).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -115,6 +116,16 @@ TEST_P(EngineContract, HonestLifecyclePaysTheLastBalances) {
   EXPECT_TRUE(ch.closed());
   EXPECT_EQ(ch.outcome(PartyId::kA), Outcome::kCooperative);
   EXPECT_EQ(ch.outcome(PartyId::kB), Outcome::kCooperative);
+  EXPECT_EQ(paid(PartyId::kA), kLast.to_a);
+  EXPECT_EQ(paid(PartyId::kB), kLast.to_b);
+}
+
+TEST_P(EngineContract, ForceClosePaysTheLastBalances) {
+  Engine& ch = *engine_;
+  open_and_update(ch);
+  ch.force_close(PartyId::kA);
+  ASSERT_TRUE(ch.run_until_closed());
+  EXPECT_EQ(ch.outcome(PartyId::kA), Outcome::kNonCollaborative);
   EXPECT_EQ(paid(PartyId::kA), kLast.to_a);
   EXPECT_EQ(paid(PartyId::kB), kLast.to_b);
 }

@@ -83,9 +83,8 @@ TEST_F(LedgerTest, Rule2BadWitnessRejected) {
   EXPECT_EQ(ledger_.post_result(t.txid()), TxError::kBadWitness);
 }
 
-// Multi-input P2WPKH spends take the deferred batch-verification path
-// (schnorr supports batch verify); the verdict must match per-input
-// verification for both valid and tampered witnesses.
+// Multi-input P2WPKH spends alone in their round verify input by input; one
+// tampered signature sinks the whole transaction.
 TEST_F(LedgerTest, MultiInputBatchVerifiedSpendAccepted) {
   std::vector<tx::OutPoint> ops;
   for (int i = 0; i < 4; ++i)
@@ -123,6 +122,28 @@ TEST_F(LedgerTest, MultiInputBatchRejectsOneTamperedSignature) {
   ledger_.advance_rounds(3);
   EXPECT_EQ(ledger_.post_result(t.txid()), TxError::kBadWitness);
   for (const auto& op : ops) EXPECT_TRUE(ledger_.is_unspent(op));
+}
+
+// Inputs are judged in order for every scheme: a bad P2WPKH signature ahead
+// of a missing or repeated input is the transaction's error.
+TEST_F(LedgerTest, BadSignatureBeforeBadLaterInputIsBadWitness) {
+  const tx::OutPoint op = ledger_.mint(1000, tx::Condition::p2wpkh(kOwner.pk.compressed()));
+  const tx::OutPoint bogus{crypto::Sha256::hash(Bytes{2}), 0};
+  for (const tx::OutPoint& second : {bogus, op}) {
+    tx::Transaction t;
+    t.inputs = {{op}, {second}};
+    t.outputs = {{900, tx::Condition::p2wpkh(kOther.pk.compressed())}};
+    t.witnesses.resize(2);
+    for (std::size_t i = 0; i < 2; ++i)
+      t.witnesses[i].stack = {
+          tx::sign_input(t, i, kOwner.sk, crypto::schnorr_scheme(), SighashFlag::kAll),
+          kOwner.pk.compressed()};
+    t.witnesses[0].stack[0][12] ^= 1;
+    ledger_.post(t);
+    ledger_.advance_rounds(3);
+    EXPECT_EQ(ledger_.post_result(t.txid()), TxError::kBadWitness);
+  }
+  EXPECT_TRUE(ledger_.is_unspent(op));
 }
 
 TEST_F(LedgerTest, Rule3ZeroValueOutputRejected) {
@@ -213,6 +234,185 @@ TEST_F(LedgerTest, CsvEnforcedViaUtxoAge) {
   ledger_.advance_round();
   EXPECT_TRUE(ledger_.is_confirmed(t.txid()));
 }
+
+// --- One round's signatures proved in one batch ---------------------------
+
+/// Forwards to another scheme and counts single and batch verifications.
+/// With `batch` false it hides batch support, which keeps a ledger on the
+/// sequential path: the reference the batched round must match.
+class CountingWrapper final : public crypto::SignatureScheme {
+ public:
+  CountingWrapper(const crypto::SignatureScheme& inner, bool batch)
+      : inner_(inner), batch_(batch) {}
+
+  std::string name() const override { return inner_.name(); }
+  std::size_t signature_size() const override { return inner_.signature_size(); }
+  Bytes sign(const crypto::Scalar& sk, const Hash256& msg) const override {
+    return inner_.sign(sk, msg);
+  }
+  bool verify(const crypto::Point& pk, const Hash256& msg, BytesView sig) const override {
+    ++verifies;
+    return inner_.verify(pk, msg, sig);
+  }
+  bool supports_adaptor() const override { return inner_.supports_adaptor(); }
+  bool supports_batch_verify() const override { return batch_ && inner_.supports_batch_verify(); }
+  bool verify_batch(std::span<const crypto::SigBatchItem> items) const override {
+    ++batches;
+    return inner_.verify_batch(items);
+  }
+
+  mutable int verifies = 0;
+  mutable int batches = 0;
+
+ private:
+  const crypto::SignatureScheme& inner_;
+  bool batch_;
+};
+
+const auto kRoundA = crypto::derive_keypair("ledger-round/a");
+const auto kRoundB = crypto::derive_keypair("ledger-round/b");
+
+/// One round's worth of posts: 2-of-2 P2WSH and P2WPKH spends, a parent
+/// and its child, a double-spend pair, a re-post and a script that branches
+/// on a failing CHECKSIG. With `bad_sig`, one P2WPKH signature is tampered.
+/// With `bad_child`, a second parent's child carries a tampered signature:
+/// the claim pass cannot see it (its input is not in the pre-round UTXO
+/// set), so only the sequential pass can reject it. Mints into `l` first;
+/// the same call on a fresh ledger mints the same outpoints, so the posts
+/// are identical across ledgers.
+std::vector<tx::Transaction> build_round(Ledger& l, bool bad_sig, bool bad_child) {
+  const auto& scheme = crypto::schnorr_scheme();
+  const script::Script ms =
+      script::multisig_2of2(kRoundA.pk.compressed(), kRoundB.pk.compressed());
+  const auto pay = [](Amount v) {
+    return tx::Output{v, tx::Condition::p2wpkh(kOther.pk.compressed())};
+  };
+  std::vector<tx::Transaction> posts;
+  for (int i = 0; i < 100; ++i) {
+    tx::Transaction t;
+    t.inputs = {{l.mint(1000, tx::Condition::p2wsh(ms))}};
+    t.outputs = {pay(990)};
+    t.witnesses.resize(1);
+    t.witnesses[0].witness_script = ms;
+    t.witnesses[0].stack = {Bytes{}, tx::sign_input(t, 0, kRoundA, scheme, SighashFlag::kAll),
+                            tx::sign_input(t, 0, kRoundB, scheme, SighashFlag::kAll)};
+    posts.push_back(t);
+  }
+  const auto p2wpkh = tx::Condition::p2wpkh(kOwner.pk.compressed());
+  const auto spend_owner = [&](const tx::OutPoint& op, Amount out) {
+    tx::Transaction t;
+    t.inputs = {{op}};
+    t.outputs = {pay(out)};
+    t.witnesses.resize(1);
+    t.witnesses[0].stack = {tx::sign_input(t, 0, kOwner, scheme, SighashFlag::kAll),
+                            kOwner.pk.compressed()};
+    return t;
+  };
+  for (int i = 0; i < 90; ++i) posts.push_back(spend_owner(l.mint(1000, p2wpkh), 995));
+  if (bad_sig) posts[150].witnesses[0].stack[0][20] ^= 0x01;
+
+  // Parent and child: the child spends a hashlock output the parent creates
+  // in the same round, so it needs no signature.
+  const Bytes preimage{7, 7, 7};
+  script::Script lock;
+  lock.op(script::Op::OP_SHA256).push(crypto::Sha256::hash(preimage).view())
+      .op(script::Op::OP_EQUAL);
+  tx::Transaction parent = spend_owner(l.mint(1000, p2wpkh), 0);
+  parent.outputs = {{990, tx::Condition::p2wsh(lock)}};
+  parent.witnesses[0].stack[0] =
+      tx::sign_input(parent, 0, kOwner, scheme, SighashFlag::kAll);
+  tx::Transaction child;
+  child.inputs = {{{parent.txid(), 0}}};
+  child.outputs = {pay(980)};
+  child.witnesses.resize(1);
+  child.witnesses[0].witness_script = lock;
+  child.witnesses[0].stack = {preimage};
+  posts.push_back(parent);
+  posts.push_back(child);
+
+  // A double-spend pair (the first wins) and an identical re-post.
+  const tx::OutPoint contested = l.mint(1000, p2wpkh);
+  posts.push_back(spend_owner(contested, 900));
+  posts.push_back(spend_owner(contested, 800));
+  posts.push_back(posts[3]);
+
+  // <A> CHECKSIG IF 1 ELSE <B> CHECKSIG ENDIF, fed an empty signature for
+  // A: the first CHECKSIG fails and the script takes B's branch.
+  script::Script branch;
+  branch.push(kRoundA.pk.compressed()).op(script::Op::OP_CHECKSIG).op(script::Op::OP_IF)
+      .small_int(1).op(script::Op::OP_ELSE).push(kRoundB.pk.compressed())
+      .op(script::Op::OP_CHECKSIG).op(script::Op::OP_ENDIF);
+  tx::Transaction fork;
+  fork.inputs = {{l.mint(1000, tx::Condition::p2wsh(branch))}};
+  fork.outputs = {pay(990)};
+  fork.witnesses.resize(1);
+  fork.witnesses[0].witness_script = branch;
+  fork.witnesses[0].stack = {tx::sign_input(fork, 0, kRoundB, scheme, SighashFlag::kAll),
+                             Bytes{}};
+  posts.push_back(fork);
+
+  if (bad_child) {
+    const tx::Transaction parent2 = spend_owner(l.mint(1000, p2wpkh), 990);
+    tx::Transaction child2;
+    child2.inputs = {{{parent2.txid(), 0}}};
+    child2.outputs = {pay(980)};
+    child2.witnesses.resize(1);
+    child2.witnesses[0].stack = {tx::sign_input(child2, 0, kOther, scheme, SighashFlag::kAll),
+                                 kOther.pk.compressed()};
+    child2.witnesses[0].stack[0][20] ^= 0x01;
+    posts.push_back(parent2);
+    posts.push_back(child2);
+  }
+  return posts;
+}
+
+void expect_same_round(bool bad_sig, bool bad_child) {
+  const CountingWrapper seq_scheme(crypto::schnorr_scheme(), false);
+  const CountingWrapper batch_scheme(crypto::schnorr_scheme(), true);
+  Ledger ref(2, seq_scheme);
+  Ledger batched(2, batch_scheme);
+  const std::vector<tx::Transaction> posts = build_round(ref, bad_sig, bad_child);
+  ASSERT_EQ(build_round(batched, bad_sig, bad_child).size(), posts.size());
+  ASSERT_GE(posts.size(), 190u);
+  for (Ledger* l : {&ref, &batched}) {
+    for (const tx::Transaction& t : posts) l->post(t);
+    l->advance_rounds(2);  // every post is due in the second round
+  }
+
+  for (const tx::Transaction& t : posts)
+    EXPECT_EQ(batched.post_result(t.txid()), ref.post_result(t.txid()));
+  ASSERT_EQ(batched.accepted().size(), ref.accepted().size());
+  for (std::size_t i = 0; i < ref.accepted().size(); ++i)
+    EXPECT_EQ(batched.accepted()[i].tx.txid(), ref.accepted()[i].tx.txid()) << "position " << i;
+  ASSERT_EQ(batched.utxos().size(), ref.utxos().size());
+  for (const auto& [op, u] : ref.utxos().entries()) {
+    const auto other = batched.find_utxo(op);
+    ASSERT_TRUE(other.has_value());
+    EXPECT_EQ(other->output, u.output);
+    EXPECT_EQ(other->recorded_round, u.recorded_round);
+  }
+  EXPECT_EQ(batched.fees_total(), ref.fees_total());
+
+  // Spot checks of the verdicts themselves.
+  EXPECT_EQ(ref.post_result(posts[190].txid()), TxError::kOk);  // parent
+  EXPECT_EQ(ref.post_result(posts[191].txid()), TxError::kOk);  // child
+  EXPECT_EQ(ref.post_result(posts[193].txid()), TxError::kMissingInput);  // double spend
+  EXPECT_EQ(ref.post_result(posts[3].txid()), TxError::kDuplicateTxid);   // the re-post
+  EXPECT_EQ(ref.post_result(posts[195].txid()), TxError::kOk);            // branch
+  EXPECT_EQ(ref.post_result(posts[150].txid()), bad_sig ? TxError::kBadWitness : TxError::kOk);
+  EXPECT_EQ(ref.post_result(posts.back().txid()),
+            bad_child ? TxError::kBadWitness : TxError::kOk);
+
+  EXPECT_EQ(seq_scheme.batches, 0);
+  EXPECT_EQ(batch_scheme.batches, 1);
+  EXPECT_EQ(batch_scheme.verifies == 0, !bad_sig && !bad_child);
+}
+
+TEST(LedgerRound, BatchedRoundMatchesSequentialReference) { expect_same_round(false, false); }
+
+TEST(LedgerRound, FailedBatchFallsBackToTheSameVerdicts) { expect_same_round(true, false); }
+
+TEST(LedgerRound, UnclaimedBadSignatureStillRejected) { expect_same_round(false, true); }
 
 // --- Randomized-schedule properties -------------------------------------
 

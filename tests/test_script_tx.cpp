@@ -449,35 +449,73 @@ TEST(SighashCache, VerifyInputAcceptsCachedDigests) {
             ScriptError::kOk);
 }
 
-TEST(P2wpkhSigClaim, ClaimsWellFormedSpendAndDeclinesMismatches) {
-  const Spend s = make_p2wpkh_spend(kA, 1000);
-  const tx::SighashCache cache(s.tx);
+TEST(SigClaims, RecordsWellFormedChecksAndDeclinesMismatches) {
   const auto& scheme = crypto::schnorr_scheme();
-  const auto claim = tx::p2wpkh_sig_claim(s.tx, 0, s.spent, scheme, cache);
-  ASSERT_TRUE(claim.has_value());
-  EXPECT_EQ(claim->msg, tx::sighash_digest(s.tx, 0, SighashFlag::kAll));
-  EXPECT_TRUE(scheme.verify(claim->pk, claim->msg, claim->sig));
+  std::vector<crypto::SigBatchItem> claims;
+  const tx::SigClaims record{nullptr, &claims};
 
-  // Wrong pubkey hash: decline, let verify_input report kEqualVerifyFailed.
+  // A well-formed P2WPKH spend: one claim over the ALL digest, answered true.
+  const Spend s = make_p2wpkh_spend(kA, 1000);
+  ASSERT_EQ(tx::verify_input(s.tx, 0, s.spent, scheme, 0, nullptr, record), ScriptError::kOk);
+  ASSERT_EQ(claims.size(), 1u);
+  EXPECT_EQ(claims[0].pk, kA.pk);
+  EXPECT_EQ(claims[0].msg, tx::sighash_digest(s.tx, 0, SighashFlag::kAll));
+  EXPECT_TRUE(scheme.verify(claims[0].pk, claims[0].msg, claims[0].sig));
+
+  // Wrong pubkey hash: the witness fails before any signature check, so
+  // nothing is claimed and the error is the one the verifying path reports.
+  claims.clear();
   Spend wrong_key = make_p2wpkh_spend(kA, 1000);
   wrong_key.tx.witnesses[0].stack[1] = kB.pk.compressed();
-  const tx::SighashCache wrong_cache(wrong_key.tx);
-  EXPECT_FALSE(
-      tx::p2wpkh_sig_claim(wrong_key.tx, 0, wrong_key.spent, scheme, wrong_cache));
+  EXPECT_EQ(tx::verify_input(wrong_key.tx, 0, wrong_key.spent, scheme, 0, nullptr, record),
+            ScriptError::kEqualVerifyFailed);
+  EXPECT_TRUE(claims.empty());
 
-  // P2WSH outputs are never claimed for deferral.
+  // A P2WSH 2-of-2 spend is claimed too: one claim per key, in script order.
   const Script ms = script::multisig_2of2(kA.pk.compressed(), kB.pk.compressed());
   const tx::Output wsh{1000, tx::Condition::p2wsh(ms)};
-  EXPECT_FALSE(tx::p2wpkh_sig_claim(s.tx, 0, wsh, scheme, cache));
+  tx::Transaction t = s.tx;
+  t.witnesses[0].witness_script = ms;
+  t.witnesses[0].stack = {Bytes{}, tx::sign_input(t, 0, kA.sk, scheme, SighashFlag::kAll),
+                          tx::sign_input(t, 0, kB.sk, scheme, SighashFlag::kAll)};
+  ASSERT_EQ(tx::verify_input(t, 0, wsh, scheme, 0, nullptr, record), ScriptError::kOk);
+  ASSERT_EQ(claims.size(), 2u);
+  EXPECT_EQ(claims[0].pk, kA.pk);
+  EXPECT_EQ(claims[1].pk, kB.pk);
 
-  // A tampered signature is still claimed (it is structurally fine) and
-  // fails at verification time, exactly like the inline path.
+  // A tampered signature is still claimed (it is well-formed) and answered
+  // true; it fails when the claim is proved, exactly like the inline path.
+  claims.clear();
   Spend bad_sig = make_p2wpkh_spend(kA, 1000);
   bad_sig.tx.witnesses[0].stack[0][7] ^= 1;
-  const tx::SighashCache bad_cache(bad_sig.tx);
-  const auto bad = tx::p2wpkh_sig_claim(bad_sig.tx, 0, bad_sig.spent, scheme, bad_cache);
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_FALSE(scheme.verify(bad->pk, bad->msg, bad->sig));
+  EXPECT_EQ(tx::verify_input(bad_sig.tx, 0, bad_sig.spent, scheme, 0, nullptr, record),
+            ScriptError::kOk);
+  ASSERT_EQ(claims.size(), 1u);
+  EXPECT_FALSE(scheme.verify(claims[0].pk, claims[0].msg, claims[0].sig));
+  EXPECT_EQ(tx::verify_input(bad_sig.tx, 0, bad_sig.spent, scheme, 0),
+            ScriptError::kBadSignature);
+}
+
+TEST(SigClaims, ProvenSetAnswersOnlyItsOwnTriples) {
+  const auto& scheme = crypto::schnorr_scheme();
+  const Spend s = make_p2wpkh_spend(kA, 1000);
+  std::vector<crypto::SigBatchItem> claims;
+  ASSERT_EQ(tx::verify_input(s.tx, 0, s.spent, scheme, 0, nullptr, {nullptr, &claims}),
+            ScriptError::kOk);
+  ASSERT_EQ(claims.size(), 1u);
+
+  // A proven triple answers true; any other triple is verified as usual.
+  tx::ProvenSigs proven;
+  proven.insert(claims[0]);
+  EXPECT_TRUE(proven.contains(kA.pk.compressed(), claims[0].msg, claims[0].sig));
+  EXPECT_FALSE(proven.contains(kB.pk.compressed(), claims[0].msg, claims[0].sig));
+  EXPECT_EQ(tx::verify_input(s.tx, 0, s.spent, scheme, 0, nullptr, {&proven, nullptr}),
+            ScriptError::kOk);
+  Spend bad_sig = make_p2wpkh_spend(kA, 1000);
+  bad_sig.tx.witnesses[0].stack[0][7] ^= 1;
+  EXPECT_EQ(tx::verify_input(bad_sig.tx, 0, bad_sig.spent, scheme, 0, nullptr,
+                             {&proven, nullptr}),
+            ScriptError::kBadSignature);
 }
 
 // --- Wire signatures -------------------------------------------------------
