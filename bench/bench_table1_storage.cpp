@@ -89,9 +89,7 @@ int main() {
     // watch entry + CRC frame). Both must stay flat alongside the in-RAM
     // columns for the Table-1 claim to hold on persistent storage too.
     const std::size_t daric_party_disk =
-        daricch::serialize_snapshot(
-            daricch::snapshot_party_durable(daric_ch.party(PartyId::kA)))
-            .size();
+        daricch::serialize_snapshot(daricch::snapshot_party(daric_ch.party(PartyId::kA))).size();
     const std::size_t daric_tower_disk =
         1 +
         store::serialize_watch_entry(store::make_watch_entry(

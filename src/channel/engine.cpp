@@ -69,7 +69,7 @@ int Engine::send_or_close(sim::PartyId from, const char* type) {
 
 bool Engine::abort_to(sim::PartyId who) {
   force_close(who);
-  run_until_closed();
+  for (Round r = 0; r < kCloseRounds && outcome(who) == Outcome::kNone; ++r) env_.advance_round();
   return false;
 }
 

@@ -40,8 +40,9 @@ enum class Outcome {
 
 const char* outcome_name(Outcome o);
 
-/// Rounds run_until_closed advances before giving up. A Daric party that
-/// went silent never closes, so an abort to it spends this whole budget.
+/// Rounds run_until_closed and abort_to advance before giving up. A Daric
+/// party that went dark never closes, so waiting for it (run_until_closed)
+/// spends this whole budget; abort_to waits only for the aborting party.
 inline constexpr Round kCloseRounds = 200;
 
 class Engine {
@@ -89,8 +90,9 @@ class Engine {
   int send_reliable(sim::PartyId from, const char* type);
   /// send_reliable, and abort_to(from) when it times out.
   int send_or_close(sim::PartyId from, const char* type);
-  /// `who` gives up on the counterparty: force_close(who), then
-  /// run_until_closed(). Always returns false (the failed operation).
+  /// `who` gives up on the counterparty: force_close(who), then rounds
+  /// until outcome(who) resolves (the channel's outcome for the baselines).
+  /// Always returns false (the failed operation).
   bool abort_to(sim::PartyId who);
   /// The baselines' cooperative close: `initiator` sends `type` (aborting to
   /// a force close on silence), then `close`, signed by both, is posted and

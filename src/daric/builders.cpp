@@ -110,6 +110,11 @@ void attach_revoke_witness(tx::Transaction& t, std::size_t input,
   t.witnesses[input].witness_script = commit_script;
 }
 
+bool takes_revocation_branch(const tx::Transaction& t) {
+  return !t.witnesses.empty() && !t.witnesses[0].stack.empty() &&
+         t.witnesses[0].stack.back() == Bytes{1};
+}
+
 void attach_p2wpkh_witness(tx::Transaction& t, std::size_t input, Bytes sig, Bytes pubkey) {
   ensure_witness_slot(t, input);
   t.witnesses[input].stack = {std::move(sig), std::move(pubkey)};

@@ -85,6 +85,11 @@ void attach_split_witness(tx::Transaction& t, std::size_t input, const script::S
 void attach_revoke_witness(tx::Transaction& t, std::size_t input, const script::Script& commit_script,
                            Bytes sig_a, Bytes sig_b);
 
+/// Whether `t`'s first input took a commit output's revocation branch (the
+/// witness attach_revoke_witness builds ends in 1). Every split and
+/// revocation spends the commit output at input 0.
+bool takes_revocation_branch(const tx::Transaction& t);
+
 /// Witness for a P2WPKH spend: [sig, pubkey].
 void attach_p2wpkh_witness(tx::Transaction& t, std::size_t input, Bytes sig, Bytes pubkey);
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
-#include "src/tx/sighash.h"
 #include "src/util/serialize.h"
 
 namespace daric::daricch {
 
-using script::SighashFlag;
 using sim::PartyId;
 
 namespace {
@@ -219,51 +218,91 @@ channel::StateVec read_state(Reader& r) {
 
 ChannelSnapshot snapshot_party(const DaricParty& p) {
   if (!p.channel_open()) throw std::logic_error("channel not open");
-  if (p.flag() != channel::ChannelFlag::kStable)
-    throw std::logic_error("snapshot only between updates");
   ChannelSnapshot s;
   s.params = p.params_;
   s.id = p.id();
-  s.sn = p.state_number();
-  s.theta_state = p.state_number();  // stable: Θ covers everything below sn
-  s.st = p.state();
   s.fund_op = p.fund_op_;
-  s.cm_own = p.cm_own_;
-  s.cm_own_script = p.cm_own_script_;
-  s.cm_other_script = p.cm_other_script_;
-  s.split_body = p.split_.body;
-  s.split_sig_a = p.split_.sig_a;
-  s.split_sig_b = p.split_.sig_b;
   s.theta_sig = p.theta_sig_;
   s.pub_other = p.pub_other_;
-  return s;
-}
-
-ChannelSnapshot snapshot_party_durable(const DaricParty& p) {
-  if (p.flag_ != channel::ChannelFlag::kUpdating) return snapshot_party(p);
-  if (!p.channel_open()) throw std::logic_error("channel not open");
+  s.theta_state = p.sn_;  // Θ covers everything below the stable sn
+  if (p.flag_ == channel::ChannelFlag::kStable) {
+    s.sn = p.sn_;
+    s.st = p.st_;
+    s.cm_own = p.cm_own_;
+    s.cm_own_script = p.cm_own_script_;
+    s.cm_other_script = p.cm_other_script_;
+    s.split_body = p.split_.body;
+    s.split_sig_a = p.split_.sig_a;
+    s.split_sig_b = p.split_.sig_b;
+    return s;
+  }
   if (!p.cm_own_new_ || !p.split_new_.complete())
-    throw std::logic_error("durable mid-update snapshot needs the post-message-4 state");
+    throw std::logic_error("mid-update snapshot needs the post-message-4 state");
   // Post-message-4 window: the party holds a fully-signed commit for sn+1
   // and the complete floating split, but its own revocation of sn has not
   // yet been externalized — so the snapshot advances Γ while Θ's coverage
   // stays at the old sn.
-  ChannelSnapshot s;
-  s.params = p.params_;
-  s.id = p.id();
   s.sn = p.sn_ + 1;
-  s.theta_state = p.sn_;
   s.st = p.st_prime_;
-  s.fund_op = p.fund_op_;
   s.cm_own = *p.cm_own_new_;
   s.cm_own_script = p.cm_own_new_script_;
   s.cm_other_script = p.cm_other_new_script_;
   s.split_body = p.split_new_.body;
   s.split_sig_a = p.split_new_.sig_a;
   s.split_sig_b = p.split_new_.sig_b;
-  s.theta_sig = p.theta_sig_;
-  s.pub_other = p.pub_other_;
   return s;
+}
+
+void restore_party(DaricChannel& ch, PartyId who, const ChannelSnapshot& s) {
+  DaricParty& p = ch.party(who);
+  if (s.id != who) throw std::invalid_argument("snapshot belongs to the other party");
+  if (s.params.id != p.params_.id) throw std::invalid_argument("snapshot of another channel");
+  if (s.theta_state + 1 < s.sn) throw std::invalid_argument("snapshot Θ lags Γ by over a state");
+  // The commit pair of the snapshot's state, rebuilt from the channel's keys.
+  const bool is_a = who == PartyId::kA;
+  const DaricPubKeys& peer = ch.party(sim::other(who)).pub();
+  const CommitPair c = gen_commit(s.fund_op, p.params_.capacity(), is_a ? p.pub_own_ : peer,
+                                  is_a ? peer : p.pub_own_, s.sn, p.params_);
+  if (s.pub_other != peer || s.cm_own.txid() != (is_a ? c.body_a : c.body_b).txid() ||
+      s.cm_own_script != (is_a ? c.script_a : c.script_b) ||
+      s.cm_other_script != (is_a ? c.script_b : c.script_a))
+    throw std::invalid_argument("snapshot commits disagree with the channel's keys");
+
+  // Γ as the snapshot holds it; the crash lost everything else.
+  p.fund_op_ = s.fund_op;
+  p.pub_other_ = s.pub_other;
+  p.sn_ = s.sn;
+  p.st_ = s.st;
+  p.cm_own_ = s.cm_own;
+  p.cm_own_script_ = s.cm_own_script;
+  p.cm_other_body_ = is_a ? c.body_b : c.body_a;
+  p.cm_other_script_ = s.cm_other_script;
+  p.split_ = {s.split_body, s.split_sig_a, s.split_sig_b};
+  p.theta_sig_ = s.theta_sig;
+  p.flag_ = channel::ChannelFlag::kStable;
+  p.cm_own_new_.reset();
+  p.st_prime_ = {};
+  if (s.theta_state < s.sn) {
+    // Post-message-4 snapshot: it is the Γ′ of an update whose Γ (state
+    // sn − 1) died with the process, and Θ still covers only states below it.
+    p.flag_ = channel::ChannelFlag::kUpdating;
+    p.sn_ = s.theta_state;
+    p.st_prime_ = std::exchange(p.st_, {});
+    p.cm_own_new_ = std::exchange(p.cm_own_, {});
+    p.cm_own_new_script_ = std::exchange(p.cm_own_script_, {});
+    p.cm_other_new_body_ = std::exchange(p.cm_other_body_, {});
+    p.cm_other_new_script_ = std::exchange(p.cm_other_script_, {});
+    p.split_new_ = std::exchange(p.split_, {});
+  }
+  p.pending_split_.reset();
+  p.pending_revocation_txid_.reset();
+  p.expected_coop_txid_.reset();
+  p.outcome_ = CloseOutcome::kNone;
+  p.closed_round_.reset();
+  p.durability_ = nullptr;  // the crashed process's store
+  p.open_ = true;
+  p.env_.watch_spend(p.hook_, p.fund_op_);
+  p.set_online(true);
 }
 
 Bytes serialize_snapshot(const ChannelSnapshot& s) {
@@ -323,89 +362,6 @@ ChannelSnapshot deserialize_snapshot(BytesView data) {
   s.pub_other = read_pubkeys(r);
   if (!r.empty()) throw std::invalid_argument("trailing snapshot bytes");
   return s;
-}
-
-// ---------------------------------------------------------------------------
-// RestoredParty
-// ---------------------------------------------------------------------------
-
-RestoredParty::RestoredParty(sim::Environment& env, ChannelSnapshot snapshot)
-    : env_(env),
-      s_(std::move(snapshot)),
-      keys_(DaricKeys::derive(sim::party_name(s_.id), s_.params.id)) {}
-
-void RestoredParty::force_close() { env_.ledger().post(s_.cm_own); }
-
-void RestoredParty::on_round() {
-  if (done()) return;
-  auto& ledger = env_.ledger();
-
-  if (pending_txid_) {
-    if (ledger.is_confirmed(*pending_txid_)) outcome_ = CloseOutcome::kPunished;
-    return;
-  }
-  if (pending_split_) {
-    auto& [post_round, bound] = *pending_split_;
-    if (post_round != -1 && env_.now() >= post_round) {
-      ledger.post(bound);
-      post_round = -1;  // posted
-    } else if (post_round == -1 && ledger.is_confirmed(bound.txid())) {
-      outcome_ = CloseOutcome::kNonCollaborative;
-    }
-    return;
-  }
-
-  const auto spender = ledger.spender_of(s_.fund_op);
-  if (!spender) return;
-  const Hash256 id = spender->txid();
-  const auto conf = ledger.confirmation_round(id);
-
-  if (id == s_.cm_own.txid() ||
-      spender->outputs[0].cond == tx::Condition::p2wsh(s_.cm_other_script)) {
-    // Latest state (ours or the counterparty's): split after T.
-    const script::Script& scr =
-        id == s_.cm_own.txid() ? s_.cm_own_script : s_.cm_other_script;
-    tx::Transaction bound = s_.split_body;
-    bind_floating(bound, {id, 0});
-    attach_split_witness(bound, 0, scr, s_.split_sig_a, s_.split_sig_b);
-    pending_split_ = {{(conf ? *conf : env_.now()) + s_.params.t_punish, std::move(bound)}};
-    return;
-  }
-
-  // Anything else spending the funding output is a revoked counterparty
-  // commit: rebuild its script from the nLockTime-encoded state and punish.
-  // Θ only covers states below theta_state (for a mid-update snapshot that
-  // is one behind sn — the own revocation of sn-1 was never sent, so the
-  // counterparty's sn-1 commit is NOT revoked and must not be punished).
-  if (s_.theta_state == 0 || s_.theta_sig.empty()) return;
-  if (spender->nlocktime < s_.params.s0) return;
-  const std::uint32_t j = spender->nlocktime - s_.params.s0;
-  const auto csv = static_cast<std::uint32_t>(s_.params.t_punish);
-  const DaricPubKeys pub_own = to_pub(keys_);
-  const DaricPubKeys& pa = s_.id == PartyId::kA ? pub_own : s_.pub_other;
-  const DaricPubKeys& pb = s_.id == PartyId::kA ? s_.pub_other : pub_own;
-  const script::Script guess =
-      s_.id == PartyId::kA
-          ? commit_script(pa.sp, pb.sp, pa.rv2, pb.rv2, s_.params.s0 + j, csv)
-          : commit_script(pa.sp, pb.sp, pa.rv, pb.rv, s_.params.s0 + j, csv);
-  if (spender->outputs.size() != 1 ||
-      spender->outputs[0].cond != tx::Condition::p2wsh(guess) || j >= s_.theta_state)
-    return;
-
-  tx::Transaction rv =
-      gen_revoke(pub_own.main, s_.params.capacity(), s_.theta_state - 1, s_.params);
-  bind_floating(rv, {id, 0});
-  const SighashFlag flag = s_.params.feeable_revocations ? SighashFlag::kSingleAnyPrevOut
-                                                         : SighashFlag::kAllAnyPrevOut;
-  const crypto::Scalar& sk = s_.id == PartyId::kA ? keys_.rv2.sk : keys_.rv.sk;
-  const Bytes own = tx::sign_input(rv, 0, sk, env_.scheme(), flag);
-  if (s_.id == PartyId::kA) {
-    attach_revoke_witness(rv, 0, guess, own, s_.theta_sig);
-  } else {
-    attach_revoke_witness(rv, 0, guess, s_.theta_sig, own);
-  }
-  ledger.post(rv);
-  pending_txid_ = rv.txid();
 }
 
 }  // namespace daric::daricch

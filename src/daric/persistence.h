@@ -2,9 +2,10 @@
 //
 // Everything a party must persist to stay safe is the Γ/Θ store — the very
 // quantity Table 1 bounds. This module serializes that store to a flat
-// byte blob and restores a fully-armed monitor from it: after a crash and
-// restore, the party can still force-close, produce its split, and punish
-// any revoked commit. The blob's size is the measured O(1) storage.
+// byte blob and loads it back into the channel's DaricParty: after a crash
+// and restore, the party's one monitor can still force-close, produce its
+// split, and punish any revoked commit. The blob's size is the measured
+// O(1) storage.
 #pragma once
 
 #include "src/daric/protocol.h"
@@ -41,42 +42,25 @@ struct ChannelSnapshot {
   DaricPubKeys pub_other;
 };
 
-/// Extracts the persistable state from a live party (stable flag only).
+/// Extracts the persistable state from a live party: Γ between updates,
+/// or Γ′ in the mid-update window after message 4 (new commit fully
+/// signed, new split complete), where the snapshot carries state sn+1 with
+/// theta_state still at the old sn. The DurabilityHook persists this at
+/// the protocol's fsync points.
 ChannelSnapshot snapshot_party(const DaricParty& p);
 
-/// Like snapshot_party, but also handles the mid-update window after
-/// message 4 (new commit fully signed, new split complete): the snapshot
-/// then carries state sn+1 with theta_state still at the old sn. This is
-/// the form the DurabilityHook persists at the protocol's fsync points.
-ChannelSnapshot snapshot_party_durable(const DaricParty& p);
+/// The inverse of snapshot_party, after a crash: loads `s` into `ch`'s party
+/// `who` (a post-message-4 snapshot becomes the kUpdating Γ′ it was taken
+/// from), drops what the crash lost (pending split or revocation, expected
+/// cooperative close, outcome, durability hook), and brings the party's
+/// monitor back online on the funding output. Throws std::invalid_argument
+/// when `s` belongs to the other party or another channel, or when its
+/// commits disagree with the channel's keys.
+void restore_party(DaricChannel& ch, sim::PartyId who, const ChannelSnapshot& s);
 
 /// Serialization (the blob a wallet would write to disk).
 Bytes serialize_snapshot(const ChannelSnapshot& s);
 ChannelSnapshot deserialize_snapshot(BytesView data);
-
-/// A standalone monitor restored from a snapshot: it can finish the
-/// channel without the original DaricParty object (the crash-recovery
-/// path). Keys are re-derived from the deterministic wallet seed.
-class RestoredParty {
- public:
-  RestoredParty(sim::Environment& env, ChannelSnapshot snapshot);
-
-  /// Posts the stored commit (unilateral close after recovery).
-  void force_close();
-  /// Punish monitor; call every round (or register as an env hook).
-  void on_round();
-
-  CloseOutcome outcome() const { return outcome_; }
-  bool done() const { return outcome_ != CloseOutcome::kNone; }
-
- private:
-  sim::Environment& env_;
-  ChannelSnapshot s_;
-  DaricKeys keys_;
-  std::optional<Hash256> pending_txid_;
-  std::optional<std::pair<Round, tx::Transaction>> pending_split_;
-  CloseOutcome outcome_ = CloseOutcome::kNone;
-};
 
 /// Hardened codec helpers shared with the durable store's watchtower
 /// entries (src/store/tower.cpp). The readers never trust a length or enum

@@ -127,10 +127,7 @@ void DaricParty::commit_to_published_split(const tx::Transaction& spender,
                                 (confirmed ? *confirmed : env_.now()) + params_.t_punish, false};
 }
 
-void DaricParty::try_punish(const tx::Transaction& spender, const CommitMatch& commit) {
-  const std::uint32_t j = commit.state;
-  if (j >= sn_ || theta_sig_.empty()) return;  // latest state or nothing revoked yet
-
+void DaricParty::punish(const tx::Transaction& spender, const CommitMatch& commit) {
   tx::Transaction rv = gen_revoke(pub_own_.main, params_.capacity(), sn_ - 1, params_);
   bind_floating(rv, {spender.txid(), 0});
   const Bytes own = sign_own_revocation(rv);
@@ -146,7 +143,7 @@ void DaricParty::try_punish(const tx::Transaction& spender, const CommitMatch& c
   env_.ledger().post(rv);
   pending_revocation_txid_ = rv.txid();
   ch_.observe_weight(rv);
-  ch_.note_punish(id_, j, sn_);
+  ch_.note_punish(id_, commit.state, sn_);
 }
 
 void DaricParty::close_with(CloseOutcome outcome, Round round) {
@@ -238,18 +235,26 @@ void DaricParty::monitor() {
     }
   }
 
-  // Not in I: if it is a revoked counterparty commit, punish instantly.
-  const DaricPubKeys& pa = id_ == PartyId::kA ? pub_own_ : pub_other_;
-  const DaricPubKeys& pb = id_ == PartyId::kA ? pub_other_ : pub_own_;
-  if (const auto commit =
-          match_counterparty_commit(*spender, id_, pa, pb, params_.s0, params_.t_punish)) {
-    try_punish(*spender, *commit);
-    return;
+  // Not in I: if it is a counterparty commit Θ revokes (state < sn), punish
+  // instantly.
+  if (sn_ > 0 && !theta_sig_.empty()) {
+    const DaricPubKeys& pa = id_ == PartyId::kA ? pub_own_ : pub_other_;
+    const DaricPubKeys& pb = id_ == PartyId::kA ? pub_other_ : pub_own_;
+    if (const auto commit = match_counterparty_commit(*spender, id_, pa, pb, params_.s0,
+                                                      params_.t_punish, sn_ - 1)) {
+      punish(*spender, *commit);
+      return;
+    }
   }
-  // Otherwise it is one of *our own* revoked commits (republished by a
-  // dishonest self in tests): the channel resolves once the counterparty's
-  // revocation claims its output.
-  if (ledger.spender_of({id, 0})) close_with(CloseOutcome::kPunished, env_.now());
+  // A commit this party can neither split nor punish: its own revoked
+  // commit, its own Γ′ commit force-closed but never persisted before a
+  // crash, or a counterparty commit at or above Θ's coverage. Whoever holds
+  // that commit's split or revocation spends its output, and the channel
+  // resolves then: punished if the spend took the revocation branch.
+  if (const auto out = ledger.spender_of({id, 0}))
+    close_with(takes_revocation_branch(*out) ? CloseOutcome::kPunished
+                                             : CloseOutcome::kNonCollaborative,
+               env_.now());
 }
 
 void DaricParty::force_close() {

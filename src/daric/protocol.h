@@ -109,7 +109,7 @@ class DaricParty {
   friend class DaricWatchtower;
   friend WatchtowerPackage make_watchtower_package(const DaricParty&);
   friend ChannelSnapshot snapshot_party(const DaricParty&);
-  friend ChannelSnapshot snapshot_party_durable(const DaricParty&);
+  friend void restore_party(DaricChannel&, sim::PartyId, const ChannelSnapshot&);
 
   struct FloatingSplit {
     tx::Transaction body;  // [TX_SP,i]‾ — unbound
@@ -137,7 +137,8 @@ class DaricParty {
   void refresh_wake();
   void commit_to_published_split(const tx::Transaction& spender, const FloatingSplit& split,
                                  const script::Script& commit_script);
-  void try_punish(const tx::Transaction& spender, const CommitMatch& commit);
+  /// Posts the revocation of a commit Θ revokes (commit.state < sn).
+  void punish(const tx::Transaction& spender, const CommitMatch& commit);
   Bytes sign_own_revocation(const tx::Transaction& bound_body) const;
 
   DaricChannel& ch_;  // the engine shell: instruments and lifecycle events

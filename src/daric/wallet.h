@@ -22,6 +22,7 @@ struct DaricKeys {
 /// The public halves exchanged in the createInfo message.
 struct DaricPubKeys {
   Bytes main, sp, rv, rv2;  // 33-byte compressed each
+  bool operator==(const DaricPubKeys&) const = default;
 };
 
 DaricPubKeys to_pub(const DaricKeys& k);

@@ -137,11 +137,15 @@ EndgameResult run_cheat_endgame(Environment& env, daricch::DaricChannel& ch, Par
 
 /// Daric crash recovery off the durable store: the victim's surviving state
 /// is exactly what its ChannelStore synced, plus whatever fragment of the
-/// in-flight write the disk kept. Recovery truncates that tail, restores a
-/// standalone monitor from the last durable snapshot and force-closes from
-/// it. Returns whether the restored monitor resolved the channel.
-bool recover_from_store(Environment& env, const FaultSchedule& s, const CrashPoint& crash,
-                        const daricch::DaricParty& victim, const store::MemoryBackend& disk) {
+/// in-flight write the disk kept. Recovery truncates that tail, loads the
+/// last durable snapshot back into the victim's DaricParty (restore_party),
+/// and force-closes through the engine contract, with the recovered store as
+/// the party's durability hook. Returns the restored party's outcome
+/// (kNone when no snapshot survived or its monitor never resolved).
+channel::Outcome recover_from_store(Environment& env, const FaultSchedule& s,
+                                    const CrashPoint& crash, daricch::DaricChannel& ch,
+                                    const store::MemoryBackend& disk) {
+  daricch::DaricParty& victim = ch.party(crash.victim);
   Bytes image = disk.durable_image();
   if (crash.torn_bytes != 0) {
     if (crash.corrupt_tail) {
@@ -161,13 +165,14 @@ bool recover_from_store(Environment& env, const FaultSchedule& s, const CrashPoi
   crashed_disk.replace(image);
   store::ChannelStore recovered_store(crashed_disk);
   const Bytes* blob = recovered_store.get(store::ChannelStore::channel_key(victim));
-  if (!blob) return false;
-  daricch::RestoredParty restored(env, daricch::deserialize_snapshot(*blob));
-  const auto hook = env.add_round_hook([&restored] { restored.on_round(); });
-  restored.force_close();
-  for (Round r = 0; r < kEndgameRounds && !restored.done(); ++r) env.advance_round();
-  env.set_hook_awake(hook, false);  // `restored` dies with this frame
-  return restored.done();
+  if (!blob) return channel::Outcome::kNone;
+  daricch::restore_party(ch, crash.victim, daricch::deserialize_snapshot(*blob));
+  victim.set_durability_hook(&recovered_store);
+  ch.force_close(crash.victim);
+  for (Round r = 0; r < kEndgameRounds && ch.outcome(crash.victim) == channel::Outcome::kNone; ++r)
+    env.advance_round();
+  victim.set_durability_hook(nullptr);  // `recovered_store` dies with this frame
+  return ch.outcome(crash.victim);
 }
 
 /// Channel-id tag per engine; the id feeds every key derivation.
@@ -233,17 +238,23 @@ DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& o)
   params.cash_b = kCashB;
   params.t_punish = s.t_punish;
 
-  // Monitor blackouts run before the engine's monitors each round; the
-  // endgame phases (crash, fraud) take over the online flags themselves.
+  // Monitor blackouts run before the engine's monitors each round. The
+  // fraud endgame takes both online flags over; a crash takes only its
+  // victim's (dark until restored), so the survivor's window still ends on
+  // schedule.
   channel::Engine* chp = nullptr;
   bool windows_active = true;
-  env.add_round_hook([&env, &s, &chp, &windows_active] {
+  daricch::DaricParty* survivor = nullptr;
+  env.add_round_hook([&env, &s, &chp, &windows_active, &survivor] {
     if (!chp || !windows_active) return;
     const Round r = env.now();
     bool on[2] = {true, true};
     for (const DowntimeWindow& w : s.downtime)
       if (r >= w.start && r < w.start + w.length) on[idx(w.victim)] = false;
-    chp->set_monitor_online(on[0], on[1]);
+    if (survivor)
+      survivor->set_online(on[idx(survivor->id())]);
+    else
+      chp->set_monitor_online(on[0], on[1]);
   });
 
   const std::unique_ptr<channel::Engine> engine = make_engine(proto, env, params);
@@ -298,7 +309,7 @@ DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& o)
       // The victim dies immediately before sending message at_msg of this
       // update: everything after the engine's last fsync is gone, and the
       // counterparty sees only silence and force-closes.
-      windows_active = false;
+      survivor = &daric->party(other(crash->victim));
       daricch::DaricParty& victim = daric->party(crash->victim);
       victim.set_online(false);
       victim.behavior.abort_update_before_msg = static_cast<int>(crash->at_msg);
@@ -332,10 +343,11 @@ DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& o)
     rep.detail = "update aborted to force-close";
   } else if (crash && (crashed_mid || rep.updates_done == crash->after_update)) {
     rep.crashed = true;
-    windows_active = false;
-    daricch::DaricParty& victim = daric->party(crash->victim);
-    victim.set_online(false);  // the crashed process never comes back
-    rep.closed = recover_from_store(env, s, *crash, victim, backend[idx(crash->victim)]);
+    survivor = &daric->party(other(crash->victim));
+    daric->party(crash->victim).set_online(false);  // dark until restored
+    const channel::Outcome restored =
+        recover_from_store(env, s, *crash, *daric, backend[idx(crash->victim)]);
+    rep.closed = restored != channel::Outcome::kNone;
     if (crashed_mid && attempted) {
       // A mid-update crash may settle at either fully-signed state: the old
       // one (crash before the victim saw the new commit fully signed) or
@@ -344,7 +356,9 @@ DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& o)
     } else {
       audit({got_stable});
     }
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
+    // The restored party closes on a state both signed, never by punishment.
+    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok &&
+             restored == channel::Outcome::kNonCollaborative && !s.cheat.expect_loss;
     rep.detail = crashed_mid ? "mid-update crash recovery" : "crash-recovery close";
   } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
     rep.cheated = true;

@@ -148,7 +148,7 @@ std::string ChannelStore::channel_key(const daricch::DaricParty& p) {
 }
 
 void ChannelStore::persist(const daricch::DaricParty& p) {
-  const Bytes blob = daricch::serialize_snapshot(daricch::snapshot_party_durable(p));
+  const Bytes blob = daricch::serialize_snapshot(daricch::snapshot_party(p));
   put(channel_key(p), blob);
   if (persist_count_) persist_count_->inc();
 }

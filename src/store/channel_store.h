@@ -6,8 +6,8 @@
 // fsync-before-externalize barrier, so by the time a revocation signature
 // leaves the party, the snapshot that makes the revocation safe is on
 // disk. Recovery replays the log's valid prefix (truncating a torn tail)
-// and yields the last synced snapshot per channel, from which a
-// RestoredParty can finish the channel.
+// and yields the last synced snapshot per channel; restore_party loads it
+// back into the channel's DaricParty, whose monitor finishes the channel.
 //
 // The log grows by one snapshot per update; periodic compaction rewrites
 // it as exactly one put per live key via the backend's atomic replace(),
@@ -42,7 +42,7 @@ class ChannelStore : public daricch::DurabilityHook {
   explicit ChannelStore(StorageBackend& backend, obs::Registry* metrics = nullptr);
 
   // --- DurabilityHook ----------------------------------------------------
-  /// Serializes snapshot_party_durable(p) and puts it under channel_key(p).
+  /// Serializes snapshot_party(p) and puts it under channel_key(p).
   /// Durable on return.
   void persist(const daricch::DaricParty& p) override;
   /// Drops the channel's record once it resolved on-chain.

@@ -145,6 +145,23 @@ TEST(ChaosRegression, OfflineBeyondBoundDemonstrablyLosesFunds) {
   EXPECT_TRUE(r.conservation_ok);  // stolen, not conjured: no value created
 }
 
+// Crash recoveries that once failed. The restored party met a commit newer
+// than its snapshot: the counterparty's (1001369, 5003021), or its own Γ′
+// commit, force-closed but never persisted (8000744). In 16820 the crash
+// froze the survivor's downtime window, so it never posted its split.
+TEST(ChaosRegression, CrashRecoveriesCloseNonCollaboratively) {
+  for (const char* name : {"crash-1001369.sched", "crash-5003021.sched", "crash-8000744.sched",
+                           "crash-16820.sched"}) {
+    const std::string text = read_file(name);
+    const FaultSchedule s = parse_schedule(text);
+    EXPECT_EQ(to_text(s), text) << name << " must be canonical";
+    // ok includes the restored party ending kNonCollaborative.
+    const DrillReport r = run_drill(Protocol::kDaric, s);
+    EXPECT_TRUE(r.crashed) << name;
+    EXPECT_TRUE(r.ok) << name << ": " << r.detail;
+  }
+}
+
 // --- The full boundary scan (Theorem 1) ----------------------------------
 
 TEST(DowntimeBoundary, SafeUpToExactlyTMinusDelta) {
@@ -286,6 +303,22 @@ TEST(EngineRobustness, DaricForceClosesOnMidUpdateSilence) {
   EXPECT_EQ(ch.party(PartyId::kA).outcome(), daricch::CloseOutcome::kNonCollaborative);
   EXPECT_EQ(env.ledger().utxos().total_value() + env.ledger().fees_total(),
             env.ledger().minted_total());
+}
+
+TEST(EngineRobustness, DaricAbortReturnsOnceTheAborterClosed) {
+  sim::Environment env(2, crypto::schnorr_scheme());
+  daricch::DaricChannel ch(env, chaos_params("abort-dark-peer"));
+  ASSERT_TRUE(ch.create());
+  // B goes dark and silent before message 2: A aborts to a force close.
+  ch.party(PartyId::kB).set_online(false);
+  ch.party(PartyId::kB).behavior.abort_update_before_msg = 2;
+  const Round t0 = env.now();
+  EXPECT_FALSE(ch.update({50'000, 50'000, {}}));
+  EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kNonCollaborative);
+  EXPECT_EQ(ch.outcome(PartyId::kB), channel::Outcome::kNone);  // dark: never closes
+  // A's commit and split confirm within 2Δ + T; A does not wait out the
+  // whole close budget for its dark peer.
+  EXPECT_LT(env.now() - t0, channel::kCloseRounds / 4);
 }
 
 }  // namespace

@@ -84,13 +84,17 @@ TEST(Integration, FeeableRevocationsWorkWithTowerAndRecovery) {
   ASSERT_TRUE(ch.create());
   ASSERT_TRUE(ch.update({350'000, 650'000, {}}));
 
-  // Snapshot B, "crash", restore, and let the restored monitor punish.
+  // Snapshot B, "crash" it, restore the blob into a party that never held
+  // Γ/Θ (same params, never created), and let the restored monitor punish.
   const Bytes blob = daricch::serialize_snapshot(daricch::snapshot_party(ch.party(PartyId::kB)));
-  daricch::RestoredParty restored(env, daricch::deserialize_snapshot(blob));
-  env.add_round_hook([&] { restored.on_round(); });
+  ch.party(PartyId::kB).set_online(false);
+  DaricChannel restarted(env, p);
+  daricch::restore_party(restarted, PartyId::kB, daricch::deserialize_snapshot(blob));
   ch.publish_old_commit(PartyId::kA, 0);
-  for (int r = 0; r < 20 && !restored.done(); ++r) env.advance_round();
-  EXPECT_EQ(restored.outcome(), CloseOutcome::kPunished);
+  for (int r = 0; r < 20 && restarted.outcome(PartyId::kB) == CloseOutcome::kNone; ++r)
+    env.advance_round();
+  EXPECT_EQ(restarted.outcome(PartyId::kB), CloseOutcome::kPunished);
+  EXPECT_EQ(ch.outcome(PartyId::kB), CloseOutcome::kNone);
 }
 
 // Key isolation across channels (Sec. 8): a commit of one channel can

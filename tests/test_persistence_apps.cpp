@@ -1,6 +1,8 @@
-// Crash recovery (persistence snapshots + restored monitors), the
+// Crash recovery (persistence snapshots restored into the party), the
 // multi-channel watchtower service, and off-chain sub-channels.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "src/daric/persistence.h"
 #include "src/daric/subchannels.h"
@@ -120,14 +122,19 @@ TEST(Persistence, RestoredPartyPunishesAfterCrash) {
   ASSERT_TRUE(ch.update({450'000, 550'000, {}}));
   ASSERT_TRUE(ch.update({300'000, 700'000, {}}));
 
-  // B "crashes": only the serialized blob survives.
+  // B "crashes": its process goes dark and only the serialized blob
+  // survives. The blob is restored into a party that never held Γ/Θ: a
+  // channel with the same params (so the same keys) that was never created.
   const Bytes blob = daricch::serialize_snapshot(daricch::snapshot_party(ch.party(PartyId::kB)));
-  daricch::RestoredParty restored(env, daricch::deserialize_snapshot(blob));
-  env.add_round_hook([&] { restored.on_round(); });
+  ch.party(PartyId::kB).set_online(false);
+  daricch::DaricChannel restarted(env, make_params("persist-4"));
+  daricch::restore_party(restarted, PartyId::kB, daricch::deserialize_snapshot(blob));
 
   ch.publish_old_commit(PartyId::kA, 0);
-  for (int r = 0; r < 20 && !restored.done(); ++r) env.advance_round();
-  EXPECT_EQ(restored.outcome(), CloseOutcome::kPunished);
+  for (int r = 0; r < 20 && restarted.outcome(PartyId::kB) == CloseOutcome::kNone; ++r)
+    env.advance_round();
+  EXPECT_EQ(restarted.outcome(PartyId::kB), CloseOutcome::kPunished);
+  EXPECT_EQ(ch.outcome(PartyId::kB), CloseOutcome::kNone);  // the dead process never acted
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto rv = env.ledger().spender_of({commit->txid(), 0});
   ASSERT_TRUE(rv.has_value());
@@ -140,15 +147,97 @@ TEST(Persistence, RestoredPartyForceClosesWithLatestState) {
   ASSERT_TRUE(ch.create());
   ASSERT_TRUE(ch.update({250'000, 750'000, {}}));
   const Bytes blob = daricch::serialize_snapshot(daricch::snapshot_party(ch.party(PartyId::kA)));
-  daricch::RestoredParty restored(env, daricch::deserialize_snapshot(blob));
-  env.add_round_hook([&] { restored.on_round(); });
-  restored.force_close();
-  for (int r = 0; r < 30 && !restored.done(); ++r) env.advance_round();
-  EXPECT_EQ(restored.outcome(), CloseOutcome::kNonCollaborative);
+  ch.party(PartyId::kA).set_online(false);
+  daricch::DaricChannel restarted(env, make_params("persist-5"));
+  daricch::restore_party(restarted, PartyId::kA, daricch::deserialize_snapshot(blob));
+  restarted.force_close(PartyId::kA);
+  for (int r = 0; r < 30 && restarted.outcome(PartyId::kA) == CloseOutcome::kNone; ++r)
+    env.advance_round();
+  EXPECT_EQ(restarted.outcome(PartyId::kA), CloseOutcome::kNonCollaborative);
+  EXPECT_EQ(ch.outcome(PartyId::kA), CloseOutcome::kNone);
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto split = env.ledger().spender_of({commit->txid(), 0});
   ASSERT_TRUE(split.has_value());
   EXPECT_EQ(split->outputs[0].cash, 250'000);
+}
+
+TEST(Persistence, RestoredPartySplitsTheCounterpartysLatestCommit) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  daricch::DaricChannel ch(env, make_params("persist-9"));
+  ASSERT_TRUE(ch.create());
+  ASSERT_TRUE(ch.update({250'000, 750'000, {}}));
+  const Bytes blob = daricch::serialize_snapshot(daricch::snapshot_party(ch.party(PartyId::kA)));
+  ch.party(PartyId::kA).set_online(false);
+  // B force-closes with its latest commit and goes dark: only the restored
+  // A can post the split.
+  ch.force_close(PartyId::kB);
+  ch.party(PartyId::kB).set_online(false);
+  daricch::DaricChannel restarted(env, make_params("persist-9"));
+  daricch::restore_party(restarted, PartyId::kA, daricch::deserialize_snapshot(blob));
+  for (int r = 0; r < 30 && restarted.outcome(PartyId::kA) == CloseOutcome::kNone; ++r)
+    env.advance_round();
+  EXPECT_EQ(restarted.outcome(PartyId::kA), CloseOutcome::kNonCollaborative);
+  const auto commit = env.ledger().spender_of(ch.funding_outpoint());
+  const auto split = env.ledger().spender_of({commit->txid(), 0});
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(split->outputs[0].cash, 250'000);
+}
+
+/// Records every snapshot the engine's fsync points persist.
+struct SnapshotRecorder : daricch::DurabilityHook {
+  std::vector<Bytes> blobs;
+  void persist(const daricch::DaricParty& p) override {
+    blobs.push_back(daricch::serialize_snapshot(daricch::snapshot_party(p)));
+  }
+};
+
+TEST(Persistence, RestoreIsTheInverseOfSnapshot) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  daricch::DaricChannel ch(env, make_params("persist-6"));
+  SnapshotRecorder rec;
+  ch.party(PartyId::kA).set_durability_hook(&rec);
+  ASSERT_TRUE(ch.create());
+  const auto h = channel::make_htlc_secret("rt-h");
+  ASSERT_TRUE(ch.update({390'000, 600'000, {{10'000, h.payment_hash, true, 4}}}));
+  // The proposer persists at create, after message 4 and after promotion.
+  ASSERT_EQ(rec.blobs.size(), 3u);
+  const daricch::ChannelSnapshot mid = daricch::deserialize_snapshot(rec.blobs[1]);
+  ASSERT_EQ(mid.sn, 1u);
+  ASSERT_EQ(mid.theta_state, 0u);  // the post-message-4 window
+
+  // Restore into a party that never held Γ/Θ (same params and keys, never
+  // created), so every byte snapshotted back must come from the blob.
+  daricch::DaricChannel restarted(env, make_params("persist-6"));
+  const daricch::DaricParty& a = restarted.party(PartyId::kA);
+  for (const Bytes& blob : {rec.blobs[1], rec.blobs[2]}) {
+    daricch::restore_party(restarted, PartyId::kA, daricch::deserialize_snapshot(blob));
+    EXPECT_EQ(daricch::serialize_snapshot(daricch::snapshot_party(a)), blob);
+  }
+  EXPECT_EQ(a.flag(), channel::ChannelFlag::kStable);
+  daricch::restore_party(restarted, PartyId::kA, mid);
+  EXPECT_EQ(a.flag(), channel::ChannelFlag::kUpdating);
+  EXPECT_EQ(a.state_number(), 0u);
+}
+
+TEST(Persistence, RestoreRejectsForeignSnapshots) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  daricch::DaricChannel ch(env, make_params("persist-7"));
+  daricch::DaricChannel other(env, make_params("persist-8"));
+  ASSERT_TRUE(ch.create());
+  ASSERT_TRUE(other.create());
+  ASSERT_TRUE(ch.update({450'000, 550'000, {}}));
+  const Bytes own = daricch::serialize_snapshot(daricch::snapshot_party(ch.party(PartyId::kA)));
+
+  const daricch::ChannelSnapshot of_b = daricch::snapshot_party(ch.party(PartyId::kB));
+  EXPECT_THROW(daricch::restore_party(ch, PartyId::kA, of_b), std::invalid_argument);
+  const daricch::ChannelSnapshot of_other = daricch::snapshot_party(other.party(PartyId::kA));
+  EXPECT_THROW(daricch::restore_party(ch, PartyId::kA, of_other), std::invalid_argument);
+  daricch::ChannelSnapshot swapped = daricch::deserialize_snapshot(own);
+  std::swap(swapped.cm_own_script, swapped.cm_other_script);
+  EXPECT_THROW(daricch::restore_party(ch, PartyId::kA, swapped), std::invalid_argument);
+
+  // A rejected snapshot leaves the party as it was.
+  EXPECT_EQ(daricch::serialize_snapshot(daricch::snapshot_party(ch.party(PartyId::kA))), own);
 }
 
 // --- Tower service -----------------------------------------------------

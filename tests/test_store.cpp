@@ -352,12 +352,14 @@ TEST(Durability, EngineRecoversLatestStateFromStore) {
   EXPECT_EQ(snap.theta_state, 2u);  // stable: Θ covers everything below sn
   EXPECT_EQ(snap.st.to_b, 700'000);
 
-  daricch::RestoredParty restored(f.env, snap);
-  f.env.add_round_hook([&restored] { restored.on_round(); });
-  restored.force_close();
-  for (int r = 0; r < 100 && !restored.done(); ++r) f.env.advance_round();
-  EXPECT_TRUE(restored.done());
-  EXPECT_EQ(restored.outcome(), daricch::CloseOutcome::kNonCollaborative);
+  // The restarted process holds no Γ/Θ but the blob: same params and keys,
+  // never created.
+  daricch::DaricChannel restarted(f.env, make_params("durable-1"));
+  daricch::restore_party(restarted, PartyId::kB, snap);
+  restarted.force_close(PartyId::kB);
+  for (int r = 0; r < 100 && restarted.outcome(PartyId::kB) == channel::Outcome::kNone; ++r)
+    f.env.advance_round();
+  EXPECT_EQ(restarted.outcome(PartyId::kB), daricch::CloseOutcome::kNonCollaborative);
 }
 
 TEST(Durability, MidUpdateCrashRecoversWithoutPunishableRegression) {
@@ -385,14 +387,14 @@ TEST(Durability, MidUpdateCrashRecoversWithoutPunishableRegression) {
   EXPECT_EQ(snap.theta_state, 1u); // Θ did not: sn-1 was never revoked
   EXPECT_EQ(snap.st.to_a, 200'000);
 
-  daricch::RestoredParty restored(f.env, snap);
-  f.env.add_round_hook([&restored] { restored.on_round(); });
-  restored.force_close();
-  for (int r = 0; r < 200 && !restored.done(); ++r) f.env.advance_round();
-  EXPECT_TRUE(restored.done());
+  daricch::DaricChannel restarted(f.env, make_params("durable-2"));
+  daricch::restore_party(restarted, PartyId::kA, snap);
+  restarted.force_close(PartyId::kA);
+  for (int r = 0; r < 200 && restarted.outcome(PartyId::kA) == channel::Outcome::kNone; ++r)
+    f.env.advance_round();
   // B closed at the new state; the restored monitor must treat it as the
   // latest (split path), never as fraud to punish.
-  EXPECT_EQ(restored.outcome(), daricch::CloseOutcome::kNonCollaborative);
+  EXPECT_EQ(restarted.outcome(PartyId::kA), daricch::CloseOutcome::kNonCollaborative);
 }
 
 TEST(Durability, CooperativeCloseErasesStoreRecords) {

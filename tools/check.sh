@@ -17,9 +17,10 @@
 #             regression schedules, under ASan+UBSan; the sweep, crash-replay
 #             and boundary reports must match tests/golden/behaviour.sha256
 #             byte for byte
-#   --durable crash-replay gate under ASan+UBSan: 200 schedules that kill a
-#             party at a message boundary (with torn/garbage log tails) and
-#             recover it from the durable store, plus the store unit tests
+#   --durable crash-replay gate under ASan+UBSan: 200 + 600 schedules that
+#             kill a party at a message boundary (with torn/garbage log
+#             tails) and recover it from the durable store, plus the store
+#             unit tests
 #   --analyze run only the static script/transaction analyzer gate
 #   --tidy    run only clang-tidy, and FAIL if the binary is missing
 #             (the default flow skips it with a note unless
@@ -378,6 +379,9 @@ if [[ "$DURABLE" == 1 ]]; then
 
   step "crash-replay sweep: 200 schedules, every message boundary"
   ./build-asan/tools/daric_chaos --durable-sweep 200 --seed 1
+
+  step "crash-replay sweep: 600 schedules from seed 1000003"
+  ./build-asan/tools/daric_chaos --durable-sweep 600 --seed 1000003
 
   echo; echo "check.sh --durable: crash recovery never violates Theorem 1"
   exit 0

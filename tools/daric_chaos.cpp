@@ -32,9 +32,23 @@ namespace {
 using namespace daric;
 using namespace daric::sim::faults;
 
+/// A passing drill's detail; a failing one's also names the first clause it
+/// broke: the channel never closed, the payout matches no signed state,
+/// value was not conserved, or the resolution is the wrong kind (no
+/// punishment, no demanded funds loss, a restored party that did not close
+/// non-collaboratively, a stale eltoo settlement).
+std::string verdict(const DrillReport& r) {
+  if (r.ok) return r.detail;
+  const char* clause = !r.closed            ? "closed"
+                       : !r.payout_ok       ? "payout"
+                       : !r.conservation_ok ? "conservation"
+                                            : "outcome";
+  return r.detail + ": " + clause;
+}
+
 void print_report(const DrillReport& r) {
   std::cout << "  " << protocol_name(r.protocol) << ": "
-            << (r.ok ? "ok" : "FAIL") << " (" << r.detail << ") updates=" << r.updates_done
+            << (r.ok ? "ok" : "FAIL") << " (" << verdict(r) << ") updates=" << r.updates_done
             << " msgs=" << r.msg_total << " drop=" << r.msg_dropped
             << " delay=" << r.msg_delayed << " dup=" << r.msg_duplicated;
   if (r.cheated) std::cout << (r.punished ? " punished" : " UNPUNISHED");
@@ -68,7 +82,7 @@ void dump_failure_trace(Protocol p, const FaultSchedule& s) {
 
 int fail_with_schedule(const FaultSchedule& s, const DrillReport& r) {
   std::cerr << "chaos: invariant violation on " << protocol_name(r.protocol) << " seed "
-            << s.seed << " (" << r.detail << ")\n"
+            << s.seed << " (" << verdict(r) << ")\n"
             << "Replay with: daric_chaos --replay <file> --protocol "
             << protocol_name(r.protocol) << "\n--- schedule ---\n"
             << to_text(s) << "----------------" << std::endl;
