@@ -12,6 +12,7 @@
 
 #include <array>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/crypto/ecdsa.h"
@@ -288,7 +289,40 @@ void BM_FeSqrt(benchmark::State& state) {
 }
 BENCHMARK(BM_FeSqrt);
 
+// --- hashing ---------------------------------------------------------------
+// SHA-256 through the process's compression kernel (SHA-NI where cpuid
+// reports it): one padded block, and a 1 KiB message (17 blocks).
+
+void BM_Sha256_55B(benchmark::State& state) {
+  const Bytes data(55, 0xab);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha256::hash(data));
+}
+BENCHMARK(BM_Sha256_55B);
+
+void BM_Sha256_1k(benchmark::State& state) {
+  const Bytes data(1024, 0xab);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha256::hash(data));
+}
+BENCHMARK(BM_Sha256_1k);
+
 // --- scalar multiplication -------------------------------------------------
+
+// Width-5 wNAF recoding of a 128-bit GLV half-scalar, cycling through 64
+// seeded values so the digit pattern varies.
+void BM_Wnaf128(benchmark::State& state) {
+  std::vector<crypto::U256> ks;
+  for (int i = 0; i < 64; ++i) {
+    const crypto::U256 v = bench_scalar("wnaf/" + std::to_string(i)).raw();
+    ks.push_back({v.limb[0], v.limb[1], 0, 0});
+  }
+  std::int16_t naf[crypto::detail::kMaxNafLen];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::detail::wnaf(naf, ks[i++ & 63], 5));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Wnaf128);
 
 void BM_MulVarPointWnaf(benchmark::State& state) {
   const Point p = Point::mul_gen(bench_scalar("mul/p"));

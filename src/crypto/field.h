@@ -61,6 +61,8 @@ class Fe {
   Fe operator*(const Fe& o) const;
   /// Dedicated squaring (cheaper than a general multiply).
   Fe sqr() const;
+  /// Multiplicative inverse by constant-time divsteps (Bernstein–Yang);
+  /// throws std::domain_error for zero.
   Fe inv() const;
   /// Square root (p ≡ 3 mod 4); returns false if *this is not a QR.
   bool sqrt(Fe& out) const;

@@ -121,10 +121,60 @@ bool on_curve(const Fe& x, const Fe& y) { return y.sqr() == x.sqr() * x + Fe(7);
 
 // --- wNAF ------------------------------------------------------------------
 
-// Width-w NAF digit capacity: 256 bits plus one possible carry digit. The
-// GLV/generator half-scalars only need ~130 digits, but sizing every buffer
-// for the worst case keeps the code uniform (stack space is cheap).
-constexpr int kMaxNafLen = 257;
+// 64 bits of k starting at bit `pos`; bits past 255 read as zero.
+std::uint64_t window64(const U256& k, unsigned pos) {
+  const unsigned limb = pos / 64;
+  const unsigned shift = pos % 64;
+  if (limb >= 4) return 0;
+  std::uint64_t v = k.limb[limb] >> shift;
+  if (shift != 0 && limb + 1 < 4) v |= k.limb[limb + 1] << (64 - shift);
+  return v;
+}
+
+// `len` (< 64) bits of k starting at bit `pos`; bits past 255 read as zero.
+std::uint64_t bits_at(const U256& k, unsigned pos, unsigned len) {
+  return window64(k, pos) & ((std::uint64_t{1} << len) - 1);
+}
+
+}  // namespace
+
+// Word-level recoding, as libsecp256k1's ecmult_wnaf: a position whose bit
+// equals the pending carry holds a zero digit, so whole runs of them are
+// skipped with one count-trailing-zeros; anywhere else the w-bit window
+// starting there, plus the carry, is the digit, recentred into
+// (-2^(w-1), 2^(w-1)) by borrowing 2^w from the next window. This gives the
+// digits of the textbook loop (subtract the digit, halve, repeat) without
+// touching the 256-bit value again.
+int detail::wnaf(std::int16_t* naf, const U256& k, unsigned w) {
+  const unsigned bits = k.bit_length();
+  std::fill_n(naf, bits + 1, std::int16_t{0});
+  int len = 0;
+  std::uint64_t carry = 0;
+  unsigned bit = 0;
+  while (bit <= bits) {
+    // Bits equal to the carry, from `bit` up, are zero digits. Above the top
+    // bit a pending carry sees ones here, so the scan stops at `bits`.
+    const std::uint64_t run = window64(k, bit) ^ (std::uint64_t{0} - carry);
+    if (run == 0) {
+      bit += 64;
+      continue;
+    }
+    bit += static_cast<unsigned>(__builtin_ctzll(run));
+    if (bit > bits) break;
+    std::int64_t d = static_cast<std::int64_t>(bits_at(k, bit, w) + carry);
+    carry = static_cast<std::uint64_t>(d >> (w - 1)) & 1;
+    d -= static_cast<std::int64_t>(carry << w);
+    naf[bit] = static_cast<std::int16_t>(d);
+    len = static_cast<int>(bit) + 1;
+    bit += w;
+  }
+  return len;
+}
+
+namespace {
+
+using detail::kMaxNafLen;
+using detail::wnaf;
 
 // Window sizes: 5 for variable points (8-entry table built per call), 7 for
 // precomputed points (32-entry table built once, amortized over many
@@ -137,28 +187,6 @@ constexpr unsigned kWnafWindowG = 11;
 constexpr int kTableSizeP = 1 << (kWnafWindowP - 2);    // odd multiples 1..15
 constexpr int kTableSizePre = 1 << (kWnafWindowPre - 2);  // odd multiples 1..63
 constexpr int kTableSizeG = 1 << (kWnafWindowG - 2);    // odd multiples 1..1023
-
-// Computes the width-w NAF of k: k = Σ naf[i]·2^i with every nonzero digit
-// odd and |digit| < 2^(w-1), at most one nonzero in any w consecutive
-// positions. Returns the digit count.
-int wnaf(std::int16_t* naf, U256 k, unsigned w) {
-  const std::uint64_t mask = (std::uint64_t{1} << w) - 1;
-  int len = 0;
-  while (!k.is_zero()) {
-    std::int64_t d = 0;
-    if (k.is_odd()) {
-      d = static_cast<std::int64_t>(k.limb[0] & mask);
-      if (d > std::int64_t{1} << (w - 1)) d -= std::int64_t{1} << w;
-      if (d >= 0)
-        sub_with_borrow(k, U256(static_cast<std::uint64_t>(d)), k);
-      else
-        add_with_carry(k, U256(static_cast<std::uint64_t>(-d)), k);
-    }
-    naf[len++] = static_cast<std::int16_t>(d);
-    k = shr(k, 1);
-  }
-  return len;
-}
 
 // Table lookup for wNAF digit d (odd, nonzero): entry (|d|-1)/2, negated
 // for negative digits. Tables hold AffGe (built per call) or PackedGe.
@@ -462,16 +490,6 @@ void push_bucket_terms(std::vector<BucketTerm>& out, const Point& p, const Scala
     out.push_back({{glv_beta() * a.x, sp.neg2 ? a.y.neg() : a.y}, sp.k2});
 }
 
-// `len` (< 64) bits of k starting at bit `pos`; bits past 255 read as zero.
-std::uint64_t bits_at(const U256& k, unsigned pos, unsigned len) {
-  const unsigned limb = pos / 64;
-  const unsigned shift = pos % 64;
-  if (limb >= 4) return 0;
-  std::uint64_t v = k.limb[limb] >> shift;
-  if (shift + len > 64 && limb + 1 < 4) v |= k.limb[limb + 1] << (64 - shift);
-  return v & ((std::uint64_t{1} << len) - 1);
-}
-
 // Σ kᵢ·Pᵢ by buckets: each coefficient is cut into signed c-bit digits;
 // per window, every point is added once into the bucket of its digit's
 // magnitude, and the 2^(c−1) buckets are combined with two running sums.
@@ -652,24 +670,42 @@ Point Point::mul_add_vartime(const Scalar& a, const Point& p, const Scalar& b) {
 
 namespace {
 
-// Shared tail of the mul_add_equals variants: expect == (X/Z², Y/Z³)
-// without computing 1/Z.
-bool jac_equals_affine(const Jac& res, const Point& expect) {
-  if (res.infinity || expect.is_infinity()) return res.infinity == expect.is_infinity();
-  const Fe z2 = res.z.sqr();
-  return expect.x() * z2 == res.x && expect.y() * z2 * res.z == res.y;
+// A compressed encoding's x (below p) and y parity; false for any other
+// size, prefix or x.
+bool parse_encoding(BytesView enc, Fe& x, bool& odd) {
+  if (enc.size() != 33 || (enc[0] != 0x02 && enc[0] != 0x03)) return false;
+  const U256 xv = U256::from_be_bytes(enc.subspan(1));
+  if (xv >= Fe::modulus()) return false;
+  x = Fe::from_raw(xv);
+  odd = enc[0] == 0x03;
+  return true;
+}
+
+// Whether res = (X, Y, Z) is the affine point (x, ±y) with y's parity
+// `odd`, without lifting x to a point: x·Z² == X holds only for the
+// x-coordinate of a curve point, and then one inversion gives the affine y
+// whose parity is compared.
+bool jac_has_x_and_parity(const Jac& res, const Fe& x, bool odd) {
+  if (res.infinity || !(x * res.z.sqr() == res.x)) return false;
+  const Fe zi = res.z.inv();
+  return (res.y * zi.sqr() * zi).is_odd() == odd;
 }
 
 }  // namespace
 
-bool Point::mul_add_equals_vartime(const Scalar& a, const Point& p, const Scalar& b,
-                                   const Point& expect) {
-  return jac_equals_affine(strauss_jac(a, p, b), expect);
+bool Point::mul_add_encodes_vartime(const Scalar& a, const Point& p, const Scalar& b,
+                                    BytesView enc) {
+  Fe x;
+  bool odd = false;
+  return parse_encoding(enc, x, odd) && jac_has_x_and_parity(strauss_jac(a, p, b), x, odd);
 }
 
-bool Point::mul_add_equals_vartime(const Scalar& a, const PrecomputedPoint& p, const Scalar& b,
-                                   const Point& expect) {
-  return jac_equals_affine(strauss_pre_jac(a, p.impl_->d, 1, b), expect);
+bool Point::mul_add_encodes_vartime(const Scalar& a, const PrecomputedPoint& p, const Scalar& b,
+                                    BytesView enc) {
+  Fe x;
+  bool odd = false;
+  return parse_encoding(enc, x, odd) &&
+         jac_has_x_and_parity(strauss_pre_jac(a, p.impl_->d, 1, b), x, odd);
 }
 
 // vartime: begin (batch verification — signatures and randomizers are public)

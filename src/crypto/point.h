@@ -25,6 +25,21 @@ namespace daric::crypto {
 
 class PrecomputedPoint;
 
+namespace detail {
+
+/// Digit capacity of a width-w NAF: 256 bits plus one possible carry digit.
+inline constexpr int kMaxNafLen = 257;
+
+/// Width-w NAF of k (2 <= w <= 15): k = Σ naf[i]·2^i with every nonzero
+/// digit odd and |digit| < 2^(w-1), and at most one nonzero digit in any w
+/// consecutive positions. Writes naf[0, k.bit_length() + 1) and returns the
+/// digit count (one past the top nonzero digit, 0 for k = 0). The recoding
+/// behind every variable-time ladder; exposed for its tests and benchmark.
+/// Variable time.
+int wnaf(std::int16_t* naf, const U256& k, unsigned w);
+
+}  // namespace detail
+
 class Point {
  public:
   /// Point at infinity.
@@ -52,16 +67,19 @@ class Point {
   /// a·P + b·G in one Strauss–Shamir interleaved ladder. Variable time.
   static Point mul_add_vartime(const Scalar& a, const Point& p, const Scalar& b);
 
-  /// Whether a·P + b·G == expect, compared in Jacobian coordinates so the
-  /// verification hot path performs no field inversion. Variable time.
-  static bool mul_add_equals_vartime(const Scalar& a, const Point& p, const Scalar& b,
-                                     const Point& expect);
+  /// Whether a·P + b·G is the point whose 33-byte compressed encoding is
+  /// `enc` — a Schnorr signature's R, checked without lifting it to a point
+  /// (no square root): its x must match in Jacobian coordinates, and one
+  /// inversion then gives the y parity. False for a malformed encoding or
+  /// an x ≥ p. Variable time.
+  static bool mul_add_encodes_vartime(const Scalar& a, const Point& p, const Scalar& b,
+                                      BytesView enc);
 
   /// Same check against a key whose odd-multiples table was precomputed
   /// once (e.g. a channel counterparty's fixed key). Skips the per-call
   /// table build entirely. Variable time.
-  static bool mul_add_equals_vartime(const Scalar& a, const PrecomputedPoint& p,
-                                     const Scalar& b, const Point& expect);
+  static bool mul_add_encodes_vartime(const Scalar& a, const PrecomputedPoint& p,
+                                      const Scalar& b, BytesView enc);
 
   /// Whether Σ coeffs[i]·points[i] + gen_coeff·G is the point at infinity —
   /// the core of batch signature verification. Variable time; requires

@@ -1,6 +1,5 @@
 #include "src/crypto/schnorr.h"
 
-#include <optional>
 #include <vector>
 
 #include "src/crypto/rfc6979.h"
@@ -11,11 +10,20 @@ namespace daric::crypto {
 // The tagged hashes below start from a midstate that already absorbed the
 // 64-byte SHA256(tag)||SHA256(tag) prefix; each call copies it.
 
-Scalar schnorr_challenge(const Point& r, const Point& pk, const Hash256& msg) {
+namespace {
+
+// e = H(R || P || m), over R's 33-byte compressed encoding.
+Scalar challenge(BytesView r33, const Point& pk, const Hash256& msg) {
   static const Sha256 kTagged = Sha256::tagged_init("daric/schnorr");
   Sha256 h = kTagged;
-  h.update(r.compressed()).update(pk.compressed()).update(msg.view());
+  h.update(r33).update(pk.compressed()).update(msg.view());
   return Scalar::from_be_bytes_reduce(h.finalize().view());
+}
+
+}  // namespace
+
+Scalar schnorr_challenge(const Point& r, const Point& pk, const Hash256& msg) {
+  return challenge(r.compressed(), pk, msg);
 }
 
 namespace {
@@ -27,11 +35,11 @@ Bytes sign_with_nonce(const Scalar& k, const Scalar& sk, const Point& pk, const 
   return concat({r.compressed(), s.to_be_bytes()});
 }
 
-// Parses the (R, s) wire form; false on any malformed component.
-bool parse_sig(BytesView sig, std::optional<Point>& r, Scalar& s) {
+// The s half of the (R, s) wire form; false on a wrong size or s ≥ n. R
+// stays encoded: the checks below hash its 33 bytes and compare them with
+// the computed point, and never lift R itself.
+bool parse_s(BytesView sig, Scalar& s) {
   if (sig.size() != kSchnorrSigSize) return false;
-  r = Point::from_compressed(sig.subspan(0, 33));
-  if (!r) return false;
   const U256 sv = U256::from_be_bytes(sig.subspan(33));
   if (sv >= Scalar::order()) return false;
   s = Scalar::from_u256(sv);
@@ -60,21 +68,20 @@ Bytes schnorr_sign(const KeyPair& kp, const Hash256& msg) {
 }
 
 bool schnorr_verify(const Point& pk, const Hash256& msg, BytesView sig) {
-  std::optional<Point> r;
   Scalar s(0);
-  if (pk.is_infinity() || !parse_sig(sig, r, s)) return false;
-  const Scalar e = schnorr_challenge(*r, pk, msg);
-  // s·G == R + e·P  ⟺  (−e)·P + s·G == R, one Strauss–Shamir ladder with
-  // the comparison done in Jacobian coordinates (no field inversion).
-  return Point::mul_add_equals_vartime(e.neg(), pk, s, *r);
+  if (pk.is_infinity() || !parse_s(sig, s)) return false;
+  const BytesView r = sig.subspan(0, 33);
+  // s·G == R + e·P  ⟺  (−e)·P + s·G encodes as R: one Strauss–Shamir
+  // ladder, then R's x compared in Jacobian coordinates and one inversion
+  // for the y parity.
+  return Point::mul_add_encodes_vartime(challenge(r, pk, msg).neg(), pk, s, r);
 }
 
 bool schnorr_verify(const PrecomputedPoint& pk, const Hash256& msg, BytesView sig) {
-  std::optional<Point> r;
   Scalar s(0);
-  if (!parse_sig(sig, r, s)) return false;
-  const Scalar e = schnorr_challenge(*r, pk.point(), msg);
-  return Point::mul_add_equals_vartime(e.neg(), pk, s, *r);
+  if (!parse_s(sig, s)) return false;
+  const BytesView r = sig.subspan(0, 33);
+  return Point::mul_add_encodes_vartime(challenge(r, pk.point(), msg).neg(), pk, s, r);
 }
 
 namespace {
@@ -123,12 +130,11 @@ bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
   Scalar g_coeff(0);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const SigBatchItem& it = items[i];
-    const auto r = Point::from_compressed(BytesView(it.sig).subspan(0, 33));
-    if (!r) return false;
-    const U256 sv = U256::from_be_bytes(BytesView(it.sig).subspan(33));
-    if (sv >= Scalar::order()) return false;
-    const Scalar s = Scalar::from_u256(sv);
-    const Scalar e = schnorr_challenge(*r, it.pk, it.msg);
+    const BytesView r33 = BytesView(it.sig).subspan(0, 33);
+    const auto r = Point::from_compressed(r33);
+    Scalar s(0);
+    if (!r || !parse_s(it.sig, s)) return false;
+    const Scalar e = challenge(r33, it.pk, it.msg);
     const Scalar a = i == 0 ? Scalar(1) : batch_randomizer(seed, static_cast<std::uint32_t>(i));
     g_coeff = g_coeff + a * s;
     // Negate the points, not the coefficients: aᵢ stays 128 bits wide. A

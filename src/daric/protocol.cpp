@@ -49,14 +49,14 @@ bool queue_wire(std::vector<crypto::SigBatchItem>& batch, const tx::SighashCache
 // ---------------------------------------------------------------------------
 
 DaricParty::DaricParty(DaricChannel& ch, PartyId id, const channel::ChannelParams& params,
-                       sim::Environment& env, tx::OutPoint funding_source,
-                       crypto::KeyPair funding_key)
+                       sim::Environment& env, crypto::KeyPair funding_key, Amount funding_cash)
     : ch_(ch),
       id_(id),
       params_(params),
       env_(env),
-      funding_source_(funding_source),
       funding_key_(std::move(funding_key)),
+      funding_source_(env.ledger().mint(funding_cash,
+                                        tx::Condition::p2wpkh(funding_key_.pk.compressed()))),
       keys_(DaricKeys::derive(sim::party_name(id), params.id)),
       pub_own_(to_pub(keys_)) {}
 
@@ -273,11 +273,6 @@ void DaricParty::force_close() {
 
 namespace {
 
-tx::OutPoint mint_funding_source(sim::Environment& env, Amount value,
-                                 const crypto::KeyPair& key) {
-  return env.ledger().mint(value, tx::Condition::p2wpkh(key.pk.compressed()));
-}
-
 crypto::KeyPair funding_keypair(const channel::ChannelParams& p, PartyId id) {
   return crypto::derive_keypair(p.id + "/" + sim::party_name(id) + "/funding-source");
 }
@@ -286,12 +281,8 @@ crypto::KeyPair funding_keypair(const channel::ChannelParams& p, PartyId id) {
 
 DaricChannel::DaricChannel(sim::Environment& env, channel::ChannelParams params)
     : Engine(env, std::move(params), "daric"),
-      a_(*this, PartyId::kA, params_, env,
-         mint_funding_source(env, params_.cash_a, funding_keypair(params_, PartyId::kA)),
-         funding_keypair(params_, PartyId::kA)),
-      b_(*this, PartyId::kB, params_, env,
-         mint_funding_source(env, params_.cash_b, funding_keypair(params_, PartyId::kB)),
-         funding_keypair(params_, PartyId::kB)),
+      a_(*this, PartyId::kA, params_, env, funding_keypair(params_, PartyId::kA), params_.cash_a),
+      b_(*this, PartyId::kB, params_, env, funding_keypair(params_, PartyId::kB), params_.cash_b),
       tcache_(params_, a_.pub_own_, b_.pub_own_) {
   a_.hook_ = env_.add_round_hook([this] { a_.on_round(); });
   b_.hook_ = env_.add_round_hook([this] { b_.on_round(); });

@@ -51,7 +51,7 @@ struct Behavior {
 class DaricParty {
  public:
   DaricParty(DaricChannel& ch, sim::PartyId id, const channel::ChannelParams& params,
-             sim::Environment& env, tx::OutPoint funding_source, crypto::KeyPair funding_key);
+             sim::Environment& env, crypto::KeyPair funding_key, Amount funding_cash);
 
   sim::PartyId id() const { return id_; }
   const DaricKeys& keys() const { return keys_; }
@@ -147,9 +147,9 @@ class DaricParty {
   sim::Environment& env_;
   sim::Environment::HookId hook_ = 0;  // registered by DaricChannel
 
-  // Funding source (the paper's tid_P) and its key.
-  tx::OutPoint funding_source_;
+  // Funding key, and the funding source (the paper's tid_P) minted to it.
   crypto::KeyPair funding_key_;
+  tx::OutPoint funding_source_;
 
   DaricKeys keys_;
   DaricPubKeys pub_own_;

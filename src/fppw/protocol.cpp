@@ -77,14 +77,18 @@ tx::Transaction FppwChannel::build_revocation(std::uint32_t state, PartyId victi
                 tx::Condition::p2wpkh(victim == PartyId::kA ? pub_a_.main : pub_b_.main)},
                {collateral(), tx::Condition::p2wpkh(tower_payout_.pk.compressed())}};
   t.witnesses.resize(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    const Bytes sa = tx::sign_input(t, i, rev_a_.sk, env_.scheme(), SighashFlag::kAll);
-    const Bytes sb = tx::sign_input(t, i, rev_b_.sk, env_.scheme(), SighashFlag::kAll);
-    const Bytes sw = tx::sign_input(t, i, rev_w_.sk, env_.scheme(), SighashFlag::kAll);
-    t.witnesses[i].stack = {Bytes{}, sa, sb, sw, Bytes{1}};
-    t.witnesses[i].witness_script = i == 0 ? s.out0 : s.out1;
-  }
+  sign_3of3(t, 0, s.out0);
+  sign_3of3(t, 1, s.out1);
   return t;
+}
+
+void FppwChannel::sign_3of3(tx::Transaction& t, std::size_t input,
+                            const script::Script& witness_script) const {
+  const Bytes sa = tx::sign_input(t, input, rev_a_.sk, env_.scheme(), SighashFlag::kAll);
+  const Bytes sb = tx::sign_input(t, input, rev_b_.sk, env_.scheme(), SighashFlag::kAll);
+  const Bytes sw = tx::sign_input(t, input, rev_w_.sk, env_.scheme(), SighashFlag::kAll);
+  t.witnesses[input].stack = {Bytes{}, sa, sb, sw, Bytes{1}};
+  t.witnesses[input].witness_script = witness_script;
 }
 
 void FppwChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
@@ -205,7 +209,8 @@ void FppwChannel::on_round() {
     if (post_round != -1 && env_.now() >= post_round) {
       ledger.post(bound);
       post_round = -1;
-    } else if (post_round == -1 && ledger.is_confirmed(bound.txid())) {
+    } else if (post_round == -1 && ledger.is_confirmed(bound.txid()) &&
+               ledger.is_confirmed(*pending_release_)) {
       close_as(channel::Outcome::kNonCollaborative);
     }
     return;
@@ -290,14 +295,24 @@ void FppwChannel::on_round() {
     return;
   }
 
-  // Latest commit: split after the CSV delay (collateral release elided —
-  // the tower's exit is part of the cooperative teardown in this engine).
+  // Latest commit: the split after the CSV delay, and at once the tower's
+  // collateral release, which spends output 1 through its 3-of-3 branch
+  // back to the tower (the co-signed collateral-release template). The
+  // close counts once both confirm.
   const auto conf = ledger.confirmation_round(id);
   tx::Transaction split = split_body_;
   split.witnesses.resize(1);
   split.witnesses[0].stack = {Bytes{}, split_sig_a_, split_sig_b_, Bytes{}};
   split.witnesses[0].witness_script = out0_;
   pending_split_ = {{(conf ? *conf : env_.now()) + params_.t_punish, std::move(split)}};
+  tx::Transaction release;
+  release.inputs = {{{id, 1}}};
+  release.nlocktime = 0;
+  release.outputs = {{collateral(), tx::Condition::p2wpkh(tower_payout_.pk.compressed())}};
+  release.witnesses.resize(1);
+  sign_3of3(release, 0, out1_);
+  ledger.post(release);
+  pending_release_ = release.txid();
 }
 
 std::size_t FppwChannel::party_storage_bytes(PartyId who) const {

@@ -53,6 +53,8 @@ class FppwChannel : public channel::Engine {
   const tx::Transaction& latest_commit_body() const { return commit_body_; }
   tx::OutPoint funding_outpoint() const { return fund_op_; }
   Amount collateral() const { return params_.capacity(); }
+  /// Where every exit path returns the tower's collateral.
+  Bytes tower_payout_pk() const { return tower_payout_.pk.compressed(); }
 
  private:
   struct StateSecrets {
@@ -64,6 +66,9 @@ class FppwChannel : public channel::Engine {
   tx::Transaction build_commit_body(std::uint32_t state) const;
   tx::Transaction assemble_commit(sim::PartyId publisher, std::uint32_t state) const;
   tx::Transaction build_revocation(std::uint32_t state, sim::PartyId victim) const;
+  /// Completes `input` of t through the 3-of-3 revocation branch (RevA,
+  /// RevB, RevW) of `witness_script`.
+  void sign_3of3(tx::Transaction& t, std::size_t input, const script::Script& witness_script) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
 
@@ -103,6 +108,7 @@ class FppwChannel : public channel::Engine {
   std::optional<Hash256> pending_txid_;
   bool pending_is_compensation_ = false;
   std::optional<std::pair<Round, tx::Transaction>> pending_split_;
+  std::optional<Hash256> pending_release_;  // set with pending_split_
   std::optional<Round> fraud_seen_round_;
   std::optional<Hash256> fraud_commit_txid_;
 };

@@ -12,6 +12,18 @@ namespace {
 
 constexpr std::string_view kSighashTag = "daric/sighash";
 
+// A hasher that already absorbed SHA256(tag)||SHA256(tag); each digest
+// starts from a copy, like the Schnorr tags.
+const crypto::Sha256& tagged_midstate() {
+  static const crypto::Sha256 kTagged = crypto::Sha256::tagged_init(kSighashTag);
+  return kTagged;
+}
+
+Hash256 tagged_digest(BytesView preimage) {
+  crypto::Sha256 h = tagged_midstate();
+  return h.update(preimage).finalize();
+}
+
 bool is_single(script::SighashFlag flag) {
   return flag == script::SighashFlag::kSingle ||
          flag == script::SighashFlag::kSingleAnyPrevOut;
@@ -58,7 +70,7 @@ Hash256 sighash_digest(const Transaction& tx, std::size_t input_index,
     w.varint(tx.outputs.size());
     for (const Output& out : tx.outputs) write_output(w, out);
   }
-  return crypto::Sha256::tagged(kSighashTag, w.data());
+  return tagged_digest(w.data());
 }
 
 Hash256 SighashCache::digest(std::size_t input_index, script::SighashFlag flag) const {
@@ -69,13 +81,13 @@ Hash256 SighashCache::digest(std::size_t input_index, script::SighashFlag flag) 
     w.reserve(128);
     write_prefix(w, tx_, flag);
     if (is_single(flag)) {
-      e.midstate = crypto::Sha256::tagged_init(kSighashTag);
+      e.midstate = tagged_midstate();
       e.midstate.update(w.data());
     } else {
       w.varint(tx_.outputs.size());
       for (const Output& out : tx_.outputs) write_output(w, out);
       e.whole = true;
-      e.full = crypto::Sha256::tagged(kSighashTag, w.data());
+      e.full = tagged_digest(w.data());
     }
     it = entries_.emplace(flag, std::move(e)).first;
   }

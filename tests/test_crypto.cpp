@@ -1,8 +1,13 @@
 // Unit tests for the from-scratch crypto substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
 #include <memory>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "src/crypto/adaptor.h"
 #include "src/crypto/ct.h"
@@ -112,6 +117,84 @@ TEST(Sha256, DoubleHashDiffersFromSingle) {
 TEST(Sha256, TaggedHashDomainSeparates) {
   const Bytes d = str_bytes("msg");
   EXPECT_NE(crypto::Sha256::tagged("a", d), crypto::Sha256::tagged("b", d));
+}
+
+// The compression kernels, called directly: the portable one everywhere and
+// the SHA-NI one where cpuid reports it. Each is driven through a padding
+// written here, so neither Sha256's buffering nor its dispatch is involved.
+using CompressFn = void (*)(std::uint32_t*, const Byte*, std::size_t);
+
+std::vector<std::pair<std::string, CompressFn>> sha_kernels() {
+  std::vector<std::pair<std::string, CompressFn>> k = {
+      {"scalar", crypto::sha256_detail::compress_scalar}};
+#if defined(__x86_64__)
+  if (crypto::sha256_detail::shani_available())
+    k.emplace_back("sha-ni", crypto::sha256_detail::compress_shani);
+#endif
+  std::string names;
+  for (const auto& [name, fn] : k) names += (names.empty() ? "" : ", ") + name;
+  std::printf("[   INFO   ] SHA-256 kernels run: %s\n", names.c_str());
+  ::testing::Test::RecordProperty("sha256_kernels", names);
+  return k;
+}
+
+Hash256 sha256_via(CompressFn compress, BytesView msg) {
+  std::uint32_t st[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<Byte>(bits >> (8 * i)));
+  compress(st, padded.data(), padded.size() / 64);
+  Hash256 out;
+  for (std::size_t i = 0; i < 32; ++i)
+    out.data[i] = static_cast<Byte>(st[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+TEST(Sha256Kernels, NistVectorsOnEveryAvailableKernel) {
+  const std::pair<Bytes, const char*> kVectors[] = {
+      {{}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {str_bytes("abc"), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {str_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {str_bytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+                 "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {Bytes(1'000'000, 'a'), "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const auto& [name, fn] : sha_kernels())
+    for (const auto& [msg, want] : kVectors)
+      EXPECT_EQ(sha256_via(fn, msg).hex(), want) << name << ", " << msg.size() << " bytes";
+}
+
+TEST(Sha256Kernels, RandomMessagesInRandomSplitsAgree) {
+  const auto kernels = sha_kernels();
+  std::uint64_t state = 0x5ba256;
+  const auto next = [&state] {  // splitmix64
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111eb;
+    return z ^ (z >> 31);
+  };
+  for (int i = 0; i < 2000; ++i) {
+    Bytes msg(next() % 301);
+    for (Byte& b : msg) b = static_cast<Byte>(next());
+    const Hash256 want = sha256_via(crypto::sha256_detail::compress_scalar, msg);
+    for (const auto& [name, fn] : kernels)
+      ASSERT_EQ(sha256_via(fn, msg), want) << name << ", message " << i;
+    // The streaming hasher (dispatched kernel, one-call padding) over the
+    // same bytes cut at random points.
+    crypto::Sha256 h;
+    std::size_t off = 0;
+    while (off < msg.size()) {
+      const std::size_t take = std::min<std::size_t>(msg.size() - off, next() % 80);
+      h.update({msg.data() + off, take});
+      off += take;
+    }
+    ASSERT_EQ(h.finalize(), want) << "streaming, message " << i;
+  }
 }
 
 // --- RIPEMD-160 (ISO test vectors) ------------------------------------------
@@ -332,6 +415,69 @@ TEST(FieldOracleTest, LockStepWithModarithMillionSteps) {
       }
     }
   }
+}
+
+// Fe::inv (divsteps) in lock-step with modarith over 10^6 values from the
+// FieldOracle mix, so the inputs carry the unreduced limbs that arithmetic
+// leaves behind and the edge representatives up to the 2p bound. Every
+// inverse multiplies back to 1 under modarith's independent multiply; every
+// 1000th also equals modarith's Fermat inverse exactly. Inverses feed back
+// into the registers, and zero must throw.
+TEST(FieldInverse, LockStepWithModarithMillionValues) {
+  namespace ma = crypto::modarith;
+  FieldOracle o;
+  for (auto& r : o.regs) r = o.fresh();
+  int zeros = 0;
+  for (int step = 0; step < 1'000'000; ++step) {
+    const FieldOracle::Reg a = o.operand();
+    if (a.ref.is_zero()) {
+      ASSERT_THROW(a.fe.inv(), std::domain_error) << "step " << step;
+      ++zeros;
+      o.pick() = o.fresh();
+      continue;
+    }
+    const Fe inv = a.fe.inv();
+    const U256 got = inv.raw();
+    ASSERT_EQ(ma::mul_mod(a.ref, got, o.kP), U256(1)) << "step " << step;
+    if (step % 1000 == 0) {
+      ASSERT_EQ(got, ma::inv_mod(a.ref, o.kP)) << "step " << step;
+    }
+    // Keep the registers moving: the inverse, or a product with it.
+    o.pick() = o.next() % 2 == 0
+                   ? FieldOracle::Reg{inv, got}
+                   : FieldOracle::Reg{inv * a.fe + a.fe, ma::add_mod(U256(1), a.ref, o.kP)};
+  }
+  EXPECT_GT(zeros, 0);  // the mix reaches zero, so the throw is exercised
+}
+
+TEST(FieldInverse, EdgeValues) {
+  namespace ma = crypto::modarith;
+  const U256& p = Fe::modulus();
+  U256 p_minus_1, p_plus_1;
+  crypto::sub_with_borrow(p, U256(1), p_minus_1);
+  crypto::add_with_carry(p, U256(1), p_plus_1);
+  const U256 all_ones(~0ull, ~0ull, ~0ull, ~0ull);
+  const Fe p_minus_1_fe = Fe::from_raw(p_minus_1);
+  const std::pair<Fe, const char*> kCases[] = {
+      {Fe(1), "1"},
+      {p_minus_1_fe, "p-1"},
+      {Fe::from_raw(U256(0x1000003d1)), "2^256 mod p"},
+      {Fe::from_raw(p_plus_1), "p+1 (unreduced 1)"},
+      {Fe::from_raw(all_ones), "2^256-1 (unreduced)"},
+      {p_minus_1_fe + p_minus_1_fe, "(p-1)+(p-1) (unreduced limbs)"},
+      {Fe(0) - p_minus_1_fe, "0-(p-1) (4p-offset limbs)"},
+      {Fe::from_raw(all_ones) + Fe::from_raw(all_ones), "sum of two unreduced values"},
+  };
+  for (const auto& [v, name] : kCases) {
+    const U256 ref = v.raw();
+    ASSERT_FALSE(ref.is_zero()) << name;
+    EXPECT_EQ(v.inv().raw(), ma::inv_mod(ref, crypto::detail::kFieldParams)) << name;
+    EXPECT_EQ(v * v.inv(), Fe(1)) << name;
+  }
+  EXPECT_THROW(Fe(0).inv(), std::domain_error);
+  EXPECT_THROW(Fe::from_raw(p).inv(), std::domain_error);  // p itself, unreduced zero
+  EXPECT_THROW((Fe(5) - Fe(5)).inv(), std::domain_error);
+  EXPECT_THROW((p_minus_1_fe + Fe(1)).inv(), std::domain_error);
 }
 
 // --- Known answers ---------------------------------------------------------
@@ -771,9 +917,196 @@ TEST(MulCrossCheck, MulAddEqualsMatchesExplicitComputation) {
     const Scalar b = sweep_scalar("eq-b", i);
     const Point p = Point::mul_gen(sweep_scalar("eq-p", i));
     const Point expect = Point::mul_add_vartime(a, p, b);
-    EXPECT_TRUE(Point::mul_add_equals_vartime(a, p, b, expect));
-    EXPECT_FALSE(Point::mul_add_equals_vartime(a, p, b, expect + p));
+    const crypto::PrecomputedPoint pre(p);
+    EXPECT_TRUE(Point::mul_add_encodes_vartime(a, p, b, expect.compressed()));
+    EXPECT_TRUE(Point::mul_add_encodes_vartime(a, pre, b, expect.compressed()));
+    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, p, b, (expect + p).compressed()));
+    // Same x, other y parity.
+    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, p, b, expect.neg().compressed()));
+    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, pre, b, expect.neg().compressed()));
   }
+}
+
+// --- wNAF recoding ------------------------------------------------------------
+//
+// detail::wnaf (word-level windows) against the textbook loop it replaced,
+// kept here as the reference, and against the NAF properties themselves.
+
+int wnaf_reference(std::int16_t* naf, U256 k, unsigned w) {
+  const std::uint64_t mask = (std::uint64_t{1} << w) - 1;
+  int len = 0;
+  while (!k.is_zero()) {
+    std::int64_t d = 0;
+    if (k.is_odd()) {
+      d = static_cast<std::int64_t>(k.limb[0] & mask);
+      if (d > std::int64_t{1} << (w - 1)) d -= std::int64_t{1} << w;
+      if (d >= 0)
+        crypto::sub_with_borrow(k, U256(static_cast<std::uint64_t>(d)), k);
+      else
+        crypto::add_with_carry(k, U256(static_cast<std::uint64_t>(-d)), k);
+    }
+    naf[len++] = static_cast<std::int16_t>(d);
+    k = crypto::shr(k, 1);
+  }
+  return len;
+}
+
+::testing::AssertionResult is_wnaf_of(const std::int16_t* naf, int len, const U256& k,
+                                      unsigned w) {
+  if ((len == 0) != k.is_zero()) return ::testing::AssertionFailure() << "length " << len;
+  if (len > 0 && naf[len - 1] == 0) return ::testing::AssertionFailure() << "top digit zero";
+  int last = -1;  // the nearest nonzero digit above i, -1 for none yet
+  // Σ dᵢ·2ⁱ by Horner from the top, in 320-bit two's complement.
+  std::array<std::uint64_t, 5> acc{};
+  for (int i = len - 1; i >= 0; --i) {
+    for (int j = 4; j > 0; --j) acc[j] = acc[j] << 1 | acc[j - 1] >> 63;
+    acc[0] <<= 1;
+    const std::int64_t d = naf[i];
+    unsigned __int128 carry = 0;
+    for (std::size_t j = 0; j < 5; ++j) {
+      const std::uint64_t add = j == 0 ? static_cast<std::uint64_t>(d) : (d < 0 ? ~0ull : 0);
+      carry += static_cast<unsigned __int128>(acc[j]) + add;
+      acc[j] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+    if (d == 0) continue;
+    if (d % 2 == 0 || d >= (1 << (w - 1)) || d <= -(1 << (w - 1)))
+      return ::testing::AssertionFailure() << "digit " << d << " at " << i;
+    if (last >= 0 && last - i < static_cast<int>(w))
+      return ::testing::AssertionFailure() << "two nonzero digits within " << w << " at " << i;
+    last = i;
+  }
+  if (acc[4] != 0 || U256(acc[0], acc[1], acc[2], acc[3]) != k)
+    return ::testing::AssertionFailure() << "digits do not sum to k";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Wnaf, WordLevelRecodingMatchesTheReferenceAndTheNafProperties) {
+  std::uint64_t state = 0x3a4f;
+  const auto next = [&state] {  // splitmix64
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111eb;
+    return z ^ (z >> 31);
+  };
+  U256 n_minus_1;
+  crypto::sub_with_borrow(Scalar::order(), U256(1), n_minus_1);
+  std::vector<U256> ks = {U256(0), U256(1), U256(~0ull, ~0ull, 0, 0), n_minus_1};
+  for (int i = 0; i < 2000; ++i) {
+    ks.push_back(U256(next(), next(), 0, 0));            // 128-bit
+    ks.push_back(U256(next(), next(), next(), next()));  // 256-bit
+  }
+  for (const unsigned w : {5u, 7u, 11u}) {
+    for (const U256& k : ks) {
+      std::int16_t got[crypto::detail::kMaxNafLen];
+      std::int16_t want[crypto::detail::kMaxNafLen];
+      const int len = crypto::detail::wnaf(got, k, w);
+      const std::string where = "w=" + std::to_string(w) + " k=" + to_hex(k.to_be_bytes());
+      ASSERT_EQ(len, wnaf_reference(want, k, w)) << where;
+      ASSERT_TRUE(std::equal(got, got + len, want)) << where;
+      ASSERT_TRUE(is_wnaf_of(got, len, k, w)) << where;
+    }
+    // 2^256 - 1 recodes with a carry digit at position 256, the buffer's
+    // last slot. The reference loop wraps there (k + 1 overflows), so only
+    // the properties are checked.
+    const U256 top(~0ull, ~0ull, ~0ull, ~0ull);
+    std::int16_t got[crypto::detail::kMaxNafLen];
+    const int len = crypto::detail::wnaf(got, top, w);
+    EXPECT_EQ(len, crypto::detail::kMaxNafLen) << "w=" << w;
+    EXPECT_TRUE(is_wnaf_of(got, len, top, w)) << "w=" << w;
+  }
+}
+
+// --- Schnorr verification without lifting R --------------------------------
+//
+// schnorr_verify compares R's x with s·G − e·P in Jacobian coordinates and
+// checks the y parity with one inversion. The textbook verifier kept here
+// lifts R with a square root and compares points; both must agree on every
+// input, valid or not.
+
+bool lifting_verify(const Point& pk, const Hash256& msg, BytesView sig) {
+  if (sig.size() != crypto::kSchnorrSigSize || pk.is_infinity()) return false;
+  const auto r = Point::from_compressed(sig.subspan(0, 33));
+  if (!r) return false;
+  const U256 sv = U256::from_be_bytes(sig.subspan(33));
+  if (sv >= Scalar::order()) return false;
+  const Scalar e = crypto::schnorr_challenge(*r, pk, msg);
+  return Point::mul_gen(Scalar::from_u256(sv)) == *r + pk * e;
+}
+
+TEST(SchnorrDifferential, SameVerdictAsTheRLiftingReference) {
+  const U256& p = Fe::modulus();
+  const U256& n = Scalar::order();
+  const auto with_x = [](Bytes sig, const U256& x) {
+    const Bytes xb = x.to_be_bytes();
+    std::copy(xb.begin(), xb.end(), sig.begin() + 1);
+    return sig;
+  };
+  const auto with_s = [](Bytes sig, const U256& s) {
+    const Bytes sb = s.to_be_bytes();
+    std::copy(sb.begin(), sb.end(), sig.begin() + 33);
+    return sig;
+  };
+  // An x with no curve point: x³ + 7 is not a square.
+  U256 off_curve(7);
+  for (Fe y;; off_curve.limb[0]++) {
+    const Fe x = Fe::from_raw(off_curve);
+    if (!(x.sqr() * x + Fe(7)).sqrt(y)) break;
+  }
+  int accepted = 0, cases = 0;
+  for (int i = 0; i < 24; ++i) {
+    const auto kp = crypto::derive_keypair("sqrt-free/" + std::to_string(i));
+    const crypto::PrecomputedPoint pre(kp.pk);
+    const Hash256 msg = crypto::Sha256::hash(str_bytes("sqrt-free msg " + std::to_string(i)));
+    const auto same = [&](const Bytes& sig, const Hash256& m, const char* what) {
+      const bool want = lifting_verify(kp.pk, m, sig);
+      EXPECT_EQ(crypto::schnorr_verify(kp.pk, m, sig), want) << what << ", key " << i;
+      EXPECT_EQ(crypto::schnorr_verify(pre, m, sig), want) << what << " (table), key " << i;
+      accepted += want ? 1 : 0;
+      ++cases;
+    };
+    const Bytes sig = i % 2 == 0 ? crypto::schnorr_sign(kp, msg) : crypto::schnorr_sign(kp.sk, msg);
+    same(sig, msg, "valid");
+    Bytes flipped = sig;
+    flipped[0] ^= 0x01;
+    same(flipped, msg, "wrong parity prefix");
+    for (const Byte prefix : {Byte{0x00}, Byte{0x04}, Byte{0x05}, Byte{0xff}}) {
+      Bytes bad = sig;
+      bad[0] = prefix;
+      same(bad, msg, "bad prefix");
+    }
+    U256 x_ge_p;
+    crypto::add_with_carry(p, U256(static_cast<std::uint64_t>(i)), x_ge_p);
+    same(with_x(sig, x_ge_p), msg, "x >= p");
+    same(with_x(sig, U256(~0ull, ~0ull, ~0ull, ~0ull)), msg, "x = 2^256 - 1");
+    same(with_x(sig, off_curve), msg, "x off the curve");
+    U256 s_ge_n;
+    crypto::add_with_carry(n, U256(static_cast<std::uint64_t>(i)), s_ge_n);
+    same(with_s(sig, s_ge_n), msg, "s >= n");
+    same(with_s(sig, U256(~0ull, ~0ull, ~0ull, ~0ull)), msg, "s = 2^256 - 1");
+    const Scalar s = Scalar::from_be_bytes_reduce(BytesView(sig).subspan(33));
+    same(with_s(sig, (s + Scalar(1)).raw()), msg, "s + 1");
+    Hash256 other = msg;
+    other.data[static_cast<std::size_t>(i) % 32] ^= 0x80;
+    same(sig, other, "tampered message");
+    same(Bytes(sig.begin(), sig.end() - 1), msg, "short");
+    // R's x is right but the prefix claims the other parity, with e taken
+    // over that prefix: s·G − e·P lands on R itself, so only the parity
+    // check can reject it.
+    const Scalar k = Scalar::from_be_bytes_reduce(
+        crypto::Sha256::hash(str_bytes("k" + std::to_string(i))).view());
+    Bytes r33 = Point::mul_gen(k).compressed();
+    for (const bool flip : {false, true}) {
+      Bytes rb = r33;
+      if (flip) rb[0] ^= 0x01;
+      const Bytes preimage = concat({rb, kp.pk.compressed(), msg.view()});
+      const Scalar e =
+          Scalar::from_be_bytes_reduce(crypto::Sha256::tagged("daric/schnorr", preimage).view());
+      same(concat({rb, (k + e * kp.sk).to_be_bytes()}), msg, flip ? "forged parity" : "hand-made");
+    }
+  }
+  EXPECT_EQ(accepted, 2 * 24);  // the signatures and the hand-made ones, nothing else
+  EXPECT_EQ(cases, 24 * 16);
 }
 
 std::vector<crypto::SigBatchItem> make_batch(int n) {

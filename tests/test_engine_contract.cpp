@@ -79,29 +79,29 @@ Amount credited(const ledger::Ledger& l, BytesView pk33) {
   return sum;
 }
 
+channel::ChannelParams params(const std::string& name) {
+  channel::ChannelParams p;
+  p.id = "contract-" + name;
+  p.cash_a = kCashA;
+  p.cash_b = kCashB;
+  p.t_punish = kT;
+  return p;
+}
+
+/// create + two updates, through the contract only.
+void open_and_update(Engine& ch) {
+  ASSERT_TRUE(ch.create());
+  ASSERT_TRUE(ch.update(kFirst));
+  ASSERT_TRUE(ch.update(kLast));
+  ASSERT_EQ(ch.state_number(), 2u);
+  ASSERT_FALSE(ch.closed());
+}
+
 class EngineContract : public ::testing::TestWithParam<EngineCase> {
  protected:
   EngineContract()
       : env_(kDelta, crypto::schnorr_scheme()),
         engine_(GetParam().make(env_, params(GetParam().name))) {}
-
-  static channel::ChannelParams params(const std::string& name) {
-    channel::ChannelParams p;
-    p.id = "contract-" + name;
-    p.cash_a = kCashA;
-    p.cash_b = kCashB;
-    p.t_punish = kT;
-    return p;
-  }
-
-  /// create + two updates, through the contract only.
-  void open_and_update(Engine& ch) {
-    ASSERT_TRUE(ch.create());
-    ASSERT_TRUE(ch.update(kFirst));
-    ASSERT_TRUE(ch.update(kLast));
-    ASSERT_EQ(ch.state_number(), 2u);
-    ASSERT_FALSE(ch.closed());
-  }
 
   Amount paid(PartyId who) const { return credited(env_.ledger(), engine_->payout_pk(who)); }
 
@@ -153,6 +153,32 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineContract, ::testing::ValuesIn(kCases)
                          [](const ::testing::TestParamInfo<EngineCase>& info) {
                            return std::string(info.param.name);
                          });
+
+// FPPW escrows the tower's collateral beside the channel funds, and every
+// commit carries it in output 1. A force close at the latest state counts
+// as closed only once the co-signed release has paid output 1 back to the
+// tower, so the funding output's whole value reaches its owners.
+TEST(EngineContractFppw, ForceCloseReleasesTheTowersCollateral) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  fppw::FppwChannel fppw(env, params("fppw-escrow"));
+  Engine& ch = fppw;
+  open_and_update(ch);
+  ch.force_close(PartyId::kA);
+  ASSERT_TRUE(ch.run_until_closed());
+  EXPECT_EQ(ch.outcome(PartyId::kA), Outcome::kNonCollaborative);
+  const auto commit = env.ledger().spender_of(fppw.funding_outpoint());
+  ASSERT_TRUE(commit.has_value());
+  const auto release = env.ledger().spender_of({commit->txid(), 1});
+  ASSERT_TRUE(release.has_value());
+  ASSERT_TRUE(env.ledger().is_confirmed(release->txid()));
+  ASSERT_EQ(release->outputs.size(), 1u);
+  EXPECT_EQ(release->outputs[0].cond, tx::Condition::p2wpkh(fppw.tower_payout_pk()));
+  EXPECT_EQ(release->outputs[0].cash, commit->outputs[1].cash);
+  const Amount tower = credited(env.ledger(), fppw.tower_payout_pk());
+  EXPECT_EQ(tower, fppw.collateral());
+  EXPECT_EQ(credited(env.ledger(), ch.payout_pk(PartyId::kA)), kLast.to_a);
+  EXPECT_EQ(credited(env.ledger(), ch.payout_pk(PartyId::kB)), kLast.to_b);
+}
 
 }  // namespace
 }  // namespace daric

@@ -5,14 +5,23 @@ The BENCH format is a compact, diffable snapshot of one benchmark binary:
 
     {
       "bench": "crypto",
-      "context": {"host": ..., "num_cpus": ..., "build_type": ...},
+      "context": {"host": ..., "num_cpus": ..., "nproc": ..., "build_type": ...},
       "results": {
         "BM_SchnorrVerify": {"real_time_ns": ..., "cpu_time_ns": ...,
+                             "min_real_time_ns": ..., "cv": ...,
+                             "repetitions": ...,
                              "items_per_second": ...},   # when reported
         ...
       },
       "ratios": {"schnorr_verify_speedup_vs_naive_ladder": 3.4, ...}
     }
+
+A run with ``--benchmark_repetitions=N`` reports each benchmark N times;
+``real_time_ns``, ``cpu_time_ns`` and ``items_per_second`` are then the
+medians over the repetitions, ``min_real_time_ns`` the fastest one and
+``cv`` the coefficient of variation of the real time (stddev / mean). The
+aggregate rows google-benchmark appends are ignored: the statistics are
+recomputed from the repetitions themselves.
 
 Ratios are requested on the command line as ``name=BM_SLOW/BM_FAST`` and
 computed from real time (``time(BM_SLOW) / time(BM_FAST)``), so a speedup
@@ -55,6 +64,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import sys
 
 
@@ -105,22 +116,32 @@ def main(argv: list[str]) -> int:
         return 2
 
     ctx = raw.get("context", {})
-    results: dict[str, dict[str, float]] = {}
+    runs: dict[str, list[dict]] = {}
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
+        runs.setdefault(b.get("run_name", b.get("name")), []).append(b)
+    results: dict[str, dict[str, float]] = {}
+    for name, reps in runs.items():
         try:
-            entry = {
-                "real_time_ns": round(to_ns(b["real_time"], b["time_unit"]), 2),
-                "cpu_time_ns": round(to_ns(b["cpu_time"], b["time_unit"]), 2),
-            }
+            real = [to_ns(b["real_time"], b["time_unit"]) for b in reps]
+            cpu = [to_ns(b["cpu_time"], b["time_unit"]) for b in reps]
         except (KeyError, ValueError) as e:
-            print(f"error: malformed benchmark entry {b.get('name')!r}: {e}",
+            print(f"error: malformed benchmark entry {name!r}: {e}",
                   file=sys.stderr)
             return 2
-        if "items_per_second" in b:
-            entry["items_per_second"] = round(b["items_per_second"], 2)
-        results[b["name"]] = entry
+        mean = statistics.fmean(real)
+        entry = {
+            "real_time_ns": round(statistics.median(real), 2),
+            "cpu_time_ns": round(statistics.median(cpu), 2),
+            "min_real_time_ns": round(min(real), 2),
+            "cv": round(statistics.stdev(real) / mean, 4) if len(real) > 1 and mean > 0 else 0.0,
+            "repetitions": len(reps),
+        }
+        ips = [b["items_per_second"] for b in reps if "items_per_second" in b]
+        if ips:
+            entry["items_per_second"] = round(statistics.median(ips), 2)
+        results[name] = entry
 
     if not results:
         print(f"error: {args.raw} contains no benchmark results", file=sys.stderr)
@@ -213,6 +234,7 @@ def main(argv: list[str]) -> int:
         "context": {
             "host": ctx.get("host_name", "unknown"),
             "num_cpus": ctx.get("num_cpus"),
+            "nproc": os.cpu_count(),
             "mhz_per_cpu": ctx.get("mhz_per_cpu"),
             # daric_build_type (from DARIC_BENCHMARK_MAIN) reflects the
             # bench binary itself; library_build_type only describes the

@@ -8,10 +8,12 @@
 #             analyzer, model check, lint, then the ASan+UBSan tier-1 pass
 #   --fast    skip the sanitizer rebuild (plain tests + behaviour digests +
 #             model check + lint)
-#   --bench   build Release, run the crypto + update microbenches, write
-#             BENCH_crypto.json / BENCH_update_microbench.json at the repo
+#   --bench   build Release, run the crypto + update microbenches pinned to
+#             one CPU with 5 repetitions, write BENCH_crypto.json /
+#             BENCH_update_microbench.json (medians, min, cv) at the repo
 #             root, and regenerate BENCH_trace_overhead.json (disabled-tracer
-#             cost vs the previously committed update microbench)
+#             cost vs the previously committed update microbench); both gates
+#             compare medians through the BM_HostAnchor host-speed rung
 #   --chaos   fixed-seed 200-schedule fault-injection sweep (Daric + all
 #             baselines) plus the downtime-boundary scan and the committed
 #             regression schedules, under ASan+UBSan; the sweep, crash-replay
@@ -208,8 +210,17 @@ if [[ "$BENCH" == 1 ]]; then
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build-release -j --target bench_crypto bench_update_microbench >/dev/null
 
+  # Both microbenches run pinned to the last CPU, five repetitions of every
+  # rung in random order, so a burst of host noise lands on random rungs
+  # (the anchor among them) instead of on every repetition of one. The
+  # BENCH files record the median, min and cv of every rung; single runs on
+  # a shared VM swing by 30%, so no gate below reads one run.
+  PIN=()
+  if command -v taskset >/dev/null; then PIN=(taskset -c "$(( $(nproc) - 1 ))"); fi
+  REPS=(--benchmark_repetitions=5 --benchmark_enable_random_interleaving=true)
+
   step "bench_crypto -> BENCH_crypto.json"
-  ./build-release/bench/bench_crypto \
+  "${PIN[@]}" ./build-release/bench/bench_crypto "${REPS[@]}" \
     --benchmark_out=build-release/bench_crypto_raw.json \
     --benchmark_out_format=json
   python3 tools/bench_to_json.py --name crypto \
@@ -218,47 +229,24 @@ if [[ "$BENCH" == 1 ]]; then
     --ratio mul_var_point_speedup_vs_naive_ladder=BM_MulVarPointNaiveLadder/BM_MulVarPointWnaf
 
   step "bench_update_microbench -> BENCH_update_microbench.json"
-  # The committed file is the previous PR's baseline; keep it aside before
-  # overwriting so the disabled-tracer overhead can be computed against it.
+  # The committed file is the previous change's baseline; keep it aside
+  # before overwriting so the gates below can compare against it.
   cp BENCH_update_microbench.json build-release/BENCH_update_baseline.json
-  # Shared-host VMs suffer bursty CPU steal that can inflate a single run by
-  # 30%+; the per-benchmark minimum over three runs is the robust statistic
-  # (noise only ever adds time), so both the committed file and the overhead
-  # comparison use it.
-  for i in 1 2 3; do
-    ./build-release/bench/bench_update_microbench \
-      --benchmark_out="build-release/bench_update_raw$i.json" \
-      --benchmark_out_format=json
-  done
-  python3 - <<'PY'
-import json
-runs = [json.load(open(f"build-release/bench_update_raw{i}.json")) for i in (1, 2, 3)]
-merged = runs[0]
-best = {}
-for run in runs:
-    for b in run["benchmarks"]:
-        if b.get("run_type") == "aggregate":
-            continue
-        cur = best.get(b["name"])
-        if cur is None or b["real_time"] < cur["real_time"]:
-            best[b["name"]] = b
-merged["benchmarks"] = [best[b["name"]] for b in runs[0]["benchmarks"]
-                        if b.get("run_type") != "aggregate"]
-json.dump(merged, open("build-release/bench_update_raw.json", "w"), indent=1)
-PY
+  "${PIN[@]}" ./build-release/bench/bench_update_microbench "${REPS[@]}" \
+    --benchmark_out=build-release/bench_update_raw.json \
+    --benchmark_out_format=json
   python3 tools/bench_to_json.py --name update_microbench \
     --in build-release/bench_update_raw.json --out BENCH_update_microbench.json
 
   step "disabled-tracer overhead -> BENCH_trace_overhead.json"
-  # SHA-256 is the only anchor: it is untouched by both the obs layer and
-  # the signature hot-path work, so it isolates machine-speed drift. The
-  # signature benchmarks are deliberately NOT anchors — they are themselves
-  # optimization targets, and anchoring on them would fold genuine crypto
-  # speedups into the correction factor.
+  # BM_HostAnchor is the only anchor: a multiply-and-load chain that calls
+  # nothing in the library, so it moves with the host and with no change to
+  # the code. Crypto rungs cannot anchor: they are optimization targets, and
+  # anchoring on them would fold genuine speedups into the correction.
   python3 tools/bench_to_json.py --name trace_overhead \
     --in build-release/bench_update_raw.json --out BENCH_trace_overhead.json \
     --baseline build-release/BENCH_update_baseline.json \
-    --anchor BM_Sha256_1k \
+    --anchor BM_HostAnchor \
     --overhead daric_update=BM_DaricUpdate \
     --overhead lightning_update=BM_LightningUpdate \
     --overhead eltoo_update=BM_EltooUpdate \
@@ -267,7 +255,7 @@ PY
 import json, sys
 ov = json.load(open("BENCH_trace_overhead.json"))["overhead_vs_baseline"]
 worst = max(ov, key=ov.get)
-print(f"trace overhead vs baseline: worst {worst} = {ov[worst]:.4f}x")
+print(f"trace overhead vs baseline (medians): worst {worst} = {ov[worst]:.4f}x")
 if ov[worst] > 1.05:
     sys.exit(f"ERROR: disabled tracer costs >5% on {worst} ({ov[worst]:.4f}x)")
 if ov[worst] > 1.02:
@@ -276,19 +264,18 @@ if ov[worst] > 1.02:
 PY
 
   step "BM_DaricUpdate throughput regression gate"
-  # Anchor-corrected updates/s must not drop more than 10% below the
-  # committed baseline. The SHA-256 anchor divides out machine drift the
-  # same way the trace-overhead correction does.
+  # Anchor-corrected median updates/s must not drop more than 10% below the
+  # committed baseline's median.
   python3 - <<'PY'
 import json, sys
 now = json.load(open("BENCH_update_microbench.json"))["results"]
 base = json.load(open("build-release/BENCH_update_baseline.json"))["results"]
-anchor = now["BM_Sha256_1k"]["real_time_ns"] / base["BM_Sha256_1k"]["real_time_ns"]
+anchor = now["BM_HostAnchor"]["real_time_ns"] / base["BM_HostAnchor"]["real_time_ns"]
 ips_now = now["BM_DaricUpdate"]["items_per_second"]
 ips_base = base["BM_DaricUpdate"]["items_per_second"]
 corrected = ips_now * anchor  # updates/s at the baseline machine's speed
 ratio = corrected / ips_base
-print(f"BM_DaricUpdate: {ips_now:.1f} updates/s now, {ips_base:.1f} baseline, "
+print(f"BM_DaricUpdate: {ips_now:.1f} updates/s now, {ips_base:.1f} baseline (medians), "
       f"anchor factor {anchor:.4f} -> corrected ratio {ratio:.3f}x")
 if ratio < 0.90:
     sys.exit(f"ERROR: BM_DaricUpdate throughput regressed >10% "
