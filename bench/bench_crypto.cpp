@@ -394,6 +394,14 @@ void BM_SchnorrVerifyCached(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerifyCached);
 
+// Building one counterparty key's tables: a Daric party builds three per
+// channel, once, before its first check.
+void BM_PrecomputedPointBuild(benchmark::State& state) {
+  const SigFixture f;
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::PrecomputedPoint(f.kp.pk));
+}
+BENCHMARK(BM_PrecomputedPointBuild);
+
 void BM_SchnorrVerifyNaiveLadder(benchmark::State& state) {
   const SigFixture f;
   // Sanity-check once so the benchmark cannot silently time a failing path.

@@ -1,6 +1,7 @@
 #include "src/crypto/point.h"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -176,17 +177,17 @@ namespace {
 using detail::kMaxNafLen;
 using detail::wnaf;
 
-// Window sizes: 5 for variable points (8-entry table built per call), 7 for
-// precomputed points (32-entry table built once, amortized over many
-// verifies), 11 for the generator halves (512-entry tables built once per
-// process). A width-w NAF has odd digits |d| <= 2^(w-1) - 1, so a table
-// holds 2^(w-2) entries.
+// Window sizes: 5 for variable points, whether their table is built per call
+// or once per key (a PrecomputedPoint's 8 entries per segment), 11 for the
+// generator (512 entries per segment, built once per process). A width-w NAF
+// has odd digits |d| <= 2^(w-1) - 1, so a table holds 2^(w-2) entries.
 constexpr unsigned kWnafWindowP = 5;
-constexpr unsigned kWnafWindowPre = 7;
 constexpr unsigned kWnafWindowG = 11;
-constexpr int kTableSizeP = 1 << (kWnafWindowP - 2);    // odd multiples 1..15
-constexpr int kTableSizePre = 1 << (kWnafWindowPre - 2);  // odd multiples 1..63
-constexpr int kTableSizeG = 1 << (kWnafWindowG - 2);    // odd multiples 1..1023
+constexpr int kTableSizeP = 1 << (kWnafWindowP - 2);  // odd multiples 1..15
+constexpr int kTableSizeG = 1 << (kWnafWindowG - 2);  // odd multiples 1..1023
+
+using detail::kSegmentDigits;
+using detail::kSegments;
 
 // Table lookup for wNAF digit d (odd, nonzero): entry (|d|-1)/2, negated
 // for negative digits. Tables hold AffGe (built per call) or PackedGe.
@@ -211,11 +212,6 @@ const Fe& glv_beta() {
   return beta;
 }
 
-struct GlvSplit {
-  U256 k1{}, k2{};       // magnitudes, < ~2^128
-  bool neg1 = false, neg2 = false;  // signs of the k1·P / k2·phi(P) terms
-};
-
 // round((k·g) / 2^shift) for 256 < shift < 512: the product's bits from
 // `shift` up, plus the rounding bit just below the cut.
 U256 mul_shift_var(const U256& k, const U256& g, unsigned shift) {
@@ -236,11 +232,13 @@ U256 mul_shift_var(const U256& k, const U256& g, unsigned shift) {
   return r;
 }
 
+}  // namespace
+
 // Lattice-basis scalar decomposition (the constants are the standard secp256k1
 // values: (a1, b1), (a2, b2) span the lattice of pairs with a + b·lambda = 0
 // mod n, and g1, g2 are the precomputed rounded quotients 2^272·b2/n and
 // 2^272·(-b1)/n for Babai rounding at shift 272).
-GlvSplit glv_split(const Scalar& k) {
+detail::GlvSplit detail::glv_split(const Scalar& k) {
   static const U256 g1 = U256::from_hex("3086d221a7d46bcde86c90e49284eb153dab");
   static const U256 g2 = U256::from_hex("e4437ed6010e88286f547fa90abfe4c42212");
   static const Scalar minus_b1 =
@@ -254,13 +252,18 @@ GlvSplit glv_split(const Scalar& k) {
   const Scalar r2 = c1 + c2;
   const Scalar r1 = k - r2 * lambda;  // k = r1 + r2·lambda (mod n) by construction
   const U256 half_n = shr(Scalar::order(), 1);
-  GlvSplit out;
+  detail::GlvSplit out;
   out.neg1 = r1.raw() > half_n;
   out.k1 = out.neg1 ? r1.neg().raw() : r1.raw();
   out.neg2 = r2.raw() > half_n;
   out.k2 = out.neg2 ? r2.neg().raw() : r2.raw();
   return out;
 }
+
+namespace {
+
+using detail::glv_split;
+using detail::GlvSplit;
 
 // wNAF of a GLV half-scalar with the term's sign folded into the digits.
 int signed_wnaf(std::int16_t* naf, const U256& k, bool negative, unsigned w) {
@@ -270,37 +273,78 @@ int signed_wnaf(std::int16_t* naf, const U256& k, bool negative, unsigned w) {
   return len;
 }
 
+// The GLV halves of k as signed wNAF streams: k·P = k1·P + k2·φ(P), with
+// naf1 the k1 stream and naf2 the k2 stream. Empty for k = 0.
+struct GlvNafs {
+  std::int16_t naf1[kMaxNafLen], naf2[kMaxNafLen];
+  int len1 = 0, len2 = 0;
+
+  GlvNafs(const Scalar& k, unsigned w) {
+    if (k.is_zero()) return;
+    const GlvSplit sp = glv_split(k);
+    len1 = signed_wnaf(naf1, sp.k1, sp.neg1, w);
+    len2 = signed_wnaf(naf2, sp.k2, sp.neg2, w);
+  }
+  bool empty() const { return len1 == 0 && len2 == 0; }
+  // Doublings a walk over the segment tables needs: every chunk but the
+  // last ends at offset kSegmentDigits, the last runs to the top digit.
+  int segmented_top() const {
+    const int len = std::max(len1, len2);
+    return std::max(std::min(len, kSegmentDigits), len - kSegmentDigits * (kSegments - 1));
+  }
+};
+
+// The digit that segment j's chunk of a stream puts at ladder position i of
+// a segmented walk (0 for none): digit kSegmentDigits·j + i, where only the
+// last chunk reaches past offset kSegmentDigits - 1.
+int segment_digit(const std::int16_t* naf, int len, int j, int i) {
+  if (j + 1 < kSegments && i >= kSegmentDigits) return 0;
+  const int pos = kSegmentDigits * j + i;
+  return pos < len ? naf[pos] : 0;
+}
+
+// acc + digit·E, with E the table's base point, or φ(E) = (β·x, y) when
+// `beta` is set.
+void add_digit(Jac& acc, const PackedGe* table, int digit, const Fe* beta) {
+  if (digit == 0) return;
+  AffGe g = wnaf_lookup(table, digit);
+  if (beta != nullptr) g.x = g.x * *beta;
+  acc = jac_add_aff(acc, g);
+}
+
 // --- Effective-affine odd-multiples table -----------------------------------
 
-// Fills table[0..kTableSizeP) with {1,3,...,15}·P expressed as *affine*
-// points of an isomorphic frame sharing a single global Z (returned), using
-// one doubling, kTableSizeP-1 mixed additions and a few multiplications per
-// entry — and no field inversion (libsecp256k1's "effective affine" trick).
-// A Jacobian result accumulated against these entries is mapped back to the
-// true curve by multiplying its Z by the returned global Z.
-Fe effective_affine_table(AffGe* table, const Point& p) {
-  const Jac d = jac_dbl({p.x(), p.y(), Fe(1), false});  // 2P; never infinity
-  // Rescale P into the frame where d is affine: x·dz², y·dz³.
+// Fills table[0..N) with the odd multiples {1,3,...,2N-1}·b expressed as
+// *affine* points of an isomorphic frame sharing a single global Z
+// (returned), using one doubling, N-1 mixed additions and a few
+// multiplications per entry — and no field inversion (libsecp256k1's
+// "effective affine" trick). A Jacobian result accumulated against these
+// entries is mapped back to the true curve by multiplying its Z by the
+// returned global Z.
+template <std::size_t N>
+Fe effective_affine_table(AffGe* table, const Jac& b) {
+  const Jac d = jac_dbl(b);  // 2b; never infinity
+  // Rescale b into the frame where d is affine: x·dz², y·dz³.
   const Fe dz2 = d.z.sqr();
   const Fe dz3 = dz2 * d.z;
   const AffGe d_aff{d.x, d.y};
-  Jac entry[kTableSizeP];
-  Fe zr[kTableSizeP];
-  entry[0] = {p.x() * dz2, p.y() * dz3, Fe(1), false};
+  std::array<Fe, N> zr;  // zr[i]: entry i's Z over entry i−1's
   zr[0] = Fe(1);
-  for (int i = 1; i < kTableSizeP; ++i)
-    entry[i] = jac_add_aff(entry[i - 1], d_aff, &zr[i]);
+  Jac acc{b.x * dz2, b.y * dz3, b.z, false};
+  table[0] = {acc.x, acc.y};
+  for (std::size_t i = 1; i < N; ++i) {
+    acc = jac_add_aff(acc, d_aff, &zr[i]);
+    table[i] = {acc.x, acc.y};
+  }
   // Backward pass: express entry i as affine w.r.t. the last entry's Z by
   // accumulating the stored Z ratios — multiplications only.
-  const int last = kTableSizeP - 1;
-  table[last] = {entry[last].x, entry[last].y};
-  Fe zs = zr[last];
-  for (int i = last - 1; i >= 0; --i) {
+  Fe zs = zr[N - 1];
+  for (std::size_t i = N - 1; i-- > 0;) {
     const Fe zs2 = zs.sqr();
-    table[i] = {entry[i].x * zs2, entry[i].y * zs2 * zs};
+    table[i] = {table[i].x * zs2, table[i].y * zs2 * zs};
     zs = zs * zr[i];
   }
-  return d.z * entry[last].z;
+  return d.z * acc.z;
 }
 
 // --- Batched inversion (Montgomery's trick) ---------------------------------
@@ -332,138 +376,129 @@ void pack_affine(std::span<const Jac> entries, PackedGe* out) {
   }
 }
 
-// --- Generator wNAF tables --------------------------------------------------
+// --- Segment tables ----------------------------------------------------------
 
-// Fills table[0..n) with the odd multiples {1,3,...,2n-1}·base.
-void build_odd_multiples(const Jac& base, PackedGe* table, int n) {
-  const Jac d = jac_dbl(base);
-  std::vector<Jac> entry(static_cast<std::size_t>(n));
-  entry[0] = base;
-  for (std::size_t i = 1; i < entry.size(); ++i) entry[i] = jac_add(entry[i - 1], d);
-  pack_affine(entry, table);
+// Fills out[j·N + m] with (2m + 1)·2^(kSegmentDigits·j)·base for every
+// segment j < kSegments and m < N, in true affine coordinates. Each segment
+// is built in its own effective-affine frame and parked in `out`; one
+// batched inversion of the kSegments frame Zs then maps them all to the
+// curve.
+template <std::size_t N>
+void build_segments(const Jac& base, PackedGe* out) {
+  std::vector<AffGe> frame(N);
+  std::vector<Fe> zs(kSegments);
+  Jac b = base;
+  for (std::size_t j = 0; j < zs.size(); ++j) {
+    if (j > 0)
+      for (int d = 0; d < kSegmentDigits; ++d) b = jac_dbl(b);
+    zs[j] = effective_affine_table<N>(frame.data(), b);
+    for (std::size_t m = 0; m < N; ++m) out[j * N + m] = pack(frame[m]);
+  }
+  batch_inverse(zs);
+  for (std::size_t j = 0; j < zs.size(); ++j) {
+    const Fe zi2 = zs[j].sqr();
+    const Fe zi3 = zi2 * zs[j];
+    for (PackedGe* e = out + j * N; e != out + (j + 1) * N; ++e) {
+      const AffGe f = unpack(*e);
+      *e = pack({f.x * zi2, f.y * zi3});
+    }
+  }
 }
 
-// Generator scalars split exactly as b = b_lo + 2^128·b_hi, each half walked
-// against its own static table (G and 2^128·G), so the generator streams fit
-// the same ~130-doubling chain as the GLV-split variable point.
-struct GenTables {
-  PackedGe lo[kTableSizeG];  // odd multiples of G
-  PackedGe hi[kTableSizeG];  // odd multiples of 2^128·G
-};
-
-const GenTables& gen_wnaf_tables() {
-  static GenTables t;
+// The generator's segment tables, one set read by every ladder's generator
+// streams (kSegments × kTableSizeG entries, built once per process).
+const PackedGe* gen_segments() {
+  static PackedGe t[kSegments * kTableSizeG];
   static std::once_flag once;
-  std::call_once(once, [] {
-    const Jac g = to_jac(Point::generator());
-    build_odd_multiples(g, t.lo, kTableSizeG);
-    Jac h = g;
-    for (int i = 0; i < 128; ++i) h = jac_dbl(h);
-    build_odd_multiples(h, t.hi, kTableSizeG);
-  });
+  std::call_once(once, [] { build_segments<kTableSizeG>(to_jac(Point::generator()), t); });
   return t;
+}
+
+// Adds the digits that k's GLV streams put at ladder position i of a
+// segmented walk over `segments` (kSegments tables of `size` entries); the
+// k2 stream reads each entry as its φ-image.
+void add_segment_digits(Jac& acc, const GlvNafs& k, const PackedGe* segments, int size, int i) {
+  const Fe& beta = glv_beta();
+  for (int j = 0; j < kSegments; ++j) {
+    const PackedGe* table = segments + j * size;
+    add_digit(acc, table, segment_digit(k.naf1, k.len1, j, i), nullptr);
+    add_digit(acc, table, segment_digit(k.naf2, k.len2, j, i), &beta);
+  }
 }
 
 // --- Strauss–Shamir interleaved ladder --------------------------------------
 
 // a·P + b·G in Jacobian coordinates (true frame). One shared doubling chain
 // of ~130 iterations: the GLV split turns a·P into two half-length streams
-// over P's width-5 effective-affine table and its phi-image, and b is split
-// bitwise into 128-bit halves over the two static generator tables (rescaled
-// on the fly into P's isomorphic frame).
+// over P's width-5 effective-affine table and its phi-image. b's GLV halves
+// walk the generator's segment tables in the chain's last
+// kSegmentDigits + 1 steps, each entry rescaled on the fly into P's
+// isomorphic frame.
 Jac strauss_jac(const Scalar& a, const Point& p, const Scalar& b) {
-  std::int16_t naf_p1[kMaxNafLen], naf_p2[kMaxNafLen];
-  std::int16_t naf_g1[kMaxNafLen], naf_g2[kMaxNafLen];
-  int len_p1 = 0, len_p2 = 0, len_g1 = 0, len_g2 = 0;
+  const bool have_p = !p.is_infinity() && !a.is_zero();
+  const GlvNafs an(have_p ? a : Scalar(0), kWnafWindowP), bn(b, kWnafWindowG);
   AffGe ptable[kTableSizeP], ltable[kTableSizeP];
   Fe global_z(1);
-  const bool have_p = !p.is_infinity() && !a.is_zero();
+  const Fe& beta = glv_beta();
   if (have_p) {
-    const GlvSplit sp = glv_split(a);
-    len_p1 = signed_wnaf(naf_p1, sp.k1, sp.neg1, kWnafWindowP);
-    len_p2 = signed_wnaf(naf_p2, sp.k2, sp.neg2, kWnafWindowP);
-    global_z = effective_affine_table(ptable, p);
+    global_z = effective_affine_table<kTableSizeP>(ptable, to_jac(p));
     // phi(m·P) = (beta·x, y) commutes with the isomorphic frame's scaling,
     // so the phi table is valid in the same frame.
-    const Fe& beta = glv_beta();
     for (int i = 0; i < kTableSizeP; ++i) ltable[i] = {beta * ptable[i].x, ptable[i].y};
   }
-  if (!b.is_zero()) {
-    const U256& bv = b.raw();
-    len_g1 = wnaf(naf_g1, U256{bv.limb[0], bv.limb[1], 0, 0}, kWnafWindowG);
-    len_g2 = wnaf(naf_g2, U256{bv.limb[2], bv.limb[3], 0, 0}, kWnafWindowG);
-  }
-  const GenTables* gt = (len_g1 > 0 || len_g2 > 0) ? &gen_wnaf_tables() : nullptr;
+  const PackedGe* gen = bn.empty() ? nullptr : gen_segments();
   // G-table entries live on the true curve; when P's table set up an
   // isomorphic frame, rescale each used G entry into that frame.
   Fe gz2(1), gz3(1);
-  const bool rescale_g = have_p && gt != nullptr;
+  const bool rescale_g = have_p && gen != nullptr;
   if (rescale_g) {
     gz2 = global_z.sqr();
     gz3 = gz2 * global_z;
   }
-  const auto add_gen = [&](Jac acc, const PackedGe* table, int digit) {
+  const Fe gz2_beta = gz2 * beta;
+  const auto add_gen = [&](Jac& acc, const PackedGe* table, int digit, const Fe& x_scale) {
+    if (digit == 0) return;
     AffGe g = wnaf_lookup(table, digit);
-    if (rescale_g) {
-      g.x = g.x * gz2;
-      g.y = g.y * gz3;
-    }
-    return jac_add_aff(acc, g);
+    g.x = g.x * x_scale;
+    if (rescale_g) g.y = g.y * gz3;
+    acc = jac_add_aff(acc, g);
   };
   Jac acc;
-  const int top = std::max(std::max(len_p1, len_p2), std::max(len_g1, len_g2));
-  for (int i = top - 1; i >= 0; --i) {
+  const int gen_top = bn.segmented_top();
+  for (int i = std::max({an.len1, an.len2, gen_top}) - 1; i >= 0; --i) {
     acc = jac_dbl(acc);
-    if (i < len_p1 && naf_p1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(ptable, naf_p1[i]));
-    if (i < len_p2 && naf_p2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(ltable, naf_p2[i]));
-    if (i < len_g1 && naf_g1[i] != 0) acc = add_gen(acc, gt->lo, naf_g1[i]);
-    if (i < len_g2 && naf_g2[i] != 0) acc = add_gen(acc, gt->hi, naf_g2[i]);
+    if (i < an.len1 && an.naf1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(ptable, an.naf1[i]));
+    if (i < an.len2 && an.naf2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(ltable, an.naf2[i]));
+    if (i >= gen_top) continue;
+    for (int j = 0; j < kSegments; ++j) {
+      const PackedGe* table = gen + j * kTableSizeG;
+      add_gen(acc, table, segment_digit(bn.naf1, bn.len1, j, i), gz2);
+      add_gen(acc, table, segment_digit(bn.naf2, bn.len2, j, i), gz2_beta);
+    }
   }
   if (have_p && !acc.infinity) acc.z = acc.z * global_z;
   return acc;
 }
 
-// Backing store of a PrecomputedPoint: wide odd-multiples tables for P and
-// phi(P) in true affine coordinates (so results need no frame correction and
-// the entries mix freely with the generator tables and with per-call tables
-// normalized by multi_mul's batched inversion).
+// Backing store of a PrecomputedPoint: P's segment tables in true affine
+// coordinates, so results need no frame correction and the entries mix
+// freely with the generator's. φ(P)'s stream reads them with x·β.
 struct PreTablesData {
   Point p;
-  PackedGe tab[kTableSizePre];
-  PackedGe ltab[kTableSizePre];
+  PackedGe seg[kSegments * kTableSizeP];
 };
 
-// a·(±P) + b·G over a precomputed true-affine table: same interleaved ladder
-// as strauss_jac minus the per-call table build and the isomorphic-frame
-// bookkeeping. `sign` is +1 when the target equals the table's base point
-// and -1 for its negation (a·(−P) = (−a)·P, so both GLV digit streams flip).
-Jac strauss_pre_jac(const Scalar& a, const PreTablesData& pt, int sign, const Scalar& b) {
-  std::int16_t naf_p1[kMaxNafLen], naf_p2[kMaxNafLen];
-  std::int16_t naf_g1[kMaxNafLen], naf_g2[kMaxNafLen];
-  int len_p1 = 0, len_p2 = 0, len_g1 = 0, len_g2 = 0;
-  if (!a.is_zero()) {
-    GlvSplit sp = glv_split(a);
-    if (sign < 0) {
-      sp.neg1 = !sp.neg1;
-      sp.neg2 = !sp.neg2;
-    }
-    len_p1 = signed_wnaf(naf_p1, sp.k1, sp.neg1, kWnafWindowPre);
-    len_p2 = signed_wnaf(naf_p2, sp.k2, sp.neg2, kWnafWindowPre);
-  }
-  if (!b.is_zero()) {
-    const U256& bv = b.raw();
-    len_g1 = wnaf(naf_g1, U256{bv.limb[0], bv.limb[1], 0, 0}, kWnafWindowG);
-    len_g2 = wnaf(naf_g2, U256{bv.limb[2], bv.limb[3], 0, 0}, kWnafWindowG);
-  }
-  const GenTables* gt = (len_g1 > 0 || len_g2 > 0) ? &gen_wnaf_tables() : nullptr;
+// a·P + b·G over P's and G's segment tables: the GLV halves of a and b each
+// cut into kSegments chunks that share one chain of at most
+// kSegmentDigits + 1 doublings.
+Jac strauss_pre_jac(const Scalar& a, const PreTablesData& pt, const Scalar& b) {
+  const GlvNafs an(a, kWnafWindowP), bn(b, kWnafWindowG);
+  const PackedGe* gen = gen_segments();
   Jac acc;
-  const int top = std::max(std::max(len_p1, len_p2), std::max(len_g1, len_g2));
-  for (int i = top - 1; i >= 0; --i) {
+  for (int i = std::max(an.segmented_top(), bn.segmented_top()) - 1; i >= 0; --i) {
     acc = jac_dbl(acc);
-    if (i < len_p1 && naf_p1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(pt.tab, naf_p1[i]));
-    if (i < len_p2 && naf_p2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(pt.ltab, naf_p2[i]));
-    if (i < len_g1 && naf_g1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(gt->lo, naf_g1[i]));
-    if (i < len_g2 && naf_g2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(gt->hi, naf_g2[i]));
+    add_segment_digits(acc, an, pt.seg, kTableSizeP, i);
+    add_segment_digits(acc, bn, gen, kTableSizeG, i);
   }
   return acc;
 }
@@ -605,10 +640,19 @@ struct PrecomputedPoint::Impl {
 PrecomputedPoint::PrecomputedPoint(const Point& p) : impl_(std::make_unique<Impl>()) {
   if (p.is_infinity()) throw std::invalid_argument("PrecomputedPoint of infinity");
   impl_->d.p = p;
-  build_odd_multiples(to_jac(p), impl_->d.tab, kTableSizePre);
-  const Fe& beta = glv_beta();
-  for (int i = 0; i < kTableSizePre; ++i)
-    impl_->d.ltab[i] = {(beta * Fe::from_raw(impl_->d.tab[i].x)).raw(), impl_->d.tab[i].y};
+  build_segments<kTableSizeP>(to_jac(p), impl_->d.seg);
+}
+
+int detail::segment_size(const PrecomputedPoint* pre) {
+  return pre != nullptr ? kTableSizeP : kTableSizeG;
+}
+
+Point detail::segment_entry(const PrecomputedPoint* pre, int j, int m) {
+  const int size = segment_size(pre);
+  if (j < 0 || j >= kSegments || m < 0 || m >= size)
+    throw std::out_of_range("segment_entry: no such entry");
+  const PackedGe& e = (pre != nullptr ? pre->impl_->d.seg : gen_segments())[j * size + m];
+  return Point::from_affine(Fe::from_raw(e.x), Fe::from_raw(e.y));
 }
 
 PrecomputedPoint::~PrecomputedPoint() = default;
@@ -705,80 +749,39 @@ bool Point::mul_add_encodes_vartime(const Scalar& a, const PrecomputedPoint& p, 
   Fe x;
   bool odd = false;
   return parse_encoding(enc, x, odd) &&
-         jac_has_x_and_parity(strauss_pre_jac(a, p.impl_->d, 1, b), x, odd);
+         jac_has_x_and_parity(strauss_pre_jac(a, p.impl_->d, b), x, odd);
 }
 
 // vartime: begin (batch verification — signatures and randomizers are public)
 bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
                                           std::span<const Point> points,
                                           const Scalar& gen_coeff) {
-  return multi_mul_is_infinity_vartime(coeffs, points, {}, gen_coeff);
-}
-
-bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
-                                          std::span<const Point> points,
-                                          std::span<const PrecomputedPoint* const> pres,
-                                          const Scalar& gen_coeff) {
   if (coeffs.size() != points.size())
     throw std::invalid_argument("multi_mul: size mismatch");
-  if (!pres.empty() && pres.size() != points.size())
-    throw std::invalid_argument("multi_mul: pres size mismatch");
-  const auto active = [&](std::size_t i) {
-    return !points[i].is_infinity() && !coeffs[i].is_zero();
-  };
-  std::size_t n_active = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) n_active += active(i) ? 1 : 0;
-  if (n_active >= kBucketMinTerms) {
+  std::vector<std::size_t> inputs;  // the active (nonzero) terms
+  for (std::size_t i = 0; i < points.size(); ++i)
+    if (!points[i].is_infinity() && !coeffs[i].is_zero()) inputs.push_back(i);
+  if (inputs.size() >= kBucketMinTerms) {
     std::vector<BucketTerm> terms;
-    terms.reserve(2 * points.size() + 2);
-    for (std::size_t i = 0; i < points.size(); ++i)
-      if (active(i)) push_bucket_terms(terms, points[i], coeffs[i]);
+    terms.reserve(2 * inputs.size() + 2);
+    for (const std::size_t i : inputs) push_bucket_terms(terms, points[i], coeffs[i]);
     if (!gen_coeff.is_zero()) push_bucket_terms(terms, generator(), gen_coeff);
     return bucket_sum(terms).infinity;
   }
-  // One ladder term per active (nonzero) input. A term walks either a
-  // caller-supplied precomputed table (width-7, possibly with flipped digit
-  // signs when the input is the table base's negation) or a fresh width-5
-  // table built below.
-  struct LadderTerm {
-    const PackedGe* tab = nullptr;   // odd multiples of the base point
-    const PackedGe* ltab = nullptr;  // beta-transformed (GLV lambda stream)
-    unsigned w = kWnafWindowP;
-    int sign = 1;
-    std::size_t input = 0;  // index into coeffs/points
-  };
-  std::vector<LadderTerm> terms;
-  std::vector<std::size_t> fresh;  // active inputs without a usable table
-  terms.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!active(i)) continue;
-    LadderTerm t;
-    t.input = i;
-    const PrecomputedPoint* pre = pres.empty() ? nullptr : pres[i];
-    if (pre != nullptr && pre->impl_->d.p.x() == points[i].x() &&
-        (pre->impl_->d.p.y() == points[i].y() || pre->impl_->d.p.y() == points[i].y().neg())) {
-      t.tab = pre->impl_->d.tab;
-      t.ltab = pre->impl_->d.ltab;
-      t.w = kWnafWindowPre;
-      t.sign = pre->impl_->d.p.y() == points[i].y() ? 1 : -1;
-    } else {
-      fresh.push_back(terms.size());
-    }
-    terms.push_back(t);
-  }
 
-  // Fresh per-point odd-multiples tables, converted to true affine with a
-  // single batched inversion across the whole call; each point also gets the
-  // beta-transformed table for its GLV lambda-stream.
-  std::vector<std::array<AffGe, kTableSizeP>> frames(fresh.size());
-  std::vector<std::array<PackedGe, kTableSizeP>> tables(fresh.size());
-  std::vector<std::array<PackedGe, kTableSizeP>> ltables(fresh.size());
-  std::vector<Fe> zs(fresh.size());
-  for (std::size_t j = 0; j < fresh.size(); ++j)
-    zs[j] = effective_affine_table(frames[j].data(), points[terms[fresh[j]].input]);
+  // One width-5 odd-multiples table per term, converted to true affine with
+  // a single batched inversion across the whole call; each term also gets
+  // the beta-transformed table for its GLV lambda-stream.
+  const std::size_t n = inputs.size();
+  std::vector<std::array<AffGe, kTableSizeP>> frames(n);
+  std::vector<std::array<PackedGe, kTableSizeP>> tables(n);
+  std::vector<std::array<PackedGe, kTableSizeP>> ltables(n);
+  std::vector<Fe> zs(n);
+  for (std::size_t j = 0; j < n; ++j)
+    zs[j] = effective_affine_table<kTableSizeP>(frames[j].data(), to_jac(points[inputs[j]]));
   batch_inverse(zs);
   const Fe& beta = glv_beta();
-  for (std::size_t j = 0; j < fresh.size(); ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     const Fe zi2 = zs[j].sqr();
     const Fe zi3 = zi2 * zs[j];
     for (std::size_t t = 0; t < tables[j].size(); ++t) {
@@ -787,48 +790,31 @@ bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
       tables[j][t] = pack({x, e.y * zi3});
       ltables[j][t] = {(beta * x).raw(), tables[j][t].y};
     }
-    terms[fresh[j]].tab = tables[j].data();
-    terms[fresh[j]].ltab = ltables[j].data();
   }
 
-  // Two half-length wNAF streams per term (GLV split).
-  std::vector<std::array<std::int16_t, kMaxNafLen>> nafs1(terms.size());
-  std::vector<std::array<std::int16_t, kMaxNafLen>> nafs2(terms.size());
-  std::vector<int> lens1(terms.size());
-  std::vector<int> lens2(terms.size());
-  int max_len = 0;
-  for (std::size_t j = 0; j < terms.size(); ++j) {
-    GlvSplit sp = glv_split(coeffs[terms[j].input]);
-    if (terms[j].sign < 0) {
-      sp.neg1 = !sp.neg1;
-      sp.neg2 = !sp.neg2;
-    }
-    lens1[j] = signed_wnaf(nafs1[j].data(), sp.k1, sp.neg1, terms[j].w);
-    lens2[j] = signed_wnaf(nafs2[j].data(), sp.k2, sp.neg2, terms[j].w);
-    max_len = std::max({max_len, lens1[j], lens2[j]});
+  // Two half-length wNAF streams per term (GLV split); the generator's walk
+  // its segment tables.
+  std::vector<GlvNafs> nafs;
+  nafs.reserve(n);
+  int top = 0;
+  for (const std::size_t i : inputs) {
+    nafs.emplace_back(coeffs[i], kWnafWindowP);
+    top = std::max({top, nafs.back().len1, nafs.back().len2});
   }
-  std::int16_t naf_g1[kMaxNafLen];
-  std::int16_t naf_g2[kMaxNafLen];
-  int len_g1 = 0, len_g2 = 0;
-  if (!gen_coeff.is_zero()) {
-    const U256& gv = gen_coeff.raw();
-    len_g1 = wnaf(naf_g1, U256{gv.limb[0], gv.limb[1], 0, 0}, kWnafWindowG);
-    len_g2 = wnaf(naf_g2, U256{gv.limb[2], gv.limb[3], 0, 0}, kWnafWindowG);
-    max_len = std::max({max_len, len_g1, len_g2});
-  }
-  const GenTables* gt = (len_g1 > 0 || len_g2 > 0) ? &gen_wnaf_tables() : nullptr;
+  const GlvNafs gn(gen_coeff, kWnafWindowG);
+  const PackedGe* gen = gn.empty() ? nullptr : gen_segments();
+  const int gen_top = gn.segmented_top();
+  top = std::max(top, gen_top);
 
   Jac acc;
-  for (int i = max_len - 1; i >= 0; --i) {
+  for (int i = top - 1; i >= 0; --i) {
     acc = jac_dbl(acc);
-    for (std::size_t j = 0; j < terms.size(); ++j) {
-      if (i < lens1[j] && nafs1[j][static_cast<std::size_t>(i)] != 0)
-        acc = jac_add_aff(acc, wnaf_lookup(terms[j].tab, nafs1[j][static_cast<std::size_t>(i)]));
-      if (i < lens2[j] && nafs2[j][static_cast<std::size_t>(i)] != 0)
-        acc = jac_add_aff(acc, wnaf_lookup(terms[j].ltab, nafs2[j][static_cast<std::size_t>(i)]));
+    for (std::size_t j = 0; j < n; ++j) {
+      const GlvNafs& k = nafs[j];
+      add_digit(acc, tables[j].data(), i < k.len1 ? k.naf1[i] : 0, nullptr);
+      add_digit(acc, ltables[j].data(), i < k.len2 ? k.naf2[i] : 0, nullptr);
     }
-    if (i < len_g1 && naf_g1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(gt->lo, naf_g1[i]));
-    if (i < len_g2 && naf_g2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(gt->hi, naf_g2[i]));
+    if (i < gen_top) add_segment_digits(acc, gn, gen, kTableSizeG, i);
   }
   return acc.infinity;
 }

@@ -3,12 +3,14 @@
 // Scalar multiplication strategy (see DESIGN.md → "Crypto hot path"):
 //   * variable-point k·P uses width-5 wNAF over effective-affine precomputed
 //     odd multiples (no field inversion anywhere on the path);
-//   * k·G uses a fixed 4-bit-window precomputed generator table (signing
-//     side — access pattern independent of which window entries are hit);
+//   * k·G uses a fixed 8-bit-window precomputed generator table (signing
+//     side — the window sequence is independent of the scalar);
 //   * verification uses Strauss–Shamir interleaving (`mul_add_*_vartime`)
 //     and, for many signatures, one multi-scalar sum
 //     (`multi_mul_is_infinity_vartime`): a shared Strauss ladder for a few
-//     terms, buckets (Pippenger) for many.
+//     terms, buckets (Pippenger) for many. Every ladder reads the generator
+//     from one set of segment tables (odd multiples of G, 2^32·G, 2^64·G and
+//     2^96·G); a PrecomputedPoint has the same layout.
 // The `_vartime` suffix marks functions whose running time depends on their
 // scalar inputs; they must only ever see public data (signatures, challenge
 // scalars, public keys).
@@ -23,6 +25,7 @@
 
 namespace daric::crypto {
 
+class Point;
 class PrecomputedPoint;
 
 namespace detail {
@@ -37,6 +40,32 @@ inline constexpr int kMaxNafLen = 257;
 /// behind every variable-time ladder; exposed for its tests and benchmark.
 /// Variable time.
 int wnaf(std::int16_t* naf, const U256& k, unsigned w);
+
+/// The GLV split of k: k ≡ ±k1 ± k2·λ (mod n), with λ the cube root of
+/// unity acting on points as φ(x, y) = (β·x, y). The magnitudes stay below
+/// about 2^128, so every variable-time ladder walks two half-length wNAF
+/// streams. Exposed for its tests.
+struct GlvSplit {
+  U256 k1{}, k2{};                  // magnitudes
+  bool neg1 = false, neg2 = false;  // signs of the k1·P / k2·φ(P) terms
+};
+GlvSplit glv_split(const Scalar& k);
+
+/// Segment layout of a PrecomputedPoint's tables and of the generator's:
+/// kSegments tables of odd multiples of 2^(kSegmentDigits·j) times the base
+/// point, j < kSegments. A ladder cuts each GLV half's wNAF (at most 129
+/// digits) into kSegments chunks, adds chunk j from table j, and so doubles
+/// only kSegmentDigits + 1 times: the last chunk also takes the carry digit
+/// at position 128.
+inline constexpr int kSegments = 4;
+inline constexpr int kSegmentDigits = 32;
+
+/// Entries per segment: of `pre`'s tables, or of the generator's when `pre`
+/// is null.
+int segment_size(const PrecomputedPoint* pre);
+/// Entry m of segment j of those tables, (2m + 1)·2^(kSegmentDigits·j)
+/// times the base point. Exposed for its tests.
+Point segment_entry(const PrecomputedPoint* pre, int j, int m);
 
 }  // namespace detail
 
@@ -75,9 +104,9 @@ class Point {
   static bool mul_add_encodes_vartime(const Scalar& a, const Point& p, const Scalar& b,
                                       BytesView enc);
 
-  /// Same check against a key whose odd-multiples table was precomputed
-  /// once (e.g. a channel counterparty's fixed key). Skips the per-call
-  /// table build entirely. Variable time.
+  /// Same check against a key whose segment tables were precomputed once
+  /// (a channel counterparty's fixed key): no per-call table build, and a
+  /// chain of 33 doublings instead of 129. Variable time.
   static bool mul_add_encodes_vartime(const Scalar& a, const PrecomputedPoint& p,
                                       const Scalar& b, BytesView enc);
 
@@ -99,16 +128,6 @@ class Point {
   /// update batches (4–10 terms) stay on Strauss.
   static constexpr std::size_t kBucketMinTerms = 32;
 
-  /// Batch MSM variant taking an optional precomputed table per point
-  /// (`pres` empty, or one entry per point, nullptr where none exists; a
-  /// table also serves the point's negation). On the Strauss path, points
-  /// with a table skip both the per-call table build and the shared
-  /// normalization inversion; the bucket path needs no tables.
-  static bool multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
-                                            std::span<const Point> points,
-                                            std::span<const PrecomputedPoint* const> pres,
-                                            const Scalar& gen_coeff);
-
   /// Naive left-to-right double-and-add ladder. Kept as the benchmark
   /// baseline and as an independent cross-check oracle for the wNAF paths.
   static Point mul_ladder_vartime(const Point& p, const Scalar& k);
@@ -123,11 +142,13 @@ class Point {
   bool infinity_ = true;
 };
 
-/// A point with a wide (width-7) true-affine odd-multiples wNAF table built
-/// once up front. Worth building for keys that verify many signatures over
-/// their lifetime — a channel counterparty's fixed keys — where it removes
-/// the per-verify effective-affine table construction from the ladder.
-/// Movable, not copyable (the table is large and sharing is intentional).
+/// A point with its odd-multiples tables built once up front: width-5 odd
+/// multiples of P, 2^32·P, 2^64·P and 2^96·P (8 entries each, 2 KB in all;
+/// see detail::kSegments). A check against it cuts each 128-bit GLV half of
+/// the scalar into four 32-digit chunks that share one 33-doubling chain,
+/// and reads φ(P)'s stream from the same entries with x·β. Worth building for keys that verify many
+/// signatures over their lifetime, such as a channel counterparty's fixed
+/// keys. Movable, not copyable.
 class PrecomputedPoint {
  public:
   explicit PrecomputedPoint(const Point& p);
@@ -141,6 +162,7 @@ class PrecomputedPoint {
 
  private:
   friend class Point;
+  friend Point detail::segment_entry(const PrecomputedPoint*, int, int);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

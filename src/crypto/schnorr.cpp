@@ -106,11 +106,7 @@ Scalar batch_randomizer(const Hash256& seed, std::uint32_t index) {
 
 bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
   if (items.empty()) return true;
-  if (items.size() == 1) {
-    const SigBatchItem& it = items[0];
-    if (it.pre != nullptr) return schnorr_verify(*it.pre, it.msg, it.sig);
-    return schnorr_verify(it.pk, it.msg, it.sig);
-  }
+  if (items.size() == 1) return schnorr_verify(items[0].pk, items[0].msg, items[0].sig);
 
   Sha256 seed_hash;
   for (const SigBatchItem& it : items) {
@@ -123,10 +119,8 @@ bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
 
   std::vector<Scalar> coeffs;
   std::vector<Point> points;
-  std::vector<const PrecomputedPoint*> pres;
   coeffs.reserve(2 * items.size());
   points.reserve(2 * items.size());
-  pres.reserve(2 * items.size());
   Scalar g_coeff(0);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const SigBatchItem& it = items[i];
@@ -137,17 +131,13 @@ bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
     const Scalar e = challenge(r33, it.pk, it.msg);
     const Scalar a = i == 0 ? Scalar(1) : batch_randomizer(seed, static_cast<std::uint32_t>(i));
     g_coeff = g_coeff + a * s;
-    // Negate the points, not the coefficients: aᵢ stays 128 bits wide. A
-    // precomputed table still serves the negated key — the MSM flips the
-    // digit signs.
+    // Negate the points, not the coefficients: aᵢ stays 128 bits wide.
     coeffs.push_back(a);
     points.push_back(r->neg());
-    pres.push_back(nullptr);
     coeffs.push_back(a * e);
     points.push_back(it.pk.neg());
-    pres.push_back(it.pre);
   }
-  return Point::multi_mul_is_infinity_vartime(coeffs, points, pres, g_coeff);
+  return Point::multi_mul_is_infinity_vartime(coeffs, points, g_coeff);
 }
 
 }  // namespace daric::crypto

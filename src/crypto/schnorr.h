@@ -24,8 +24,9 @@ Bytes schnorr_sign(const KeyPair& kp, const Hash256& msg);
 
 bool schnorr_verify(const Point& pk, const Hash256& msg, BytesView sig);
 
-/// Verifies against a key with a precomputed multiplication table (a channel
-/// counterparty's fixed key); skips the per-verify wNAF table build.
+/// Verifies against a key with precomputed segment tables (a channel
+/// counterparty's fixed key): no per-verify table build, and a 33-doubling
+/// chain instead of a 129-doubling one.
 bool schnorr_verify(const PrecomputedPoint& pk, const Hash256& msg, BytesView sig);
 
 /// Batch verification via a random linear combination: with per-item

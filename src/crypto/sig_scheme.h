@@ -17,14 +17,10 @@
 namespace daric::crypto {
 
 /// One (public key, message, raw signature) item of a batch verification.
-/// `pre`, when set, is a precomputed multiplication table for `pk` (non-owning;
-/// must outlive the batch call) that lets the scheme skip the per-key wNAF
-/// table build inside the shared ladder.
 struct SigBatchItem {
   Point pk;
   Hash256 msg;
   Bytes sig;
-  const PrecomputedPoint* pre = nullptr;
 };
 
 class SignatureScheme {

@@ -18,28 +18,14 @@ using sim::PartyId;
 namespace {
 
 /// Verifies a wire signature against a precomputed counterparty key, reusing
-/// `cache`'s digest for the body it was built over. Replaces the old
-/// verify_wire, which recomputed the sighash digest and decompressed the
-/// 33-byte pubkey on every call.
+/// `cache`'s digest for the body it was built over. False on a malformed
+/// signature or a flag mismatch too.
 bool verify_wire_cached(const tx::SighashCache& cache, SighashFlag flag,
                         const crypto::PrecomputedPoint& pre, BytesView wire,
                         const crypto::SignatureScheme& scheme) {
   const auto decoded = script::decode_wire_sig(wire, scheme.signature_size());
   if (!decoded || decoded->flag != flag) return false;
   return scheme.verify_cached(pre, cache.digest(0, flag), decoded->raw);
-}
-
-/// Structurally decodes `wire` and queues the claim it asserts for deferred
-/// batch verification against `pre`'s key. Returns false on a malformed
-/// signature or flag mismatch — callers treat that exactly like a failed
-/// verification. The curve check happens when the batch is flushed.
-bool queue_wire(std::vector<crypto::SigBatchItem>& batch, const tx::SighashCache& cache,
-                SighashFlag flag, const crypto::PrecomputedPoint& pre, BytesView wire,
-                const crypto::SignatureScheme& scheme) {
-  const auto decoded = script::decode_wire_sig(wire, scheme.signature_size());
-  if (!decoded || decoded->flag != flag) return false;
-  batch.push_back({pre.point(), cache.digest(0, flag), decoded->raw, &pre});
-  return true;
 }
 
 }  // namespace
@@ -95,17 +81,19 @@ Bytes DaricParty::sign_own_revocation(const tx::Transaction& body) const {
   return tx::sign_input(body, 0, kp, env_.scheme(), revocation_flag(params_));
 }
 
-const DaricParty::PeerTables& DaricParty::peer_tables() const {
-  if (!peer_) {
-    auto table = [](BytesView pk33) {
-      const auto p = crypto::Point::from_compressed(pk33);
-      if (!p) throw std::logic_error("counterparty public key is not on the curve");
-      return crypto::PrecomputedPoint(*p);
-    };
-    peer_.emplace(PeerTables{table(pub_other_.main), table(pub_other_.sp),
-                             table(pub_other_.rv), table(pub_other_.rv2)});
+const crypto::PrecomputedPoint& DaricParty::peer_table(PeerKey key) const {
+  std::optional<crypto::PrecomputedPoint>& table = peer_[static_cast<std::size_t>(key)];
+  if (!table) {
+    // TX^A_RV is guarded by rv2 keys, TX^B_RV by rv keys (Appendix B).
+    const Bytes& pk33 = key == PeerKey::kMain ? pub_other_.main
+                        : key == PeerKey::kSp ? pub_other_.sp
+                        : id_ == PartyId::kA  ? pub_other_.rv2
+                                              : pub_other_.rv;
+    const auto p = crypto::Point::from_compressed(pk33);
+    if (!p) throw std::logic_error("counterparty public key is not on the curve");
+    table.emplace(*p);
   }
-  return *peer_;
+  return *table;
 }
 
 void DaricParty::set_fee_source(const FeeSource& source, Amount fee) {
@@ -319,21 +307,15 @@ bool DaricChannel::create() {
   const Bytes cm_a_sig_b =  // B's signature on [TX^A_CM,0]
       tx::sign_input(commits.body_a, 0, b_.keys_.main, scheme, SighashFlag::kAll, &sh_cm_a);
 
-  // Step 4: both verify what they received — each party batches its two
-  // checks (one multi-scalar multiplication instead of two when the scheme
-  // supports batching; the default falls back to sequential verifies).
-  std::vector<crypto::SigBatchItem> batch_a, batch_b;
-  if (!queue_wire(batch_a, sh_split, SighashFlag::kAllAnyPrevOut, a_.peer_tables().sp, sp_sig_b,
-                  scheme) ||
-      !queue_wire(batch_a, sh_cm_a, SighashFlag::kAll, a_.peer_tables().main, cm_a_sig_b,
-                  scheme) ||
-      !scheme.verify_batch(batch_a))
+  // Step 4: both verify what they received.
+  using enum DaricParty::PeerKey;
+  if (!verify_wire_cached(sh_split, SighashFlag::kAllAnyPrevOut, a_.peer_table(kSp), sp_sig_b,
+                          scheme) ||
+      !verify_wire_cached(sh_cm_a, SighashFlag::kAll, a_.peer_table(kMain), cm_a_sig_b, scheme))
     return false;
-  if (!queue_wire(batch_b, sh_split, SighashFlag::kAllAnyPrevOut, b_.peer_tables().sp, sp_sig_a,
-                  scheme) ||
-      !queue_wire(batch_b, sh_cm_b, SighashFlag::kAll, b_.peer_tables().main, cm_b_sig_a,
-                  scheme) ||
-      !scheme.verify_batch(batch_b))
+  if (!verify_wire_cached(sh_split, SighashFlag::kAllAnyPrevOut, b_.peer_table(kSp), sp_sig_a,
+                          scheme) ||
+      !verify_wire_cached(sh_cm_b, SighashFlag::kAll, b_.peer_table(kMain), cm_b_sig_a, scheme))
     return false;
 
   // Step 5: exchange funding signatures and post TX_FU.
@@ -408,20 +390,26 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
 
   // Phase timers for the update pipeline (span.h taxonomy). Each wrapper
   // times one operation; all of them vanish to a relaxed load when spans
-  // are disabled.
-  auto timed_cache = [](const tx::Transaction& body) {
+  // are disabled. A cache hashes its body's digest for the flag the body is
+  // signed under inside its span, so the signs and verifies that read it
+  // later time only the curve work.
+  auto timed_cache = [](const tx::Transaction& body, SighashFlag flag) {
     OBS_SPAN("daric.update.sighash");
-    return tx::SighashCache(body);
+    tx::SighashCache cache(body);
+    cache.digest(0, flag);
+    return cache;
   };
   auto timed_sign = [&scheme](const tx::Transaction& body, const crypto::KeyPair& kp,
                               SighashFlag flag, const tx::SighashCache* cache) {
     OBS_SPAN("daric.update.sign");
     return tx::sign_input(body, 0, kp, scheme, flag, cache);
   };
-  auto timed_flush = [&scheme](const std::vector<crypto::SigBatchItem>& batch) {
-    OBS_SPAN("daric.update.batch_flush");
-    return scheme.verify_batch(batch);
+  auto timed_verify = [&scheme](const tx::SighashCache& cache, SighashFlag flag,
+                                const crypto::PrecomputedPoint& pre, BytesView wire) {
+    OBS_SPAN("daric.update.verify");
+    return verify_wire_cached(cache, flag, pre, wire, scheme);
   };
+  using enum DaricParty::PeerKey;
 
   note_phase(sim::party_name(proposer), "updating", i + 1);
 
@@ -453,26 +441,14 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   const script::Script& script_q = p.id_ == PartyId::kA ? commits.script_b : commits.script_a;
   // One digest cache per body signed/verified this update. Each serialized
   // body is hashed once here instead of once per signature operation.
-  const tx::SighashCache sh_split = timed_cache(split_body), sh_p = timed_cache(body_p),
-                         sh_q = timed_cache(body_q);
+  const tx::SighashCache sh_split = timed_cache(split_body, SighashFlag::kAllAnyPrevOut),
+                         sh_p = timed_cache(body_p, SighashFlag::kAll),
+                         sh_q = timed_cache(body_q, SighashFlag::kAll);
 
-  // Deferred verification queues. Signatures are structurally checked on
-  // receipt but their curve equations are batched and flushed at the latest
-  // safe point: P flushes before sending its revocation (message 5), Q
-  // before acting on P's revocation (promotion after message 5). Between
-  // queueing and flushing each party only ever sends signatures on the
-  // agreed next state — material the counterparty is entitled to anyway —
-  // so a forged incoming signature still cannot cost the verifier anything:
-  // the batch fails, Γ' is discarded and the verifier closes at the last
-  // fully-verified state.
-  std::vector<crypto::SigBatchItem> batch_p, batch_q;  // sigs P / Q checks
-  auto reset_gamma_prime = [](DaricParty& x) {
-    // Γ' holds signatures whose batch just failed; drop it so force_close
-    // posts the last fully-verified commit instead of an invalid witness.
-    x.flag_ = channel::ChannelFlag::kStable;
-    x.cm_own_new_.reset();
-    x.st_prime_ = {};
-  };
+  // Each party verifies every signature it receives where it arrives,
+  // before storing it or acting on it, so Γ' only ever holds verified
+  // signatures. A failed check at messages 2–5 closes at state i; at
+  // message 6, Q has promoted and P's Γ' is complete, so it closes at i+1.
 
   // Message 2: updateInfo (Q → P).
   if (silent_before(q, 2)) return abort_to(p.id_);
@@ -480,11 +456,10 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   const int n2 = send_or_close(q.id_, "updateInfo");
   if (n2 == 0) return false;
 
-  // P queues Q's split signature and stores Γ'^P (flag := 2); re-applied per
-  // delivered copy, so a duplicated updateInfo leaves the same Γ'^P
+  // P verifies Q's split signature and stores Γ'^P (flag := 2); re-applied
+  // per delivered copy, so a duplicated updateInfo leaves the same Γ'^P
   // (idempotent handler).
-  if (!queue_wire(batch_p, sh_split, SighashFlag::kAllAnyPrevOut, p.peer_tables().sp, sp_sig_q,
-                  scheme))
+  if (!timed_verify(sh_split, SighashFlag::kAllAnyPrevOut, p.peer_table(kSp), sp_sig_q))
     return abort_to(p.id_);
   const Bytes sp_sig_p = timed_sign(split_body, p.keys_.sp, SighashFlag::kAllAnyPrevOut, &sh_split);
   const Bytes split_sig_a = p.id_ == PartyId::kA ? sp_sig_p : sp_sig_q;
@@ -505,14 +480,11 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   const int n3 = send_or_close(p.id_, "updateComP");
   if (n3 == 0) return false;
 
-  if (!queue_wire(batch_q, sh_split, SighashFlag::kAllAnyPrevOut, q.peer_tables().sp, sp_sig_p,
-                  scheme) ||
-      !queue_wire(batch_q, sh_q, SighashFlag::kAll, q.peer_tables().main, cm_q_sig_p, scheme))
+  if (!timed_verify(sh_split, SighashFlag::kAllAnyPrevOut, q.peer_table(kSp), sp_sig_p) ||
+      !timed_verify(sh_q, SighashFlag::kAll, q.peer_table(kMain), cm_q_sig_p))
     return abort_to(q.id_);
   // Q assembles its own new commit and stores Γ'^Q (idempotent per copy:
-  // the witness is rebuilt from the fresh body every time). cm_q_sig_p is
-  // still only structurally checked here; if its queued curve check fails
-  // at message 5, reset_gamma_prime discards this witness before closing.
+  // the witness is rebuilt from the fresh body every time).
   for (int copy = 0; copy < n3; ++copy) {
     q.flag_ = channel::ChannelFlag::kUpdating;
     q.st_prime_ = next;
@@ -533,13 +505,9 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   const int n4 = send_or_close(q.id_, "updateComQ");
   if (n4 == 0) return false;
 
-  // P's flush point: past this message P reveals its revocation of state i,
-  // so everything P has received for state i+1 must be verified NOW.
-  if (!queue_wire(batch_p, sh_p, SighashFlag::kAll, p.peer_tables().main, cm_p_sig_q, scheme) ||
-      !timed_flush(batch_p)) {
-    reset_gamma_prime(p);
+  // Γ'^P holds no new commit yet, so a failed check closes at state i.
+  if (!timed_verify(sh_p, SighashFlag::kAll, p.peer_table(kMain), cm_p_sig_q))
     return abort_to(p.id_);
-  }
   for (int copy = 0; copy < n4; ++copy) {
     p.cm_own_new_ = body_p;
     const Bytes own = timed_sign(body_p, p.keys_.main, SighashFlag::kAll, &sh_p);
@@ -552,15 +520,13 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   // skeleton slots per payout key, so both references stay valid.
   const tx::Transaction& rv_p = tcache_.revoke(p.id_ == PartyId::kA, cash, i);
   const tx::Transaction& rv_q = tcache_.revoke(q.id_ == PartyId::kA, cash, i);
-  const tx::SighashCache sh_rv_p = timed_cache(rv_p), sh_rv_q = timed_cache(rv_q);
+  const SighashFlag rv_flag = revocation_flag(params_);
+  const tx::SighashCache sh_rv_p = timed_cache(rv_p, rv_flag),
+                         sh_rv_q = timed_cache(rv_q, rv_flag);
   // TX^A_RV is guarded by rv2 keys, TX^B_RV by rv keys (Appendix B).
   auto rv_sign_key = [&](const DaricParty& signer,
                          const DaricParty& owner) -> const crypto::KeyPair& {
     return owner.id_ == PartyId::kA ? signer.keys_.rv2 : signer.keys_.rv;
-  };
-  auto rv_verify_pre = [&](const DaricParty& verifier,
-                           const DaricParty& owner) -> const crypto::PrecomputedPoint& {
-    return owner.id_ == PartyId::kA ? verifier.peer_tables().rv2 : verifier.peer_tables().rv;
   };
 
   // Message 5: revokeP (P → Q): P's signature on [TX^Q_RV,i].
@@ -569,18 +535,18 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   // state i is out in the world, so P's Γ' (the fully-signed i+1 commit and
   // complete floating split) must already be durable — a crash after the
   // send may never post a commit the counterparty can now punish.
-  const SighashFlag rv_flag = revocation_flag(params_);
   if (p.durability_) p.durability_->persist(p);
   if (silent_before(p, 5)) return abort_to(q.id_);
   const Bytes rv_q_sig_p = timed_sign(rv_q, rv_sign_key(p, q), rv_flag, &sh_rv_q);
   const int n5 = send_or_close(p.id_, "revokeP");
   if (n5 == 0) return false;
 
-  // Q's flush point: promotion Γ' → Γ (and message 6, Q's own revocation)
-  // must only happen on fully verified material.
-  if (!queue_wire(batch_q, sh_rv_q, rv_flag, rv_verify_pre(q, q), rv_q_sig_p, scheme) ||
-      !timed_flush(batch_q)) {
-    reset_gamma_prime(q);
+  // An invalid revocation fails the update: Q drops Γ' and closes at
+  // state i, which P has not revoked.
+  if (!timed_verify(sh_rv_q, rv_flag, q.peer_table(kRv), rv_q_sig_p)) {
+    q.flag_ = channel::ChannelFlag::kStable;
+    q.cm_own_new_.reset();
+    q.st_prime_ = {};
     return abort_to(q.id_);
   }
   // Promotion Γ' → Γ is guarded on the kUpdating flag, so a duplicated
@@ -610,9 +576,9 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   const int n6 = send_or_close(q.id_, "revokeQ");
   if (n6 == 0) return false;
 
-  // P's batch flushed at message 4, so Γ'^P is fully verified: on failure
-  // here force_close correctly posts the new commit (agreed state i+1).
-  if (!verify_wire_cached(sh_rv_p, rv_flag, rv_verify_pre(p, p), rv_p_sig_q, scheme))
+  // Γ'^P is fully verified: on failure here force_close posts the new
+  // commit (agreed state i+1).
+  if (!timed_verify(sh_rv_p, rv_flag, p.peer_table(kRv), rv_p_sig_q))
     return abort_to(p.id_);
   for (int copy = 0; copy < n6; ++copy) promote(p, rv_p_sig_q);
   if (p.durability_) p.durability_->persist(p);
@@ -640,7 +606,8 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
   const Bytes sig_q = tx::sign_input(fin, 0, q.keys_.main, scheme, SighashFlag::kAll, &sh_fin);
   if (send_or_close(q.id_, "closeQ") == 0) return false;
 
-  if (!verify_wire_cached(sh_fin, SighashFlag::kAll, p.peer_tables().main, sig_q, scheme))
+  if (!verify_wire_cached(sh_fin, SighashFlag::kAll, p.peer_table(DaricParty::PeerKey::kMain),
+                          sig_q, scheme))
     return abort_to(p.id_);
   const Bytes& sig_a = initiator == PartyId::kA ? sig_p : sig_q;
   const Bytes& sig_b = initiator == PartyId::kA ? sig_q : sig_p;

@@ -9,6 +9,7 @@
 // publishing revoked commits.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "src/channel/engine.h"
@@ -117,15 +118,16 @@ class DaricParty {
     bool complete() const { return !sig_a.empty() && !sig_b.empty(); }
   };
 
-  /// Precomputed wNAF tables for the counterparty's four fixed keys. Every
-  /// update-path verification targets one of these, so the per-verification
-  /// table build (and the 33-byte point decompression) amortizes to zero.
-  struct PeerTables {
-    crypto::PrecomputedPoint main, sp, rv, rv2;
-  };
-  /// Lazily built from pub_other_ on first use (pub_other_ is only known
-  /// after createInfo).
-  const PeerTables& peer_tables() const;
+  /// The counterparty keys this party verifies against: main, sp, and the
+  /// revocation key guarding this party's own TX_RV (the counterparty's rv2
+  /// for A, its rv for B).
+  enum class PeerKey { kMain, kSp, kRv };
+  /// Precomputed tables for those keys. Every update-path verification
+  /// targets one of them, so the per-verification table build (and the
+  /// 33-byte point decompression) amortizes to zero. Each is built from
+  /// pub_other_ on its first use: create() reads main and sp, and rv is
+  /// first read by the first update's revocation.
+  const crypto::PrecomputedPoint& peer_table(PeerKey key) const;
 
   // Appendix-D helpers executed locally.
   void monitor();
@@ -154,7 +156,7 @@ class DaricParty {
   DaricKeys keys_;
   DaricPubKeys pub_own_;
   DaricPubKeys pub_other_;
-  mutable std::optional<PeerTables> peer_;
+  mutable std::array<std::optional<crypto::PrecomputedPoint>, 3> peer_;
 
   // Γ^P.
   bool open_ = false;

@@ -13,7 +13,7 @@
 // static, so the name lookup happens once per site per process.
 //
 // Span name taxonomy (dotted, coarse-to-fine):
-//   daric.update.{total,skeleton,sighash,sign,batch_flush}
+//   daric.update.{total,skeleton,sighash,sign,verify}
 //   <engine>.update.total            lightning|eltoo|generalized|cerberus|fppw
 //   store.{fsync,replace,compact}    durable-backend barriers
 //   tower.{restore,round,react,compact}

@@ -911,19 +911,123 @@ TEST(MulCrossCheck, EdgeScalars) {
             Point::mul_ladder_vartime(p, Scalar(0)));
 }
 
+// Scalars at the edges of the segmented ladders (a PrecomputedPoint's and
+// the generator's tables, detail::kSegments): 0, 1, n − 1 and n − 2; powers
+// of two and their neighbours at the 32-digit chunk boundaries; λ, whose GLV
+// split has a zero k1 (1's has a zero k2); and, found by search, scalars
+// whose k1 or k2 wNAF carries a digit to position 128 at the P tables'
+// width 5 or the generator's 11.
+// λ: k·λ acts on a point P as φ(P) = (β·x, y).
+Scalar glv_lambda() {
+  return Scalar::from_u256(U256::from_hex(
+      "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72"));
+}
+
+std::vector<Scalar> segment_edge_scalars() {
+  std::vector<Scalar> out = {Scalar(0), Scalar(1), Scalar(1).neg(), Scalar(2).neg()};
+  for (const unsigned bit : {31u, 32u, 63u, 64u, 95u, 96u, 127u, 128u, 255u}) {
+    U256 v;
+    v.limb[bit / 64] = std::uint64_t{1} << (bit % 64);
+    const Scalar s = Scalar::from_u256(v);
+    for (const Scalar& e : {s, s - Scalar(1), s + Scalar(1)}) out.push_back(e);
+  }
+  out.push_back(glv_lambda());
+  out.push_back(glv_lambda().neg());
+  for (const unsigned w : {5u, 11u}) {
+    for (const bool second_half : {false, true}) {
+      for (int i = 0;; ++i) {
+        const Scalar k = sweep_scalar("carry-128", i);
+        const crypto::detail::GlvSplit sp = crypto::detail::glv_split(k);
+        std::int16_t naf[crypto::detail::kMaxNafLen];
+        if (crypto::detail::wnaf(naf, second_half ? sp.k2 : sp.k1, w) == 129) {
+          out.push_back(k);
+          break;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 TEST(MulCrossCheck, MulAddEqualsMatchesExplicitComputation) {
-  for (int i = 0; i < 32; ++i) {
-    const Scalar a = sweep_scalar("eq-a", i);
-    const Scalar b = sweep_scalar("eq-b", i);
-    const Point p = Point::mul_gen(sweep_scalar("eq-p", i));
-    const Point expect = Point::mul_add_vartime(a, p, b);
-    const crypto::PrecomputedPoint pre(p);
-    EXPECT_TRUE(Point::mul_add_encodes_vartime(a, p, b, expect.compressed()));
-    EXPECT_TRUE(Point::mul_add_encodes_vartime(a, pre, b, expect.compressed()));
-    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, p, b, (expect + p).compressed()));
+  // The zero halves the edge list relies on.
+  EXPECT_TRUE(crypto::detail::glv_split(glv_lambda()).k1.is_zero());
+  EXPECT_TRUE(crypto::detail::glv_split(Scalar(1)).k2.is_zero());
+
+  const auto check = [](const Scalar& a, const Point& p, const crypto::PrecomputedPoint& pre,
+                        const Scalar& b, const std::string& where) {
+    const Point expect = Point::mul_ladder_vartime(p, a) + Point::mul_gen(b);
+    EXPECT_EQ(Point::mul_add_vartime(a, p, b), expect) << where;
+    if (expect.is_infinity()) {
+      EXPECT_FALSE(Point::mul_add_encodes_vartime(a, pre, b, Point::generator().compressed()))
+          << where;
+      return;
+    }
+    EXPECT_TRUE(Point::mul_add_encodes_vartime(a, p, b, expect.compressed())) << where;
+    EXPECT_TRUE(Point::mul_add_encodes_vartime(a, pre, b, expect.compressed())) << where;
+    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, p, b, (expect + p).compressed())) << where;
     // Same x, other y parity.
-    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, p, b, expect.neg().compressed()));
-    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, pre, b, expect.neg().compressed()));
+    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, p, b, expect.neg().compressed())) << where;
+    EXPECT_FALSE(Point::mul_add_encodes_vartime(a, pre, b, expect.neg().compressed())) << where;
+    // The batch MSM's Strauss path walks the same generator segments.
+    const std::array<Scalar, 2> coeffs = {a, Scalar(1)};
+    const std::array<Point, 2> points = {p, expect.neg()};
+    EXPECT_TRUE(Point::multi_mul_is_infinity_vartime(coeffs, points, b)) << where;
+  };
+  for (int i = 0; i < 32; ++i) {
+    const Point p = Point::mul_gen(sweep_scalar("eq-p", i));
+    const crypto::PrecomputedPoint pre(p);
+    check(sweep_scalar("eq-a", i), p, pre, sweep_scalar("eq-b", i), "i=" + std::to_string(i));
+  }
+  // Edge scalars on either side, against a random point and against ±G,
+  // where the P and G streams add the same points.
+  const std::vector<Scalar> edges = segment_edge_scalars();
+  const Point p = Point::mul_gen(sweep_scalar("eq-edge-p", 0));
+  const crypto::PrecomputedPoint pre(p);
+  const crypto::PrecomputedPoint pre_g(Point::generator());
+  const crypto::PrecomputedPoint pre_minus_g(Point::generator().neg());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const std::string where = "edge " + std::to_string(i);
+    const Scalar r = sweep_scalar("eq-edge-r", static_cast<int>(i));
+    check(edges[i], p, pre, r, where + " as a");
+    check(r, p, pre, edges[i], where + " as b");
+    check(edges[i], p, pre, edges[i], where + " as both");
+    check(edges[i], p, pre, edges[edges.size() - 1 - i], where + " against the reversed list");
+    check(edges[i], Point::generator(), pre_g, edges[i], where + " on G");
+    check(edges[i], Point::generator().neg(), pre_minus_g, r, where + " on -G");
+  }
+}
+
+TEST(PrecomputedPoint, SegmentEntriesMatchTheLadder) {
+  using crypto::detail::kSegmentDigits;
+  using crypto::detail::kSegments;
+  // Entry m of segment j is (2m + 1)·2^(32j)·base: the segment base from a
+  // ladder over the whole power of two, the odd multiple from a short one.
+  const auto check = [](const crypto::PrecomputedPoint* pre, const Point& base,
+                        const std::string& what) {
+    const int size = crypto::detail::segment_size(pre);
+    for (int j = 0; j < kSegments; ++j) {
+      U256 pow2;
+      const unsigned bit = static_cast<unsigned>(kSegmentDigits * j);
+      pow2.limb[bit / 64] = std::uint64_t{1} << (bit % 64);
+      const Point seg_base = Point::mul_ladder_vartime(base, Scalar::from_u256(pow2));
+      for (int m = 0; m < size; ++m) {
+        const Scalar odd(static_cast<std::uint64_t>(2 * m + 1));
+        const Point want = Point::mul_ladder_vartime(seg_base, odd);
+        ASSERT_EQ(crypto::detail::segment_entry(pre, j, m), want)
+            << what << ", segment " << j << ", entry " << m;
+      }
+    }
+    EXPECT_THROW(crypto::detail::segment_entry(pre, kSegments, 0), std::out_of_range);
+    EXPECT_THROW(crypto::detail::segment_entry(pre, 0, size), std::out_of_range);
+  };
+  EXPECT_EQ(crypto::detail::segment_size(nullptr), 512);
+  check(nullptr, Point::generator(), "generator");
+  for (int i = 0; i < 8; ++i) {
+    const Point p = Point::mul_gen(sweep_scalar("segment-key", i));
+    const crypto::PrecomputedPoint pre(p);
+    EXPECT_EQ(crypto::detail::segment_size(&pre), 8);
+    check(&pre, p, "key " + std::to_string(i));
   }
 }
 
@@ -1053,9 +1157,18 @@ TEST(SchnorrDifferential, SameVerdictAsTheRLiftingReference) {
     const Fe x = Fe::from_raw(off_curve);
     if (!(x.sqr() * x + Fe(7)).sqrt(y)) break;
   }
+  // Derived keys, then keys at the segmented ladders' edge scalars (±G
+  // among them, where the key's and the generator's streams add the same
+  // points).
+  std::vector<crypto::KeyPair> keys;
+  for (int i = 0; i < 24; ++i)
+    keys.push_back(crypto::derive_keypair("sqrt-free/" + std::to_string(i)));
+  const std::vector<Scalar> edges = segment_edge_scalars();
+  for (const Scalar& sk : edges)
+    if (!sk.is_zero()) keys.push_back({sk, Point::mul_gen(sk)});
   int accepted = 0, cases = 0;
-  for (int i = 0; i < 24; ++i) {
-    const auto kp = crypto::derive_keypair("sqrt-free/" + std::to_string(i));
+  for (int i = 0; i < static_cast<int>(keys.size()); ++i) {
+    const crypto::KeyPair& kp = keys[static_cast<std::size_t>(i)];
     const crypto::PrecomputedPoint pre(kp.pk);
     const Hash256 msg = crypto::Sha256::hash(str_bytes("sqrt-free msg " + std::to_string(i)));
     const auto same = [&](const Bytes& sig, const Hash256& m, const char* what) {
@@ -1104,9 +1217,14 @@ TEST(SchnorrDifferential, SameVerdictAsTheRLiftingReference) {
           Scalar::from_be_bytes_reduce(crypto::Sha256::tagged("daric/schnorr", preimage).view());
       same(concat({rb, (k + e * kp.sk).to_be_bytes()}), msg, flip ? "forged parity" : "hand-made");
     }
+    // s at an edge scalar, so the generator's streams walk the segment
+    // boundaries and the carry digit.
+    if (i < 8)
+      for (const Scalar& edge : edges) same(with_s(sig, edge.raw()), msg, "edge s");
   }
-  EXPECT_EQ(accepted, 2 * 24);  // the signatures and the hand-made ones, nothing else
-  EXPECT_EQ(cases, 24 * 16);
+  // The signatures and the hand-made ones, nothing else.
+  EXPECT_EQ(accepted, 2 * static_cast<int>(keys.size()));
+  EXPECT_EQ(cases, 16 * static_cast<int>(keys.size()) + 8 * static_cast<int>(edges.size()));
 }
 
 std::vector<crypto::SigBatchItem> make_batch(int n) {
@@ -1176,23 +1294,6 @@ TEST(Schnorr, PrecomputedVerifyMatchesPlain) {
     bad[10] ^= 0x04;
     EXPECT_FALSE(crypto::schnorr_verify(pre, msg, bad));
   }
-}
-
-TEST(SchnorrBatch, PrecomputedTablesGiveSameVerdict) {
-  auto items = make_batch(5);
-  // Attach tables to a subset of the keys — the batch path must serve mixed
-  // precomputed/fresh entries (and the negated-key lookup inside).
-  std::vector<std::unique_ptr<crypto::PrecomputedPoint>> tables;
-  for (const std::size_t i : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
-    tables.push_back(std::make_unique<crypto::PrecomputedPoint>(items[i].pk));
-    items[i].pre = tables.back().get();
-  }
-  EXPECT_TRUE(crypto::schnorr_verify_batch(items));
-  auto tampered = items;
-  tampered[2].sig[17] ^= 0x20;
-  EXPECT_FALSE(crypto::schnorr_verify_batch(tampered));
-  const std::span<const crypto::SigBatchItem> one(items.data() + 2, 1);
-  EXPECT_TRUE(crypto::schnorr_verify_batch(one));  // n==1 precomputed path
 }
 
 TEST(SchnorrBatch, SchemeInterfaceRoutesBatches) {

@@ -5,6 +5,7 @@
 
 #include "src/daric/protocol.h"
 #include "src/daric/watchtower.h"
+#include "src/obs/sinks.h"
 
 namespace daric {
 namespace {
@@ -287,6 +288,126 @@ TEST_P(DaricAbortSweep, AbortAtAnyMessageForceCloses) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAbortPoints, DaricAbortSweep, ::testing::Range(1, 7));
+
+// Schnorr with one forged signature: the `nth` signature made with the armed
+// key after arm() comes back with s + 1, so it still decodes but fails every
+// verification. Everything else passes through.
+class ForgingScheme : public crypto::SignatureScheme {
+ public:
+  void arm(const crypto::Point& key, int nth) {
+    key_ = key;
+    left_ = nth;
+  }
+  bool forged() const { return forged_; }
+
+  std::string name() const override { return inner_.name(); }
+  std::size_t signature_size() const override { return inner_.signature_size(); }
+  Bytes sign(const crypto::Scalar& sk, const Hash256& msg) const override {
+    return maybe_forge(crypto::Point::mul_gen(sk), inner_.sign(sk, msg));
+  }
+  Bytes sign_with(const crypto::KeyPair& kp, const Hash256& msg) const override {
+    return maybe_forge(kp.pk, inner_.sign_with(kp, msg));
+  }
+  bool verify(const crypto::Point& pk, const Hash256& msg, BytesView sig) const override {
+    return inner_.verify(pk, msg, sig);
+  }
+  bool verify_cached(const crypto::PrecomputedPoint& pre, const Hash256& msg,
+                     BytesView sig) const override {
+    return inner_.verify_cached(pre, msg, sig);
+  }
+  bool supports_adaptor() const override { return inner_.supports_adaptor(); }
+  bool supports_batch_verify() const override { return inner_.supports_batch_verify(); }
+  bool verify_batch(std::span<const crypto::SigBatchItem> items) const override {
+    return inner_.verify_batch(items);
+  }
+
+ private:
+  Bytes maybe_forge(const crypto::Point& pk, Bytes sig) const {
+    if (left_ == 0 || !(pk == key_) || --left_ > 0) return sig;
+    const crypto::Scalar s = crypto::Scalar::from_be_bytes_reduce(BytesView(sig).subspan(33));
+    const Bytes forged = (s + crypto::Scalar(1)).to_be_bytes();
+    std::copy(forged.begin(), forged.end(), sig.begin() + 33);
+    forged_ = true;
+    return sig;
+  }
+
+  const crypto::SignatureScheme& inner_ = crypto::schnorr_scheme();
+  crypto::Point key_;
+  mutable int left_ = 0;
+  mutable bool forged_ = false;
+};
+
+TEST(DaricUpdate, CorruptedSignatureInEachMessageClosesAtTheLastVerifiedState) {
+  // A proposes the update from state 1 (50/50) to state 2 (40/60). Each
+  // case forges one signature the sender puts in message `msg`, named by
+  // its key and by which signature with that key it is in the update (B
+  // signs its own new commit with `main` before message 4's signature).
+  struct Forgery {
+    int msg;
+    PartyId signer;
+    crypto::KeyPair daricch::DaricKeys::*key;
+    int nth;
+  };
+  using K = daricch::DaricKeys;
+  const Forgery cases[] = {
+      {2, PartyId::kB, &K::sp, 1},    // Q's split signature
+      {3, PartyId::kA, &K::sp, 1},    // P's split signature
+      {3, PartyId::kA, &K::main, 1},  // P's signature on Q's new commit
+      {4, PartyId::kB, &K::main, 2},  // Q's signature on P's new commit
+      {5, PartyId::kA, &K::rv, 1},    // P's revocation of state 1 (TX^B_RV)
+      {6, PartyId::kB, &K::rv2, 1},   // Q's revocation of state 1 (TX^A_RV)
+  };
+  for (const Forgery& c : cases) {
+    SCOPED_TRACE("message " + std::to_string(c.msg));
+    ForgingScheme scheme;
+    sim::Environment env(kDelta, scheme);
+    obs::CollectSink sink;
+    env.tracer().add_sink(&sink);
+    DaricChannel ch(env, make_params("forge-" + std::to_string(c.msg)));
+    ASSERT_TRUE(ch.create());
+    ASSERT_TRUE(ch.update({50'000, 50'000, {}}));
+
+    scheme.arm((ch.party(c.signer).keys().*c.key).pk, c.nth);
+    EXPECT_FALSE(ch.update({40'000, 60'000, {}}, PartyId::kA));
+    ASSERT_TRUE(scheme.forged());
+    ASSERT_TRUE(ch.run_until_closed());
+
+    // The receiver of the forged message force-closes, at state 1 unless
+    // the forgery is the last message, when both already hold state 2.
+    const PartyId verifier = c.signer == PartyId::kA ? PartyId::kB : PartyId::kA;
+    const std::uint32_t state = c.msg == 6 ? 2 : 1;
+    const auto attr = [](const obs::Event& e, const std::string& key) {
+      for (const obs::Attr& a : e.attrs)
+        if (a.key == key) return a;
+      return obs::Attr{};
+    };
+    std::vector<obs::Event> force_closes;
+    for (const obs::Event& e : sink.events) {
+      // Both parties post the same split, and the ledger turns the second
+      // copy away as a duplicate. A commit carrying the forged signature
+      // would fail its witness check instead.
+      if (e.kind == obs::EventKind::kTxReject) {
+        EXPECT_EQ(attr(e, "error").str, "duplicate-txid") << obs::to_json(e);
+      }
+      if (e.engine == "daric" && e.kind == obs::EventKind::kForceClose) force_closes.push_back(e);
+    }
+    ASSERT_EQ(force_closes.size(), 1u);
+    EXPECT_EQ(force_closes[0].party, sim::party_name(verifier));
+    EXPECT_EQ(attr(force_closes[0], "sn").num, state);
+
+    for (const PartyId who : {PartyId::kA, PartyId::kB})
+      EXPECT_EQ(ch.party(who).outcome(), CloseOutcome::kNonCollaborative);
+    // The split pays that state's balances and conserves the capacity.
+    const auto commit = env.ledger().spender_of(ch.funding_outpoint());
+    ASSERT_TRUE(commit.has_value());
+    EXPECT_EQ(commit->total_output_value(), 100'000);
+    const auto split = env.ledger().spender_of({commit->txid(), 0});
+    ASSERT_TRUE(split.has_value());
+    EXPECT_EQ(split->total_output_value(), 100'000);
+    EXPECT_EQ(split->outputs[0].cash, state == 1 ? 50'000 : 40'000);
+    EXPECT_EQ(split->outputs[1].cash, state == 1 ? 50'000 : 60'000);
+  }
+}
 
 // --- Storage ---------------------------------------------------------------
 

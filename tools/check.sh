@@ -226,7 +226,8 @@ if [[ "$BENCH" == 1 ]]; then
   python3 tools/bench_to_json.py --name crypto \
     --in build-release/bench_crypto_raw.json --out BENCH_crypto.json \
     --ratio schnorr_verify_speedup_vs_naive_ladder=BM_SchnorrVerifyNaiveLadder/BM_SchnorrVerify \
-    --ratio mul_var_point_speedup_vs_naive_ladder=BM_MulVarPointNaiveLadder/BM_MulVarPointWnaf
+    --ratio mul_var_point_speedup_vs_naive_ladder=BM_MulVarPointNaiveLadder/BM_MulVarPointWnaf \
+    --ratio cached_verify_speedup_vs_plain=BM_SchnorrVerify/BM_SchnorrVerifyCached
 
   step "bench_update_microbench -> BENCH_update_microbench.json"
   # The committed file is the previous change's baseline; keep it aside
