@@ -6,15 +6,14 @@
 #include "bench/bench_main.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/crypto/ecdsa.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
 #include "src/daric/protocol.h"
-#include "src/eltoo/protocol.h"
-#include "src/generalized/protocol.h"
-#include "src/lightning/protocol.h"
+#include "src/sim/faults/drill.h"
 
 namespace {
 
@@ -88,37 +87,38 @@ channel::ChannelParams bench_params(const std::string& id) {
 }
 
 // One full channel update (all messages, signatures and verifications for
-// both parties). Throughput >> 1/s validates the unlimited-lifetime claim.
-template <typename Channel>
-void channel_update_bench(benchmark::State& state, const std::string& id) {
+// both parties), on the engine the chaos drill builds for `p`. Throughput
+// >> 1/s validates the unlimited-lifetime claim.
+void channel_update_bench(benchmark::State& state, sim::faults::Protocol p,
+                          const std::string& id) {
   sim::Environment env(2, crypto::schnorr_scheme());
-  Channel ch(env, bench_params(id));
-  ch.create();
+  const std::unique_ptr<channel::Engine> ch = sim::faults::make_engine(p, env, bench_params(id));
+  ch->create();
   Amount i = 0;
   for (auto _ : state) {
-    ch.update({400'000 + (i % 1000), 600'000 - (i % 1000), {}});
+    ch->update({400'000 + (i % 1000), 600'000 - (i % 1000), {}});
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 
 void BM_DaricUpdate(benchmark::State& state) {
-  channel_update_bench<daricch::DaricChannel>(state, "bench-daric");
+  channel_update_bench(state, sim::faults::Protocol::kDaric, "bench-daric");
 }
 BENCHMARK(BM_DaricUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_EltooUpdate(benchmark::State& state) {
-  channel_update_bench<eltoo::EltooChannel>(state, "bench-eltoo");
+  channel_update_bench(state, sim::faults::Protocol::kEltoo, "bench-eltoo");
 }
 BENCHMARK(BM_EltooUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_LightningUpdate(benchmark::State& state) {
-  channel_update_bench<lightning::LightningChannel>(state, "bench-ln");
+  channel_update_bench(state, sim::faults::Protocol::kLightning, "bench-ln");
 }
 BENCHMARK(BM_LightningUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_GeneralizedUpdate(benchmark::State& state) {
-  channel_update_bench<generalized::GeneralizedChannel>(state, "bench-gc");
+  channel_update_bench(state, sim::faults::Protocol::kGeneralized, "bench-gc");
 }
 BENCHMARK(BM_GeneralizedUpdate)->Unit(benchmark::kMicrosecond);
 

@@ -105,11 +105,6 @@ struct AbsVal {
 
   Truth truth() const;
   bool is_const() const { return kind == Kind::kConst; }
-  /// True for values whose content the witness provider controls or derives.
-  bool witness_derived() const {
-    return kind == Kind::kWitness || kind == Kind::kSig || kind == Kind::kHash ||
-           kind == Kind::kOpaque;
-  }
 
   static AbsVal constant(Bytes b);
   static AbsVal witness(int index);

@@ -34,7 +34,7 @@ script::Script cerberus_output_script(BytesView rev1, BytesView rev2, std::uint3
 
 // --- Watchtower ------------------------------------------------------------
 
-void CerberusWatchtower::monitor(ledger::Ledger& l) {
+void CerberusWatchtower::on_round(ledger::Ledger& l) {
   if (reacted_) return;
   const auto spender = l.spender_of(fund_op_);
   if (!spender) return;
@@ -218,10 +218,6 @@ void CerberusChannel::on_round() {
   if (!monitoring()) return;
   auto& ledger = env_.ledger();
 
-  if (pending_txid_) {
-    if (ledger.is_confirmed(*pending_txid_)) close_as(channel::Outcome::kPunished);
-    return;
-  }
   if (!sweeps_.empty()) {
     if (!sweeps_posted_ && env_.now() >= sweep_round_) {
       for (PendingSweep& sw : sweeps_) {
@@ -265,12 +261,11 @@ void CerberusChannel::on_round() {
   if (!rec) return;
 
   if (rec->state < sn_) {
-    // Revoked: the tower posts the pre-signed revocation; we just track it.
-    const auto taker = ledger.spender_of({id, 0});
-    if (taker) {
-      pending_txid_ = taker->txid();
+    // Revoked: the tower posts the pre-signed revocation; the channel is
+    // punished once it confirms (spender_of sees only confirmed spends).
+    if (ledger.spender_of({id, 0})) {
       note_punish(other(rec->owner), rec->state, sn_);
-      if (ledger.is_confirmed(*pending_txid_)) close_as(channel::Outcome::kPunished);
+      close_as(channel::Outcome::kPunished);
     }
     return;
   }

@@ -6,10 +6,7 @@
 // 2-output layout reproduces Appendix H.6's 772-WU non-collaborative close.
 #pragma once
 
-#include <optional>
-
 #include "src/channel/engine.h"
-#include "src/channel/watchtower.h"
 #include "src/daric/wallet.h"
 #include "src/tx/transaction.h"
 
@@ -24,7 +21,7 @@ class CerberusChannel;
 
 /// The incentivized tower: it holds one fully-signed revocation transaction
 /// per revoked state and collects `reward` when it fires one.
-class CerberusWatchtower : public channel::Watchtower {
+class CerberusWatchtower {
  public:
   explicit CerberusWatchtower(tx::OutPoint fund_op) : fund_op_(fund_op) {}
 
@@ -34,11 +31,12 @@ class CerberusWatchtower : public channel::Watchtower {
   };
   void add_package(RevocationPackage pkg) { packages_.push_back(std::move(pkg)); }
 
-  std::size_t storage_bytes() const override;
-  bool reacted() const override { return reacted_; }
-
- protected:
-  void monitor(ledger::Ledger& l) override;
+  /// Called at the end of every round: posts the revocation of a revoked
+  /// commit that spent the funding output.
+  void on_round(ledger::Ledger& l);
+  /// Bytes this tower must persist for the channel it watches.
+  std::size_t storage_bytes() const;
+  bool reacted() const { return reacted_; }
 
  private:
   tx::OutPoint fund_op_;
@@ -47,7 +45,7 @@ class CerberusWatchtower : public channel::Watchtower {
 };
 
 /// The channel-level monitor follows the monitor flag; the two towers are
-/// separate round hooks with their own availability (Watchtower::set_online).
+/// separate round hooks that keep watching while it is off.
 class CerberusChannel : public channel::Engine {
  public:
   /// `tower_reward` is carved out of the cheater's punished funds.
@@ -108,7 +106,6 @@ class CerberusChannel : public channel::Engine {
   CerberusWatchtower tower_a_{tx::OutPoint{}};
   CerberusWatchtower tower_b_{tx::OutPoint{}};
 
-  std::optional<Hash256> pending_txid_;
   /// A latest commit's output, spent by `owner`'s delayed key after T.
   struct PendingSweep {
     tx::OutPoint op;

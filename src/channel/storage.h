@@ -16,8 +16,6 @@ class StorageMeter {
  public:
   void add_tx(const tx::Transaction& t) { bytes_ += tx::serialize_full(t).size(); }
   void add_signature() { bytes_ += script::kWireSigSize; }
-  void add_pubkey() { bytes_ += script::kPubKeySize; }
-  void add_secret() { bytes_ += 32; }
   void add_raw(std::size_t n) { bytes_ += n; }
   void reset() { bytes_ = 0; }
 

@@ -15,6 +15,4 @@ KeyPair derive_keypair(std::string_view label) {
   return {sk, Point::mul_gen(sk)};
 }
 
-Bytes pubkey_bytes(const Point& pk) { return pk.compressed(); }
-
 }  // namespace daric::crypto

@@ -21,7 +21,4 @@ struct KeyPair {
 /// Derives a keypair from an arbitrary label, e.g. "alice/rv/0".
 KeyPair derive_keypair(std::string_view label);
 
-/// 33-byte compressed public key bytes.
-Bytes pubkey_bytes(const Point& pk);
-
 }  // namespace daric::crypto

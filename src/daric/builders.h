@@ -43,8 +43,8 @@ struct CommitMatch {
   script::Script script;    // its output script, for the revocation witness
 };
 
-/// The punishability test of the party monitor and both watchtowers: is
-/// `spender` a commit of the *counterparty* of `client` (TX^A_RV spends
+/// The punishability test of the party monitor and of store::TowerService:
+/// is `spender` a commit of the *counterparty* of `client` (TX^A_RV spends
 /// TX^B_CM and vice versa), and of which state j ≤ `max_state`? Each caller
 /// keeps its own revoked-state bound; a state above `max_state` is rejected
 /// before any script is built.

@@ -6,11 +6,6 @@
 
 namespace daric::daricch {
 
-Bytes sign_input_feeable(const tx::Transaction& body, const crypto::Scalar& sk,
-                         const crypto::SignatureScheme& scheme) {
-  return tx::sign_input(body, 0, sk, scheme, script::SighashFlag::kSingleAnyPrevOut);
-}
-
 void attach_fee(tx::Transaction& t, const FeeSource& fee_source, Amount fee,
                 const crypto::SignatureScheme& scheme) {
   if (fee < 0 || fee > fee_source.value) throw std::invalid_argument("bad fee");

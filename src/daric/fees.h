@@ -19,12 +19,6 @@ struct FeeSource {
   crypto::KeyPair key;
 };
 
-/// Signs `t`'s input 0 witness material with SIGHASH_SINGLE|ANYPREVOUT so a
-/// fee pair can later be appended without invalidating it. Returns the wire
-/// signature (same calling convention as tx::sign_input).
-Bytes sign_input_feeable(const tx::Transaction& body, const crypto::Scalar& sk,
-                         const crypto::SignatureScheme& scheme);
-
 /// Appends `fee_source` as a new input and a change output paying
 /// `fee_source.value - fee` back to the wallet (omitted when zero), then
 /// signs the new input with SIGHASH_ALL. Input 0's existing witness is

@@ -166,12 +166,10 @@ void DaricParty::monitor() {
   if (!open_) return;
   if (!online_) {
     // Theorem 1 accounting: every missed monitor round widens the gap the
-    // T−Δ bound must cover. Sweeps read these straight off the registry.
+    // T−Δ bound must cover.
     ++missed_rounds_;
     ++offline_gap_;
     if (offline_gap_ > max_gap_) max_gap_ = offline_gap_;
-    if (missed_counter_) missed_counter_->inc();
-    if (max_gap_gauge_) max_gap_gauge_->set(max_gap_);
     return;
   }
   offline_gap_ = 0;

@@ -16,7 +16,6 @@
 #include "src/crypto/point.h"
 #include "src/daric/builders.h"
 #include "src/daric/skeleton.h"
-#include "src/obs/metrics.h"
 
 namespace daric::daricch {
 
@@ -84,15 +83,9 @@ class DaricParty {
 
   /// Durable-store hook; nullptr (the default) keeps the party ephemeral.
   void set_durability_hook(DurabilityHook* hook) { durability_ = hook; }
-  DurabilityHook* durability_hook() const { return durability_; }
 
   /// Offline-gap accounting for Theorem 1's T−Δ bound: while the channel is
-  /// open and the party offline, every round counts as missed. The metrics
-  /// instruments are optional (sweeps bind them per party; see obs).
-  void bind_monitor_metrics(obs::Counter* missed, obs::Gauge* max_gap) {
-    missed_counter_ = missed;
-    max_gap_gauge_ = max_gap;
-  }
+  /// open and the party offline, every round counts as missed.
   std::int64_t missed_rounds() const { return missed_rounds_; }
   std::int64_t max_offline_gap() const { return max_gap_; }
 
@@ -107,7 +100,6 @@ class DaricParty {
 
  private:
   friend class DaricChannel;
-  friend class DaricWatchtower;
   friend WatchtowerPackage make_watchtower_package(const DaricParty&);
   friend ChannelSnapshot snapshot_party(const DaricParty&);
   friend void restore_party(DaricChannel&, sim::PartyId, const ChannelSnapshot&);
@@ -193,8 +185,6 @@ class DaricParty {
 
   // Durability + monitor-gap instrumentation.
   DurabilityHook* durability_ = nullptr;
-  obs::Counter* missed_counter_ = nullptr;
-  obs::Gauge* max_gap_gauge_ = nullptr;
   std::int64_t missed_rounds_ = 0;
   std::int64_t offline_gap_ = 0;
   std::int64_t max_gap_ = 0;

@@ -1,13 +1,13 @@
-// Daric watchtower: O(1) storage, because one floating revocation
+// Daric watchtower package: O(1) storage, because one floating revocation
 // transaction (plus two signatures) punishes *every* revoked state.
 //
 // After each channel update the client hands the tower a fresh package
 // (latest revocation body + both ANYPREVOUT signatures); the package
 // replaces the previous one, so tower storage does not grow with the
-// number of updates — Table 1's "Watch. St. Req. O(1)" column.
+// number of updates — Table 1's "Watch. St. Req. O(1)" column. The tower
+// itself is store::TowerService, which keeps the package in its record log.
 #pragma once
 
-#include "src/channel/watchtower.h"
 #include "src/daric/protocol.h"
 
 namespace daric::daricch {
@@ -21,28 +21,5 @@ struct WatchtowerPackage {
 
 /// Builds the package from a party's current Γ/Θ stores (requires sn ≥ 1).
 WatchtowerPackage make_watchtower_package(const DaricParty& p);
-
-class DaricWatchtower : public channel::Watchtower {
- public:
-  DaricWatchtower(const channel::ChannelParams& params, sim::PartyId client,
-                  tx::OutPoint fund_op, DaricPubKeys pub_a, DaricPubKeys pub_b);
-
-  /// Replaces the stored punishment package (constant storage).
-  void update_package(WatchtowerPackage pkg) { pkg_ = std::move(pkg); }
-
-  std::size_t storage_bytes() const override;
-  bool reacted() const override { return reacted_; }
-
- protected:
-  void monitor(ledger::Ledger& l) override;
-
- private:
-  channel::ChannelParams params_;
-  sim::PartyId client_;
-  tx::OutPoint fund_op_;
-  DaricPubKeys pub_a_, pub_b_;
-  std::optional<WatchtowerPackage> pkg_;
-  bool reacted_ = false;
-};
 
 }  // namespace daric::daricch

@@ -42,9 +42,6 @@ class EltooChannel : public channel::Engine {
     return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
   }
   std::size_t party_storage_bytes(sim::PartyId who) const;
-  /// Latest update/settlement bodies (for size measurements).
-  const tx::Transaction& latest_update_body() const { return upd_body_; }
-  const tx::Transaction& latest_settlement_body() const { return set_body_; }
   const channel::StateVec& state() const { return st_; }
 
  private:

@@ -74,11 +74,4 @@ bool Mempool::pending(const Hash256& txid) const {
                      [&](const Entry& e) { return e.txid == txid; });
 }
 
-Amount Mempool::pending_fee(const Hash256& txid) const {
-  for (const Entry& e : entries_) {
-    if (e.txid == txid) return e.fee;
-  }
-  return -1;
-}
-
 }  // namespace daric::ledger

@@ -45,8 +45,6 @@ class Mempool {
 
   Round now() const { return ledger_.now(); }
   bool pending(const Hash256& txid) const;
-  std::size_t pending_count() const { return entries_.size(); }
-  Amount pending_fee(const Hash256& txid) const;  // -1 if not pending
 
  private:
   struct Entry {

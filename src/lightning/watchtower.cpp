@@ -15,7 +15,7 @@ LightningWatchtower::StatePackage make_ln_tower_package(const LightningChannel& 
           commit.outputs[0].cash, ch.revealed_secret(counterparty, state)};
 }
 
-void LightningWatchtower::monitor(ledger::Ledger& l) {
+void LightningWatchtower::on_round(ledger::Ledger& l) {
   if (reacted_) return;
   const auto spender = l.spender_of(fund_op_);
   if (!spender) return;

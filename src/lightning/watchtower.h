@@ -3,12 +3,11 @@
 // entry in Table 1's watchtower column that Daric's O(1) tower contrasts.
 #pragma once
 
-#include "src/channel/watchtower.h"
 #include "src/lightning/protocol.h"
 
 namespace daric::lightning {
 
-class LightningWatchtower : public channel::Watchtower {
+class LightningWatchtower {
  public:
   LightningWatchtower(sim::PartyId client, tx::OutPoint fund_op, BytesView client_payout_pk)
       : client_(client), fund_op_(fund_op),
@@ -25,11 +24,11 @@ class LightningWatchtower : public channel::Watchtower {
   };
   void add_package(StatePackage pkg) { packages_.push_back(std::move(pkg)); }
 
-  std::size_t storage_bytes() const override;
-  bool reacted() const override { return reacted_; }
-
- protected:
-  void monitor(ledger::Ledger& l) override;
+  /// Called at the end of every round: claims a revoked commit's to_local.
+  void on_round(ledger::Ledger& l);
+  /// Bytes this tower must persist for the channel it watches.
+  std::size_t storage_bytes() const;
+  bool reacted() const { return reacted_; }
 
  private:
   sim::PartyId client_;

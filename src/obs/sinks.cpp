@@ -1,60 +1,10 @@
 #include "src/obs/sinks.h"
 
-#include <cstdio>
+#include <fstream>
 #include <map>
 #include <stdexcept>
 
 namespace daric::obs {
-
-JsonlSink::JsonlSink(const std::string& path) : JsonlSink(path, Options()) {}
-
-JsonlSink::JsonlSink(const std::string& path, Options opts)
-    : path_(path), opts_(opts), out_(path) {
-  if (!out_) throw std::runtime_error("cannot open trace file: " + path);
-  if (opts_.sample_every == 0) opts_.sample_every = 1;
-}
-
-std::string JsonlSink::rotated_path(const std::string& path, std::size_t n) {
-  // Insert the slot before the final extension: dir/trace.jsonl →
-  // dir/trace.2.jsonl. Extensionless paths get a plain ".2" suffix.
-  const auto slash = path.find_last_of('/');
-  const auto dot = path.find_last_of('.');
-  const std::string suffix = "." + std::to_string(n);
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return path + suffix;
-  return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
-void JsonlSink::rotate() {
-  out_.close();
-  // Shift the backup chain up: .keep-1 → .keep, ..., .1 → .2, live → .1.
-  std::remove(rotated_path(path_, opts_.keep).c_str());
-  for (std::size_t n = opts_.keep; n > 1; --n)
-    std::rename(rotated_path(path_, n - 1).c_str(), rotated_path(path_, n).c_str());
-  if (opts_.keep > 0) {
-    std::rename(path_.c_str(), rotated_path(path_, 1).c_str());
-  } else {
-    std::remove(path_.c_str());
-  }
-  out_.open(path_, std::ios::trunc);
-  if (!out_) throw std::runtime_error("cannot reopen trace file: " + path_);
-  written_ = 0;
-  ++rotations_;
-}
-
-void JsonlSink::on_event(const Event& e) {
-  if (seen_++ % opts_.sample_every != 0) return;
-  const std::string line = to_json(e);
-  // Rotate *between* lines so every file is a self-contained JSONL stream.
-  if (opts_.max_bytes > 0 && written_ > 0 && written_ + line.size() + 1 > opts_.max_bytes)
-    rotate();
-  out_ << line << '\n';
-  written_ += line.size() + 1;
-}
-
-void JsonlSink::flush() { out_.flush(); }
-
-void ChromeTraceSink::flush() { write_chrome_trace(path_, events_); }
 
 namespace {
 

@@ -1,10 +1,9 @@
-// Concrete sinks and exporters for the tracer.
+// The in-memory sink and the trace exporters.
 //
-//   CollectSink     — appends events to an in-memory vector (tests, tools).
-//   JsonlSink       — streams one JSON object per line to an ostream/file.
-//   ChromeTraceSink — buffers events and writes a Chrome `trace_event`
-//                     JSON object on flush, loadable in Perfetto
-//                     (https://ui.perfetto.dev) or chrome://tracing.
+//   CollectSink        — appends events to an in-memory vector (tests, tools).
+//   write_jsonl        — one JSON object per event per line.
+//   write_chrome_trace — a Chrome `trace_event` JSON object, loadable in
+//                        Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 //
 // Chrome-trace mapping: one instant event per trace event, ts = round in
 // milliseconds of trace time (1 round = 1 ms so Perfetto's timeline shows
@@ -12,7 +11,6 @@
 // named via thread_name metadata. Attributes ride in "args".
 #pragma once
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,61 +24,8 @@ class CollectSink : public Sink {
   std::vector<Event> events;
 };
 
-class JsonlSink : public Sink {
- public:
-  /// Long-run controls. Defaults reproduce the original sink: one unbounded
-  /// file, every event written.
-  struct Options {
-    /// Rotate once the current file reaches this many bytes (0 = never).
-    /// Rotation renames path → path-derived `.1`, `.2`, ... backups
-    /// (trace.jsonl → trace.1.jsonl) and reopens a fresh file, so each file
-    /// stays a valid JSONL stream — tools/validate_trace.py accepts any
-    /// rotation boundary because no line is ever split.
-    std::size_t max_bytes = 0;
-    /// Backups kept when rotating; the oldest is deleted beyond this.
-    std::size_t keep = 3;
-    /// Write only every N-th event (1 = all). Sampling is deterministic
-    /// (a simple modulo counter), so repeated runs produce identical files.
-    std::size_t sample_every = 1;
-  };
-
-  /// Opens `path` for writing; throws std::runtime_error on failure.
-  explicit JsonlSink(const std::string& path);
-  JsonlSink(const std::string& path, Options opts);
-  void on_event(const Event& e) override;
-  void flush() override;
-
-  /// Rotations performed so far (tests and monitors).
-  std::size_t rotations() const { return rotations_; }
-  /// Backup path for rotation slot `n` ("dir/trace.jsonl", 2 →
-  /// "dir/trace.2.jsonl"); exposed for tests and log collectors.
-  static std::string rotated_path(const std::string& path, std::size_t n);
-
- private:
-  void rotate();
-
-  std::string path_;
-  Options opts_;
-  std::ofstream out_;
-  std::size_t written_ = 0;   // bytes in the current file
-  std::size_t seen_ = 0;      // events offered (sampling counter)
-  std::size_t rotations_ = 0;
-};
-
-class ChromeTraceSink : public Sink {
- public:
-  explicit ChromeTraceSink(std::string path) : path_(std::move(path)) {}
-  void on_event(const Event& e) override { events_.push_back(e); }
-  /// Writes the complete trace JSON; throws std::runtime_error on failure.
-  void flush() override;
-
- private:
-  std::string path_;
-  std::vector<Event> events_;
-};
-
-/// The Chrome trace_event JSON for a batch of events (what ChromeTraceSink
-/// writes); exposed separately so tests can validate the string in memory.
+/// The Chrome trace_event JSON for a batch of events (what
+/// write_chrome_trace writes); exposed so tests can validate it in memory.
 std::string chrome_trace_json(const std::vector<Event>& events);
 
 /// Whole-batch writers for code that captured events via the tracer ring.

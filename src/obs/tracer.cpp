@@ -10,25 +10,13 @@ void Tracer::add_sink(Sink* sink) {
   set_enabled(true);
 }
 
-void Tracer::clear_sinks() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  sinks_.clear();
-}
-
-void Tracer::set_ring_capacity(std::size_t cap) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ring_capacity_ = cap;
-  while (ring_.size() > ring_capacity_) ring_.pop_front();
-}
-
 void Tracer::emit(Event e) {
   if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
   e.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   for (Sink* s : sinks_) s->on_event(e);
-  if (ring_capacity_ == 0) return;
   ring_.push_back(std::move(e));
-  if (ring_.size() > ring_capacity_) ring_.pop_front();
+  if (ring_.size() > kRingCapacity) ring_.pop_front();
 }
 
 void Tracer::emit(std::int64_t round, EventKind kind, std::string engine,
@@ -47,11 +35,6 @@ void Tracer::emit(std::int64_t round, EventKind kind, std::string engine,
 std::vector<Event> Tracer::ring_snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return {ring_.begin(), ring_.end()};
-}
-
-void Tracer::flush_sinks() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (Sink* s : sinks_) s->flush();
 }
 
 }  // namespace daric::obs

@@ -5,8 +5,8 @@
 // emit() bails on one relaxed atomic load before touching any of its
 // arguments' allocations. Instrumentation sites that would build strings
 // for attributes must therefore guard with `if (tracer.enabled())` so a
-// disabled tracer costs one branch — the property BENCH_trace_overhead.json
-// regression-gates.
+// disabled tracer costs one branch — the property the overhead gate over
+// BENCH_update_microbench.json checks.
 //
 // When enabled, every event gets a process-wide-per-tracer monotone `seq`,
 // is appended to the ring (oldest evicted beyond the capacity) and fanned
@@ -30,7 +30,6 @@ class Sink {
  public:
   virtual ~Sink() = default;
   virtual void on_event(const Event& e) = 0;
-  virtual void flush() {}
 };
 
 class Tracer {
@@ -42,10 +41,6 @@ class Tracer {
 
   /// Registers a non-owning sink and enables the tracer.
   void add_sink(Sink* sink);
-  void clear_sinks();
-
-  /// Events retained in memory; 0 disables the ring. Default 65536.
-  void set_ring_capacity(std::size_t cap);
 
   /// Assigns seq, appends to the ring and fans out to sinks. No-op (single
   /// atomic load) while disabled. The round/kind/etc. convenience overload
@@ -57,14 +52,14 @@ class Tracer {
   /// Copy of the retained ring, oldest first.
   std::vector<Event> ring_snapshot() const;
   std::uint64_t emitted() const { return next_seq_.load(std::memory_order_relaxed); }
-  void flush_sinks();
 
  private:
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> next_seq_{0};
   mutable std::mutex mu_;
+  /// Events retained in memory, oldest evicted first.
+  static constexpr std::size_t kRingCapacity = 65536;
   std::deque<Event> ring_;
-  std::size_t ring_capacity_ = 65536;
   std::vector<Sink*> sinks_;
 };
 

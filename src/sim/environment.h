@@ -8,8 +8,8 @@
 // the ledger's append-only accepted list, so spends confirmed by a direct
 // ledger().advance_rounds() still wake their watchers on the next round.
 //
-// Message delivery goes through an explicit DeliveryQueue: transmit()
-// enqueues the message, advances the clock until its delivery round, and
+// Message delivery is synchronous: transmit() asks the fault injector for
+// the message's fate, advances the clock until its delivery round, and
 // reports how many copies arrived (0 when the fault injector dropped it).
 // Without an injector every message is delivered exactly once after one
 // round — the guaranteed F_GDC behavior the engines were written against.
@@ -54,8 +54,6 @@ class Environment {
   Round now() const { return ledger_.now(); }
   Round delta() const { return ledger_.delta(); }
   const crypto::SignatureScheme& scheme() const { return ledger_.scheme(); }
-  MessageLog& log() { return log_; }
-  const DeliveryQueue& delivery_queue() const { return queue_; }
 
   /// The run's event tracer (null/disabled by default). Instrumentation
   /// that builds attribute strings must guard on tracer().enabled().
@@ -70,12 +68,10 @@ class Environment {
   /// The injector's post_delay is NOT wired here — the caller decides
   /// whether to also install it as the ledger's delay policy.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
 
   /// Upper bound on the extra delay a message may suffer on top of the
   /// 1-round transit (the bounded-delay budget of the network model).
   void set_message_delay_budget(Round budget) { message_delay_budget_ = budget; }
-  Round message_delay_budget() const { return message_delay_budget_; }
 
   /// Handle of a round hook: its position in registration order.
   using HookId = std::size_t;
@@ -119,9 +115,9 @@ class Environment {
   }
 
   /// One delivery attempt of a protocol message. Consults the fault
-  /// injector, enqueues the message, and advances the clock to its
-  /// delivery round (1 + any injected delay; a drop still charges the
-  /// transit round the sender spends discovering the loss).
+  /// injector and advances the clock to the message's delivery round
+  /// (1 + any injected delay; a drop still charges the transit round the
+  /// sender spends discovering the loss).
   struct Delivery {
     int copies = 1;   // 0 = lost, 2 = duplicated
     Round delay = 0;  // extra rounds beyond the 1-round transit
@@ -155,25 +151,19 @@ class Environment {
                      {obs::Attr::s("fate", message_fate_name(fate)),
                       obs::Attr::s("type", type)});
     }
-    if (copies > 0) queue_.push({deliver, from, type, copies});
-    log_.record({sent, deliver, from, type, fate, copies});
-    int arrived = 0;
-    while (now() < deliver) {
-      advance_round();
-      arrived += queue_.drain_due(now());
-    }
+    while (now() < deliver) advance_round();
     if (copies == 0) {
       if (tracer_.enabled())
         tracer_.emit(now(), obs::EventKind::kMsgDrop, "sim", {}, party_name(from),
                      {obs::Attr::s("type", type)});
       return {0, extra};
     }
-    msg_delivered_->inc(static_cast<std::uint64_t>(arrived));
+    msg_delivered_->inc(static_cast<std::uint64_t>(copies));
     msg_latency_->observe(1 + extra);
     if (tracer_.enabled())
       tracer_.emit(now(), obs::EventKind::kMsgDeliver, "sim", {}, party_name(from),
-                   {obs::Attr::s("type", std::move(type)), obs::Attr::i("copies", arrived)});
-    return {arrived, extra};
+                   {obs::Attr::s("type", std::move(type)), obs::Attr::i("copies", copies)});
+    return {copies, extra};
   }
 
  private:
@@ -192,8 +182,6 @@ class Environment {
   }
 
   ledger::Ledger ledger_;
-  MessageLog log_;
-  DeliveryQueue queue_;
   FaultInjector* injector_ = nullptr;
   Round message_delay_budget_ = 3;
   std::vector<std::function<void()>> hooks_;

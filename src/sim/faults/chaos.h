@@ -24,7 +24,6 @@ class ChaosInjector : public FaultInjector {
   Round post_delay(Round now, Round delta) override;
 
   // --- replay statistics --------------------------------------------------
-  std::uint32_t messages_seen() const { return next_index_; }
   std::uint32_t dropped() const { return dropped_; }
   std::uint32_t delayed() const { return delayed_; }
   std::uint32_t duplicated() const { return duplicated_; }

@@ -63,8 +63,7 @@ Amount update_to_a(std::uint64_t seed, std::uint32_t i) {
 }
 
 /// Counters come straight from the environment's metrics registry — the
-/// same `sim.msg.*` series every tool reads — instead of the bespoke
-/// ChaosInjector/MessageLog tallies this replaced.
+/// same `sim.msg.*` series every tool reads.
 void finish_report(DrillReport& rep, Environment& env, const DrillObs& o) {
   obs::Registry& m = env.metrics();
   rep.msg_total = m.counter("sim.msg.sent").value();
@@ -73,7 +72,6 @@ void finish_report(DrillReport& rep, Environment& env, const DrillObs& o) {
   rep.msg_duplicated = m.counter("sim.msg.duplicated").value();
   if (o.metrics_json) *o.metrics_json = m.snapshot_json();
   if (o.metrics_text) *o.metrics_text = m.summary_text();
-  env.tracer().flush_sinks();
 }
 
 // ---------------------------------------------------------------------------

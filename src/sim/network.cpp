@@ -1,7 +1,5 @@
 #include "src/sim/network.h"
 
-#include "src/obs/event.h"
-
 namespace daric::sim {
 
 const char* message_fate_name(MessageFate f) {
@@ -12,18 +10,6 @@ const char* message_fate_name(MessageFate f) {
     case MessageFate::kDuplicate: return "dup";
   }
   return "unknown";
-}
-
-std::string MessageLog::to_jsonl() const {
-  std::string out;
-  for (const MessageRecord& r : records_) {
-    out += "{\"sent\":" + std::to_string(r.sent) +
-           ",\"delivered\":" + std::to_string(r.delivered) + ",\"from\":\"" +
-           party_name(r.from) + "\",\"type\":\"" + obs::json_escape(r.type) +
-           "\",\"fate\":\"" + message_fate_name(r.fate) +
-           "\",\"copies\":" + std::to_string(r.copies) + "}\n";
-  }
-  return out;
 }
 
 }  // namespace daric::sim

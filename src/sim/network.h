@@ -1,14 +1,12 @@
-// Authenticated message channel (the F_GDC of Appendix C) with an explicit
-// delivery queue. Delivery takes one round by default; a FaultInjector may
-// additionally drop, delay (within a bounded budget) or duplicate any
-// message. Without an injector the behavior is exactly the guaranteed
-// 1-round delivery the protocol engines were written against.
+// Authenticated message channel (the F_GDC of Appendix C). Delivery takes
+// one round by default; a FaultInjector may additionally drop, delay
+// (within a bounded budget) or duplicate any message. Without an injector
+// the behavior is exactly the guaranteed 1-round delivery the protocol
+// engines were written against.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
 #include "src/sim/party.h"
 #include "src/util/bytes.h"
@@ -37,129 +35,6 @@ class FaultInjector {
   /// Adversarial confirmation delay τ for an honest ledger post. Return
   /// value is clamped to [0, Δ] by the ledger.
   virtual Round post_delay(Round now, Round delta) = 0;
-};
-
-struct MessageRecord {
-  Round sent = 0;
-  Round delivered = 0;  // meaningful when copies > 0
-  PartyId from = PartyId::kA;
-  std::string type;
-  MessageFate fate = MessageFate::kDeliver;
-  int copies = 1;  // 0 = dropped, 2 = duplicated
-};
-
-/// Messages currently in transit (sent but not yet handed to the receiver).
-/// The environment drains entries as the clock passes their delivery round;
-/// the queue makes the delay explicit instead of implied by control flow.
-class DeliveryQueue {
- public:
-  struct InFlight {
-    Round deliver_round = 0;
-    PartyId from = PartyId::kA;
-    std::string type;
-    int copies = 1;
-  };
-
-  void push(InFlight m) { in_flight_.push_back(std::move(m)); }
-
-  /// Removes and returns the number of copies of messages due at `now`
-  /// (0 if nothing is due yet).
-  int drain_due(Round now) {
-    int copies = 0;
-    for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-      if (it->deliver_round <= now) {
-        copies += it->copies;
-        it = in_flight_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    return copies;
-  }
-
-  std::size_t pending() const { return in_flight_.size(); }
-
- private:
-  std::deque<InFlight> in_flight_;
-};
-
-/// Records protocol messages and their rounds; exposes traffic statistics.
-/// Long chaos sweeps would grow the record vector without bound, so an
-/// optional ring-buffer capacity caps the retained window while keeping
-/// the counters exact.
-///
-/// Ring-cap semantics: with capacity C != 0 the log retains exactly the C
-/// most recent records in arrival order. record() evicts the single oldest
-/// entry once the cap is reached (set_capacity restores the invariant after
-/// a shrink), so eviction order is deterministic: records leave in the same
-/// global send order they entered, never mid-window.
-class MessageLog {
- public:
-  using const_iterator = std::deque<MessageRecord>::const_iterator;
-
-  void record(MessageRecord rec) {
-    ++total_;
-    switch (rec.fate) {
-      case MessageFate::kDeliver: break;
-      case MessageFate::kDrop: ++lost_; break;
-      case MessageFate::kDelay: ++delayed_; break;
-      case MessageFate::kDuplicate: ++duplicated_; break;
-    }
-    // Evict-then-push keeps the deque at <= capacity_ entries at all times;
-    // record() removes at most the one oldest entry per insertion.
-    if (capacity_ != 0 && records_.size() >= capacity_) {
-      records_.pop_front();
-      ++evicted_;
-    }
-    records_.push_back(std::move(rec));
-  }
-  void record(Round round, PartyId from, std::string type) {
-    record({round, round + 1, from, std::move(type), MessageFate::kDeliver, 1});
-  }
-
-  /// Exact number of messages ever recorded (unaffected by eviction).
-  std::size_t count() const { return total_; }
-  std::size_t lost() const { return lost_; }
-  std::size_t delayed() const { return delayed_; }
-  std::size_t duplicated() const { return duplicated_; }
-  /// Records evicted by the ring-buffer cap (0 when unbounded).
-  std::size_t evicted() const { return evicted_; }
-
-  /// Retained window (the most recent `capacity()` records when capped).
-  const std::deque<MessageRecord>& records() const { return records_; }
-
-  /// Iteration over the retained window, oldest first.
-  const_iterator begin() const { return records_.begin(); }
-  const_iterator end() const { return records_.end(); }
-
-  /// One JSON object per retained record, newline-terminated — the same
-  /// shape the obs tracer's msg_send events use, for offline diffing:
-  /// {"sent":..,"delivered":..,"from":"A","type":"..","fate":"..","copies":N}
-  std::string to_jsonl() const;
-
-  /// 0 = unbounded. Shrinking evicts oldest records immediately.
-  void set_capacity(std::size_t cap) {
-    capacity_ = cap;
-    while (capacity_ != 0 && records_.size() > capacity_) {
-      records_.pop_front();
-      ++evicted_;
-    }
-  }
-  std::size_t capacity() const { return capacity_; }
-
-  void clear() {
-    records_.clear();
-    total_ = lost_ = delayed_ = duplicated_ = evicted_ = 0;
-  }
-
- private:
-  std::deque<MessageRecord> records_;
-  std::size_t capacity_ = 0;
-  std::size_t total_ = 0;
-  std::size_t lost_ = 0;
-  std::size_t delayed_ = 0;
-  std::size_t duplicated_ = 0;
-  std::size_t evicted_ = 0;
 };
 
 }  // namespace daric::sim

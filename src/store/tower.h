@@ -1,11 +1,11 @@
-// TowerService: one watchtower process monitoring N channels off the
-// durable store with O(1) state per channel.
+// TowerService: the Daric watchtower. One process monitors N channels off
+// the durable store with O(1) state per channel.
 //
 // The per-channel punishment material (Daric's floating revocation plus
 // two ANYPREVOUT signatures — constant size regardless of update count)
 // lives in the tower's own record log; RAM holds only a flat index entry
 // per channel: the watched funding outpoint plus the record's offset and
-// length in the log (~48 bytes). Each round the tower consumes only the
+// length in the log (56 bytes). Each round the tower consumes only the
 // ledger's *newly accepted* transactions (a cursor over accepted()), and
 // each of their inputs costs one binary search — so a quiet round over a
 // million channels is microseconds, and a fraud hit costs one record read
@@ -77,7 +77,7 @@ class TowerService {
   /// Sum of live record bytes — the compaction target, O(1) per channel.
   std::size_t live_record_bytes() const { return live_bytes_; }
   /// RAM footprint of the per-channel index.
-  std::size_t index_bytes() const { return index_.capacity() * sizeof(IndexEntry); }
+  std::size_t index_bytes() const { return index_.size() * sizeof(IndexEntry); }
   const ScanResult& recovery() const { return recovery_; }
 
   void compact();

@@ -14,10 +14,6 @@ bool Transaction::has_witness() const {
   return false;
 }
 
-bool Transaction::same_untethered_body(const Transaction& o) const {
-  return nlocktime == o.nlocktime && outputs == o.outputs;
-}
-
 Amount Transaction::total_output_value() const {
   Amount sum = 0;
   for (const Output& out : outputs) sum += out.cash;

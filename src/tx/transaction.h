@@ -33,9 +33,6 @@ class Transaction {
 
   bool has_witness() const;
 
-  /// The body pair [TX]‾ = (nLT, Output) compared for floating-tx identity.
-  bool same_untethered_body(const Transaction& o) const;
-
   Amount total_output_value() const;
 };
 

@@ -6,6 +6,8 @@
 #include "src/daric/protocol.h"
 #include "src/daric/watchtower.h"
 #include "src/obs/sinks.h"
+#include "src/store/backend.h"
+#include "src/store/tower.h"
 
 namespace daric {
 namespace {
@@ -424,23 +426,35 @@ TEST(DaricStorage, ConstantInNumberOfUpdates) {
 
 // --- Watchtower -----------------------------------------------------------
 
+/// The tower entry built from B's package for the latest revoked state.
+store::WatchEntry tower_entry(const DaricChannel& ch) {
+  return store::make_watch_entry(ch.params(), PartyId::kB, ch.funding_outpoint(),
+                                 ch.party(PartyId::kA).pub(), ch.party(PartyId::kB).pub(),
+                                 daricch::make_watchtower_package(ch.party(PartyId::kB)));
+}
+
 TEST(DaricWatchtowerTest, PunishesWhilePartyOffline) {
   Fixture f("tower-1");
   ASSERT_TRUE(f.ch->create());
   ASSERT_TRUE(f.ch->update({50'000, 50'000, {}}));
   ASSERT_TRUE(f.ch->update({45'000, 55'000, {}}));
 
-  daricch::DaricWatchtower tower(f.ch->params(), PartyId::kB, f.ch->funding_outpoint(),
-                                 f.ch->party(PartyId::kA).pub(), f.ch->party(PartyId::kB).pub());
-  tower.update_package(daricch::make_watchtower_package(f.ch->party(PartyId::kB)));
+  store::MemoryBackend disk;
+  store::TowerService tower(disk);
+  tower.watch(tower_entry(*f.ch));
   f.env.add_round_hook([&] { tower.on_round(f.env.ledger()); });
 
+  // B goes dark before A cheats, so only the tower can answer.
+  f.ch->party(PartyId::kB).set_online(false);
+  const Hash256 cheat = f.ch->archived_commits(PartyId::kA)[0].txid();
   f.ch->publish_old_commit(PartyId::kA, 0);
-  f.ch->run_until_closed();
-  EXPECT_TRUE(tower.reacted());
+  for (int r = 0; r < 20 && !f.env.ledger().spender_of({cheat, 0}); ++r) f.env.advance_round();
+  EXPECT_EQ(tower.reactions(), 1u);
+  EXPECT_EQ(f.ch->party(PartyId::kB).outcome(), CloseOutcome::kNone);  // B saw nothing
   // All channel funds ended at B's payout key.
   const auto commit = f.env.ledger().spender_of(f.ch->funding_outpoint());
   ASSERT_TRUE(commit.has_value());
+  EXPECT_EQ(commit->txid(), cheat);
   const auto rv = f.env.ledger().spender_of({commit->txid(), 0});
   ASSERT_TRUE(rv.has_value());
   EXPECT_EQ(rv->outputs[0].cond, tx::Condition::p2wpkh(f.ch->party(PartyId::kB).pub().main));
@@ -449,29 +463,31 @@ TEST(DaricWatchtowerTest, PunishesWhilePartyOffline) {
 TEST(DaricWatchtowerTest, StorageConstantAcrossUpdates) {
   Fixture f("tower-2");
   ASSERT_TRUE(f.ch->create());
-  daricch::DaricWatchtower tower(f.ch->params(), PartyId::kB, f.ch->funding_outpoint(),
-                                 f.ch->party(PartyId::kA).pub(), f.ch->party(PartyId::kB).pub());
+  store::MemoryBackend disk;
+  store::TowerService tower(disk);
   ASSERT_TRUE(f.ch->update({50'000, 50'000, {}}));
-  tower.update_package(daricch::make_watchtower_package(f.ch->party(PartyId::kB)));
-  const std::size_t first = tower.storage_bytes();
+  tower.watch(tower_entry(*f.ch));
+  const std::size_t record = tower.live_record_bytes();
+  const std::size_t index = tower.index_bytes();
   for (int i = 0; i < 15; ++i) {
     ASSERT_TRUE(f.ch->update({50'000 - i * 10, 50'000 + i * 10, {}}));
-    tower.update_package(daricch::make_watchtower_package(f.ch->party(PartyId::kB)));
+    tower.watch(tower_entry(*f.ch));
   }
-  EXPECT_EQ(tower.storage_bytes(), first);
+  EXPECT_EQ(tower.live_record_bytes(), record);
+  EXPECT_EQ(tower.index_bytes(), index);
 }
 
 TEST(DaricWatchtowerTest, IgnoresLatestCommit) {
   Fixture f("tower-3");
   ASSERT_TRUE(f.ch->create());
   ASSERT_TRUE(f.ch->update({50'000, 50'000, {}}));
-  daricch::DaricWatchtower tower(f.ch->params(), PartyId::kB, f.ch->funding_outpoint(),
-                                 f.ch->party(PartyId::kA).pub(), f.ch->party(PartyId::kB).pub());
-  tower.update_package(daricch::make_watchtower_package(f.ch->party(PartyId::kB)));
+  store::MemoryBackend disk;
+  store::TowerService tower(disk);
+  tower.watch(tower_entry(*f.ch));
   f.env.add_round_hook([&] { tower.on_round(f.env.ledger()); });
   f.ch->party(PartyId::kA).force_close();  // latest state: not fraud
   ASSERT_TRUE(f.ch->run_until_closed());
-  EXPECT_FALSE(tower.reacted());
+  EXPECT_EQ(tower.reactions(), 0u);
   EXPECT_EQ(f.ch->party(PartyId::kB).outcome(), CloseOutcome::kNonCollaborative);
 }
 

@@ -7,6 +7,8 @@
 #include "src/daric/persistence.h"
 #include "src/daric/watchtower.h"
 #include "src/eltoo/protocol.h"
+#include "src/store/backend.h"
+#include "src/store/tower.h"
 #include "src/tx/serializer.h"
 #include "src/tx/sighash.h"
 
@@ -58,15 +60,17 @@ TEST(Integration, PartyAndTowerRaceIsBenign) {
   DaricChannel ch(env, make_params("int-race"));
   ASSERT_TRUE(ch.create());
   ASSERT_TRUE(ch.update({350'000, 650'000, {}}));
-  daricch::DaricWatchtower tower(ch.params(), PartyId::kB, ch.funding_outpoint(),
-                                 ch.party(PartyId::kA).pub(), ch.party(PartyId::kB).pub());
-  tower.update_package(daricch::make_watchtower_package(ch.party(PartyId::kB)));
+  store::MemoryBackend disk;
+  store::TowerService tower(disk);
+  tower.watch(store::make_watch_entry(ch.params(), PartyId::kB, ch.funding_outpoint(),
+                                      ch.party(PartyId::kA).pub(), ch.party(PartyId::kB).pub(),
+                                      daricch::make_watchtower_package(ch.party(PartyId::kB))));
   env.add_round_hook([&] { tower.on_round(env.ledger()); });
 
   ch.publish_old_commit(PartyId::kA, 0);
   ASSERT_TRUE(ch.run_until_closed());
   EXPECT_EQ(ch.party(PartyId::kB).outcome(), CloseOutcome::kPunished);
-  EXPECT_TRUE(tower.reacted());
+  EXPECT_EQ(tower.reactions(), 1u);
   // Exactly one revocation output on-chain.
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto rv = env.ledger().spender_of({commit->txid(), 0});

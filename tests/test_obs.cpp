@@ -3,8 +3,6 @@
 // tools/daric_trace audits against Theorem 1.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <utility>
@@ -17,7 +15,6 @@
 #include "src/obs/span.h"
 #include "src/obs/tracer.h"
 #include "src/sim/environment.h"
-#include "src/sim/network.h"
 
 namespace daric {
 namespace {
@@ -301,76 +298,6 @@ TEST(Spans, EnabledSpansRecordDurations) {
   EXPECT_GE(h.sum(), 0);
   const std::string json = obs::profile_registry().snapshot_json();
   EXPECT_NE(json.find("span.test.enabled_span_ns"), std::string::npos);
-}
-
-TEST(Sinks, RotatedPathNaming) {
-  using obs::JsonlSink;
-  EXPECT_EQ(JsonlSink::rotated_path("trace.jsonl", 1), "trace.1.jsonl");
-  EXPECT_EQ(JsonlSink::rotated_path("dir/run.trace.jsonl", 2), "dir/run.trace.2.jsonl");
-  EXPECT_EQ(JsonlSink::rotated_path("dir.v2/trace", 3), "dir.v2/trace.3");
-  EXPECT_EQ(JsonlSink::rotated_path("trace", 1), "trace.1");
-}
-
-TEST(Sinks, JsonlRotationAndSampling) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/rot.jsonl";
-  obs::Event e;
-  e.kind = EventKind::kRoundAdvance;
-  e.engine = "sim";
-  e.seq = 15;  // widest seq the loop produces, so 3 lines always fit
-  const std::size_t line_len = obs::to_json(e).size() + 1;
-  {
-    obs::JsonlSink::Options opts;
-    opts.max_bytes = 3 * line_len;  // 3 lines per file
-    opts.keep = 2;
-    opts.sample_every = 2;  // every other event
-    obs::JsonlSink sink(path, opts);
-    for (int i = 0; i < 16; ++i) {  // 16 offered -> 8 written -> 2 rotations
-      e.seq = static_cast<std::uint64_t>(i);
-      sink.on_event(e);
-    }
-    sink.flush();
-    EXPECT_EQ(sink.rotations(), 2u);
-  }
-  // Every surviving file is a self-contained JSONL stream: whole lines only.
-  for (const std::string& p :
-       {path, obs::JsonlSink::rotated_path(path, 1), obs::JsonlSink::rotated_path(path, 2)}) {
-    std::ifstream in(p);
-    ASSERT_TRUE(in.good()) << p;
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-      ++lines;
-      EXPECT_EQ(line.front(), '{') << p;
-      EXPECT_EQ(line.back(), '}') << p;
-    }
-    EXPECT_GT(lines, 0u) << p;
-    EXPECT_LE(lines, 3u) << p;
-  }
-  std::remove(path.c_str());
-  std::remove(obs::JsonlSink::rotated_path(path, 1).c_str());
-  std::remove(obs::JsonlSink::rotated_path(path, 2).c_str());
-}
-
-TEST(MessageLog, RingCapEvictsOldestDeterministically) {
-  sim::MessageLog log;
-  log.set_capacity(3);
-  for (int i = 0; i < 5; ++i)
-    log.record(static_cast<Round>(i), sim::PartyId::kA, "m" + std::to_string(i));
-  EXPECT_EQ(log.count(), 5u);      // total is eviction-proof
-  EXPECT_EQ(log.evicted(), 2u);
-  ASSERT_EQ(log.records().size(), 3u);
-  // Oldest-first iteration over the retained window: m2, m3, m4.
-  int expect = 2;
-  for (const auto& rec : log) EXPECT_EQ(rec.type, "m" + std::to_string(expect++));
-
-  const std::string jsonl = log.to_jsonl();
-  std::size_t lines = 0;
-  for (char c : jsonl)
-    if (c == '\n') ++lines;
-  EXPECT_EQ(lines, 3u);
-  EXPECT_NE(jsonl.find("\"type\":\"m2\""), std::string::npos);
-  EXPECT_EQ(jsonl.find("\"type\":\"m0\""), std::string::npos);
 }
 
 }  // namespace

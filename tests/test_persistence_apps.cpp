@@ -7,7 +7,8 @@
 #include "src/daric/persistence.h"
 #include "src/daric/subchannels.h"
 #include "src/daric/watchtower.h"
-#include "src/lightning/watchtower.h"
+#include "src/store/backend.h"
+#include "src/store/tower.h"
 #include "src/tx/serializer.h"
 
 namespace daric {
@@ -244,49 +245,50 @@ TEST(Persistence, RestoreRejectsForeignSnapshots) {
 
 TEST(TowerService, WatchesManyChannelsAndAggregatesStorage) {
   sim::Environment env(kDelta, crypto::schnorr_scheme());
-  std::vector<std::unique_ptr<daricch::DaricWatchtower>> towers;
+  store::MemoryBackend disk;
+  store::TowerService tower(disk);
   std::vector<std::unique_ptr<daricch::DaricChannel>> channels;
+  const auto watch = [&tower](const daricch::DaricChannel& ch) {
+    tower.watch(store::make_watch_entry(
+        ch.params(), PartyId::kB, ch.funding_outpoint(), ch.party(PartyId::kA).pub(),
+        ch.party(PartyId::kB).pub(), daricch::make_watchtower_package(ch.party(PartyId::kB))));
+  };
   const int n_channels = 5;
   for (int i = 0; i < n_channels; ++i) {
     channels.push_back(std::make_unique<daricch::DaricChannel>(
         env, make_params("svc-" + std::to_string(i))));
     ASSERT_TRUE(channels.back()->create());
     ASSERT_TRUE(channels.back()->update({450'000, 550'000, {}}));
-    auto& ch = *channels.back();
-    towers.push_back(std::make_unique<daricch::DaricWatchtower>(
-        ch.params(), PartyId::kB, ch.funding_outpoint(), ch.party(PartyId::kA).pub(),
-        ch.party(PartyId::kB).pub()));
-    towers.back()->update_package(daricch::make_watchtower_package(ch.party(PartyId::kB)));
+    watch(*channels.back());
   }
-  env.add_round_hook([&] {
-    for (const auto& t : towers) t->on_round(env.ledger());
-  });
-  auto total_storage = [&] {
-    std::size_t sum = 0;
-    for (const auto& t : towers) sum += t->storage_bytes();
-    return sum;
-  };
+  env.add_round_hook([&] { tower.on_round(env.ledger()); });
+  EXPECT_EQ(tower.channels(), 5u);
 
-  const std::size_t storage_1_update = total_storage();
+  const std::size_t records_1_update = tower.live_record_bytes();
+  const std::size_t index_1_update = tower.index_bytes();
   // Many more updates: aggregate storage must not grow (O(#channels) only).
   for (int u = 0; u < 10; ++u) {
-    for (std::size_t i = 0; i < channels.size(); ++i) {
-      ASSERT_TRUE(channels[i]->update({450'000 - u, 550'000 + u, {}}));
-      towers[i]->update_package(daricch::make_watchtower_package(channels[i]->party(PartyId::kB)));
+    for (const auto& ch : channels) {
+      ASSERT_TRUE(ch->update({450'000 - u, 550'000 + u, {}}));
+      watch(*ch);
     }
   }
-  EXPECT_EQ(total_storage(), storage_1_update);
+  EXPECT_EQ(tower.live_record_bytes(), records_1_update);
+  EXPECT_EQ(tower.index_bytes(), index_1_update);
 
-  // Two of the five channels turn fraudulent; only those towers react.
+  // Two of the five channels turn fraudulent; the tower reacts to exactly
+  // those two and keeps watching the other three.
   channels[1]->publish_old_commit(PartyId::kA, 2);
   channels[3]->publish_old_commit(PartyId::kA, 0);
   env.advance_rounds(10);
-  int reactions = 0;
-  for (const auto& t : towers) reactions += t->reacted() ? 1 : 0;
-  EXPECT_EQ(reactions, 2);
-  EXPECT_TRUE(towers[1]->reacted());
-  EXPECT_TRUE(towers[3]->reacted());
-  EXPECT_FALSE(towers[0]->reacted());
+  EXPECT_EQ(tower.reactions(), 2u);
+  EXPECT_EQ(tower.channels(), 3u);
+  for (int i : {1, 3}) {
+    const auto commit = env.ledger().spender_of(channels[i]->funding_outpoint());
+    ASSERT_TRUE(commit.has_value());
+    EXPECT_TRUE(env.ledger().spender_of({commit->txid(), 0}).has_value());
+  }
+  EXPECT_TRUE(env.ledger().is_unspent(channels[0]->funding_outpoint()));
 }
 
 // --- Sub-channels (Sec. 8 "Other applications") -------------------------

@@ -11,8 +11,8 @@
 #   --bench   build Release, run the crypto + update microbenches pinned to
 #             one CPU with 5 repetitions, write BENCH_crypto.json /
 #             BENCH_update_microbench.json (medians, min, cv) at the repo
-#             root, and regenerate BENCH_trace_overhead.json (disabled-tracer
-#             cost vs the previously committed update microbench); both gates
+#             root; the update file also records the disabled-tracer cost vs
+#             the previously committed one (overhead_vs_baseline); both gates
 #             compare medians through the BM_HostAnchor host-speed rung
 #   --chaos   fixed-seed 200-schedule fault-injection sweep (Daric + all
 #             baselines) plus the downtime-boundary scan and the committed
@@ -231,30 +231,29 @@ if [[ "$BENCH" == 1 ]]; then
 
   step "bench_update_microbench -> BENCH_update_microbench.json"
   # The committed file is the previous change's baseline; keep it aside
-  # before overwriting so the gates below can compare against it.
+  # before overwriting so the gates below can compare against it. The same
+  # run records the disabled-tracer overhead against that baseline.
+  # BM_HostAnchor is the only anchor: a multiply-and-load chain that calls
+  # nothing in the library, so it moves with the host and with no change to
+  # the code. Crypto rungs cannot anchor: they are optimization targets, and
+  # anchoring on them would fold genuine speedups into the correction.
   cp BENCH_update_microbench.json build-release/BENCH_update_baseline.json
   "${PIN[@]}" ./build-release/bench/bench_update_microbench "${REPS[@]}" \
     --benchmark_out=build-release/bench_update_raw.json \
     --benchmark_out_format=json
   python3 tools/bench_to_json.py --name update_microbench \
-    --in build-release/bench_update_raw.json --out BENCH_update_microbench.json
-
-  step "disabled-tracer overhead -> BENCH_trace_overhead.json"
-  # BM_HostAnchor is the only anchor: a multiply-and-load chain that calls
-  # nothing in the library, so it moves with the host and with no change to
-  # the code. Crypto rungs cannot anchor: they are optimization targets, and
-  # anchoring on them would fold genuine speedups into the correction.
-  python3 tools/bench_to_json.py --name trace_overhead \
-    --in build-release/bench_update_raw.json --out BENCH_trace_overhead.json \
+    --in build-release/bench_update_raw.json --out BENCH_update_microbench.json \
     --baseline build-release/BENCH_update_baseline.json \
     --anchor BM_HostAnchor \
     --overhead daric_update=BM_DaricUpdate \
     --overhead lightning_update=BM_LightningUpdate \
     --overhead eltoo_update=BM_EltooUpdate \
     --overhead generalized_update=BM_GeneralizedUpdate
+
+  step "disabled-tracer overhead gate"
   python3 - <<'PY'
 import json, sys
-ov = json.load(open("BENCH_trace_overhead.json"))["overhead_vs_baseline"]
+ov = json.load(open("BENCH_update_microbench.json"))["overhead_vs_baseline"]
 worst = max(ov, key=ov.get)
 print(f"trace overhead vs baseline (medians): worst {worst} = {ov[worst]:.4f}x")
 if ov[worst] > 1.05:
@@ -320,8 +319,7 @@ PY
   step "BENCH build-type sanity"
   python3 - <<'PY'
 import json, sys
-for f in ("BENCH_crypto.json", "BENCH_update_microbench.json",
-          "BENCH_trace_overhead.json", "BENCH_obs_scale.json"):
+for f in ("BENCH_crypto.json", "BENCH_update_microbench.json", "BENCH_obs_scale.json"):
     bt = json.load(open(f))["context"]["build_type"]
     if bt != "release":
         sys.exit(f"ERROR: {f} records build_type={bt!r}, expected 'release'")
