@@ -464,7 +464,8 @@ void BM_MultiMul(benchmark::State& state) {
     benchmark::DoNotOptimize(Point::multi_mul_is_infinity_vartime(coeffs, points, g));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MultiMul)->Arg(16)->Arg(24)->Arg(32)->Arg(40)->Arg(48)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_MultiMul)
+    ->Arg(16)->Arg(24)->Arg(32)->Arg(40)->Arg(48)->Arg(64)->Arg(128)->Arg(256)->Arg(1130);
 
 // --- ledger round ------------------------------------------------------------
 

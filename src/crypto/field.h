@@ -58,9 +58,12 @@ class Fe {
   Fe neg() const {
     return weak(k4P0 - n_[0], k4P - n_[1], k4P - n_[2], k4P - n_[3], k4P4 - n_[4]);
   }
-  Fe operator*(const Fe& o) const;
+  // Both kernels are forced inline: at -O2 GCC otherwise keeps them out of
+  // line, and every ladder step, square-root chain and table build then
+  // passes each 40-byte result through memory.
+  __attribute__((always_inline)) Fe operator*(const Fe& o) const;
   /// Dedicated squaring (cheaper than a general multiply).
-  Fe sqr() const;
+  __attribute__((always_inline)) Fe sqr() const;
   /// Multiplicative inverse by constant-time divsteps (Bernstein–Yang);
   /// throws std::domain_error for zero.
   Fe inv() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -525,18 +526,120 @@ void push_bucket_terms(std::vector<BucketTerm>& out, const Point& p, const Scala
     out.push_back({{glv_beta() * a.x, sp.neg2 ? a.y.neg() : a.y}, sp.k2});
 }
 
+// The buckets of a run of windows as affine point lists: window slot s's
+// bucket j is list b = s·half + j, at pts[start[b], start[b] + len[b]).
+// They are summed in place by rounds of pairwise affine additions until
+// every list holds at most one point, so all windows of a fill share each
+// round's one inversion.
+struct AffineBuckets {
+  std::size_t half = 0;  // buckets per window
+  std::vector<AffGe> pts;
+  std::vector<std::uint32_t> start, len;
+  std::vector<Fe> den;  // one round's denominators, then their inverses
+  std::vector<std::uint32_t> equal_x;  // one round's pairs with x₁ = x₂, by index
+
+  // Sorts the nonzero digits of `count` windows (rows of terms.size()
+  // digits each) by bucket (|d| − 1), each term's point negated for a
+  // negative digit.
+  void fill(std::span<const BucketTerm> terms, const std::int32_t* rows, std::size_t count) {
+    const std::size_t n = terms.size();
+    len.assign(count * half, 0);
+    start.resize(len.size() + 1);
+    for (std::size_t s = 0; s < count; ++s)
+      for (std::size_t i = 0; i < n; ++i)
+        if (const std::int32_t d = rows[s * n + i]; d != 0)
+          ++len[s * half + static_cast<std::size_t>(std::abs(d)) - 1];
+    for (std::size_t b = 0; b < len.size(); ++b) {
+      start[b + 1] = start[b] + len[b];
+      len[b] = 0;
+    }
+    pts.resize(start.back());
+    for (std::size_t s = 0; s < count; ++s)
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::int32_t d = rows[s * n + i];
+        if (d == 0) continue;
+        const std::size_t b = s * half + static_cast<std::size_t>(std::abs(d)) - 1;
+        const AffGe& p = terms[i].p;
+        pts[start[b] + len[b]++] = d > 0 ? p : AffGe{p.x, p.y.neg()};
+      }
+  }
+
+  // One round: every list's points (0, 1), (2, 3), … become one point
+  // each, λ = (y₂ − y₁)/(x₂ − x₁), x₃ = λ² − x₁ − x₂, y₃ = λ(x₁ − x₃) − y₁
+  // (2M + 1S), with every denominator inverted by one batch_inverse (3M
+  // each). A pair with x₁ = x₂ is settled before the batch: equal points
+  // double (λ = 3x₁²/2y₁, the same formulas), opposite points cancel and
+  // leave the list. An odd last point moves up unchanged. False once no
+  // list holds two points.
+  bool reduce_round() {
+    den.clear();
+    equal_x.clear();
+    std::uint32_t pairs = 0;
+    for (std::size_t b = 0; b < len.size(); ++b)
+      for (std::uint32_t k = 0; k + 1 < len[b]; k += 2, ++pairs) {
+        const AffGe& p = pts[start[b] + k];
+        const AffGe& q = pts[start[b] + k + 1];
+        const Fe dx = q.x - p.x;
+        if (!dx.is_zero()) {
+          den.push_back(dx);
+        } else {
+          equal_x.push_back(pairs);
+          if (p.y == q.y) den.push_back(p.y + p.y);
+        }
+      }
+    if (pairs == 0) return false;
+    equal_x.push_back(pairs);  // sentinel: no pair has this index
+    batch_inverse(den);
+    const Fe* inv = den.data();
+    const std::uint32_t* next_equal = equal_x.data();
+    std::uint32_t pair = 0;
+    for (std::size_t b = 0; b < len.size(); ++b) {
+      AffGe* list = &pts[start[b]];
+      std::uint32_t out = 0;
+      for (std::uint32_t k = 0; k + 1 < len[b]; k += 2, ++pair) {
+        const AffGe p = list[k];
+        const AffGe q = list[k + 1];
+        Fe lambda;
+        if (pair != *next_equal) {
+          lambda = (q.y - p.y) * *inv++;
+        } else {
+          ++next_equal;
+          if (!(p.y == q.y)) continue;  // P + (−P)
+          const Fe x2 = p.x.sqr();
+          lambda = (x2 + x2 + x2) * *inv++;
+        }
+        const Fe x3 = lambda.sqr() - p.x - q.x;
+        list[out++] = {x3, lambda * (p.x - x3) - p.y};
+      }
+      if (len[b] % 2 != 0) list[out++] = list[len[b] - 1];
+      len[b] = out;
+    }
+    return true;
+  }
+};
+
+// Points one AffineBuckets fill holds at most (unless a single window has
+// more terms): enough windows that a round's inversion is shared by many
+// additions, and few enough that the lists stay in cache. BM_MultiMul/24
+// to /752 (Release, pinned) read 2,048 fastest or tied with 1,024 and
+// 4,096; one window per fill took 1.6× as long at /32.
+constexpr std::size_t kFillPoints = 2048;
+
 // Σ kᵢ·Pᵢ by buckets: each coefficient is cut into signed c-bit digits;
-// per window, every point is added once into the bucket of its digit's
-// magnitude, and the 2^(c−1) buckets are combined with two running sums.
-// The windows are folded top-down with c doublings each. Unlike the Strauss
-// ladder there are no per-point tables, and a point costs one mixed
-// addition per window instead of a scan at every bit.
+// per window, every point joins the bucket of its digit's magnitude, each
+// bucket is summed in affine coordinates (AffineBuckets, several windows
+// at a time), and the 2^(c−1) bucket sums are combined with two running
+// sums. The windows are folded top-down with c doublings each. Unlike the
+// Strauss ladder there are no per-point tables, and a point costs one
+// affine addition per window instead of a scan at every bit.
 Jac bucket_sum(std::span<const BucketTerm> terms) {
   if (terms.empty()) return {};
   unsigned bits = 0;
   for (const BucketTerm& t : terms) bits = std::max(bits, t.k.bit_length());
-  // Window width minimizing windows × (one mixed addition per term + two
-  // full additions per bucket, weighted 3:2 against a mixed one). The +1
+  // Window width minimizing windows × (one affine addition per term + one
+  // mixed and one full addition per bucket, weighted 3:1 against an affine
+  // one): with the width forced, BM_MultiMul/32 to /1130 (Release, pinned)
+  // ran fastest at this width, or within the host's noise of it. The +1
   // bit leaves room for the last signed digit's carry.
   const std::size_t n = terms.size();
   unsigned c = 1;
@@ -563,26 +666,27 @@ Jac bucket_sum(std::span<const BucketTerm> terms) {
     }
   }
 
-  std::vector<Jac> buckets(static_cast<std::size_t>(half));
+  const unsigned per_fill = static_cast<unsigned>(std::max<std::size_t>(1, kFillPoints / n));
+  AffineBuckets buckets;
+  buckets.half = static_cast<std::size_t>(half);
   Jac acc;
-  for (unsigned w = windows; w-- > 0;) {
-    for (unsigned d = 0; d < c; ++d) acc = jac_dbl(acc);
-    std::fill(buckets.begin(), buckets.end(), Jac{});
-    const std::int32_t* row = &digits[w * n];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int32_t d = row[i];
-      if (d == 0) continue;
-      const AffGe& p = terms[i].p;
-      Jac& b = buckets[static_cast<std::size_t>(d > 0 ? d : -d) - 1];
-      b = jac_add_aff(b, d > 0 ? p : AffGe{p.x, p.y.neg()});
+  for (unsigned hi = windows; hi > 0;) {
+    const unsigned lo = hi > per_fill ? hi - per_fill : 0;
+    buckets.fill(terms, &digits[lo * n], hi - lo);
+    while (buckets.reduce_round()) {
     }
-    // Σ j·B_j = Σ_j (B_j + B_{j+1} + … + B_max).
-    Jac running, window_sum;
-    for (std::size_t j = buckets.size(); j-- > 0;) {
-      running = jac_add(running, buckets[j]);
-      window_sum = jac_add(window_sum, running);
+    for (unsigned w = hi; w-- > lo;) {
+      for (unsigned d = 0; d < c; ++d) acc = jac_dbl(acc);
+      // Σ j·B_j = Σ_j (B_j + B_{j+1} + … + B_max).
+      Jac running, window_sum;
+      for (std::size_t j = buckets.half; j-- > 0;) {
+        const std::size_t b = (w - lo) * buckets.half + j;
+        if (buckets.len[b] != 0) running = jac_add_aff(running, buckets.pts[buckets.start[b]]);
+        window_sum = jac_add(window_sum, running);
+      }
+      acc = jac_add(acc, window_sum);
     }
-    acc = jac_add(acc, window_sum);
+    hi = lo;
   }
   return acc;
 }

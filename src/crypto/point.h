@@ -118,15 +118,15 @@ class Point {
                                             const Scalar& gen_coeff);
 
   /// multi_mul_is_infinity_vartime interleaves wNAF streams (Strauss) below
-  /// this many nonzero terms (two per signature in a batch) and adds the
-  /// affine inputs into buckets (Pippenger) from there on. BM_MultiMul
-  /// (bench/bench_crypto.cpp, Release, one pinned CPU of a 4-CPU VM, six
-  /// alternating runs) with this constant set to SIZE_MAX and to 0 to force
-  /// each method: Strauss wins at 24 terms (buckets 1.12× its median time),
-  /// the two tie from 32 to 48 (1.01–1.06×, each ahead in about half the
-  /// runs), and buckets win from 64 (0.76×). The engines' 2–5-signature
-  /// update batches (4–10 terms) stay on Strauss.
-  static constexpr std::size_t kBucketMinTerms = 32;
+  /// this many nonzero terms (two per signature in a batch) and sums the
+  /// affine inputs in buckets (Pippenger) from there on. BM_MultiMul
+  /// (bench/bench_crypto.cpp, Release, one pinned CPU of a 4-CPU VM, two
+  /// runs of six randomly interleaved repetitions) with the threshold
+  /// set to SIZE_MAX and to 1 to force each method: Strauss wins at 16 terms
+  /// (buckets 1.10–1.12× its median time), the two tie at 20 (1.02×), and
+  /// buckets win from 24 (0.92–0.95×; 0.89–0.96× at 28). The engines'
+  /// 2–5-signature update batches (4–10 terms) stay on Strauss.
+  static constexpr std::size_t kBucketMinTerms = 24;
 
   /// Naive left-to-right double-and-add ladder. Kept as the benchmark
   /// baseline and as an independent cross-check oracle for the wNAF paths.

@@ -33,17 +33,18 @@ EltooChannel::PerStateKeys EltooChannel::settlement_keys(std::uint32_t state) co
   return {crypto::derive_keypair(base + "/A"), crypto::derive_keypair(base + "/B")};
 }
 
-script::Script EltooChannel::update_output_script(std::uint32_t state) const {
-  const PerStateKeys ks = settlement_keys(state);
+script::Script EltooChannel::update_output_script(const PerStateKeys& ks,
+                                                  std::uint32_t state) const {
   return update_script(ks.set_a.pk.compressed(), ks.set_b.pk.compressed(),
                        upd_a_.pk.compressed(), upd_b_.pk.compressed(),
                        params_.s0 + state + 1, static_cast<std::uint32_t>(params_.t_punish));
 }
 
-tx::Transaction EltooChannel::build_update_body(std::uint32_t state) const {
+tx::Transaction EltooChannel::build_update_body(const script::Script& out_script,
+                                                std::uint32_t state) const {
   tx::Transaction t;
   t.nlocktime = params_.s0 + state;
-  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(update_output_script(state))}};
+  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(out_script)}};
   return t;  // floating
 }
 
@@ -58,7 +59,9 @@ tx::Transaction EltooChannel::build_settlement_body(const channel::StateVec& st,
 
 void EltooChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  upd_body_ = build_update_body(state);
+  const PerStateKeys ks = settlement_keys(state);  // derived once: two mul_gens
+  script::Script out_script = update_output_script(ks, state);
+  upd_body_ = build_update_body(out_script, state);
   const tx::SighashCache sh_upd(upd_body_);
   upd_sig_a_ =
       tx::sign_input(upd_body_, 0, upd_a_, scheme, SighashFlag::kAllAnyPrevOut, &sh_upd);
@@ -66,7 +69,6 @@ void EltooChannel::sign_state(std::uint32_t state, const channel::StateVec& st) 
       tx::sign_input(upd_body_, 0, upd_b_, scheme, SighashFlag::kAllAnyPrevOut, &sh_upd);
   set_body_ = build_settlement_body(st, state);
   const tx::SighashCache sh_set(set_body_);
-  const PerStateKeys ks = settlement_keys(state);
   set_sig_a_ =
       tx::sign_input(set_body_, 0, ks.set_a, scheme, SighashFlag::kAllAnyPrevOut, &sh_set);
   set_sig_b_ =
@@ -90,7 +92,7 @@ void EltooChannel::sign_state(std::uint32_t state, const channel::StateVec& st) 
   if (!scheme.verify_batch(batch_a) || !scheme.verify_batch(batch_b))
     throw std::logic_error("counterparty signature invalid");
   archive_.push_back({upd_body_, set_body_, upd_sig_a_, upd_sig_b_, set_sig_a_, set_sig_b_,
-                      update_output_script(state), st});
+                      std::move(out_script), st});
 }
 
 bool EltooChannel::create() {

@@ -49,8 +49,8 @@ class EltooChannel : public channel::Engine {
     crypto::KeyPair set_a, set_b;
   };
   PerStateKeys settlement_keys(std::uint32_t state) const;
-  script::Script update_output_script(std::uint32_t state) const;
-  tx::Transaction build_update_body(std::uint32_t state) const;
+  script::Script update_output_script(const PerStateKeys& ks, std::uint32_t state) const;
+  tx::Transaction build_update_body(const script::Script& out_script, std::uint32_t state) const;
   tx::Transaction build_settlement_body(const channel::StateVec& st, std::uint32_t state) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();

@@ -41,8 +41,7 @@ GeneralizedChannel::StateSecrets GeneralizedChannel::state_secrets(std::uint32_t
           preimage(base + "/rA"), preimage(base + "/rB")};
 }
 
-script::Script GeneralizedChannel::output_script(std::uint32_t state) const {
-  const StateSecrets s = state_secrets(state);
+script::Script GeneralizedChannel::output_script(const StateSecrets& s) const {
   const Hash256 ha = crypto::Sha256::double_hash(s.r_a);
   const Hash256 hb = crypto::Sha256::double_hash(s.r_b);
   return commit_output_script(pub_a_.main, pub_b_.main, s.y_a.pk.compressed(),
@@ -50,19 +49,20 @@ script::Script GeneralizedChannel::output_script(std::uint32_t state) const {
                               static_cast<std::uint32_t>(params_.t_punish));
 }
 
-tx::Transaction GeneralizedChannel::build_commit_body(std::uint32_t state) const {
+tx::Transaction GeneralizedChannel::build_commit_body(const script::Script& out_script,
+                                                      std::uint32_t state) const {
   tx::Transaction t;
   t.inputs = {{fund_op_}};
   t.nlocktime = params_.s0 + state;  // state identifier (Sec. 8 trick)
-  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(output_script(state))}};
+  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(out_script)}};
   return t;
 }
 
 void GeneralizedChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  const StateSecrets sec = state_secrets(state);
-  commit_body_ = build_commit_body(state);
-  out_script_ = output_script(state);
+  const StateSecrets sec = state_secrets(state);  // derived once: two mul_gens
+  out_script_ = output_script(sec);
+  commit_body_ = build_commit_body(out_script_, state);
   const Hash256 digest = tx::sighash_digest(commit_body_, 0, SighashFlag::kAll);
   // Each party generates its statement (1 exp) and a pre-signature (1 sign).
   crypto::op_counters().exps.fetch_add(2, std::memory_order_relaxed);

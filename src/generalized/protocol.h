@@ -43,8 +43,8 @@ class GeneralizedChannel : public channel::Engine {
     Bytes r_a, r_b;            // revocation preimages
   };
   StateSecrets state_secrets(std::uint32_t state) const;
-  script::Script output_script(std::uint32_t state) const;
-  tx::Transaction build_commit_body(std::uint32_t state) const;
+  script::Script output_script(const StateSecrets& s) const;
+  tx::Transaction build_commit_body(const script::Script& out_script, std::uint32_t state) const;
   tx::Transaction assemble_commit(sim::PartyId publisher, std::uint32_t state) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();

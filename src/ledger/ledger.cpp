@@ -55,12 +55,13 @@ void Ledger::post(const tx::Transaction& t) {
 
 void Ledger::post_with_delay(const tx::Transaction& t, Round delay) {
   if (delay < 0 || delay > delta_) throw std::invalid_argument("delay must be in [0, Δ]");
-  records_.push_back({t.txid(), now_, now_ + delay, false, TxError::kOk});
-  queue_.push_back({t, now_ + delay, records_.size() - 1});
+  const Hash256 id = t.txid();
+  records_.push_back({id, now_, now_ + delay, false, TxError::kOk});
+  queue_.push_back({t, id, now_ + delay, records_.size() - 1});
   if (txs_posted_) txs_posted_->inc();
   if (tracer_ && tracer_->enabled())
     tracer_->emit(now_, obs::EventKind::kTxPost, "ledger", {}, {},
-                  {obs::Attr::s("txid", txid_label(t.txid())),
+                  {obs::Attr::s("txid", txid_label(id)),
                    obs::Attr::i("due", now_ + delay)});
 }
 
@@ -89,12 +90,12 @@ tx::ProvenSigs Ledger::prove_round_signatures(std::span<const Pending> due) cons
   std::vector<crypto::SigBatchItem> claims;
   std::vector<crypto::SigBatchItem> tx_claims;
   for (const Pending& p : due) {
-    bool conflict = !txids.insert(p.tx.txid()).second;
+    bool conflict = !txids.insert(p.txid).second;
     for (const tx::TxIn& in : p.tx.inputs) conflict = !spent.insert(in.prevout).second || conflict;
     if (conflict) continue;
     tx_claims.clear();
     const ValidationContext ctx{utxos_, seen_txids_, now_, scheme_, {nullptr, &tx_claims}};
-    if (validate_transaction(p.tx, ctx) != TxError::kOk) continue;
+    if (validate_transaction(p.tx, p.txid, ctx) != TxError::kOk) continue;
     claims.insert(claims.end(), std::make_move_iterator(tx_claims.begin()),
                   std::make_move_iterator(tx_claims.end()));
   }
@@ -117,15 +118,15 @@ void Ledger::process_due() {
   const tx::ProvenSigs proven = prove_round_signatures(due);
   std::uint64_t confirmed_this_round = 0;
   for (const Pending& p : due) {
-    const TxError err =
-        validate_transaction(p.tx, {utxos_, seen_txids_, now_, scheme_, {&proven, nullptr}});
+    const TxError err = validate_transaction(
+        p.tx, p.txid, {utxos_, seen_txids_, now_, scheme_, {&proven, nullptr}});
     records_[p.record_index].processed = true;
     records_[p.record_index].result = err;
     if (err != TxError::kOk) {
       if (txs_rejected_) txs_rejected_->inc();
       if (tracer_ && tracer_->enabled())
         tracer_->emit(now_, obs::EventKind::kTxReject, "ledger", {}, {},
-                      {obs::Attr::s("txid", txid_label(p.tx.txid())),
+                      {obs::Attr::s("txid", txid_label(p.txid)),
                        obs::Attr::s("error", tx_error_name(err))});
       continue;
     }
@@ -134,12 +135,12 @@ void Ledger::process_due() {
     if (confirm_delay_) confirm_delay_->observe(now_ - records_[p.record_index].posted_round);
     if (tracer_ && tracer_->enabled())
       tracer_->emit(now_, obs::EventKind::kTxConfirm, "ledger", {}, {},
-                    {obs::Attr::s("txid", txid_label(p.tx.txid())),
+                    {obs::Attr::s("txid", txid_label(p.txid)),
                      obs::Attr::i("weight",
                                   static_cast<std::int64_t>(tx::measure(p.tx).weight())),
                      obs::Attr::i("posted", records_[p.record_index].posted_round)});
 
-    const Hash256 id = p.tx.txid();
+    const Hash256& id = p.txid;
     fees_total_ += transaction_fee(p.tx, utxos_);
     for (const tx::TxIn& in : p.tx.inputs) {
       utxos_.erase(in.prevout);

@@ -82,6 +82,7 @@ class Ledger {
  private:
   struct Pending {
     tx::Transaction tx;
+    Hash256 txid;  // tx.txid(), computed once at post time
     Round due = 0;
     std::size_t record_index = 0;
   };

@@ -16,9 +16,10 @@ const char* tx_error_name(TxError e) {
   return "unknown";
 }
 
-TxError validate_transaction(const tx::Transaction& t, const ValidationContext& ctx) {
+TxError validate_transaction(const tx::Transaction& t, const Hash256& txid,
+                             const ValidationContext& ctx) {
   // Rule 1: id uniqueness.
-  if (ctx.seen_txids.contains(t.txid())) return TxError::kDuplicateTxid;
+  if (ctx.seen_txids.contains(txid)) return TxError::kDuplicateTxid;
 
   // Rule 5: absolute timelock validity.
   if (static_cast<Round>(t.nlocktime) > ctx.now) return TxError::kLocktimeInFuture;

@@ -34,7 +34,9 @@ struct ValidationContext {
   tx::SigClaims sigs{};
 };
 
-TxError validate_transaction(const tx::Transaction& t, const ValidationContext& ctx);
+/// `txid` is t.txid(), which the caller computes once per transaction.
+TxError validate_transaction(const tx::Transaction& t, const Hash256& txid,
+                             const ValidationContext& ctx);
 
 /// Fee implied by rule 4 (Σ in − Σ out); requires all inputs present.
 Amount transaction_fee(const tx::Transaction& t, const UtxoSet& utxos);

@@ -1433,9 +1433,78 @@ TEST(MsmDifferential, EdgeInputs) {
   }
 }
 
+// A ledger round's batch: 376 claims (188 two-of-two spends) give 376
+// 128-bit randomizer terms, 376 full-width key terms that GLV-split into
+// 752, and the generator's two: 1,130 bucket terms, plus −S.
+TEST(MsmDifferential, LedgerRoundSizedSum) {
+  expect_sum_matches_ladder(random_msm("msm-round", 752), "376-claim round");
+}
+
+// The affine bucket reduction (bucket_sum) pairs a bucket's points in term
+// order, round after round. Terms that share one coefficient share its
+// bucket in every window, so these cases place equal and opposite points
+// next to each other at chosen depths.
+TEST(MsmDifferential, BucketReductionEdges) {
+  const std::size_t n = 2 * kCrossover;
+  const Scalar k = sweep_scalar("msm-bucket/k", 0);
+  const Scalar k128 = Scalar::from_u256(U256{k.raw().limb[0], k.raw().limb[1], 0, 0});
+
+  // One point n times: every nonzero digit's bucket doubles at each depth
+  // (n, n/2, … points) before one point is left.
+  MsmCase same;
+  same.points.assign(n, Point::mul_gen(sweep_scalar("msm-bucket/p", 0)));
+  same.coeffs.assign(n, k128);
+  same.gen = sweep_scalar("msm-bucket/g", 0);
+  expect_sum_matches_ladder(same, "one point n times");
+
+  // Random terms followed by five copies of one of them: the copies meet
+  // each other in pairs in some windows and other points in the rest.
+  MsmCase five = random_msm("msm-bucket/five", n);
+  for (int i = 0; i < 5; ++i) {
+    five.points.push_back(five.points[3]);
+    five.coeffs.push_back(five.coeffs[3]);
+  }
+  expect_sum_matches_ladder(five, "a point five times among others");
+
+  // Groups of h copies of P then h of −P, for distinct P, all with one
+  // coefficient and first in every bucket: each group doubles to ±h·P and
+  // cancels in round log2(h) + 1, the rest of the sum follows.
+  for (const std::size_t h : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const bool wide : {false, true}) {
+      MsmCase c;
+      for (std::size_t g = 0; g < n / (2 * h); ++g) {
+        const Point p = Point::mul_gen(sweep_scalar("msm-bucket/pm", static_cast<int>(g)));
+        c.points.insert(c.points.end(), h, p);
+        c.points.insert(c.points.end(), h, p.neg());
+      }
+      c.coeffs.assign(c.points.size(), wide ? k : k128);
+      const MsmCase tail = random_msm("msm-bucket/tail", 7);
+      c.points.insert(c.points.end(), tail.points.begin(), tail.points.end());
+      c.coeffs.insert(c.coeffs.end(), tail.coeffs.begin(), tail.coeffs.end());
+      c.gen = tail.gen;
+      const std::string tag = "P/-P at depth h=" + std::to_string(h) + (wide ? " GLV" : "");
+      expect_sum_matches_ladder(c, tag);
+      c.points.resize(n);  // the groups alone cancel
+      c.coeffs.resize(n);
+      EXPECT_TRUE(Point::multi_mul_is_infinity_vartime(c.coeffs, c.points, Scalar(0))) << tag;
+      EXPECT_FALSE(Point::multi_mul_is_infinity_vartime(c.coeffs, c.points, Scalar(1))) << tag;
+    }
+  }
+
+  // 64-bit coefficients and one 128-bit one: in every window above bit 64
+  // that term's bucket holds its point alone and every other bucket is
+  // empty.
+  MsmCase single = random_msm("msm-bucket/single", n);
+  for (Scalar& c : single.coeffs) c = Scalar::from_u256(U256{c.raw().limb[0], 0, 0, 0});
+  single.coeffs[5] = k128;
+  single.gen = Scalar(0);
+  expect_sum_matches_ladder(single, "single point in a bucket");
+}
+
 TEST(SchnorrBatch, RejectsOneTamperedItemAroundTheCrossover) {
   const std::size_t sigs = kCrossover / 2;  // two terms per signature
-  for (const std::size_t n : {sigs - 1, sigs, 4 * sigs}) {
+  // 376: a ledger round of 188 two-of-two spends.
+  for (const std::size_t n : {sigs - 1, sigs, 4 * sigs, std::size_t{376}}) {
     const auto items = make_batch(static_cast<int>(n));
     ASSERT_TRUE(crypto::schnorr_verify_batch(items)) << "n=" << n;
     for (const std::size_t victim : {std::size_t{0}, n / 2, n - 1}) {
