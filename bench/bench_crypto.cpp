@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/crypto/ecdsa.h"
+#include "src/crypto/field_lanes.h"
 #include "src/crypto/keys.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
@@ -289,6 +290,22 @@ void BM_FeSqrt(benchmark::State& state) {
 }
 BENCHMARK(BM_FeSqrt);
 
+// Square-root chains of one lane group (fe_lanes::kWidth values) through
+// the dispatched batch: the IFMA lanes where the CPU has them (the label
+// says which ran). Per root: 1 / items_per_second.
+void BM_FeSqrtLanes(benchmark::State& state) {
+  std::vector<crypto::Fe> x(crypto::fe_lanes::kWidth), root(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = bench_fe("fe/lanes/" + std::to_string(i));
+  for (auto _ : state) {
+    crypto::fe_lanes::sqrt_candidates(x, root);
+    benchmark::DoNotOptimize(root.data());
+    x[0] = x[0] + root[0];
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.size()));
+  state.SetLabel(crypto::fe_lanes::ifma_available() ? "ifma" : "scalar");
+}
+BENCHMARK(BM_FeSqrtLanes);
+
 // --- hashing ---------------------------------------------------------------
 // SHA-256 through the process's compression kernel (SHA-NI where cpuid
 // reports it): one padded block, and a 1 KiB message (17 blocks).
@@ -353,6 +370,20 @@ void BM_MulAddStrauss(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(Point::mul_add_vartime(a, p, b));
 }
 BENCHMARK(BM_MulAddStrauss);
+
+// Lifting N compressed keys at once (Point::from_compressed_batch), as a
+// busy ledger round lifts its claims' keys and schnorr_verify_batch its R
+// values: below 16 roots one at a time, from 16 on in IFMA lane groups
+// where the CPU has them. Per point: 1 / items_per_second.
+void BM_LiftCompressed(benchmark::State& state) {
+  std::vector<Bytes> encs;
+  for (std::int64_t i = 0; i < state.range(0); ++i)
+    encs.push_back(Point::mul_gen(bench_scalar("lift/" + std::to_string(i))).compressed());
+  const std::vector<BytesView> views(encs.begin(), encs.end());
+  for (auto _ : state) benchmark::DoNotOptimize(Point::from_compressed_batch(views));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LiftCompressed)->Arg(1)->Arg(16)->Arg(376);
 
 // --- signature verification ------------------------------------------------
 
@@ -472,11 +503,15 @@ BENCHMARK(BM_MultiMul)
 // N two-of-two commit spends due in one Ledger::advance_round(): the
 // ledger::validate_transaction rung of the layer ladder, and the measurement
 // behind the ledger's claim-pass threshold (src/ledger/ledger.cpp). With
-// `one_bad_sig`, the middle commit carries a tampered s, so the round's
-// batch fails after its full sum and every signature is then verified
-// inline. A fresh ledger per iteration mints the same funding outpoints, so
-// the spends signed once stay valid; only the round itself is timed.
-void ledger_round(benchmark::State& state, bool one_bad_sig) {
+// kOne, the middle commit carries a tampered s, so the round's batch fails
+// after its full sum and is bisected (the parts that pass are proven, the
+// rest verified inline); with kAll, every commit's first signature is
+// tampered, so every part fails and the bisection stops at its bound. A
+// fresh ledger per iteration mints the same funding outpoints, so the
+// spends signed once stay valid; only the round itself is timed.
+enum class BadSigs { kNone, kOne, kAll };
+
+void ledger_round(benchmark::State& state, BadSigs bad_sigs) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto& scheme = crypto::schnorr_scheme();
   const auto ka = crypto::derive_keypair("bench-round/a");
@@ -504,8 +539,11 @@ void ledger_round(benchmark::State& state, bool one_bad_sig) {
       commits.push_back(std::move(t));
     }
   }
-  const std::size_t bad = n / 2;
-  if (one_bad_sig) commits[bad].witnesses[0].stack[1][50] ^= 0x01;
+  const auto is_bad = [&](std::size_t i) {
+    return bad_sigs == BadSigs::kAll || (bad_sigs == BadSigs::kOne && i == n / 2);
+  };
+  for (std::size_t i = 0; i < n; ++i)
+    if (is_bad(i)) commits[i].witnesses[0].stack[1][50] ^= 0x01;
   for (auto _ : state) {
     state.PauseTiming();
     auto l = std::make_unique<ledger::Ledger>(1, scheme);
@@ -514,18 +552,19 @@ void ledger_round(benchmark::State& state, bool one_bad_sig) {
     state.ResumeTiming();
     l->advance_round();
     state.PauseTiming();
-    if (!l->is_confirmed(commits.back().txid()) ||
-        l->is_confirmed(commits[bad].txid()) == one_bad_sig)
-      state.SkipWithError("unexpected verdict");
+    for (std::size_t i = 0; i < n; ++i)
+      if (l->is_confirmed(commits[i].txid()) == is_bad(i)) state.SkipWithError("unexpected verdict");
     l.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-void BM_LedgerRound(benchmark::State& state) { ledger_round(state, false); }
+void BM_LedgerRound(benchmark::State& state) { ledger_round(state, BadSigs::kNone); }
 BENCHMARK(BM_LedgerRound)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(16)->Arg(64)->Arg(188);
-void BM_LedgerRoundOneBadSig(benchmark::State& state) { ledger_round(state, true); }
+void BM_LedgerRoundOneBadSig(benchmark::State& state) { ledger_round(state, BadSigs::kOne); }
 BENCHMARK(BM_LedgerRoundOneBadSig)->Arg(188);
+void BM_LedgerRoundManyBadSigs(benchmark::State& state) { ledger_round(state, BadSigs::kAll); }
+BENCHMARK(BM_LedgerRoundManyBadSigs)->Arg(188);
 
 }  // namespace
 

@@ -201,13 +201,14 @@ Fe Fe::inv() const {
   return out;
 }
 
-bool Fe::sqrt(Fe& out) const {
+Fe Fe::sqrt_candidate() const {
   // p ≡ 3 (mod 4): candidate = a^((p+1)/4). The exponent's binary expansion
   // is three blocks of ones with lengths {2, 22, 223} separated by zeros, so
   // an addition chain over block values x_k = a^(2^k - 1)
   // (k in 1,2,3,6,9,11,22,44,88,176,220,223) evaluates it in 253 squarings
   // + 13 multiplications instead of the ~500 operations of a generic
-  // square-and-multiply. Every compressed-point parse takes a square root.
+  // square-and-multiply. Every compressed-point parse takes a square root;
+  // the IFMA lanes (field_lanes.cpp) run the same chain.
   const Fe& x = *this;
   const Fe x2 = x.sqr() * x;
   const Fe x3 = x2.sqr() * x;
@@ -222,7 +223,11 @@ bool Fe::sqrt(Fe& out) const {
   const Fe x223 = sqr_n(x220, 3) * x3;
   Fe t = sqr_n(x223, 23) * x22;
   t = sqr_n(t, 6) * x2;
-  const Fe cand = sqr_n(t, 2);
+  return sqr_n(t, 2);
+}
+
+bool Fe::sqrt(Fe& out) const {
+  const Fe cand = sqrt_candidate();
   if (cand.sqr() == *this) {
     out = cand;
     return true;

@@ -17,6 +17,10 @@
 
 namespace daric::crypto {
 
+namespace fe_lanes {
+struct Io;
+}  // namespace fe_lanes
+
 namespace detail {
 // p and 2^256 mod p, kept for Fe::modulus() and as the modarith parameters
 // the field's differential tests check the limb kernels against.
@@ -69,6 +73,10 @@ class Fe {
   Fe inv() const;
   /// Square root (p ≡ 3 mod 4); returns false if *this is not a QR.
   bool sqrt(Fe& out) const;
+  /// x^((p+1)/4), sqrt's candidate: the square root of x when x is a QR,
+  /// unchecked. The reference the lane kernels (field_lanes.h) are tested
+  /// against.
+  Fe sqrt_candidate() const;
 
   /// The same value with its limbs fully reduced below p.
   Fe normalized() const;
@@ -85,6 +93,7 @@ class Fe {
   Bytes to_be_bytes() const { return raw().to_be_bytes(); }
 
  private:
+  friend struct fe_lanes::Io;  // loads and stores the lane kernels' limbs
   using Limbs = std::array<std::uint64_t, 5>;
   using u128 = unsigned __int128;
 

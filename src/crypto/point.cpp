@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/crypto/field_lanes.h"
+
 namespace daric::crypto {
 
 namespace {
@@ -348,29 +350,12 @@ Fe effective_affine_table(AffGe* table, const Jac& b) {
   return d.z * acc.z;
 }
 
-// --- Batched inversion (Montgomery's trick) ---------------------------------
-
-// Replaces each element with its inverse using a single field inversion.
-void batch_inverse(std::vector<Fe>& v) {
-  if (v.empty()) return;
-  std::vector<Fe> prefix(v.size());
-  prefix[0] = v[0];
-  for (std::size_t i = 1; i < v.size(); ++i) prefix[i] = prefix[i - 1] * v[i];
-  Fe acc = prefix.back().inv();
-  for (std::size_t i = v.size(); i-- > 1;) {
-    const Fe inv_i = acc * prefix[i - 1];
-    acc = acc * v[i];
-    v[i] = inv_i;
-  }
-  v[0] = acc;
-}
-
 // Writes the (non-infinity) Jacobian entries to out[0..entries.size()) in
 // true affine coordinates, normalized with a single batched inversion.
 void pack_affine(std::span<const Jac> entries, PackedGe* out) {
   std::vector<Fe> zs(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) zs[i] = entries[i].z;
-  batch_inverse(zs);
+  fe_lanes::inverse_all(zs);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Fe zi2 = zs[i].sqr();
     out[i] = pack({entries[i].x * zi2, entries[i].y * zi2 * zs[i]});
@@ -395,7 +380,7 @@ void build_segments(const Jac& base, PackedGe* out) {
     zs[j] = effective_affine_table<N>(frame.data(), b);
     for (std::size_t m = 0; m < N; ++m) out[j * N + m] = pack(frame[m]);
   }
-  batch_inverse(zs);
+  fe_lanes::inverse_all(zs);
   for (std::size_t j = 0; j < zs.size(); ++j) {
     const Fe zi2 = zs[j].sqr();
     const Fe zi3 = zi2 * zs[j];
@@ -535,7 +520,10 @@ struct AffineBuckets {
   std::size_t half = 0;  // buckets per window
   std::vector<AffGe> pts;
   std::vector<std::uint32_t> start, len;
-  std::vector<Fe> den;  // one round's denominators, then their inverses
+  // One round's additions (fe_lanes::affine_steps): the first point's x
+  // and y, the second's x (then the sum's x), the slope's numerator (then
+  // the sum's y) and its denominator (then its inverse).
+  std::vector<Fe> x1, y1, x2, num, den;
   std::vector<std::uint32_t> equal_x;  // one round's pairs with x₁ = x₂, by index
 
   // Sorts the nonzero digits of `count` windows (rows of terms.size()
@@ -566,14 +554,23 @@ struct AffineBuckets {
 
   // One round: every list's points (0, 1), (2, 3), … become one point
   // each, λ = (y₂ − y₁)/(x₂ − x₁), x₃ = λ² − x₁ − x₂, y₃ = λ(x₁ − x₃) − y₁
-  // (2M + 1S), with every denominator inverted by one batch_inverse (3M
-  // each). A pair with x₁ = x₂ is settled before the batch: equal points
-  // double (λ = 3x₁²/2y₁, the same formulas), opposite points cancel and
-  // leave the list. An odd last point moves up unchanged. False once no
-  // list holds two points.
+  // (2M + 1S, fe_lanes::affine_steps), with every denominator inverted by
+  // one fe_lanes::inverse_all (3M each); both run on the IFMA lanes where
+  // the CPU has them and the round is large enough (kMinLaneSteps,
+  // kMinLaneInverses). A pair with x₁ = x₂ is settled before the batch:
+  // equal points double (λ = 3x₁²/2y₁, the same formulas), opposite points
+  // cancel and leave the list. An odd last point moves up unchanged. False
+  // once no list holds two points.
   bool reduce_round() {
-    den.clear();
+    for (std::vector<Fe>* v : {&x1, &y1, &x2, &num, &den}) v->clear();
     equal_x.clear();
+    const auto add = [this](const AffGe& p, const Fe& qx, const Fe& n, const Fe& d) {
+      x1.push_back(p.x);
+      y1.push_back(p.y);
+      x2.push_back(qx);
+      num.push_back(n);
+      den.push_back(d);
+    };
     std::uint32_t pairs = 0;
     for (std::size_t b = 0; b < len.size(); ++b)
       for (std::uint32_t k = 0; k + 1 < len[b]; k += 2, ++pairs) {
@@ -581,35 +578,32 @@ struct AffineBuckets {
         const AffGe& q = pts[start[b] + k + 1];
         const Fe dx = q.x - p.x;
         if (!dx.is_zero()) {
-          den.push_back(dx);
+          add(p, q.x, q.y - p.y, dx);
         } else {
           equal_x.push_back(pairs);
-          if (p.y == q.y) den.push_back(p.y + p.y);
+          if (p.y == q.y) {
+            const Fe xx = p.x.sqr();
+            add(p, p.x, xx + xx + xx, p.y + p.y);
+          }
         }
       }
     if (pairs == 0) return false;
     equal_x.push_back(pairs);  // sentinel: no pair has this index
-    batch_inverse(den);
-    const Fe* inv = den.data();
+    fe_lanes::inverse_all(den);
+    fe_lanes::affine_steps(x1, y1, x2, num, den);
+    std::size_t sum = 0;
     const std::uint32_t* next_equal = equal_x.data();
     std::uint32_t pair = 0;
     for (std::size_t b = 0; b < len.size(); ++b) {
-      AffGe* list = &pts[start[b]];
+      AffGe* list = pts.data() + start[b];
       std::uint32_t out = 0;
       for (std::uint32_t k = 0; k + 1 < len[b]; k += 2, ++pair) {
-        const AffGe p = list[k];
-        const AffGe q = list[k + 1];
-        Fe lambda;
-        if (pair != *next_equal) {
-          lambda = (q.y - p.y) * *inv++;
-        } else {
+        if (pair == *next_equal) {
           ++next_equal;
-          if (!(p.y == q.y)) continue;  // P + (−P)
-          const Fe x2 = p.x.sqr();
-          lambda = (x2 + x2 + x2) * *inv++;
+          if (!(list[k].y == list[k + 1].y)) continue;  // P + (−P)
         }
-        const Fe x3 = lambda.sqr() - p.x - q.x;
-        list[out++] = {x3, lambda * (p.x - x3) - p.y};
+        list[out++] = {x2[sum], num[sum]};
+        ++sum;
       }
       if (len[b] % 2 != 0) list[out++] = list[len[b] - 1];
       len[b] = out;
@@ -783,15 +777,57 @@ Point Point::from_affine(const Fe& x, const Fe& y) {
   return p;
 }
 
+namespace {
+
+// A compressed encoding's x (below p) and y parity; false for any other
+// size, prefix or x.
+bool parse_encoding(BytesView enc, Fe& x, bool& odd) {
+  if (enc.size() != 33 || (enc[0] != 0x02 && enc[0] != 0x03)) return false;
+  const U256 xv = U256::from_be_bytes(enc.subspan(1));
+  if (xv >= Fe::modulus()) return false;
+  x = Fe::from_raw(xv);
+  odd = enc[0] == 0x03;
+  return true;
+}
+
+}  // namespace
+
 std::optional<Point> Point::from_compressed(BytesView b) {
-  if (b.size() != 33 || (b[0] != 0x02 && b[0] != 0x03)) return std::nullopt;
-  U256 xv = U256::from_be_bytes(b.subspan(1));
-  if (xv >= Fe::modulus()) return std::nullopt;
-  const Fe x = Fe::from_u256(xv);
-  Fe y;
-  if (!(x.sqr() * x + Fe(7)).sqrt(y)) return std::nullopt;
-  if (y.is_odd() != (b[0] == 0x03)) y = y.neg();
+  Fe x, y;
+  bool odd = false;
+  if (!parse_encoding(b, x, odd) || !(x.sqr() * x + Fe(7)).sqrt(y)) return std::nullopt;
+  if (y.is_odd() != odd) y = y.neg();
   return from_affine(x, y);
+}
+
+std::vector<std::optional<Point>> Point::from_compressed_batch(
+    std::span<const BytesView> encodings) {
+  std::vector<std::optional<Point>> out(encodings.size());
+  struct Parsed {
+    std::size_t at;
+    Fe x;
+    bool odd;
+  };
+  std::vector<Parsed> parsed;
+  std::vector<Fe> rhs;  // x³ + 7 of each parsed encoding
+  parsed.reserve(encodings.size());
+  rhs.reserve(encodings.size());
+  for (std::size_t i = 0; i < encodings.size(); ++i) {
+    Fe x;
+    bool odd = false;
+    if (!parse_encoding(encodings[i], x, odd)) continue;
+    parsed.push_back({i, x, odd});
+    rhs.push_back(x.sqr() * x + Fe(7));
+  }
+  std::vector<Fe> ys(rhs.size());
+  fe_lanes::sqrt_candidates(rhs, ys);
+  for (std::size_t j = 0; j < parsed.size(); ++j) {
+    Fe y = ys[j];
+    if (!(y.sqr() == rhs[j])) continue;  // x³ + 7 is not a square: no point has this x
+    if (y.is_odd() != parsed[j].odd) y = y.neg();
+    out[parsed[j].at] = from_affine(parsed[j].x, y);
+  }
+  return out;
 }
 
 Point Point::operator+(const Point& o) const { return from_jac(jac_add(to_jac(*this), to_jac(o))); }
@@ -817,17 +853,6 @@ Point Point::mul_add_vartime(const Scalar& a, const Point& p, const Scalar& b) {
 }
 
 namespace {
-
-// A compressed encoding's x (below p) and y parity; false for any other
-// size, prefix or x.
-bool parse_encoding(BytesView enc, Fe& x, bool& odd) {
-  if (enc.size() != 33 || (enc[0] != 0x02 && enc[0] != 0x03)) return false;
-  const U256 xv = U256::from_be_bytes(enc.subspan(1));
-  if (xv >= Fe::modulus()) return false;
-  x = Fe::from_raw(xv);
-  odd = enc[0] == 0x03;
-  return true;
-}
 
 // Whether res = (X, Y, Z) is the affine point (x, ±y) with y's parity
 // `odd`, without lifting x to a point: x·Z² == X holds only for the
@@ -883,7 +908,7 @@ bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
   std::vector<Fe> zs(n);
   for (std::size_t j = 0; j < n; ++j)
     zs[j] = effective_affine_table<kTableSizeP>(frames[j].data(), to_jac(points[inputs[j]]));
-  batch_inverse(zs);
+  fe_lanes::inverse_all(zs);
   const Fe& beta = glv_beta();
   for (std::size_t j = 0; j < n; ++j) {
     const Fe zi2 = zs[j].sqr();

@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "src/crypto/field.h"
 #include "src/crypto/scalar.h"
@@ -79,6 +80,14 @@ class Point {
   static Point from_affine(const Fe& x, const Fe& y);
   /// Parses a 33-byte compressed encoding; nullopt on failure.
   static std::optional<Point> from_compressed(BytesView b);
+  /// from_compressed of every encoding: item i of the result is exactly
+  /// from_compressed(encodings[i]). The square roots run together
+  /// (fe_lanes::sqrt_candidates: IFMA lanes from 16 roots on, where the CPU
+  /// has them); each root is then checked against x³ + 7 and given its
+  /// parity one by one, as from_compressed does, so a wrong root can only
+  /// fail a lift, never accept a point.
+  static std::vector<std::optional<Point>> from_compressed_batch(
+      std::span<const BytesView> encodings);
 
   bool is_infinity() const { return infinity_; }
   const Fe& x() const { return x_; }

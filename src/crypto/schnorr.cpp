@@ -12,18 +12,18 @@ namespace daric::crypto {
 
 namespace {
 
-// e = H(R || P || m), over R's 33-byte compressed encoding.
-Scalar challenge(BytesView r33, const Point& pk, const Hash256& msg) {
+// e = H(R || P || m), over the 33-byte compressed encodings of R and P.
+Scalar challenge(BytesView r33, BytesView pk33, const Hash256& msg) {
   static const Sha256 kTagged = Sha256::tagged_init("daric/schnorr");
   Sha256 h = kTagged;
-  h.update(r33).update(pk.compressed()).update(msg.view());
+  h.update(r33).update(pk33).update(msg.view());
   return Scalar::from_be_bytes_reduce(h.finalize().view());
 }
 
 }  // namespace
 
 Scalar schnorr_challenge(const Point& r, const Point& pk, const Hash256& msg) {
-  return challenge(r.compressed(), pk, msg);
+  return challenge(r.compressed(), pk.compressed(), msg);
 }
 
 namespace {
@@ -74,14 +74,15 @@ bool schnorr_verify(const Point& pk, const Hash256& msg, BytesView sig) {
   // s·G == R + e·P  ⟺  (−e)·P + s·G encodes as R: one Strauss–Shamir
   // ladder, then R's x compared in Jacobian coordinates and one inversion
   // for the y parity.
-  return Point::mul_add_encodes_vartime(challenge(r, pk, msg).neg(), pk, s, r);
+  return Point::mul_add_encodes_vartime(challenge(r, pk.compressed(), msg).neg(), pk, s, r);
 }
 
 bool schnorr_verify(const PrecomputedPoint& pk, const Hash256& msg, BytesView sig) {
   Scalar s(0);
   if (!parse_s(sig, s)) return false;
   const BytesView r = sig.subspan(0, 33);
-  return Point::mul_add_encodes_vartime(challenge(r, pk.point(), msg).neg(), pk, s, r);
+  return Point::mul_add_encodes_vartime(challenge(r, pk.point().compressed(), msg).neg(), pk, s,
+                                        r);
 }
 
 namespace {
@@ -108,14 +109,21 @@ bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
   if (items.empty()) return true;
   if (items.size() == 1) return schnorr_verify(items[0].pk, items[0].msg, items[0].sig);
 
+  // Each key is encoded once, for the seed and the challenge; every R is
+  // lifted in one call.
   Sha256 seed_hash;
+  std::vector<Bytes> keys;
+  std::vector<BytesView> rs;
+  keys.reserve(items.size());
+  rs.reserve(items.size());
   for (const SigBatchItem& it : items) {
     if (it.sig.size() != kSchnorrSigSize || it.pk.is_infinity()) return false;
-    seed_hash.update(it.sig);
-    seed_hash.update(it.pk.compressed());
-    seed_hash.update(it.msg.view());
+    keys.push_back(it.pk.compressed());
+    rs.push_back(BytesView(it.sig).subspan(0, 33));
+    seed_hash.update(it.sig).update(keys.back()).update(it.msg.view());
   }
   const Hash256 seed = seed_hash.finalize();
+  const std::vector<std::optional<Point>> r_points = Point::from_compressed_batch(rs);
 
   std::vector<Scalar> coeffs;
   std::vector<Point> points;
@@ -124,11 +132,10 @@ bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
   Scalar g_coeff(0);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const SigBatchItem& it = items[i];
-    const BytesView r33 = BytesView(it.sig).subspan(0, 33);
-    const auto r = Point::from_compressed(r33);
+    const std::optional<Point>& r = r_points[i];
     Scalar s(0);
     if (!r || !parse_s(it.sig, s)) return false;
-    const Scalar e = challenge(r33, it.pk, it.msg);
+    const Scalar e = challenge(rs[i], keys[i], it.msg);
     const Scalar a = i == 0 ? Scalar(1) : batch_randomizer(seed, static_cast<std::uint32_t>(i));
     g_coeff = g_coeff + a * s;
     // Negate the points, not the coefficients: aᵢ stays 128 bits wide.

@@ -1,5 +1,6 @@
 #include "src/ledger/ledger.h"
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 #include <unordered_set>
@@ -74,33 +75,139 @@ void Ledger::advance_rounds(Round n) {
   for (Round i = 0; i < n; ++i) advance_round();
 }
 
+namespace {
+
+// A failed batch is cut into kBisectParts parts of at least kBisectMinPart
+// claims each: per item, BM_SchnorrVerifyBatch/2 costs 0.98× a
+// BM_SchnorrVerify and /8 0.73×, so a smaller part that passes would save
+// the judging pass little more than its own batch costs.
+constexpr std::size_t kBisectParts = 4;
+constexpr std::size_t kBisectMinPart = 8;
+
+// Proves what it can of a round's claims after their batch failed. A failed
+// batch holds at least one bad claim and may hold many good ones: each of
+// its parts is tried as a batch of its own, a part that passes is proven,
+// and a part that fails is cut again, once every part of its level has
+// been tried. When all parts but the last pass, the last holds the bad
+// claims and is cut without a batch of its own. A passing part pays for
+// itself (its batch costs at most 0.73× the single verifications it spares
+// the judging pass); a failing one is lost work. So a part is tried only
+// while the claims that failing parts verified stay within half the failed
+// batch plus the claims that passing parts verified: a round whose claims
+// are all bad pays at most half a batch on top of its failed batch and
+// single verifications, and a round with one bad claim proves all claims
+// but those of the smallest part around it (fewer than 4 × 8).
+class Bisection {
+ public:
+  Bisection(const crypto::SignatureScheme& scheme, std::span<const crypto::SigBatchItem> items,
+            std::span<const BytesView> keys, tx::ProvenSigs& proven)
+      : scheme_(scheme), items_(items), keys_(keys), proven_(proven), budget_(items.size() / 2) {}
+
+  // Claims [lo, hi) failed as one batch.
+  void split(std::size_t lo, std::size_t hi) {
+    const std::size_t n = hi - lo;
+    if (n < kBisectParts * kBisectMinPart) return;
+    std::size_t cut[kBisectParts + 1];
+    for (std::size_t j = 0; j <= kBisectParts; ++j) cut[j] = lo + n * j / kBisectParts;
+    bool failed[kBisectParts] = {};
+    bool all_passed = true;
+    for (std::size_t j = 0; j < kBisectParts; ++j) {
+      if (j + 1 == kBisectParts && all_passed) {
+        failed[j] = true;
+        break;
+      }
+      const Probe r = probe(cut[j], cut[j + 1]);
+      if (r == Probe::kSkipped) break;  // the other parts are no smaller
+      failed[j] = r == Probe::kFailed;
+      all_passed = all_passed && !failed[j];
+    }
+    for (std::size_t j = 0; j < kBisectParts; ++j)
+      if (failed[j]) split(cut[j], cut[j + 1]);
+  }
+
+ private:
+  enum class Probe { kPassed, kFailed, kSkipped };
+
+  // Proves [lo, hi) as one batch, unless failing would overrun the budget.
+  Probe probe(std::size_t lo, std::size_t hi) {
+    const std::size_t n = hi - lo;
+    if (n > budget_) return Probe::kSkipped;
+    if (!scheme_.verify_batch(items_.subspan(lo, n))) {
+      budget_ -= n;
+      return Probe::kFailed;
+    }
+    for (std::size_t i = lo; i < hi; ++i)
+      proven_.insert(keys_[i], items_[i].msg, items_[i].sig);
+    budget_ += n;
+    return Probe::kPassed;
+  }
+
+  const crypto::SignatureScheme& scheme_;
+  std::span<const crypto::SigBatchItem> items_;
+  std::span<const BytesView> keys_;
+  tx::ProvenSigs& proven_;
+  std::size_t budget_;  // claims that failing parts may still verify
+};
+
+}  // namespace
+
 // Claim pass over a round's due transactions, in FIFO order. A transaction
 // that repeats a txid or an outpoint of an earlier due one is skipped, and
 // the rest are validated against the pre-round UTXO set with every signature
-// check recorded as a claim instead of verified. Only the claims of
-// transactions that pass are kept; they are proved together, and the set
-// holds them only if the proof accepted them. The sequential pass in
-// process_due stays the only judge of every verdict: the set can only spare
-// it verifications whose answer is true.
+// check recorded as a claim instead of verified. The claims' keys are lifted
+// together after the pass (Point::from_compressed_batch). Only the claims of
+// transactions that pass and whose keys all lift are kept; they are proved
+// together, and the set holds them only if the proof accepted them (or,
+// after a failed batch, the parts that Bisection proves). The sequential
+// pass in process_due stays the only judge of every verdict: the set can
+// only spare it verifications whose answer is true.
 tx::ProvenSigs Ledger::prove_round_signatures(std::span<const Pending> due) const {
   tx::ProvenSigs proven;
   if (due.size() < kClaimMinDue || !scheme_.supports_batch_verify()) return proven;
   std::unordered_set<Hash256, Hash256Hasher> txids;
   std::unordered_set<tx::OutPoint, tx::OutPointHasher> spent;
-  std::vector<crypto::SigBatchItem> claims;
-  std::vector<crypto::SigBatchItem> tx_claims;
+  std::vector<tx::SigClaim> claims;
+  std::vector<std::size_t> tx_end;  // one past each passing transaction's last claim
   for (const Pending& p : due) {
     bool conflict = !txids.insert(p.txid).second;
     for (const tx::TxIn& in : p.tx.inputs) conflict = !spent.insert(in.prevout).second || conflict;
     if (conflict) continue;
-    tx_claims.clear();
-    const ValidationContext ctx{utxos_, seen_txids_, now_, scheme_, {nullptr, &tx_claims}};
-    if (validate_transaction(p.tx, p.txid, ctx) != TxError::kOk) continue;
-    claims.insert(claims.end(), std::make_move_iterator(tx_claims.begin()),
-                  std::make_move_iterator(tx_claims.end()));
+    const std::size_t begin = claims.size();
+    const ValidationContext ctx{utxos_, seen_txids_, now_, scheme_, {nullptr, &claims}};
+    if (validate_transaction(p.tx, p.txid, ctx) != TxError::kOk) {
+      claims.resize(begin);
+      continue;
+    }
+    tx_end.push_back(claims.size());
   }
-  if (!claims.empty() && scheme_.verify_batch(claims))
-    for (const crypto::SigBatchItem& c : claims) proven.insert(c);
+
+  std::vector<BytesView> keys;
+  keys.reserve(claims.size());
+  for (const tx::SigClaim& c : claims) keys.push_back(c.pubkey);
+  const std::vector<std::optional<crypto::Point>> points =
+      crypto::Point::from_compressed_batch(keys);
+  std::vector<crypto::SigBatchItem> items;
+  std::vector<BytesView> item_keys;
+  items.reserve(claims.size());
+  item_keys.reserve(claims.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : tx_end) {
+    const bool lifted = std::all_of(points.begin() + static_cast<std::ptrdiff_t>(begin),
+                                    points.begin() + static_cast<std::ptrdiff_t>(end),
+                                    [](const auto& pt) { return pt.has_value(); });
+    for (std::size_t i = begin; lifted && i < end; ++i) {
+      items.push_back({*points[i], claims[i].digest, std::move(claims[i].sig)});
+      item_keys.push_back(keys[i]);
+    }
+    begin = end;
+  }
+  if (items.empty()) return proven;
+  if (scheme_.verify_batch(items)) {
+    for (std::size_t i = 0; i < items.size(); ++i)
+      proven.insert(item_keys[i], items[i].msg, items[i].sig);
+  } else {
+    Bisection(scheme_, items, item_keys, proven).split(0, items.size());
+  }
   return proven;
 }
 

@@ -1,5 +1,6 @@
 #include "src/tx/sighash.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/crypto/ripemd160.h"
@@ -123,8 +124,8 @@ std::string proven_key(BytesView pubkey, const Hash256& digest, BytesView sig) {
 
 }  // namespace
 
-void ProvenSigs::insert(const crypto::SigBatchItem& claim) {
-  keys_.insert(proven_key(claim.pk.compressed(), claim.msg, claim.sig));
+void ProvenSigs::insert(BytesView pubkey, const Hash256& digest, BytesView sig) {
+  keys_.insert(proven_key(pubkey, digest, sig));
 }
 
 bool ProvenSigs::contains(BytesView pubkey, const Hash256& digest, BytesView sig) const {
@@ -142,13 +143,15 @@ bool TxSigChecker::check_sig(BytesView wire_sig, BytesView pubkey) const {
   const Hash256 digest = cache_ ? cache_->digest(input_index_, decoded->flag)
                                 : sighash_digest(tx_, input_index_, decoded->flag);
   if (claims_.proven && claims_.proven->contains(pubkey, digest, decoded->raw)) return true;
-  const auto pk = crypto::Point::from_compressed(pubkey);
-  if (!pk) return false;
   if (claims_.record) {
-    claims_.record->push_back({*pk, digest, decoded->raw});
+    SigClaim& claim = claims_.record->emplace_back();
+    std::copy(pubkey.begin(), pubkey.end(), claim.pubkey.begin());
+    claim.digest = digest;
+    claim.sig = decoded->raw;
     return true;
   }
-  return scheme_.verify(*pk, digest, decoded->raw);
+  const auto pk = crypto::Point::from_compressed(pubkey);
+  return pk && scheme_.verify(*pk, digest, decoded->raw);
 }
 
 bool TxSigChecker::check_locktime(std::uint32_t lock) const { return tx_.nlocktime >= lock; }

@@ -6,6 +6,7 @@
 // validates no matter which commit output the transaction is later bound to.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
 #include <unordered_set>
@@ -71,21 +72,31 @@ class SighashCache {
 /// sighash flag byte). Insert only what a verification accepted.
 class ProvenSigs {
  public:
-  void insert(const crypto::SigBatchItem& claim);
+  void insert(BytesView pubkey, const Hash256& digest, BytesView sig);
   bool contains(BytesView pubkey, const Hash256& digest, BytesView sig) const;
 
  private:
   std::unordered_set<std::string> keys_;
 };
 
+/// A signature check recorded instead of verified: the key as the script
+/// gave it (not yet lifted to a point), the digest and the raw signature.
+struct SigClaim {
+  std::array<Byte, script::kPubKeySize> pubkey{};
+  Hash256 digest;
+  Bytes sig;
+};
+
 /// What TxSigChecker does with a signature check instead of verifying it.
 struct SigClaims {
   /// A check in this set answers true without verification.
   const ProvenSigs* proven = nullptr;
-  /// When set, nothing is verified: every check with a well-formed key and
-  /// signature is appended here as a claim and answers true, so a caller
-  /// can prove a whole ledger round's claims in one batch.
-  std::vector<crypto::SigBatchItem>* record = nullptr;
+  /// When set, nothing is verified: every check with a 33-byte key and a
+  /// well-formed signature is appended here as a claim and answers true, so
+  /// a caller can lift a whole ledger round's keys in one call
+  /// (Point::from_compressed_batch) and prove its claims in one batch. A key
+  /// that does not lift fails nothing here; the caller drops its claims.
+  std::vector<SigClaim>* record = nullptr;
 };
 
 /// SigChecker bound to one input of a transaction plus chain context.

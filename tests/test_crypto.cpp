@@ -7,11 +7,13 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/crypto/adaptor.h"
 #include "src/crypto/ct.h"
 #include "src/crypto/ecdsa.h"
+#include "src/crypto/field_lanes.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/keys.h"
 #include "src/crypto/ripemd160.h"
@@ -478,6 +480,245 @@ TEST(FieldInverse, EdgeValues) {
   EXPECT_THROW(Fe::from_raw(p).inv(), std::domain_error);  // p itself, unreduced zero
   EXPECT_THROW((Fe(5) - Fe(5)).inv(), std::domain_error);
   EXPECT_THROW((p_minus_1_fe + Fe(1)).inv(), std::domain_error);
+}
+
+// --- Field lanes -------------------------------------------------------------
+
+// The lane kernels, called directly: the portable ones everywhere and the
+// IFMA ones where cpuid and XCR0 report them. Each case skips on a CPU
+// without IFMA, where the only kernels are Fe's own arithmetic.
+struct LaneKernel {
+  std::string name;
+  void (*mul)(const Fe*, const Fe*, Fe*);
+  void (*sqr)(const Fe*, Fe*);
+  void (*sqrt_candidate)(const Fe*, Fe*);
+  bool lane_outputs = false;  // outputs must pass fe_lanes::lane_reduced
+};
+
+std::vector<LaneKernel> lane_kernels() {
+  namespace fl = crypto::fe_lanes;
+  std::vector<LaneKernel> k = {
+      {"scalar", fl::mul_scalar, fl::sqr_scalar, fl::sqrt_candidate_scalar}};
+#if defined(__x86_64__)
+  if (fl::ifma_available())
+    k.push_back({"ifma", fl::mul_ifma, fl::sqr_ifma, fl::sqrt_candidate_ifma, true});
+#endif
+  std::string names;
+  for (const LaneKernel& kernel : k) names += (names.empty() ? "" : ", ") + kernel.name;
+  std::printf("[   INFO   ] field lane kernels run: %s\n", names.c_str());
+  ::testing::Test::RecordProperty("field_lane_kernels", names);
+  return k;
+}
+
+constexpr const char* kNoIfma =
+    "this CPU (or its OS) has no AVX-512 IFMA lanes: the only lane kernels are Fe itself";
+
+constexpr std::size_t kLanes = crypto::fe_lanes::kWidth;
+constexpr int kLaneValues = 100'000;
+
+// Values whose limbs sit at the reduction's edges, to aim products at: 0,
+// 1, p-1, p-2, limbs of 2^52-1, single bits at the limb boundaries, and
+// small multiples of 2^256 mod p. A product landing on one of the last is
+// carried below 2^256 as limbs of 2^52-1 before its top bits fold back,
+// and the fold's carry then lands exactly on 2^52 and ripples to the top
+// limb.
+std::vector<Fe> lane_targets() {
+  const U256& p = Fe::modulus();
+  U256 p1, p2;
+  crypto::sub_with_borrow(p, U256(1), p1);
+  crypto::sub_with_borrow(p, U256(2), p2);
+  const std::uint64_t m52 = (std::uint64_t{1} << 52) - 1;
+  std::vector<Fe> t = {Fe(0), Fe(1), Fe::from_raw(p1), Fe::from_raw(p2), Fe(m52), Fe(m52 + 1),
+                       Fe::from_raw(U256(~0ull, ~0ull, ~0ull, ~0ull))};
+  for (std::uint64_t k : {1u, 2u, 3u, 100u, 1000u}) t.push_back(Fe(0x1000003d1 * k));
+  for (unsigned bit : {104u, 156u, 208u, 255u}) {
+    U256 b;
+    b.limb[bit / 64] = std::uint64_t{1} << (bit % 64);
+    U256 below;
+    crypto::sub_with_borrow(b, U256(1), below);
+    t.push_back(Fe::from_raw(b));
+    t.push_back(Fe::from_raw(below));
+  }
+  return t;
+}
+
+// The two chains, lanes and Fe, stay equal step for step: each lane kernel
+// multiplies its own outputs by shared operands and squares them, over
+// 10^5 values per operation. A quarter of the multiplications aim at a
+// lane_targets() value (operand t·x⁻¹), and fresh FieldOracle values (edge
+// representatives, unreduced limbs) keep entering. The lanes' outputs
+// must also keep their limbs within what the next vpmadd52 reads whole
+// (the kernels' API carries every input, which would hide a lapse).
+TEST(FieldLanes, SquareAndMultiplyInLockStepWithFe) {
+  if (!crypto::fe_lanes::ifma_available()) GTEST_SKIP() << kNoIfma;
+  const std::vector<Fe> targets = lane_targets();
+  for (const LaneKernel& k : lane_kernels()) {
+    FieldOracle o;
+    Fe lanes[kLanes], ref[kLanes], y[kLanes], got[kLanes];
+    for (std::size_t i = 0; i < kLanes; ++i) lanes[i] = ref[i] = o.fresh().fe;
+    for (int step = 0; step * static_cast<int>(kLanes) < kLaneValues; ++step) {
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        const Fe& t = targets[o.next() % targets.size()];
+        y[i] = o.next() % 4 == 0 && !ref[i].is_zero() ? t * ref[i].inv() : o.operand().fe;
+      }
+      k.mul(lanes, y, got);
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        ref[i] = ref[i] * y[i];
+        ASSERT_EQ(got[i], ref[i]) << k.name << " mul, step " << step << " lane " << i;
+        ASSERT_TRUE(!k.lane_outputs || crypto::fe_lanes::lane_reduced(got[i]))
+            << k.name << " mul, step " << step << " lane " << i;
+        lanes[i] = got[i];
+      }
+      k.sqr(lanes, got);
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        ref[i] = ref[i].sqr();
+        ASSERT_EQ(got[i], ref[i]) << k.name << " sqr, step " << step << " lane " << i;
+        ASSERT_TRUE(!k.lane_outputs || crypto::fe_lanes::lane_reduced(got[i]))
+            << k.name << " sqr, step " << step << " lane " << i;
+        lanes[i] = got[i];
+      }
+      if (step % 4 == 3)
+        for (std::size_t i = o.next() % 2; i < kLanes; i += 2) lanes[i] = ref[i] = o.fresh().fe;
+    }
+  }
+}
+
+// The root chain over 10^5 values, squares and non-squares alike, against
+// Fe::sqrt_candidate.
+TEST(FieldLanes, RootChainMatchesFe) {
+  if (!crypto::fe_lanes::ifma_available()) GTEST_SKIP() << kNoIfma;
+  const auto kernels = lane_kernels();
+  const std::vector<Fe> targets = lane_targets();
+  FieldOracle o;
+  Fe a[kLanes], want[kLanes], got[kLanes];
+  for (int n = 0; n < kLaneValues; n += static_cast<int>(kLanes)) {
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const Fe v = o.next() % 8 == 0 ? targets[o.next() % targets.size()] : o.fresh().fe;
+      a[i] = i % 2 == 0 ? v.sqr() : v;
+      want[i] = a[i].sqrt_candidate();
+    }
+    for (const LaneKernel& k : kernels) {
+      k.sqrt_candidate(a, got);
+      for (std::size_t i = 0; i < kLanes; ++i)
+        ASSERT_EQ(got[i], want[i]) << k.name << ", value " << n + static_cast<int>(i);
+    }
+  }
+}
+
+// Montgomery's trick on every kernel, at sizes around the lane width and
+// the dispatch threshold, against one Fe::inv per value; a zero anywhere
+// throws, as Fe::inv does.
+TEST(FieldLanes, InverseAllMatchesFe) {
+  if (!crypto::fe_lanes::ifma_available()) GTEST_SKIP() << kNoIfma;
+  namespace fl = crypto::fe_lanes;
+  const std::pair<const char*, void (*)(Fe*, std::size_t)> kernels[] = {
+      {"scalar", fl::inverse_all_scalar}, {"ifma", fl::inverse_all_ifma}};
+  FieldOracle o;
+  for (const std::size_t n : {1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 100u, 1130u}) {
+    std::vector<Fe> v;
+    while (v.size() < n)
+      if (const Fe x = o.fresh().fe; !x.is_zero()) v.push_back(x);
+    for (const auto& [name, inverse_all] : kernels) {
+      std::vector<Fe> got = v;
+      inverse_all(got.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[i], v[i].inv()) << name << ", n = " << n << ", value " << i;
+      got = v;
+      got[n / 2] = Fe(0);
+      EXPECT_THROW(inverse_all(got.data(), n), std::domain_error) << name << ", n = " << n;
+    }
+    std::vector<Fe> got = v;
+    fl::inverse_all(got);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(got[i] * v[i], Fe(1)) << "dispatched, n = " << n;
+  }
+}
+
+// The bucket sum's affine additions on every kernel, across padded groups,
+// against Fe's formulas; lane outputs keep their limbs within lane bounds.
+TEST(FieldLanes, AffineStepsMatchFe) {
+  if (!crypto::fe_lanes::ifma_available()) GTEST_SKIP() << kNoIfma;
+  namespace fl = crypto::fe_lanes;
+  const std::pair<const char*, decltype(&fl::affine_steps_scalar)> kernels[] = {
+      {"scalar", fl::affine_steps_scalar}, {"ifma", fl::affine_steps_ifma}};
+  FieldOracle o;
+  for (const std::size_t n : {1u, 15u, 16u, 17u, 33u, 1000u}) {
+    std::vector<Fe> x1(n), y1(n), x2(n), num(n), inv(n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (Fe* v : {&x1[i], &y1[i], &x2[i], &num[i], &inv[i]}) *v = o.fresh().fe;
+    for (const auto& [name, steps] : kernels) {
+      std::vector<Fe> x3 = x2, y3 = num;
+      steps(x1.data(), y1.data(), x3.data(), y3.data(), inv.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Fe lambda = num[i] * inv[i];
+        const Fe want_x = lambda.sqr() - x1[i] - x2[i];
+        ASSERT_EQ(x3[i], want_x) << name << ", n = " << n << ", step " << i;
+        ASSERT_EQ(y3[i], lambda * (x1[i] - want_x) - y1[i]) << name << ", n = " << n;
+        if (std::string_view(name) == "ifma") {
+          ASSERT_TRUE(fl::lane_reduced(x3[i]) && fl::lane_reduced(y3[i])) << n << "/" << i;
+        }
+      }
+    }
+  }
+}
+
+// The dispatched batch, on both sides of the lane width and with padded
+// groups, against one root at a time.
+TEST(FieldLanes, SqrtCandidatesMatchFeAtEverySize) {
+  FieldOracle o;
+  for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 31u, 33u, 48u}) {
+    std::vector<Fe> a(n), got(n);
+    for (Fe& v : a) v = o.fresh().fe;
+    crypto::fe_lanes::sqrt_candidates(a, got);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(got[i], a[i].sqrt_candidate()) << n << "/" << i;
+  }
+}
+
+// from_compressed_batch returns from_compressed's answer for every item,
+// below, at and above the lane width, with valid points of both parities
+// mixed with x ≥ p, x off the curve, bad prefixes and wrong lengths.
+TEST(PointBatch, FromCompressedBatchMatchesFromCompressedItemByItem) {
+  U256 p_plus;
+  crypto::add_with_carry(Fe::modulus(), U256(5), p_plus);
+  const auto point_enc = [](std::size_t i) {
+    return Point::mul_gen(Scalar::from_u256(U256(1000 + i))).compressed();
+  };
+  const auto encoding = [&](std::size_t i) -> Bytes {
+    Bytes e = point_enc(i);
+    switch (i % 9) {
+      case 0: case 1: return e;                                  // valid
+      case 2: e[0] ^= 0x01; return e;                            // valid, the other parity
+      case 3: e[32] = static_cast<Byte>(i); return e;            // often off the curve
+      case 4: {                                                  // x ≥ p
+        const Bytes x = (i % 2 == 0 ? p_plus : U256(~0ull, ~0ull, ~0ull, ~0ull)).to_be_bytes();
+        std::copy(x.begin(), x.end(), e.begin() + 1);
+        return e;
+      }
+      case 5: e[0] = i % 2 == 0 ? 0x04 : 0x00; return e;         // bad prefix
+      case 6: e.resize(i % 2 == 0 ? 32 : 34); return e;          // wrong length
+      case 7: return Bytes{};
+      default: e[1] ^= 0x80; return e;                           // another x, maybe on the curve
+    }
+  };
+  for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 33u, 376u}) {
+    std::vector<Bytes> encs;
+    for (std::size_t i = 0; i < n; ++i) encs.push_back(encoding(i));
+    const std::vector<BytesView> views(encs.begin(), encs.end());
+    const auto batch = Point::from_compressed_batch(views);
+    ASSERT_EQ(batch.size(), n);
+    std::size_t lifted = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto single = Point::from_compressed(encs[i]);
+      ASSERT_EQ(batch[i].has_value(), single.has_value()) << "n = " << n << ", item " << i;
+      if (single) {
+        EXPECT_EQ(*batch[i], *single) << "n = " << n << ", item " << i;
+        ++lifted;
+      }
+    }
+    if (n >= 15) {
+      EXPECT_GT(lifted, 0u) << n;
+      EXPECT_LT(lifted, n) << n;
+    }
+  }
 }
 
 // --- Known answers ---------------------------------------------------------

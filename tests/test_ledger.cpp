@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
 
 #include "src/crypto/sha256.h"
@@ -258,11 +259,13 @@ class CountingWrapper final : public crypto::SignatureScheme {
   bool supports_batch_verify() const override { return batch_ && inner_.supports_batch_verify(); }
   bool verify_batch(std::span<const crypto::SigBatchItem> items) const override {
     ++batches;
+    batch_items += static_cast<int>(items.size());
     return inner_.verify_batch(items);
   }
 
   mutable int verifies = 0;
   mutable int batches = 0;
+  mutable int batch_items = 0;
 
  private:
   const crypto::SignatureScheme& inner_;
@@ -404,8 +407,18 @@ void expect_same_round(bool bad_sig, bool bad_child) {
             bad_child ? TxError::kBadWitness : TxError::kOk);
 
   EXPECT_EQ(seq_scheme.batches, 0);
-  EXPECT_EQ(batch_scheme.batches, 1);
   EXPECT_EQ(batch_scheme.verifies == 0, !bad_sig && !bad_child);
+  if (!bad_sig) {
+    EXPECT_EQ(batch_scheme.batches, 1);
+    return;
+  }
+  // The failed batch is bisected: the parts that pass are proven, so the
+  // sequential pass verifies singly only the claims of the last failing
+  // part (fewer than 4 × 8), not all of the round's ~300.
+  EXPECT_GT(batch_scheme.batches, 1);
+  EXPECT_LT(batch_scheme.verifies, 32);
+  std::printf("[   INFO   ] bad-signature round: %d batches, %d single verifies\n",
+              batch_scheme.batches, batch_scheme.verifies);
 }
 
 TEST(LedgerRound, BatchedRoundMatchesSequentialReference) { expect_same_round(false, false); }
@@ -413,6 +426,72 @@ TEST(LedgerRound, BatchedRoundMatchesSequentialReference) { expect_same_round(fa
 TEST(LedgerRound, FailedBatchFallsBackToTheSameVerdicts) { expect_same_round(true, false); }
 
 TEST(LedgerRound, UnclaimedBadSignatureStillRejected) { expect_same_round(false, true); }
+
+// A round whose every spend carries one tampered signature: every part of
+// the failed batch fails too, so the bisection stops once failing parts
+// have verified half the batch's claims (two quarters), and every spend is
+// rejected.
+TEST(LedgerRound, AllBadRoundBisectsWithinItsBound) {
+  const CountingWrapper scheme(crypto::schnorr_scheme(), true);
+  Ledger l(1, scheme);
+  const script::Script ms =
+      script::multisig_2of2(kRoundA.pk.compressed(), kRoundB.pk.compressed());
+  constexpr int kSpends = 64;
+  std::vector<tx::Transaction> posts;
+  for (int i = 0; i < kSpends; ++i) {
+    tx::Transaction t;
+    t.inputs = {{l.mint(1000, tx::Condition::p2wsh(ms))}};
+    t.outputs = {{990, tx::Condition::p2wpkh(kOther.pk.compressed())}};
+    t.witnesses.resize(1);
+    t.witnesses[0].witness_script = ms;
+    t.witnesses[0].stack = {
+        Bytes{}, tx::sign_input(t, 0, kRoundA, crypto::schnorr_scheme(), SighashFlag::kAll),
+        tx::sign_input(t, 0, kRoundB, crypto::schnorr_scheme(), SighashFlag::kAll)};
+    t.witnesses[0].stack[1][20] ^= 0x01;
+    posts.push_back(t);
+  }
+  for (const tx::Transaction& t : posts) l.post(t);
+  l.advance_rounds(1);
+  for (const tx::Transaction& t : posts) EXPECT_EQ(l.post_result(t.txid()), TxError::kBadWitness);
+  // The round's batch of 128 claims, then two failing quarters of 32.
+  EXPECT_EQ(scheme.batches, 3);
+  EXPECT_EQ(scheme.batch_items, 2 * kSpends + kSpends);
+}
+
+// A busy round of two-of-two spends, one of them from an output whose
+// script names a well-formed key with an x on no curve point. The claim
+// pass records that spend's claims like any other (keys are lifted after
+// the pass), drops them when its key does not lift, and proves the other
+// spends' claims in the round's one batch; the sequential pass rejects
+// only the bad spend.
+TEST(LedgerRound, OffCurveKeyRejectsOnlyItsSpend) {
+  const CountingWrapper scheme(crypto::schnorr_scheme(), true);
+  Ledger l(1, scheme);
+  Bytes off_curve = kRoundB.pk.compressed();
+  for (Byte i = 0; crypto::Point::from_compressed(off_curve); ++i) off_curve[32] = i;
+  constexpr std::size_t kSpends = 40, kBad = 17;
+  std::vector<tx::Transaction> posts;
+  for (std::size_t i = 0; i < kSpends; ++i) {
+    const script::Script ms = script::multisig_2of2(
+        kRoundA.pk.compressed(), i == kBad ? off_curve : kRoundB.pk.compressed());
+    tx::Transaction t;
+    t.inputs = {{l.mint(1000, tx::Condition::p2wsh(ms))}};
+    t.outputs = {{990, tx::Condition::p2wpkh(kOther.pk.compressed())}};
+    t.witnesses.resize(1);
+    t.witnesses[0].witness_script = ms;
+    t.witnesses[0].stack = {
+        Bytes{}, tx::sign_input(t, 0, kRoundA, crypto::schnorr_scheme(), SighashFlag::kAll),
+        tx::sign_input(t, 0, kRoundB, crypto::schnorr_scheme(), SighashFlag::kAll)};
+    posts.push_back(t);
+  }
+  for (const tx::Transaction& t : posts) l.post(t);
+  l.advance_rounds(1);
+  for (std::size_t i = 0; i < kSpends; ++i)
+    EXPECT_EQ(l.post_result(posts[i].txid()), i == kBad ? TxError::kBadWitness : TxError::kOk)
+        << "spend " << i;
+  EXPECT_EQ(scheme.batches, 1);
+  EXPECT_LE(scheme.verifies, 1);  // at most the bad spend's other signature
+}
 
 // --- Randomized-schedule properties -------------------------------------
 

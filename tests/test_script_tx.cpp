@@ -449,18 +449,26 @@ TEST(SighashCache, VerifyInputAcceptsCachedDigests) {
             ScriptError::kOk);
 }
 
+// The recorded key, lifted: the claim a batch would prove.
+bool claim_verifies(const crypto::SignatureScheme& scheme, const tx::SigClaim& c) {
+  const auto pk = crypto::Point::from_compressed(c.pubkey);
+  return pk && scheme.verify(*pk, c.digest, c.sig);
+}
+
+Bytes key_bytes(const tx::SigClaim& c) { return Bytes(c.pubkey.begin(), c.pubkey.end()); }
+
 TEST(SigClaims, RecordsWellFormedChecksAndDeclinesMismatches) {
   const auto& scheme = crypto::schnorr_scheme();
-  std::vector<crypto::SigBatchItem> claims;
+  std::vector<tx::SigClaim> claims;
   const tx::SigClaims record{nullptr, &claims};
 
   // A well-formed P2WPKH spend: one claim over the ALL digest, answered true.
   const Spend s = make_p2wpkh_spend(kA, 1000);
   ASSERT_EQ(tx::verify_input(s.tx, 0, s.spent, scheme, 0, nullptr, record), ScriptError::kOk);
   ASSERT_EQ(claims.size(), 1u);
-  EXPECT_EQ(claims[0].pk, kA.pk);
-  EXPECT_EQ(claims[0].msg, tx::sighash_digest(s.tx, 0, SighashFlag::kAll));
-  EXPECT_TRUE(scheme.verify(claims[0].pk, claims[0].msg, claims[0].sig));
+  EXPECT_EQ(key_bytes(claims[0]), kA.pk.compressed());
+  EXPECT_EQ(claims[0].digest, tx::sighash_digest(s.tx, 0, SighashFlag::kAll));
+  EXPECT_TRUE(claim_verifies(scheme, claims[0]));
 
   // Wrong pubkey hash: the witness fails before any signature check, so
   // nothing is claimed and the error is the one the verifying path reports.
@@ -480,8 +488,8 @@ TEST(SigClaims, RecordsWellFormedChecksAndDeclinesMismatches) {
                           tx::sign_input(t, 0, kB.sk, scheme, SighashFlag::kAll)};
   ASSERT_EQ(tx::verify_input(t, 0, wsh, scheme, 0, nullptr, record), ScriptError::kOk);
   ASSERT_EQ(claims.size(), 2u);
-  EXPECT_EQ(claims[0].pk, kA.pk);
-  EXPECT_EQ(claims[1].pk, kB.pk);
+  EXPECT_EQ(key_bytes(claims[0]), kA.pk.compressed());
+  EXPECT_EQ(key_bytes(claims[1]), kB.pk.compressed());
 
   // A tampered signature is still claimed (it is well-formed) and answered
   // true; it fails when the claim is proved, exactly like the inline path.
@@ -491,24 +499,39 @@ TEST(SigClaims, RecordsWellFormedChecksAndDeclinesMismatches) {
   EXPECT_EQ(tx::verify_input(bad_sig.tx, 0, bad_sig.spent, scheme, 0, nullptr, record),
             ScriptError::kOk);
   ASSERT_EQ(claims.size(), 1u);
-  EXPECT_FALSE(scheme.verify(claims[0].pk, claims[0].msg, claims[0].sig));
+  EXPECT_FALSE(claim_verifies(scheme, claims[0]));
   EXPECT_EQ(tx::verify_input(bad_sig.tx, 0, bad_sig.spent, scheme, 0),
             ScriptError::kBadSignature);
+
+  // So is a 33-byte key whose x is on no curve point: keys are lifted after
+  // the pass, where this claim's transaction loses its claims, and the
+  // inline path rejects the signature.
+  claims.clear();
+  Bytes off_curve = kA.pk.compressed();
+  for (Byte i = 0; crypto::Point::from_compressed(off_curve); ++i) off_curve[32] = i;
+  const Script ms_bad = script::multisig_2of2(kA.pk.compressed(), off_curve);
+  const tx::Output wsh_bad{1000, tx::Condition::p2wsh(ms_bad)};
+  t.witnesses[0].witness_script = ms_bad;
+  ASSERT_EQ(tx::verify_input(t, 0, wsh_bad, scheme, 0, nullptr, record), ScriptError::kOk);
+  ASSERT_EQ(claims.size(), 2u);
+  EXPECT_EQ(key_bytes(claims[1]), off_curve);
+  EXPECT_FALSE(crypto::Point::from_compressed(claims[1].pubkey).has_value());
+  EXPECT_NE(tx::verify_input(t, 0, wsh_bad, scheme, 0), ScriptError::kOk);
 }
 
 TEST(SigClaims, ProvenSetAnswersOnlyItsOwnTriples) {
   const auto& scheme = crypto::schnorr_scheme();
   const Spend s = make_p2wpkh_spend(kA, 1000);
-  std::vector<crypto::SigBatchItem> claims;
+  std::vector<tx::SigClaim> claims;
   ASSERT_EQ(tx::verify_input(s.tx, 0, s.spent, scheme, 0, nullptr, {nullptr, &claims}),
             ScriptError::kOk);
   ASSERT_EQ(claims.size(), 1u);
 
   // A proven triple answers true; any other triple is verified as usual.
   tx::ProvenSigs proven;
-  proven.insert(claims[0]);
-  EXPECT_TRUE(proven.contains(kA.pk.compressed(), claims[0].msg, claims[0].sig));
-  EXPECT_FALSE(proven.contains(kB.pk.compressed(), claims[0].msg, claims[0].sig));
+  proven.insert(claims[0].pubkey, claims[0].digest, claims[0].sig);
+  EXPECT_TRUE(proven.contains(kA.pk.compressed(), claims[0].digest, claims[0].sig));
+  EXPECT_FALSE(proven.contains(kB.pk.compressed(), claims[0].digest, claims[0].sig));
   EXPECT_EQ(tx::verify_input(s.tx, 0, s.spent, scheme, 0, nullptr, {&proven, nullptr}),
             ScriptError::kOk);
   Spend bad_sig = make_p2wpkh_spend(kA, 1000);

@@ -4,10 +4,11 @@
 # when the binary is installed — clang-tidy over the library sources.
 #
 # Usage: tools/check.sh [--fast|--bench|--chaos|--durable|--analyze|--tsan|--trace|--obs|--tidy|--perfbench]
-#   (none)    plain tier-1 tests, the behaviour digests of the plain build,
-#             analyzer, model check, lint, then the ASan+UBSan tier-1 pass
-#   --fast    skip the sanitizer rebuild (plain tests + behaviour digests +
-#             model check + lint)
+#   (none)    plain build (fails on any compiler warning it prints), tier-1
+#             tests, the behaviour digests of the plain build, analyzer,
+#             model check, lint, then the ASan+UBSan tier-1 pass
+#   --fast    skip the sanitizer rebuild (plain build and tests + behaviour
+#             digests + model check + lint)
 #   --bench   build Release, run the crypto + update microbenches pinned to
 #             one CPU with 5 repetitions, write BENCH_crypto.json /
 #             BENCH_update_microbench.json (medians, min, cv) at the repo
@@ -373,9 +374,20 @@ if [[ "$DURABLE" == 1 ]]; then
   exit 0
 fi
 
-step "plain build + tier-1 tests"
+step "plain build (no compiler warnings) + tier-1 tests"
+# The build's output goes to build/build.log, and any warning it prints
+# fails the gate. Only what this run compiles can print one, so a tree
+# built afresh checks every file.
 cmake -B build -S . >/dev/null
-cmake --build build -j >/dev/null
+if ! cmake --build build -j >build/build.log 2>&1; then
+  tail -n 40 build/build.log >&2
+  echo "ERROR: the plain build failed (build/build.log)" >&2
+  exit 1
+fi
+if grep -n 'warning:' build/build.log >&2; then
+  echo "ERROR: the plain build printed compiler warnings (build/build.log)" >&2
+  exit 1
+fi
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 step "behaviour digests: chaos reports and trace artifacts vs tests/golden/behaviour.sha256"
