@@ -276,7 +276,7 @@ AuthReport analyze_authorization(const SpendGraph& g, const KnowledgeBase& kb,
          std::move(msg), {});
   }
   {
-    std::set<Bytes> seen, reported;
+    std::set<Bytes, BytesLess> seen, reported;
     for (const TxTemplate& t : g.templates) {
       for (std::size_t i = 0; i < t.inputs.size(); ++i) {
         const TemplateInput& in = t.inputs[i];
@@ -415,7 +415,7 @@ AuthReport analyze_authorization(const SpendGraph& g, const KnowledgeBase& kb,
   if (latest >= 0) {
     // Witness scripts by program, so outputs can be analyzed even when their
     // only spender's template witness cannot satisfy the script.
-    std::map<Bytes, const script::Script*> by_program;
+    std::map<Bytes, const script::Script*, BytesLess> by_program;
     for (const TxTemplate& t : g.templates) {
       for (const TemplateInput& in : t.inputs) {
         if (!in.witness_script) continue;

@@ -31,6 +31,7 @@
 // at an unmodeled publication instant.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -41,6 +42,18 @@
 #include "src/analyze/report.h"
 
 namespace daric::analyze {
+
+/// Orders byte strings as std::less<Bytes> does (unsigned bytes, a proper
+/// prefix first) with one memcmp: libstdc++ 12's three-way vector compare
+/// behind std::less makes -O3 warn (-Wstringop-overread) wherever a map or
+/// set is keyed by Bytes.
+struct BytesLess {
+  bool operator()(const Bytes& x, const Bytes& y) const {
+    const std::size_t n = std::min(x.size(), y.size());
+    const int c = n == 0 ? 0 : std::memcmp(x.data(), y.data(), n);
+    return c != 0 ? c < 0 : x.size() < y.size();
+  }
+};
 
 /// A signing key: who holds the secret key from the start, and who learns
 /// it later (revocation-class keys). `role` names the protocol function
@@ -96,9 +109,9 @@ class KnowledgeBase {
  private:
   std::vector<KeyFact> keys_;
   std::vector<PreimageFact> preimages_;
-  std::map<Bytes, std::size_t> key_index_;
-  std::map<Bytes, std::size_t> image_index_;
-  std::map<Bytes, std::size_t> preimage_index_;
+  std::map<Bytes, std::size_t, BytesLess> key_index_;
+  std::map<Bytes, std::size_t, BytesLess> image_index_;
+  std::map<Bytes, std::size_t, BytesLess> preimage_index_;
   std::vector<std::pair<Bytes, std::vector<std::string>>> conflicts_;
 };
 

@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "src/analyze/domain.h"
+#include "src/channel/state.h"
 #include "src/tx/transaction.h"
+#include "src/verify/model.h"
 
 namespace daric::analyze {
 
@@ -56,5 +58,31 @@ struct TxTemplate {
 
 /// Deterministic dummy outpoint for wiring template DAGs together.
 tx::OutPoint template_outpoint(std::string_view label, std::uint32_t vout = 0);
+
+// --- scaffolding the engines' enumerators share ---------------------------
+
+/// Party A is principal P, party B is Q.
+inline constexpr PrincipalSet kP{Principal::kPartyP};
+inline constexpr PrincipalSet kQ{Principal::kPartyQ};
+inline constexpr PrincipalSet kT{Principal::kTower};
+inline constexpr PrincipalSet kPQ{Principal::kPartyP, Principal::kPartyQ};
+inline constexpr PrincipalSet kPQT{Principal::kPartyP, Principal::kPartyQ, Principal::kTower};
+
+/// State j of the model's balance schedule on a channel of `capacity`.
+channel::StateVec model_state(const verify::Options& model, Amount capacity, std::uint32_t j);
+
+/// An input spending a 2-of-2 funding output of `value` under
+/// `fund_script`: [ε, sig, sig], both under `flag` (rebindable when that is
+/// an ANYPREVOUT flag). `who` holds the fully countersigned transaction
+/// from state `from` on.
+TemplateInput funding_input(const script::Script& fund_script, Amount value, PrincipalSet who,
+                            std::int32_t from,
+                            script::SighashFlag flag = script::SighashFlag::kAll);
+
+/// An engine's cooperative close `close`, spending the funding output,
+/// which both parties sign at the latest state `latest`.
+TxTemplate coop_close_template(std::string engine, tx::Transaction close,
+                               const script::Script& fund_script, Amount value,
+                               std::int32_t latest, std::string name = "coop-close");
 
 }  // namespace daric::analyze

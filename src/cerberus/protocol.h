@@ -6,18 +6,11 @@
 // 2-output layout reproduces Appendix H.6's 772-WU non-collaborative close.
 #pragma once
 
+#include "src/cerberus/scripts.h"
 #include "src/channel/engine.h"
-#include "src/daric/wallet.h"
 #include "src/tx/transaction.h"
 
 namespace daric::cerberus {
-
-/// Commit-output script (H.6, 115 bytes):
-///   IF 2 <rev1> <rev2> 2 CHECKMULTISIG ELSE <T> CSV DROP <delayed> CHECKSIG ENDIF
-script::Script cerberus_output_script(BytesView rev1, BytesView rev2, std::uint32_t csv,
-                                      BytesView delayed_pk);
-
-class CerberusChannel;
 
 /// The incentivized tower: it holds one fully-signed revocation transaction
 /// per revoked state and collects `reward` when it fires one.
@@ -58,9 +51,7 @@ class CerberusChannel : public channel::Engine {
   void publish_old_commit(sim::PartyId who, std::uint32_t state) override;
 
   std::uint32_t state_number() const override { return sn_; }
-  BytesView payout_pk(sim::PartyId who) const override {
-    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
-  }
+  BytesView payout_pk(sim::PartyId who) const override { return keys_.of(who).payout; }
 
   std::size_t party_storage_bytes(sim::PartyId who) const;  // O(n)
   CerberusWatchtower& tower(sim::PartyId who) {
@@ -69,34 +60,26 @@ class CerberusChannel : public channel::Engine {
   const tx::Transaction& latest_commit(sim::PartyId who) const {
     return who == sim::PartyId::kA ? commit_a_ : commit_b_;
   }
-  tx::OutPoint funding_outpoint() const { return fund_op_; }
-  Bytes tower_reward_pk() const { return tower_key_.pk.compressed(); }
+  Bytes tower_reward_pk() const { return keys_.tower.pk.compressed(); }
   Amount tower_reward() const { return tower_reward_; }
 
  private:
   struct CommitRecord {
-    tx::Transaction tx;
-    script::Script out0_script, out1_script;
+    Commit commit;  // fully signed
     sim::PartyId owner;
     std::uint32_t state = 0;
   };
 
-  crypto::KeyPair rev_keypair(sim::PartyId owner, std::uint32_t state, int leg) const;
-  tx::Transaction build_commit(sim::PartyId owner, std::uint32_t state,
-                               const channel::StateVec& st, script::Script* s0,
-                               script::Script* s1) const;
-  tx::Transaction build_revocation(const CommitRecord& rec, sim::PartyId victim) const;
+  /// The revocation of `rec`, its two inputs signed by the revocation legs.
+  tx::Transaction sign_revocation(const CommitRecord& rec, sim::PartyId victim) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
 
   Amount tower_reward_;
-  daricch::DaricPubKeys pub_a_, pub_b_;
-  crypto::KeyPair main_a_, main_b_, delayed_a_, delayed_b_, tower_key_;
+  Keys keys_;
 
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
-  tx::OutPoint fund_op_;
-  script::Script fund_script_;
 
   tx::Transaction commit_a_, commit_b_;
   std::vector<CommitRecord> archive_;

@@ -1,115 +1,133 @@
 #include "src/cerberus/scripts.h"
 
-#include "src/cerberus/protocol.h"
-#include "src/crypto/keys.h"
-#include "src/daric/scripts.h"
-#include "src/daric/wallet.h"
+#include "src/daric/builders.h"
 
 namespace daric::cerberus {
+
+namespace {
+PartyKeys derive_party(const std::string& base) {
+  PartyKeys k{crypto::derive_keypair(base + "/main"), crypto::derive_keypair(base + "/delayed"),
+              {}};
+  k.payout = k.main.pk.compressed();
+  return k;
+}
+}  // namespace
+
+Keys derive_keys(const std::string& channel_id) {
+  return {derive_party(channel_id + "/cb/A"), derive_party(channel_id + "/cb/B"),
+          crypto::derive_keypair(channel_id + "/cb/tower")};
+}
+
+script::Script funding_script(const Keys& k) {
+  return script::multisig_2of2(k.a.payout, k.b.payout);
+}
+
+crypto::KeyPair revocation_keypair(const std::string& channel_id, sim::PartyId owner,
+                                   std::uint32_t state, int leg) {
+  return crypto::derive_keypair(channel_id + "/cb/rev/" + sim::party_name(owner) + "/" +
+                                std::to_string(state) + "/" + std::to_string(leg));
+}
+
+script::Script cerberus_output_script(BytesView rev1, BytesView rev2, std::uint32_t csv,
+                                      BytesView delayed_pk) {
+  script::Script s;
+  s.op(script::Op::OP_IF)
+      .small_int(2)
+      .push(rev1)
+      .push(rev2)
+      .small_int(2)
+      .op(script::Op::OP_CHECKMULTISIG)
+      .op(script::Op::OP_ELSE)
+      .num4(csv)
+      .op(script::Op::OP_CHECKSEQUENCEVERIFY)
+      .op(script::Op::OP_DROP)
+      .push(delayed_pk)
+      .op(script::Op::OP_CHECKSIG)
+      .op(script::Op::OP_ENDIF);
+  return s;
+}
+
+Commit build_commit(const channel::ChannelParams& p, const Keys& k, const tx::OutPoint& fund_op,
+                    sim::PartyId owner, std::uint32_t state, const channel::StateVec& st) {
+  const bool a = owner == sim::PartyId::kA;
+  const auto csv = static_cast<std::uint32_t>(p.t_punish);
+  auto rev_pk = [&](int leg) {
+    return revocation_keypair(p.id, owner, state, leg).pk.compressed();
+  };
+  Commit c;
+  c.local = cerberus_output_script(rev_pk(0), rev_pk(1), csv, k.of(owner).delayed.pk.compressed());
+  c.remote = cerberus_output_script(rev_pk(2), rev_pk(3), csv,
+                                    k.of(sim::other(owner)).delayed.pk.compressed());
+  c.body.inputs = {{fund_op}};
+  c.body.nlocktime = p.s0 + state;
+  c.body.outputs = {{a ? st.to_a : st.to_b, tx::Condition::p2wsh(c.local)},
+                    {a ? st.to_b : st.to_a, tx::Condition::p2wsh(c.remote)}};
+  return c;
+}
+
+tx::Transaction revocation_body(const channel::ChannelParams& p, const Keys& k,
+                                const Hash256& commit_txid, sim::PartyId victim, Amount reward) {
+  tx::Transaction t;
+  t.inputs = {{{commit_txid, 0}}, {{commit_txid, 1}}};
+  t.nlocktime = 0;
+  t.outputs = {{p.capacity() - reward, tx::Condition::p2wpkh(k.of(victim).payout)},
+               {reward, tx::Condition::p2wpkh(k.tower.pk.compressed())}};
+  return t;
+}
 
 std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParams& p,
                                                      const verify::Options& model,
                                                      analyze::KnowledgeBase* kb) {
-  using analyze::Presign;
-  using analyze::Principal;
-  using analyze::PrincipalSet;
-  using analyze::TemplateInput;
-  using analyze::TemplateTag;
-  using analyze::TxTemplate;
-  using analyze::WitnessElem;
+  using namespace analyze;
   using script::SighashFlag;
-
-  const PrincipalSet kP{Principal::kPartyP};
-  const PrincipalSet kQ{Principal::kPartyQ};
-  const PrincipalSet kT{Principal::kTower};
-  const PrincipalSet kPQ{Principal::kPartyP, Principal::kPartyQ};
+  using sim::PartyId;
 
   std::vector<TxTemplate> out;
-  // Key derivations mirror CerberusChannel's constructor.
-  const daricch::DaricPubKeys pub_a = to_pub(daricch::DaricKeys::derive("A", p.id + "/cb"));
-  const daricch::DaricPubKeys pub_b = to_pub(daricch::DaricKeys::derive("B", p.id + "/cb"));
-  const crypto::KeyPair main_a = crypto::derive_keypair(p.id + "/cb/A/main");
-  const crypto::KeyPair main_b = crypto::derive_keypair(p.id + "/cb/B/main");
-  const crypto::KeyPair delayed_a = crypto::derive_keypair(p.id + "/cb/A/delayed");
-  const crypto::KeyPair delayed_b = crypto::derive_keypair(p.id + "/cb/B/delayed");
-  const crypto::KeyPair tower_key = crypto::derive_keypair(p.id + "/cb/tower");
+  const Keys k = derive_keys(p.id);
   const Amount cap = p.capacity();
   const Amount reward = cap / 100;  // the tower's incentive carve-out
   const auto n_latest = static_cast<std::uint32_t>(model.max_updates);
-  const auto csv = static_cast<std::uint32_t>(p.t_punish);
-
-  auto rev_pk = [&](bool owner_a, std::uint32_t state, int leg) {
-    return crypto::derive_keypair(p.id + "/cb/rev/" + (owner_a ? "A" : "B") + "/" +
-                                  std::to_string(state) + "/" + std::to_string(leg))
-        .pk.compressed();
-  };
-
-  const script::Script fund_script =
-      script::multisig_2of2(main_a.pk.compressed(), main_b.pk.compressed());
-  const tx::OutPoint fund_op = analyze::template_outpoint(p.id + "/cb/fund");
-  auto fund_in = [&](PrincipalSet who, std::int32_t from) {
-    TemplateInput in;
-    in.spent = {cap, tx::Condition::p2wsh(fund_script)};
-    in.witness_script = fund_script;
-    in.witness = {WitnessElem::empty(), WitnessElem::sig(SighashFlag::kAll),
-                  WitnessElem::sig(SighashFlag::kAll)};
-    in.intended = who;
-    in.presigned = Presign{who, from};
-    return in;
-  };
+  const script::Script fund_script = funding_script(k);
+  const tx::OutPoint fund_op = template_outpoint(p.id + "/cb/fund");
+  auto principal = [](PartyId who) { return who == PartyId::kA ? kP : kQ; };
 
   if (kb) {
-    kb->add_key(main_a.pk.compressed(), "cb/A/fund", kP);
-    kb->add_key(main_b.pk.compressed(), "cb/B/fund", kQ);
-    kb->add_key(delayed_a.pk.compressed(), "cb/A/delayed", kP);
-    kb->add_key(delayed_b.pk.compressed(), "cb/B/delayed", kQ);
-    kb->add_key(tower_key.pk.compressed(), "cb/tower", kT);
-    // pub_{a,b}.main alias the funding keys (same derivation path).
-    // Revocation legs are split across the parties (even legs owner, odd
-    // legs counterparty), so the 2-of-2 revocation branch is never
-    // satisfiable from one party's key knowledge alone — the tower acts
-    // through the pre-signed revocation transaction, not raw keys.
+    kb->add_key(k.a.payout, "cb/A/fund", kP);
+    kb->add_key(k.b.payout, "cb/B/fund", kQ);
+    kb->add_key(k.a.delayed.pk.compressed(), "cb/A/delayed", kP);
+    kb->add_key(k.b.delayed.pk.compressed(), "cb/B/delayed", kQ);
+    kb->add_key(k.tower.pk.compressed(), "cb/tower", kT);
+    // The funding keys are the payout keys. Revocation legs are split
+    // across the parties (even legs owner, odd legs counterparty), so the
+    // 2-of-2 revocation branch is never satisfiable from one party's key
+    // knowledge alone — the tower acts through the pre-signed revocation
+    // transaction, not raw keys.
     for (std::uint32_t j = 0; j <= n_latest; ++j) {
-      for (const bool owner_a : {true, false}) {
+      for (const PartyId owner : {PartyId::kA, PartyId::kB}) {
         for (int leg = 0; leg < 4; ++leg) {
-          const PrincipalSet owner = owner_a ? kP : kQ;
-          const PrincipalSet other = owner_a ? kQ : kP;
-          kb->add_key(rev_pk(owner_a, j, leg),
-                      std::string("cb/rev/") + (owner_a ? "A/" : "B/") +
+          kb->add_key(revocation_keypair(p.id, owner, j, leg).pk.compressed(),
+                      std::string("cb/rev/") + sim::party_name(owner) + "/" +
                           std::to_string(j) + "/" + std::to_string(leg),
-                      leg % 2 == 0 ? owner : other);
+                      principal(leg % 2 == 0 ? owner : sim::other(owner)));
         }
       }
     }
   }
 
   for (std::uint32_t j = 0; j <= n_latest; ++j) {
-    const Amount to_a = model.to_a(static_cast<int>(j));
-    const Amount to_b = cap - to_a;
-    for (const bool owner_a : {true, false}) {
-      const std::string tag = std::string(owner_a ? "A," : "B,") + std::to_string(j);
-      // H.6's duplicated commit: both outputs carry a revocation path.
-      const script::Script local = cerberus_output_script(
-          rev_pk(owner_a, j, 0), rev_pk(owner_a, j, 1), csv,
-          (owner_a ? delayed_a : delayed_b).pk.compressed());
-      const script::Script remote = cerberus_output_script(
-          rev_pk(owner_a, j, 2), rev_pk(owner_a, j, 3), csv,
-          (owner_a ? delayed_b : delayed_a).pk.compressed());
-      tx::Transaction commit;
-      commit.inputs = {{fund_op}};
-      commit.nlocktime = p.s0 + j;
-      commit.outputs = {{owner_a ? to_a : to_b, tx::Condition::p2wsh(local)},
-                        {owner_a ? to_b : to_a, tx::Condition::p2wsh(remote)}};
-      out.push_back({"cerberus", "commit[" + tag + "]", commit,
-                     {fund_in(owner_a ? kP : kQ, static_cast<std::int32_t>(j))},
+    for (const PartyId owner : {PartyId::kA, PartyId::kB}) {
+      const std::string tag = std::string(sim::party_name(owner)) + "," + std::to_string(j);
+      const Commit c = build_commit(p, k, fund_op, owner, j, model_state(model, cap, j));
+      out.push_back({"cerberus", "commit[" + tag + "]", c.body,
+                     {funding_input(fund_script, cap, principal(owner),
+                                    static_cast<std::int32_t>(j))},
                      TemplateTag::kCommit, static_cast<std::int32_t>(j)});
-      const Hash256 commit_txid = commit.txid();
+      const Hash256 commit_txid = c.body.txid();
 
-      auto output_in = [&](std::uint32_t vout, const script::Script& ws,
-                           std::vector<WitnessElem> witness, Round age) {
+      auto output_in = [&](std::uint32_t vout, std::vector<WitnessElem> witness, Round age) {
         TemplateInput in;
-        in.spent = commit.outputs[vout];
-        in.witness_script = ws;
+        in.spent = c.body.outputs[vout];
+        in.witness_script = vout == 0 ? c.local : c.remote;
         in.witness = std::move(witness);
         in.spend_age = age;
         return in;
@@ -118,24 +136,20 @@ std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParam
       if (j < n_latest) {
         // The tower's pre-signed revocation: claims both outputs, pays the
         // victim everything minus the reward that keeps the tower honest.
-        tx::Transaction rv;
-        rv.inputs = {{{commit_txid, 0}}, {{commit_txid, 1}}};
-        rv.nlocktime = 0;
-        rv.outputs = {{cap - reward, tx::Condition::p2wpkh(owner_a ? pub_b.main : pub_a.main)},
-                      {reward, tx::Condition::p2wpkh(tower_key.pk.compressed())}};
         const std::vector<WitnessElem> rev_wit = {
             WitnessElem::empty(), WitnessElem::sig(SighashFlag::kAll),
             WitnessElem::sig(SighashFlag::kAll), WitnessElem::constant(Bytes{1})};
         // Victim and tower hold the fully signed revocation once state j is
         // revoked at j+1.
-        const PrincipalSet avengers{owner_a ? Principal::kPartyQ : Principal::kPartyP,
-                                    Principal::kTower};
-        TemplateInput rv0 = output_in(0, local, rev_wit, 0);
-        TemplateInput rv1 = output_in(1, remote, rev_wit, 0);
+        PrincipalSet avengers = principal(sim::other(owner));
+        avengers.add(Principal::kTower);
+        TemplateInput rv0 = output_in(0, rev_wit, 0);
+        TemplateInput rv1 = output_in(1, rev_wit, 0);
         rv0.intended = rv1.intended = avengers;
         rv0.presigned = rv1.presigned =
             Presign{avengers, static_cast<std::int32_t>(j) + 1};
-        out.push_back({"cerberus", "revocation[" + tag + "]", rv,
+        out.push_back({"cerberus", "revocation[" + tag + "]",
+                       revocation_body(p, k, commit_txid, sim::other(owner), reward),
                        {std::move(rv0), std::move(rv1)},
                        TemplateTag::kPunish});
       }
@@ -143,43 +157,24 @@ std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParam
       // Delayed sweeps (ELSE branch). On the latest state these are the
       // honest non-collaborative close; on a revoked state they are the
       // cheater's race attempt the tower's revocation must beat.
-      tx::Transaction sweep;
-      sweep.inputs = {{{commit_txid, 0}}};
-      sweep.nlocktime = 0;
-      sweep.outputs = {{commit.outputs[0].cash,
-                        tx::Condition::p2wpkh(owner_a ? pub_a.main : pub_b.main)}};
-      TemplateInput sweep_in = output_in(
-          0, local, {WitnessElem::sig(SighashFlag::kAll), WitnessElem::empty()},
-          p.t_punish);
-      sweep_in.intended = owner_a ? kP : kQ;
-      out.push_back({"cerberus", "sweep[" + tag + "]", sweep, {std::move(sweep_in)}});
-
-      tx::Transaction rsweep;
-      rsweep.inputs = {{{commit_txid, 1}}};
-      rsweep.nlocktime = 0;
-      rsweep.outputs = {{commit.outputs[1].cash,
-                         tx::Condition::p2wpkh(owner_a ? pub_b.main : pub_a.main)}};
-      TemplateInput rsweep_in = output_in(
-          1, remote, {WitnessElem::sig(SighashFlag::kAll), WitnessElem::empty()},
-          p.t_punish);
-      rsweep_in.intended = owner_a ? kQ : kP;
-      out.push_back({"cerberus", "remote-sweep[" + tag + "]", rsweep,
-                     {std::move(rsweep_in)}});
+      for (const std::uint32_t vout : {0u, 1u}) {
+        const PartyId to = vout == 0 ? owner : sim::other(owner);
+        TemplateInput in = output_in(
+            vout, {WitnessElem::sig(SighashFlag::kAll), WitnessElem::empty()}, p.t_punish);
+        in.intended = principal(to);
+        out.push_back({"cerberus", (vout == 0 ? "sweep[" : "remote-sweep[") + tag + "]",
+                       daricch::gen_sweep({commit_txid, vout}, c.body.outputs[vout].cash,
+                                          k.of(to).payout),
+                       {std::move(in)}});
+      }
     }
   }
 
-  {
-    tx::Transaction close;
-    close.inputs = {{fund_op}};
-    close.nlocktime = 0;
-    const channel::StateVec st{model.to_a(static_cast<int>(n_latest)),
-                               cap - model.to_a(static_cast<int>(n_latest)),
-                               {}};
-    close.outputs = daricch::state_outputs(st, pub_a.main, pub_b.main);
-    out.push_back({"cerberus", "coop-close", close,
-                   {fund_in(kPQ, static_cast<std::int32_t>(n_latest))}});
-  }
-
+  out.push_back(coop_close_template(
+      "cerberus",
+      daricch::gen_fin_split(fund_op, model_state(model, cap, n_latest), k.a.payout,
+                             k.b.payout),
+      fund_script, cap, static_cast<std::int32_t>(n_latest)));
   return out;
 }
 

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/daric/builders.h"
+#include "src/tx/sighash.h"
 #include "src/tx/weight.h"
 
 namespace daric::channel {
@@ -73,8 +75,37 @@ bool Engine::abort_to(sim::PartyId who) {
   return false;
 }
 
+bool Engine::mint_funding(const char* type, script::Script fund_script, Amount value) {
+  fund_script_ = std::move(fund_script);
+  if (send_reliable(sim::PartyId::kA, type) == 0) return false;
+  fund_op_ = env_.ledger().mint(value, tx::Condition::p2wsh(fund_script_));
+  return true;
+}
+
+bool Engine::close_2of2(sim::PartyId initiator, const char* type, tx::Transaction close,
+                        const crypto::KeyPair& key_a, const crypto::KeyPair& key_b) {
+  require_open();
+  const auto& scheme = env_.scheme();
+  const tx::SighashCache sh(close);
+  Bytes sig_a = tx::sign_input(close, 0, key_a, scheme, script::SighashFlag::kAll, &sh);
+  Bytes sig_b = tx::sign_input(close, 0, key_b, scheme, script::SighashFlag::kAll, &sh);
+  return post_cooperative_close(initiator, type, std::move(close), std::move(sig_a),
+                                std::move(sig_b));
+}
+
+bool Engine::close_2of2(sim::PartyId initiator, const char* type, tx::Transaction close,
+                        const crypto::Scalar& sk_a, const crypto::Scalar& sk_b) {
+  require_open();
+  const auto& scheme = env_.scheme();
+  Bytes sig_a = tx::sign_input(close, 0, sk_a, scheme, script::SighashFlag::kAll);
+  Bytes sig_b = tx::sign_input(close, 0, sk_b, scheme, script::SighashFlag::kAll);
+  return post_cooperative_close(initiator, type, std::move(close), std::move(sig_a),
+                                std::move(sig_b));
+}
+
 bool Engine::post_cooperative_close(sim::PartyId initiator, const char* type,
-                                    const tx::Transaction& close) {
+                                    tx::Transaction close, Bytes sig_a, Bytes sig_b) {
+  daricch::attach_funding_witness(close, 0, fund_script_, std::move(sig_a), std::move(sig_b));
   if (send_or_close(initiator, type) == 0) return false;
   observe_weight(close);
   note_phase({}, "coop_close_posted");

@@ -6,13 +6,16 @@
 // monitor flag. The protected half is the shell the six engines would
 // otherwise each re-implement: the retry budget and the abort-to-force-
 // close fallback of every protocol message, the next-state check, the
-// closed bookkeeping and run_until_closed, the baselines' cooperative-close
-// posting, the cached instrument handles and the lifecycle events.
+// closed bookkeeping and run_until_closed, the cached instrument handles and
+// the lifecycle events. The shell also owns the five baselines' 2-of-2
+// funding (minted once the create handshake got through) and their
+// cooperative close (signed by both funding keys, then posted and awaited).
 //
 // What stays engine-specific is each protocol's own messages, transactions
-// and monitor. Daric keeps one monitor and one outcome per party (overriding
-// outcome, closed and set_monitor_online); the five baselines keep a single
-// channel-level monitor that is online only while neither party is dark.
+// and monitor. Daric keeps its own funding, one monitor and one outcome per
+// party (overriding outcome, closed, set_monitor_online and
+// funding_outpoint); the five baselines keep a single channel-level monitor
+// that is online only while neither party is dark.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,7 @@
 
 #include "src/channel/params.h"
 #include "src/channel/state.h"
+#include "src/crypto/keys.h"
 #include "src/obs/event.h"
 #include "src/obs/handles.h"
 #include "src/sim/environment.h"
@@ -73,6 +77,8 @@ class Engine {
   virtual bool closed() const { return outcome_ != Outcome::kNone; }
   /// Downtime control: a dark party's monitor misses rounds.
   virtual void set_monitor_online(bool a, bool b);
+  /// The output the channel's commits spend (default until create minted it).
+  virtual tx::OutPoint funding_outpoint() const { return fund_op_; }
 
   /// Advances rounds until closed() or the budget runs out.
   bool run_until_closed(Round max_rounds = kCloseRounds);
@@ -94,11 +100,22 @@ class Engine {
   /// until outcome(who) resolves (the channel's outcome for the baselines).
   /// Always returns false (the failed operation).
   bool abort_to(sim::PartyId who);
-  /// The baselines' cooperative close: `initiator` sends `type` (aborting to
-  /// a force close on silence), then `close`, signed by both, is posted and
-  /// awaited. Their monitors recognise it by coop_close_txid_.
-  bool post_cooperative_close(sim::PartyId initiator, const char* type,
-                              const tx::Transaction& close);
+
+  // --- the baselines' 2-of-2 funding and cooperative close ------------------
+  /// A sends `type`; once it got through, `value` is minted to
+  /// `fund_script` (fund_op_), so a create that timed out strands nothing.
+  /// Returns false when the handshake timed out.
+  bool mint_funding(const char* type, script::Script fund_script, Amount value);
+  /// The cooperative close: both funding keys sign `close` (which spends
+  /// fund_op_ at input 0) and the 2-of-2 witness is attached; then
+  /// `initiator` sends `type` (aborting to a force close on silence), and
+  /// the close is posted and awaited. The monitors recognise it by
+  /// coop_close_txid_. Cerberus and FPPW sign with the bare secret keys
+  /// (RFC 6979 nonces), the other baselines with the key pairs.
+  bool close_2of2(sim::PartyId initiator, const char* type, tx::Transaction close,
+                  const crypto::KeyPair& key_a, const crypto::KeyPair& key_b);
+  bool close_2of2(sim::PartyId initiator, const char* type, tx::Transaction close,
+                  const crypto::Scalar& sk_a, const crypto::Scalar& sk_b);
 
   // --- checks --------------------------------------------------------------
   virtual bool is_open() const { return open_; }
@@ -140,9 +157,14 @@ class Engine {
   // Channel-level bookkeeping of the baselines; Daric keeps it per party.
   bool open_ = false;
   Outcome outcome_ = Outcome::kNone;
+  tx::OutPoint fund_op_;
+  script::Script fund_script_;
   std::optional<Hash256> coop_close_txid_;
 
  private:
+  bool post_cooperative_close(sim::PartyId initiator, const char* type, tx::Transaction close,
+                              Bytes sig_a, Bytes sig_b);
+
   const char* name_;
   bool online_[2] = {true, true};
 };

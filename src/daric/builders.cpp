@@ -69,12 +69,20 @@ tx::Transaction gen_revoke(BytesView payout_pk_main, Amount cash, std::uint32_t 
   return t;  // floating
 }
 
-tx::Transaction gen_fin_split(const tx::OutPoint& fund_outpoint, const channel::StateVec& st,
-                              const DaricPubKeys& a, const DaricPubKeys& b) {
+tx::Transaction gen_fin_split(const tx::OutPoint& op, const channel::StateVec& st,
+                              BytesView pk_a_main, BytesView pk_b_main) {
   tx::Transaction t;
-  t.inputs = {{fund_outpoint}};
+  t.inputs = {{op}};
   t.nlocktime = 0;
-  t.outputs = state_outputs(st, a.main, b.main);
+  t.outputs = state_outputs(st, pk_a_main, pk_b_main);
+  return t;
+}
+
+tx::Transaction gen_sweep(const tx::OutPoint& op, Amount cash, BytesView payout_pk) {
+  tx::Transaction t;
+  t.inputs = {{op}};
+  t.nlocktime = 0;
+  t.outputs = {{cash, tx::Condition::p2wpkh(payout_pk)}};
   return t;
 }
 

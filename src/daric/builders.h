@@ -66,9 +66,15 @@ tx::Transaction gen_revoke(BytesView payout_pk_main, Amount cash, std::uint32_t 
                            const channel::ChannelParams& p);
 
 /// Modified split TX_SP̄ for collaborative close: spends the funding output
-/// directly into θ⃗, nLT = 0.
-tx::Transaction gen_fin_split(const tx::OutPoint& fund_outpoint, const channel::StateVec& st,
-                              const DaricPubKeys& a, const DaricPubKeys& b);
+/// `op` directly into θ⃗, nLT = 0. The baselines' cooperative closes and
+/// the splits of generalized channels and FPPW are the same body over their
+/// own outpoints.
+tx::Transaction gen_fin_split(const tx::OutPoint& op, const channel::StateVec& st,
+                              BytesView pk_a_main, BytesView pk_b_main);
+
+/// Spends `op` whole (`cash`) to `payout_pk`'s P2WPKH, nLT = 0: the
+/// baselines' sweeps, breach claims, punishments and collateral moves.
+tx::Transaction gen_sweep(const tx::OutPoint& op, Amount cash, BytesView payout_pk);
 
 /// Binds a floating transaction to a concrete outpoint (ANYPREVOUT rebind).
 void bind_floating(tx::Transaction& t, const tx::OutPoint& op);

@@ -257,18 +257,12 @@ void DaricParty::force_close() {
 // DaricChannel
 // ---------------------------------------------------------------------------
 
-namespace {
-
-crypto::KeyPair funding_keypair(const channel::ChannelParams& p, PartyId id) {
-  return crypto::derive_keypair(p.id + "/" + sim::party_name(id) + "/funding-source");
-}
-
-}  // namespace
-
 DaricChannel::DaricChannel(sim::Environment& env, channel::ChannelParams params)
     : Engine(env, std::move(params), "daric"),
-      a_(*this, PartyId::kA, params_, env, funding_keypair(params_, PartyId::kA), params_.cash_a),
-      b_(*this, PartyId::kB, params_, env, funding_keypair(params_, PartyId::kB), params_.cash_b),
+      a_(*this, PartyId::kA, params_, env, funding_source_keypair(params_.id, PartyId::kA),
+         params_.cash_a),
+      b_(*this, PartyId::kB, params_, env, funding_source_keypair(params_.id, PartyId::kB),
+         params_.cash_b),
       tcache_(params_, a_.pub_own_, b_.pub_own_) {
   a_.hook_ = env_.add_round_hook([this] { a_.on_round(); });
   b_.hook_ = env_.add_round_hook([this] { b_.on_round(); });
@@ -595,7 +589,7 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
   DaricParty& p = party(initiator);
   DaricParty& q = party(other(initiator));
 
-  tx::Transaction fin = gen_fin_split(p.fund_op_, p.st_, a_.pub_own_, b_.pub_own_);
+  tx::Transaction fin = gen_fin_split(p.fund_op_, p.st_, a_.pub_own_.main, b_.pub_own_.main);
   const tx::SighashCache sh_fin(fin);
   const Bytes sig_p = tx::sign_input(fin, 0, p.keys_.main, scheme, SighashFlag::kAll, &sh_fin);
   if (send_or_close(p.id_, "closeP") == 0) return false;

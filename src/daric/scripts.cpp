@@ -51,19 +51,8 @@ std::vector<tx::Output> state_outputs(const channel::StateVec& st, BytesView pk_
 std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParams& p,
                                                      const verify::Options& model,
                                                      analyze::KnowledgeBase* kb) {
-  using analyze::Presign;
-  using analyze::Principal;
-  using analyze::PrincipalSet;
-  using analyze::TemplateInput;
-  using analyze::TemplateTag;
-  using analyze::TxTemplate;
-  using analyze::WitnessElem;
+  using namespace analyze;
   using script::SighashFlag;
-
-  const PrincipalSet kP{Principal::kPartyP};
-  const PrincipalSet kQ{Principal::kPartyQ};
-  const PrincipalSet kPQ{Principal::kPartyP, Principal::kPartyQ};
-  const PrincipalSet kPQT{Principal::kPartyP, Principal::kPartyQ, Principal::kTower};
 
   std::vector<TxTemplate> out;
   const DaricPubKeys pa = to_pub(DaricKeys::derive("A", p.id));
@@ -73,6 +62,7 @@ std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParam
   const auto n_time = static_cast<std::int32_t>(n_latest);
   const SighashFlag rv_flag =
       p.feeable_revocations ? SighashFlag::kSingleAnyPrevOut : SighashFlag::kAllAnyPrevOut;
+  const crypto::KeyPair fee_key = crypto::derive_keypair(p.id + "/A/fee-source");
 
   if (kb) {
     // A's keys are P's, B's are Q's; the revocation 2-of-2s deliberately
@@ -85,44 +75,26 @@ std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParam
     kb->add_key(pb.rv, "B/rev", kQ);
     kb->add_key(pa.rv2, "A/rev2", kP);
     kb->add_key(pb.rv2, "B/rev2", kQ);
-    kb->add_key(crypto::derive_keypair(p.id + "/A/funding-source").pk.compressed(),
-                "A/wallet", kP);
-    kb->add_key(crypto::derive_keypair(p.id + "/B/funding-source").pk.compressed(),
-                "B/wallet", kQ);
-    kb->add_key(crypto::derive_keypair(p.id + "/A/fee-source").pk.compressed(),
-                "A/fee", kP);
+    kb->add_key(funding_source_keypair(p.id, sim::PartyId::kA).pk.compressed(), "A/wallet", kP);
+    kb->add_key(funding_source_keypair(p.id, sim::PartyId::kB).pk.compressed(), "B/wallet", kQ);
+    kb->add_key(fee_key.pk.compressed(), "A/fee", kP);
   }
 
   const FundingTemplate fund =
-      gen_fund(analyze::template_outpoint(p.id + "/src/A"),
-               analyze::template_outpoint(p.id + "/src/B"), cap, pa, pb);
+      gen_fund(template_outpoint(p.id + "/src/A"), template_outpoint(p.id + "/src/B"), cap, pa, pb);
   {
-    // Wallet sources use the same single-key labels as DaricChannel::create.
-    auto wallet_in = [&](Amount cash, const char* party) {
-      const crypto::KeyPair k =
-          crypto::derive_keypair(p.id + "/" + party + "/funding-source");
+    auto wallet_in = [&](Amount cash, sim::PartyId who) {
+      const crypto::KeyPair k = funding_source_keypair(p.id, who);
       TemplateInput in;
       in.spent = {cash, tx::Condition::p2wpkh(k.pk.compressed())};
       in.witness = {WitnessElem::sig(SighashFlag::kAll),
                     WitnessElem::constant(k.pk.compressed())};
-      in.intended = party[0] == 'A' ? kP : kQ;
+      in.intended = who == sim::PartyId::kA ? kP : kQ;
       return in;
     };
     out.push_back({"daric", "funding", fund.body,
-                   {wallet_in(p.cash_a, "A"), wallet_in(p.cash_b, "B")}});
+                   {wallet_in(p.cash_a, sim::PartyId::kA), wallet_in(p.cash_b, sim::PartyId::kB)}});
   }
-
-  // `who` holds the fully countersigned transaction from state `from` on.
-  auto fund_in = [&](PrincipalSet who, std::int32_t from) {
-    TemplateInput in;
-    in.spent = {cap, tx::Condition::p2wsh(fund.fund_script)};
-    in.witness_script = fund.fund_script;
-    in.witness = {WitnessElem::empty(), WitnessElem::sig(SighashFlag::kAll),
-                  WitnessElem::sig(SighashFlag::kAll)};
-    in.intended = who;
-    in.presigned = Presign{who, from};
-    return in;
-  };
 
   std::vector<CommitPair> commits;
   for (std::uint32_t j = 0; j <= n_latest; ++j) {
@@ -130,32 +102,25 @@ std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParam
     const CommitPair& c = commits.back();
     const auto jt = static_cast<std::int32_t>(j);
     out.push_back({"daric", "commit[A," + std::to_string(j) + "]", c.body_a,
-                   {fund_in(kP, jt)}, TemplateTag::kCommit, jt});
+                   {funding_input(fund.fund_script, cap, kP, jt)}, TemplateTag::kCommit, jt});
     out.push_back({"daric", "commit[B," + std::to_string(j) + "]", c.body_b,
-                   {fund_in(kQ, jt)}, TemplateTag::kCommit, jt});
+                   {funding_input(fund.fund_script, cap, kQ, jt)}, TemplateTag::kCommit, jt});
   }
 
   // One split per state, bound to either party's commit (the two commits
-  // share the state's CLTV but differ in revocation keys).
+  // share the state's CLTV but differ in revocation keys). Both branches of
+  // a commit output are 2-of-2s signed under ANYPREVOUT flags, like a
+  // floating spend of the funding output; `selector` picks one.
   auto commit_in = [&](std::uint32_t j, bool party_a, SighashFlag flag,
                        const WitnessElem& selector, PrincipalSet who,
                        std::int32_t from) {
-    TemplateInput in;
-    const script::Script& cs = party_a ? commits[j].script_a : commits[j].script_b;
-    in.spent = {cap, tx::Condition::p2wsh(cs)};
-    in.witness_script = cs;
-    in.witness = {WitnessElem::empty(), WitnessElem::sig(flag), WitnessElem::sig(flag),
-                  selector};
-    in.rebindable = true;
-    in.intended = who;
-    in.presigned = Presign{who, from};
+    TemplateInput in = funding_input(party_a ? commits[j].script_a : commits[j].script_b, cap,
+                                     who, from, flag);
+    in.witness.push_back(selector);
     return in;
   };
   for (std::uint32_t j = 0; j <= n_latest; ++j) {
-    const channel::StateVec st{model.to_a(static_cast<int>(j)),
-                               cap - model.to_a(static_cast<int>(j)),
-                               {}};
-    const tx::Transaction split = gen_split(st, j, p, pa, pb);
+    const tx::Transaction split = gen_split(model_state(model, cap, j), j, p, pa, pb);
     for (const bool party_a : {true, false}) {
       tx::Transaction bound = split;
       bind_floating(bound, {(party_a ? commits[j].body_a : commits[j].body_b).txid(), 0});
@@ -194,10 +159,9 @@ std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParam
   if (n_latest > 0) {
     tx::Transaction rv = gen_revoke(pb.main, cap, n_latest - 1, p);
     bind_floating(rv, {commits[0].body_a.txid(), 0});
-    const crypto::KeyPair fee_key = crypto::derive_keypair(p.id + "/A/fee-source");
     const Amount fee_value = 1000;
     const Amount fee = 400;
-    rv.inputs.push_back({analyze::template_outpoint(p.id + "/fee-source")});
+    rv.inputs.push_back({template_outpoint(p.id + "/fee-source")});
     rv.outputs.push_back({fee_value - fee, tx::Condition::p2wpkh(fee_key.pk.compressed())});
     TemplateInput fee_in;
     fee_in.spent = {fee_value, tx::Condition::p2wpkh(fee_key.pk.compressed())};
@@ -211,12 +175,10 @@ std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParam
                    TemplateTag::kPunish});
   }
 
-  const channel::StateVec st_latest{model.to_a(static_cast<int>(n_latest)),
-                                    cap - model.to_a(static_cast<int>(n_latest)),
-                                    {}};
-  out.push_back({"daric", "final-split",
-                 gen_fin_split(fund.output(), st_latest, pa, pb),
-                 {fund_in(kPQ, n_time)}});
+  const channel::StateVec st_latest = model_state(model, cap, n_latest);
+  out.push_back(coop_close_template("daric",
+                                    gen_fin_split(fund.output(), st_latest, pa.main, pb.main),
+                                    fund.fund_script, cap, n_time, "final-split"));
 
   // Multi-hop extension (Sec. 8): a state carrying one in-flight HTLC, plus
   // the payee claim (preimage path) and payer clawback (timeout path).

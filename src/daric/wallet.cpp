@@ -17,4 +17,8 @@ DaricPubKeys to_pub(const DaricKeys& k) {
           k.rv2.pk.compressed()};
 }
 
+crypto::KeyPair funding_source_keypair(const std::string& channel_id, sim::PartyId who) {
+  return crypto::derive_keypair(channel_id + "/" + sim::party_name(who) + "/funding-source");
+}
+
 }  // namespace daric::daricch

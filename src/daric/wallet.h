@@ -10,6 +10,7 @@
 #include <string>
 
 #include "src/crypto/keys.h"
+#include "src/sim/party.h"
 
 namespace daric::daricch {
 
@@ -26,5 +27,9 @@ struct DaricPubKeys {
 };
 
 DaricPubKeys to_pub(const DaricKeys& k);
+
+/// The single key of `who`'s funding source (the paper's tid_P), the
+/// P2WPKH output the funding transaction spends.
+crypto::KeyPair funding_source_keypair(const std::string& channel_id, sim::PartyId who);
 
 }  // namespace daric::daricch

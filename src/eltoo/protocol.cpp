@@ -4,7 +4,6 @@
 
 #include "src/channel/storage.h"
 #include "src/daric/builders.h"
-#include "src/daric/scripts.h"
 #include "src/obs/span.h"
 #include "src/tx/sighash.h"
 
@@ -18,61 +17,26 @@ std::size_t idx(PartyId p) { return p == PartyId::kA ? 0 : 1; }
 }  // namespace
 
 EltooChannel::EltooChannel(sim::Environment& env, channel::ChannelParams params)
-    : Engine(env, std::move(params), "eltoo", "override.posted") {
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/eltoo");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/eltoo");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
-  upd_a_ = crypto::derive_keypair(params_.id + "/eltoo/A/upd");
-  upd_b_ = crypto::derive_keypair(params_.id + "/eltoo/B/upd");
+    : Engine(env, std::move(params), "eltoo", "override.posted"), keys_(derive_keys(params_.id)) {
   env_.add_round_hook([this] { on_round(); });
-}
-
-EltooChannel::PerStateKeys EltooChannel::settlement_keys(std::uint32_t state) const {
-  const std::string base = params_.id + "/eltoo/set/" + std::to_string(state);
-  return {crypto::derive_keypair(base + "/A"), crypto::derive_keypair(base + "/B")};
-}
-
-script::Script EltooChannel::update_output_script(const PerStateKeys& ks,
-                                                  std::uint32_t state) const {
-  return update_script(ks.set_a.pk.compressed(), ks.set_b.pk.compressed(),
-                       upd_a_.pk.compressed(), upd_b_.pk.compressed(),
-                       params_.s0 + state + 1, static_cast<std::uint32_t>(params_.t_punish));
-}
-
-tx::Transaction EltooChannel::build_update_body(const script::Script& out_script,
-                                                std::uint32_t state) const {
-  tx::Transaction t;
-  t.nlocktime = params_.s0 + state;
-  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(out_script)}};
-  return t;  // floating
-}
-
-tx::Transaction EltooChannel::build_settlement_body(const channel::StateVec& st,
-                                                    std::uint32_t state) const {
-  (void)state;
-  tx::Transaction t;
-  t.nlocktime = 0;
-  t.outputs = daricch::state_outputs(st, pub_a_.main, pub_b_.main);
-  return t;  // floating, bound to update `state`'s output
 }
 
 void EltooChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  const PerStateKeys ks = settlement_keys(state);  // derived once: two mul_gens
-  script::Script out_script = update_output_script(ks, state);
-  upd_body_ = build_update_body(out_script, state);
+  const SettlementKeys ks = settlement_keys(params_.id, state);  // derived once: two mul_gens
+  const crypto::KeyPair& upd_a = keys_.a.upd;
+  const crypto::KeyPair& upd_b = keys_.b.upd;
+  script::Script out_script = update_output_script(params_, keys_, ks, state);
+  upd_body_ = update_body(params_, out_script, state);
   const tx::SighashCache sh_upd(upd_body_);
   upd_sig_a_ =
-      tx::sign_input(upd_body_, 0, upd_a_, scheme, SighashFlag::kAllAnyPrevOut, &sh_upd);
+      tx::sign_input(upd_body_, 0, upd_a, scheme, SighashFlag::kAllAnyPrevOut, &sh_upd);
   upd_sig_b_ =
-      tx::sign_input(upd_body_, 0, upd_b_, scheme, SighashFlag::kAllAnyPrevOut, &sh_upd);
-  set_body_ = build_settlement_body(st, state);
+      tx::sign_input(upd_body_, 0, upd_b, scheme, SighashFlag::kAllAnyPrevOut, &sh_upd);
+  set_body_ = settlement_body(keys_, st);
   const tx::SighashCache sh_set(set_body_);
-  set_sig_a_ =
-      tx::sign_input(set_body_, 0, ks.set_a, scheme, SighashFlag::kAllAnyPrevOut, &sh_set);
-  set_sig_b_ =
-      tx::sign_input(set_body_, 0, ks.set_b, scheme, SighashFlag::kAllAnyPrevOut, &sh_set);
+  set_sig_a_ = tx::sign_input(set_body_, 0, ks.a, scheme, SighashFlag::kAllAnyPrevOut, &sh_set);
+  set_sig_b_ = tx::sign_input(set_body_, 0, ks.b, scheme, SighashFlag::kAllAnyPrevOut, &sh_set);
   // Each party verifies the two signatures it received (Table 3: 2 per
   // party), batched into one check per party. The sighash caches share the
   // serialized bodies with the signing side above.
@@ -85,10 +49,10 @@ void EltooChannel::sign_state(std::uint32_t state, const channel::StateVec& st) 
     batch.push_back({pk, digest, dec->raw});
   };
   std::vector<crypto::SigBatchItem> batch_a, batch_b;
-  claim(batch_a, upd_b_.pk, upd_digest, upd_sig_b_);  // A checks B
-  claim(batch_b, upd_a_.pk, upd_digest, upd_sig_a_);  // B checks A
-  claim(batch_a, ks.set_b.pk, set_digest, set_sig_b_);
-  claim(batch_b, ks.set_a.pk, set_digest, set_sig_a_);
+  claim(batch_a, upd_b.pk, upd_digest, upd_sig_b_);  // A checks B
+  claim(batch_b, upd_a.pk, upd_digest, upd_sig_a_);  // B checks A
+  claim(batch_a, ks.b.pk, set_digest, set_sig_b_);
+  claim(batch_b, ks.a.pk, set_digest, set_sig_a_);
   if (!scheme.verify_batch(batch_a) || !scheme.verify_batch(batch_b))
     throw std::logic_error("counterparty signature invalid");
   archive_.push_back({upd_body_, set_body_, upd_sig_a_, upd_sig_b_, set_sig_a_, set_sig_b_,
@@ -96,13 +60,9 @@ void EltooChannel::sign_state(std::uint32_t state, const channel::StateVec& st) 
 }
 
 bool EltooChannel::create() {
-  fund_script_ = funding_script(upd_a_.pk.compressed(), upd_b_.pk.compressed());
   st_ = {params_.cash_a, params_.cash_b, {}};
   sn_ = 0;
-  // Mint only once the opening handshake got through, so an aborted create
-  // leaves no funds stranded in the 2-of-2.
-  if (send_reliable(PartyId::kA, "eltoo/create") == 0) return false;
-  fund_op_ = env_.ledger().mint(params_.capacity(), tx::Condition::p2wsh(fund_script_));
+  if (!mint_funding("eltoo/create", funding_script(keys_), params_.capacity())) return false;
   sign_state(0, st_);
   open_ = true;
   note_opened();
@@ -122,14 +82,9 @@ bool EltooChannel::update(const channel::StateVec& next) {
 }
 
 bool EltooChannel::cooperative_close(PartyId initiator) {
-  require_open();
-  const auto& scheme = env_.scheme();
-  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
-  const tx::SighashCache sh_close(close);
-  const Bytes sa = tx::sign_input(close, 0, upd_a_, scheme, SighashFlag::kAll, &sh_close);
-  const Bytes sb = tx::sign_input(close, 0, upd_b_, scheme, SighashFlag::kAll, &sh_close);
-  daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  return post_cooperative_close(initiator, "eltoo/close", close);
+  return close_2of2(initiator, "eltoo/close",
+                    daricch::gen_fin_split(fund_op_, st_, keys_.a.payout, keys_.b.payout),
+                    keys_.a.upd, keys_.b.upd);
 }
 
 void EltooChannel::post_update_bound(std::uint32_t state, const tx::OutPoint& op,

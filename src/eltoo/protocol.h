@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "src/channel/engine.h"
-#include "src/daric/wallet.h"
 #include "src/eltoo/scripts.h"
 #include "src/tx/transaction.h"
 
@@ -38,20 +37,11 @@ class EltooChannel : public channel::Engine {
   std::optional<std::uint32_t> settled_state() const { return settled_state_; }
 
   std::uint32_t state_number() const override { return sn_; }
-  BytesView payout_pk(sim::PartyId who) const override {
-    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
-  }
+  BytesView payout_pk(sim::PartyId who) const override { return keys_.of(who).payout; }
   std::size_t party_storage_bytes(sim::PartyId who) const;
   const channel::StateVec& state() const { return st_; }
 
  private:
-  struct PerStateKeys {
-    crypto::KeyPair set_a, set_b;
-  };
-  PerStateKeys settlement_keys(std::uint32_t state) const;
-  script::Script update_output_script(const PerStateKeys& ks, std::uint32_t state) const;
-  tx::Transaction build_update_body(const script::Script& out_script, std::uint32_t state) const;
-  tx::Transaction build_settlement_body(const channel::StateVec& st, std::uint32_t state) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
   void post_update_bound(std::uint32_t state, const tx::OutPoint& op,
@@ -59,13 +49,10 @@ class EltooChannel : public channel::Engine {
   /// Resolves the channel at `state`; `how` names it in the closed event.
   void settle(std::uint32_t state, channel::Outcome o, const char* how);
 
-  daricch::DaricPubKeys pub_a_, pub_b_;  // only .main used for balances
-  crypto::KeyPair upd_a_, upd_b_;
+  Keys keys_;
 
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
-  tx::OutPoint fund_op_;
-  script::Script fund_script_;
 
   // Latest floating pair (what honest parties store — O(1)).
   tx::Transaction upd_body_;

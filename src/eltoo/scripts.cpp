@@ -1,13 +1,27 @@
 #include "src/eltoo/scripts.h"
 
-#include "src/crypto/keys.h"
-#include "src/daric/scripts.h"
-#include "src/daric/wallet.h"
+#include "src/daric/builders.h"
 
 namespace daric::eltoo {
 
-script::Script funding_script(BytesView upd_a, BytesView upd_b) {
-  return script::multisig_2of2(upd_a, upd_b);
+namespace {
+PartyKeys derive_party(const std::string& base) {
+  return {crypto::derive_keypair(base + "/upd"),
+          crypto::derive_keypair(base + "/main").pk.compressed()};
+}
+}  // namespace
+
+Keys derive_keys(const std::string& channel_id) {
+  return {derive_party(channel_id + "/eltoo/A"), derive_party(channel_id + "/eltoo/B")};
+}
+
+script::Script funding_script(const Keys& k) {
+  return script::multisig_2of2(k.a.upd.pk.compressed(), k.b.upd.pk.compressed());
+}
+
+SettlementKeys settlement_keys(const std::string& channel_id, std::uint32_t state) {
+  const std::string base = channel_id + "/eltoo/set/" + std::to_string(state);
+  return {crypto::derive_keypair(base + "/A"), crypto::derive_keypair(base + "/B")};
 }
 
 script::Script update_script(BytesView set_a_i, BytesView set_b_i, BytesView upd_a,
@@ -36,136 +50,104 @@ script::Script update_script(BytesView set_a_i, BytesView set_b_i, BytesView upd
   return s;
 }
 
+script::Script update_output_script(const channel::ChannelParams& p, const Keys& k,
+                                    const SettlementKeys& set, std::uint32_t state) {
+  return update_script(set.a.pk.compressed(), set.b.pk.compressed(), k.a.upd.pk.compressed(),
+                       k.b.upd.pk.compressed(), p.s0 + state + 1,
+                       static_cast<std::uint32_t>(p.t_punish));
+}
+
+tx::Transaction update_body(const channel::ChannelParams& p, const script::Script& out_script,
+                            std::uint32_t state) {
+  tx::Transaction t;
+  t.nlocktime = p.s0 + state;
+  t.outputs = {{p.capacity(), tx::Condition::p2wsh(out_script)}};
+  return t;
+}
+
+tx::Transaction settlement_body(const Keys& k, const channel::StateVec& st) {
+  tx::Transaction t;
+  t.nlocktime = 0;
+  t.outputs = daricch::state_outputs(st, k.a.payout, k.b.payout);
+  return t;
+}
+
 std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParams& p,
                                                      const verify::Options& model,
                                                      analyze::KnowledgeBase* kb) {
-  using analyze::Presign;
-  using analyze::Principal;
-  using analyze::PrincipalSet;
-  using analyze::TemplateInput;
-  using analyze::TemplateTag;
-  using analyze::TxTemplate;
-  using analyze::WitnessElem;
+  using namespace analyze;
   using script::SighashFlag;
 
-  const PrincipalSet kP{Principal::kPartyP};
-  const PrincipalSet kQ{Principal::kPartyQ};
-  const PrincipalSet kPQ{Principal::kPartyP, Principal::kPartyQ};
-
   std::vector<TxTemplate> out;
-  // Key derivations mirror EltooChannel's constructor / settlement_keys.
-  const daricch::DaricPubKeys pub_a =
-      to_pub(daricch::DaricKeys::derive("A", p.id + "/eltoo"));
-  const daricch::DaricPubKeys pub_b =
-      to_pub(daricch::DaricKeys::derive("B", p.id + "/eltoo"));
-  const crypto::KeyPair upd_a = crypto::derive_keypair(p.id + "/eltoo/A/upd");
-  const crypto::KeyPair upd_b = crypto::derive_keypair(p.id + "/eltoo/B/upd");
+  const Keys k = derive_keys(p.id);
   const Amount cap = p.capacity();
   const auto n_latest = static_cast<std::uint32_t>(model.max_updates);
-
-  const script::Script fund_script =
-      funding_script(upd_a.pk.compressed(), upd_b.pk.compressed());
-  const tx::OutPoint fund_op = analyze::template_outpoint(p.id + "/eltoo/fund");
-  auto out_script = [&](std::uint32_t j) {
-    const std::string base = p.id + "/eltoo/set/" + std::to_string(j);
-    return update_script(crypto::derive_keypair(base + "/A").pk.compressed(),
-                         crypto::derive_keypair(base + "/B").pk.compressed(),
-                         upd_a.pk.compressed(), upd_b.pk.compressed(), p.s0 + j + 1,
-                         static_cast<std::uint32_t>(p.t_punish));
-  };
+  const script::Script fund_script = funding_script(k);
+  const tx::OutPoint fund_op = template_outpoint(p.id + "/eltoo/fund");
   if (kb) {
-    kb->add_key(upd_a.pk.compressed(), "eltoo/A/upd", kP);
-    kb->add_key(upd_b.pk.compressed(), "eltoo/B/upd", kQ);
-    kb->add_key(pub_a.main, "eltoo/A/main", kP);
-    kb->add_key(pub_b.main, "eltoo/B/main", kQ);
-    for (std::uint32_t j = 0; j <= n_latest; ++j) {
-      const std::string base = p.id + "/eltoo/set/" + std::to_string(j);
-      kb->add_key(crypto::derive_keypair(base + "/A").pk.compressed(),
-                  "eltoo/A/set/" + std::to_string(j), kP);
-      kb->add_key(crypto::derive_keypair(base + "/B").pk.compressed(),
-                  "eltoo/B/set/" + std::to_string(j), kQ);
+    kb->add_key(k.a.upd.pk.compressed(), "eltoo/A/upd", kP);
+    kb->add_key(k.b.upd.pk.compressed(), "eltoo/B/upd", kQ);
+    kb->add_key(k.a.payout, "eltoo/A/main", kP);
+    kb->add_key(k.b.payout, "eltoo/B/main", kQ);
+  }
+  std::vector<script::Script> out_scripts;
+  for (std::uint32_t j = 0; j <= n_latest; ++j) {
+    const SettlementKeys set = settlement_keys(p.id, j);
+    if (kb) {
+      kb->add_key(set.a.pk.compressed(), "eltoo/A/set/" + std::to_string(j), kP);
+      kb->add_key(set.b.pk.compressed(), "eltoo/B/set/" + std::to_string(j), kQ);
     }
+    out_scripts.push_back(update_output_script(p, k, set, j));
   }
 
-  auto build_update = [&](std::uint32_t j) {
-    tx::Transaction t;
-    t.nlocktime = p.s0 + j;
-    t.outputs = {{cap, tx::Condition::p2wsh(out_script(j))}};
-    return t;
-  };
   // Every eltoo transaction is symmetric: both parties co-sign and hold a
   // fully signed copy, so each one is presigned for {P,Q} from the time its
-  // state was negotiated.
-  auto multisig_in = [&](const tx::Output& spent, const script::Script& ws,
-                         SighashFlag flag, std::vector<WitnessElem> extra,
-                         std::int32_t from) {
-    TemplateInput in;
-    in.spent = spent;
-    in.witness_script = ws;
-    in.witness = {WitnessElem::empty(), WitnessElem::sig(flag), WitnessElem::sig(flag)};
-    for (WitnessElem& e : extra) in.witness.push_back(std::move(e));
-    in.rebindable = script::is_anyprevout(flag);
-    in.intended = kPQ;
-    in.presigned = Presign{kPQ, from};
+  // state was negotiated. Both branches of update j's output are 2-of-2s
+  // like the funding output's; `selector` picks one.
+  auto update_in = [&](std::uint32_t j, WitnessElem selector, std::uint32_t from) {
+    TemplateInput in = funding_input(out_scripts[j], cap, kPQ, static_cast<std::int32_t>(from),
+                                     SighashFlag::kAllAnyPrevOut);
+    in.witness.push_back(std::move(selector));
     return in;
   };
-  const tx::Output fund_out{cap, tx::Condition::p2wsh(fund_script)};
 
   for (std::uint32_t j = 0; j <= n_latest; ++j) {
     // Update j bound to the funding output (floating, ANYPREVOUT).
-    tx::Transaction upd = build_update(j);
+    const tx::Transaction upd = update_body(p, out_scripts[j], j);
     tx::Transaction on_fund = upd;
     on_fund.inputs = {{fund_op}};
     on_fund.witnesses.resize(1);
     out.push_back({"eltoo", "update[" + std::to_string(j) + "]", on_fund,
-                   {multisig_in(fund_out, fund_script, SighashFlag::kAllAnyPrevOut, {},
-                                static_cast<std::int32_t>(j))},
+                   {funding_input(fund_script, cap, kPQ, static_cast<std::int32_t>(j),
+                                  SighashFlag::kAllAnyPrevOut)},
                    TemplateTag::kCommit, static_cast<std::int32_t>(j)});
 
     // The latest update overriding stale update j (ELSE branch: CLTV floor
     // S0+j+1 ≤ nLT = S0+n only for j < n — eltoo's versioning).
     if (j < n_latest) {
-      tx::Transaction latest = build_update(n_latest);
+      tx::Transaction latest = update_body(p, out_scripts[n_latest], n_latest);
       latest.inputs = {{{upd.txid(), 0}}};
       latest.witnesses.resize(1);
       out.push_back({"eltoo", "override[" + std::to_string(n_latest) + ">" +
                                   std::to_string(j) + "]",
                      latest,
-                     {multisig_in(upd.outputs[0], out_script(j),
-                                  SighashFlag::kAllAnyPrevOut, {WitnessElem::empty()},
-                                  static_cast<std::int32_t>(n_latest))},
+                     {update_in(j, WitnessElem::empty(), n_latest)},
                      TemplateTag::kPunish});
     }
 
     // Settlement for state j (IF branch, after the CSV delay).
-    const channel::StateVec st{model.to_a(static_cast<int>(j)),
-                               cap - model.to_a(static_cast<int>(j)),
-                               {}};
-    tx::Transaction settle;
+    tx::Transaction settle = settlement_body(k, model_state(model, cap, j));
     settle.inputs = {{{upd.txid(), 0}}};
-    settle.nlocktime = 0;
-    settle.outputs = daricch::state_outputs(st, pub_a.main, pub_b.main);
-    TemplateInput in = multisig_in(upd.outputs[0], out_script(j),
-                                   SighashFlag::kAllAnyPrevOut,
-                                   {WitnessElem::constant(Bytes{1})},
-                                   static_cast<std::int32_t>(j));
+    TemplateInput in = update_in(j, WitnessElem::constant(Bytes{1}), j);
     in.spend_age = p.t_punish;
     out.push_back({"eltoo", "settle[" + std::to_string(j) + "]", settle, {std::move(in)}});
   }
 
-  {
-    tx::Transaction close;
-    close.inputs = {{fund_op}};
-    close.nlocktime = 0;
-    const channel::StateVec st{model.to_a(static_cast<int>(n_latest)),
-                               cap - model.to_a(static_cast<int>(n_latest)),
-                               {}};
-    close.outputs = daricch::state_outputs(st, pub_a.main, pub_b.main);
-    TemplateInput in = multisig_in(fund_out, fund_script, SighashFlag::kAll, {},
-                                   static_cast<std::int32_t>(n_latest));
-    out.push_back({"eltoo", "coop-close", close, {std::move(in)}});
-  }
-
+  out.push_back(coop_close_template(
+      "eltoo",
+      daricch::gen_fin_split(fund_op, model_state(model, cap, n_latest), k.a.payout,
+                             k.b.payout),
+      fund_script, cap, static_cast<std::int32_t>(n_latest)));
   return out;
 }
 

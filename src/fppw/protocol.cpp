@@ -5,123 +5,66 @@
 #include "src/channel/publisher.h"
 #include "src/channel/storage.h"
 #include "src/daric/builders.h"
-#include "src/daric/scripts.h"
-#include "src/fppw/scripts.h"
 #include "src/obs/span.h"
 #include "src/tx/sighash.h"
 
 namespace daric::fppw {
 
-using script::Op;
 using script::SighashFlag;
 using sim::PartyId;
 
 FppwChannel::FppwChannel(sim::Environment& env, channel::ChannelParams params)
-    : Engine(env, std::move(params), "fppw") {
+    : Engine(env, std::move(params), "fppw"), keys_(derive_keys(params_.id)) {
   if (!env_.scheme().supports_adaptor())
     throw std::invalid_argument("FPPW needs adaptor signatures (publisher identification)");
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/fppw");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/fppw");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
-  const std::string base = params_.id + "/fppw/";
-  main_a_ = crypto::derive_keypair(base + "A/main");
-  main_b_ = crypto::derive_keypair(base + "B/main");
-  rev_a_ = crypto::derive_keypair(base + "A/rev");
-  rev_b_ = crypto::derive_keypair(base + "B/rev");
-  rev_w_ = crypto::derive_keypair(base + "W/rev");
-  pen_a_ = crypto::derive_keypair(base + "A/pen");
-  pen_b_ = crypto::derive_keypair(base + "B/pen");
-  tower_payout_ = crypto::derive_keypair(base + "W/payout");
   env_.add_round_hook([this] { on_round(); });
 }
 
-FppwChannel::StateSecrets FppwChannel::state_secrets(std::uint32_t state) const {
-  const std::string base = params_.id + "/fppw/state/" + std::to_string(state);
-  return {crypto::derive_keypair(base + "/yA"), crypto::derive_keypair(base + "/yB")};
-}
-
-script::Script FppwChannel::out0_script(std::uint32_t state) const {
-  (void)state;  // revocation keys are per-channel; state identified via nLT
-  return fppw_out0_script(rev_a_.pk.compressed(), rev_b_.pk.compressed(),
-                          rev_w_.pk.compressed(),
-                          static_cast<std::uint32_t>(params_.t_punish),
-                          main_a_.pk.compressed(), main_b_.pk.compressed());
-}
-
-script::Script FppwChannel::out1_script(std::uint32_t state) const {
-  const StateSecrets sec = state_secrets(state);
-  return fppw_out1_script(rev_a_.pk.compressed(), rev_b_.pk.compressed(),
-                          rev_w_.pk.compressed(),
-                          static_cast<std::uint32_t>(params_.t_punish),
-                          pen_a_.pk.compressed(), pen_b_.pk.compressed(),
-                          sec.y_a.pk.compressed(), sec.y_b.pk.compressed());
-}
-
-tx::Transaction FppwChannel::build_commit_body(std::uint32_t state) const {
-  tx::Transaction t;
-  t.inputs = {{fund_op_}};
-  t.nlocktime = params_.s0 + state;
-  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(out0_script(state))},
-               {collateral(), tx::Condition::p2wsh(out1_script(state))}};
-  return t;
-}
-
 tx::Transaction FppwChannel::build_revocation(std::uint32_t state, PartyId victim) const {
-  const ArchivedState& s = archive_.at(state);
-  const Hash256 id = s.commit_body.txid();
-  tx::Transaction t;
-  t.inputs = {{{id, 0}}, {{id, 1}}};
-  t.nlocktime = 0;
-  t.outputs = {{params_.capacity(),
-                tx::Condition::p2wpkh(victim == PartyId::kA ? pub_a_.main : pub_b_.main)},
-               {collateral(), tx::Condition::p2wpkh(tower_payout_.pk.compressed())}};
+  const Commit& c = archive_.at(state).commit;
+  tx::Transaction t = revocation_body(params_, keys_, c.body.txid(), victim);
   t.witnesses.resize(2);
-  sign_3of3(t, 0, s.out0);
-  sign_3of3(t, 1, s.out1);
+  sign_3of3(t, 0, c.out0);
+  sign_3of3(t, 1, c.out1);
   return t;
 }
 
 void FppwChannel::sign_3of3(tx::Transaction& t, std::size_t input,
                             const script::Script& witness_script) const {
-  const Bytes sa = tx::sign_input(t, input, rev_a_.sk, env_.scheme(), SighashFlag::kAll);
-  const Bytes sb = tx::sign_input(t, input, rev_b_.sk, env_.scheme(), SighashFlag::kAll);
-  const Bytes sw = tx::sign_input(t, input, rev_w_.sk, env_.scheme(), SighashFlag::kAll);
+  const Bytes sa = tx::sign_input(t, input, keys_.a.rev.sk, env_.scheme(), SighashFlag::kAll);
+  const Bytes sb = tx::sign_input(t, input, keys_.b.rev.sk, env_.scheme(), SighashFlag::kAll);
+  const Bytes sw = tx::sign_input(t, input, keys_.tower_rev.sk, env_.scheme(), SighashFlag::kAll);
   t.witnesses[input].stack = {Bytes{}, sa, sb, sw, Bytes{1}};
   t.witnesses[input].witness_script = witness_script;
 }
 
 void FppwChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  const StateSecrets sec = state_secrets(state);
-  commit_body_ = build_commit_body(state);
-  out0_ = out0_script(state);
-  out1_ = out1_script(state);
-  const Hash256 digest = tx::sighash_digest(commit_body_, 0, SighashFlag::kAll);
+  const StateSecrets sec = state_secrets(params_.id, state);
+  const crypto::Scalar& sk_a = keys_.a.main.sk;
+  const crypto::Scalar& sk_b = keys_.b.main.sk;
+  commit_ = build_commit(params_, keys_, fund_op_, state, sec);
+  const Hash256 digest = tx::sighash_digest(commit_.body, 0, SighashFlag::kAll);
   crypto::op_counters().exps.fetch_add(2, std::memory_order_relaxed);
   crypto::op_counters().signs.fetch_add(2, std::memory_order_relaxed);
-  pre_a_ = crypto::adaptor_pre_sign(main_a_.sk, digest, sec.y_b.pk);
-  pre_b_ = crypto::adaptor_pre_sign(main_b_.sk, digest, sec.y_a.pk);
+  pre_a_ = crypto::adaptor_pre_sign(sk_a, digest, sec.y_b.pk);
+  pre_b_ = crypto::adaptor_pre_sign(sk_b, digest, sec.y_a.pk);
 
-  split_body_ = tx::Transaction{};
-  split_body_.inputs = {{{commit_body_.txid(), 0}}};
-  split_body_.nlocktime = 0;
-  split_body_.outputs = daricch::state_outputs(st, pub_a_.main, pub_b_.main);
-  split_sig_a_ = tx::sign_input(split_body_, 0, main_a_.sk, scheme, SighashFlag::kAll);
-  split_sig_b_ = tx::sign_input(split_body_, 0, main_b_.sk, scheme, SighashFlag::kAll);
+  split_body_ =
+      daricch::gen_fin_split({commit_.body.txid(), 0}, st, keys_.a.payout, keys_.b.payout);
+  split_sig_a_ = tx::sign_input(split_body_, 0, sk_a, scheme, SighashFlag::kAll);
+  split_sig_b_ = tx::sign_input(split_body_, 0, sk_b, scheme, SighashFlag::kAll);
 
-  archive_.push_back({commit_body_, out0_, out1_, pre_a_, pre_b_});
+  archive_.push_back({commit_, pre_a_, pre_b_});
 }
 
 bool FppwChannel::create() {
-  fund_script_ = script::multisig_2of2(main_a_.pk.compressed(), main_b_.pk.compressed());
-  // The funding holds channel capacity plus the tower's collateral
-  // (escrowed at setup; the tower recovers it through every exit path).
-  fund_op_ = env_.ledger().mint(params_.capacity() + collateral(),
-                                tx::Condition::p2wsh(fund_script_));
   st_ = {params_.cash_a, params_.cash_b, {}};
   sn_ = 0;
-  if (send_reliable(PartyId::kA, "fppw/create") == 0) return false;
+  // The funding holds channel capacity plus the tower's collateral
+  // (escrowed at setup; the tower recovers it through every exit path).
+  if (!mint_funding("fppw/create", funding_script(keys_), params_.capacity() + collateral()))
+    return false;
   sign_state(0, st_);
   open_ = true;
   note_opened();
@@ -136,10 +79,9 @@ bool FppwChannel::update(const channel::StateVec& next) {
   if (send_or_close(PartyId::kA, "fppw/revoke") == 0) return false;
   // Revoke the current state: both revocation variants go to the tower.
   const std::uint32_t old = sn_;
-  tower_revocations_.push_back(
-      {archive_.at(old).commit_body.txid(), build_revocation(old, PartyId::kA)});
-  tower_revocations_.push_back(
-      {archive_.at(old).commit_body.txid(), build_revocation(old, PartyId::kB)});
+  const Hash256 old_txid = archive_.at(old).commit.body.txid();
+  tower_revocations_.push_back({old_txid, build_revocation(old, PartyId::kA)});
+  tower_revocations_.push_back({old_txid, build_revocation(old, PartyId::kB)});
   sign_state(old + 1, next);
   ++sn_;
   st_ = next;
@@ -149,32 +91,26 @@ bool FppwChannel::update(const channel::StateVec& next) {
 
 tx::Transaction FppwChannel::assemble_commit(PartyId publisher, std::uint32_t state) const {
   const ArchivedState& s = archive_.at(state);
-  const StateSecrets sec = state_secrets(state);
-  tx::Transaction t = s.commit_body;
+  const StateSecrets sec = state_secrets(params_.id, state);
+  tx::Transaction t = s.commit.body;
   const Hash256 digest = tx::sighash_digest(t, 0, SighashFlag::kAll);
   Bytes sig_a, sig_b;
   if (publisher == PartyId::kA) {
-    sig_a = script::encode_wire_sig(env_.scheme().sign(main_a_.sk, digest), SighashFlag::kAll);
+    sig_a = script::encode_wire_sig(env_.scheme().sign(keys_.a.main.sk, digest), SighashFlag::kAll);
     sig_b = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_b, sec.y_a.sk),
                                     SighashFlag::kAll);
   } else {
     sig_a = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_a, sec.y_b.sk),
                                     SighashFlag::kAll);
-    sig_b = script::encode_wire_sig(env_.scheme().sign(main_b_.sk, digest), SighashFlag::kAll);
+    sig_b = script::encode_wire_sig(env_.scheme().sign(keys_.b.main.sk, digest), SighashFlag::kAll);
   }
   daricch::attach_funding_witness(t, 0, fund_script_, sig_a, sig_b);
   return t;
 }
 
 bool FppwChannel::cooperative_close(PartyId initiator) {
-  require_open();
-  const auto& scheme = env_.scheme();
-  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
-  close.outputs.push_back({collateral(), tx::Condition::p2wpkh(tower_payout_.pk.compressed())});
-  const Bytes sa = tx::sign_input(close, 0, main_a_.sk, scheme, SighashFlag::kAll);
-  const Bytes sb = tx::sign_input(close, 0, main_b_.sk, scheme, SighashFlag::kAll);
-  daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  return post_cooperative_close(initiator, "fppw/close", close);
+  return close_2of2(initiator, "fppw/close", coop_close_body(params_, keys_, fund_op_, st_),
+                    keys_.a.main.sk, keys_.b.main.sk);
 }
 
 void FppwChannel::force_close(PartyId who) {
@@ -219,11 +155,11 @@ void FppwChannel::on_round() {
   // The archived state whose commit has txid `id`, and who published it.
   auto state_of = [this](const Hash256& id) -> std::optional<std::uint32_t> {
     for (std::uint32_t i = 0; i < archive_.size(); ++i)
-      if (archive_[i].commit_body.txid() == id) return i;
+      if (archive_[i].commit.body.txid() == id) return i;
     return std::nullopt;
   };
   auto publisher_of = [&](const tx::Transaction& commit, std::uint32_t state) {
-    const StateSecrets sec = state_secrets(state);
+    const StateSecrets sec = state_secrets(params_.id, state);
     const ArchivedState& rec = archive_[state];
     return channel::identify_publisher(commit, rec.pre_a, rec.pre_b, sec.y_a.pk, sec.y_b.pk,
                                        scheme);
@@ -239,18 +175,16 @@ void FppwChannel::on_round() {
     const auto publisher = publisher_of(*spender, *state);
     if (!publisher) return;
     const bool a_pub = publisher->who == PartyId::kA;
-    tx::Transaction pen;
-    pen.inputs = {{{*fraud_commit_txid_, 1}}};
-    pen.nlocktime = 0;
-    pen.outputs = {{collateral(), tx::Condition::p2wpkh(a_pub ? pub_b_.main : pub_a_.main)}};
+    const PartyKeys& victim = keys_.of(other(publisher->who));
+    tx::Transaction pen = daricch::gen_sweep({*fraud_commit_txid_, 1}, collateral(), victim.payout);
     const Hash256 digest = tx::sighash_digest(pen, 0, SighashFlag::kAll);
-    const Bytes sig_pen = script::encode_wire_sig(scheme.sign((a_pub ? pen_b_ : pen_a_).sk, digest),
-                                                  SighashFlag::kAll);
+    const Bytes sig_pen =
+        script::encode_wire_sig(scheme.sign(victim.pen.sk, digest), SighashFlag::kAll);
     const Bytes sig_y =
         script::encode_wire_sig(scheme.sign(publisher->y, digest), SighashFlag::kAll);
     pen.witnesses.resize(1);
     pen.witnesses[0].stack = {Bytes{}, sig_pen, sig_y, a_pub ? Bytes{1} : Bytes{}, Bytes{}};
-    pen.witnesses[0].witness_script = archive_[*state].out1;
+    pen.witnesses[0].witness_script = archive_[*state].commit.out1;
     ledger.post(pen);
     note_punish(other(publisher->who), *state, sn_);
     pending_txid_ = pen.txid();
@@ -283,7 +217,7 @@ void FppwChannel::on_round() {
       if (rv.commit_txid != id) continue;
       // The stored pair is [victim=A, victim=B]; match by payout key.
       const auto& payout = rv.revocation.outputs[0].cond;
-      const bool pays_a = payout == tx::Condition::p2wpkh(pub_a_.main);
+      const bool pays_a = payout == tx::Condition::p2wpkh(keys_.a.payout);
       if ((victim == PartyId::kA) == pays_a) {
         ledger.post(rv.revocation);
         note_punish(victim, *state, sn_);
@@ -303,14 +237,11 @@ void FppwChannel::on_round() {
   tx::Transaction split = split_body_;
   split.witnesses.resize(1);
   split.witnesses[0].stack = {Bytes{}, split_sig_a_, split_sig_b_, Bytes{}};
-  split.witnesses[0].witness_script = out0_;
+  split.witnesses[0].witness_script = commit_.out0;
   pending_split_ = {{(conf ? *conf : env_.now()) + params_.t_punish, std::move(split)}};
-  tx::Transaction release;
-  release.inputs = {{{id, 1}}};
-  release.nlocktime = 0;
-  release.outputs = {{collateral(), tx::Condition::p2wpkh(tower_payout_.pk.compressed())}};
+  tx::Transaction release = daricch::gen_sweep({id, 1}, collateral(), tower_payout_pk());
   release.witnesses.resize(1);
-  sign_3of3(release, 0, out1_);
+  sign_3of3(release, 0, commit_.out1);
   ledger.post(release);
   pending_release_ = release.txid();
 }
@@ -320,7 +251,7 @@ std::size_t FppwChannel::party_storage_bytes(PartyId who) const {
   (void)who;
   channel::StorageMeter m;
   m.add_raw(36);
-  m.add_tx(commit_body_);
+  m.add_tx(commit_.body);
   m.add_tx(split_body_);
   m.add_signature();
   m.add_raw(33 + 32);  // counterparty pre-signature

@@ -22,7 +22,7 @@
 
 #include "src/channel/engine.h"
 #include "src/crypto/adaptor.h"
-#include "src/daric/wallet.h"
+#include "src/fppw/scripts.h"
 #include "src/tx/transaction.h"
 
 namespace daric::fppw {
@@ -44,26 +44,16 @@ class FppwChannel : public channel::Engine {
   void set_tower_online(bool online) { tower_online_ = online; }
 
   std::uint32_t state_number() const override { return sn_; }
-  BytesView payout_pk(sim::PartyId who) const override {
-    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
-  }
+  BytesView payout_pk(sim::PartyId who) const override { return keys_.of(who).payout; }
 
   std::size_t party_storage_bytes(sim::PartyId who) const;   // O(n)
   std::size_t tower_storage_bytes() const;                   // O(n)
-  const tx::Transaction& latest_commit_body() const { return commit_body_; }
-  tx::OutPoint funding_outpoint() const { return fund_op_; }
+  const tx::Transaction& latest_commit_body() const { return commit_.body; }
   Amount collateral() const { return params_.capacity(); }
   /// Where every exit path returns the tower's collateral.
-  Bytes tower_payout_pk() const { return tower_payout_.pk.compressed(); }
+  Bytes tower_payout_pk() const { return keys_.tower_payout.pk.compressed(); }
 
  private:
-  struct StateSecrets {
-    crypto::KeyPair y_a, y_b;  // publisher statements
-  };
-  StateSecrets state_secrets(std::uint32_t state) const;
-  script::Script out0_script(std::uint32_t state) const;
-  script::Script out1_script(std::uint32_t state) const;
-  tx::Transaction build_commit_body(std::uint32_t state) const;
   tx::Transaction assemble_commit(sim::PartyId publisher, std::uint32_t state) const;
   tx::Transaction build_revocation(std::uint32_t state, sim::PartyId victim) const;
   /// Completes `input` of t through the 3-of-3 revocation branch (RevA,
@@ -72,28 +62,20 @@ class FppwChannel : public channel::Engine {
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
 
-  daricch::DaricPubKeys pub_a_, pub_b_;
-  crypto::KeyPair main_a_, main_b_;             // funding / split keys
-  crypto::KeyPair rev_a_, rev_b_, rev_w_;       // revocation (3-of-3)
-  crypto::KeyPair pen_a_, pen_b_;               // penalty keys
-  crypto::KeyPair tower_payout_;
+  Keys keys_;
 
   bool tower_online_ = true;
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
-  tx::OutPoint fund_op_;
-  script::Script fund_script_;
 
   // Latest state material (single, non-duplicated commit, like GC).
-  tx::Transaction commit_body_;
-  script::Script out0_, out1_;
+  Commit commit_;
   crypto::AdaptorPreSig pre_a_, pre_b_;
   tx::Transaction split_body_;
   Bytes split_sig_a_, split_sig_b_;
 
   struct ArchivedState {
-    tx::Transaction commit_body;
-    script::Script out0, out1;
+    Commit commit;
     crypto::AdaptorPreSig pre_a, pre_b;
   };
   std::vector<ArchivedState> archive_;

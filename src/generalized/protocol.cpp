@@ -4,9 +4,7 @@
 
 #include "src/channel/publisher.h"
 #include "src/channel/storage.h"
-#include "src/crypto/sha256.h"
 #include "src/daric/builders.h"
-#include "src/daric/scripts.h"
 #include "src/obs/span.h"
 #include "src/tx/sighash.h"
 
@@ -16,74 +14,40 @@ using script::SighashFlag;
 using sim::PartyId;
 
 GeneralizedChannel::GeneralizedChannel(sim::Environment& env, channel::ChannelParams params)
-    : Engine(env, std::move(params), "generalized") {
+    : Engine(env, std::move(params), "generalized"), keys_(derive_keys(params_.id)) {
   if (!env_.scheme().supports_adaptor())
     throw std::invalid_argument(
         "Generalized channels need adaptor signatures; scheme '" + env_.scheme().name() +
         "' has none (this is the compatibility limitation Daric avoids)");
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/gc");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/gc");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
-  main_a_ = crypto::derive_keypair(params_.id + "/gc/A/main");
-  main_b_ = crypto::derive_keypair(params_.id + "/gc/B/main");
   env_.add_round_hook([this] { on_round(); });
-}
-
-GeneralizedChannel::StateSecrets GeneralizedChannel::state_secrets(std::uint32_t state) const {
-  const std::string base = params_.id + "/gc/state/" + std::to_string(state);
-  auto preimage = [&](const std::string& label) {
-    const Hash256 h = crypto::Sha256::tagged("daric/gc-rev", {
-        reinterpret_cast<const Byte*>(label.data()), label.size()});
-    return Bytes(h.view().begin(), h.view().end());
-  };
-  return {crypto::derive_keypair(base + "/yA"), crypto::derive_keypair(base + "/yB"),
-          preimage(base + "/rA"), preimage(base + "/rB")};
-}
-
-script::Script GeneralizedChannel::output_script(const StateSecrets& s) const {
-  const Hash256 ha = crypto::Sha256::double_hash(s.r_a);
-  const Hash256 hb = crypto::Sha256::double_hash(s.r_b);
-  return commit_output_script(pub_a_.main, pub_b_.main, s.y_a.pk.compressed(),
-                              s.y_b.pk.compressed(), ha.view(), hb.view(),
-                              static_cast<std::uint32_t>(params_.t_punish));
-}
-
-tx::Transaction GeneralizedChannel::build_commit_body(const script::Script& out_script,
-                                                      std::uint32_t state) const {
-  tx::Transaction t;
-  t.inputs = {{fund_op_}};
-  t.nlocktime = params_.s0 + state;  // state identifier (Sec. 8 trick)
-  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(out_script)}};
-  return t;
 }
 
 void GeneralizedChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  const StateSecrets sec = state_secrets(state);  // derived once: two mul_gens
-  out_script_ = output_script(sec);
-  commit_body_ = build_commit_body(out_script_, state);
+  const StateSecrets sec = state_secrets(params_.id, state);  // derived once: two mul_gens
+  const crypto::KeyPair& main_a = keys_.a.main;
+  const crypto::KeyPair& main_b = keys_.b.main;
+  out_script_ = output_script(params_, keys_, sec);
+  commit_body_ = commit_body(params_, fund_op_, out_script_, state);
   const Hash256 digest = tx::sighash_digest(commit_body_, 0, SighashFlag::kAll);
   // Each party generates its statement (1 exp) and a pre-signature (1 sign).
   crypto::op_counters().exps.fetch_add(2, std::memory_order_relaxed);
   crypto::op_counters().signs.fetch_add(2, std::memory_order_relaxed);
-  pre_a_ = crypto::adaptor_pre_sign(main_a_.sk, digest, sec.y_b.pk);  // held by B
-  pre_b_ = crypto::adaptor_pre_sign(main_b_.sk, digest, sec.y_a.pk);  // held by A
+  pre_a_ = crypto::adaptor_pre_sign(main_a.sk, digest, sec.y_b.pk);  // held by B
+  pre_b_ = crypto::adaptor_pre_sign(main_b.sk, digest, sec.y_a.pk);  // held by A
 
-  split_body_ = tx::Transaction{};
-  split_body_.inputs = {{{commit_body_.txid(), 0}}};
-  split_body_.nlocktime = 0;
-  split_body_.outputs = daricch::state_outputs(st, pub_a_.main, pub_b_.main);
+  split_body_ =
+      daricch::gen_fin_split({commit_body_.txid(), 0}, st, keys_.a.payout, keys_.b.payout);
   const tx::SighashCache sh_split(split_body_);
-  split_sig_a_ = tx::sign_input(split_body_, 0, main_a_, scheme, SighashFlag::kAll, &sh_split);
-  split_sig_b_ = tx::sign_input(split_body_, 0, main_b_, scheme, SighashFlag::kAll, &sh_split);
+  split_sig_a_ = tx::sign_input(split_body_, 0, main_a, scheme, SighashFlag::kAll, &sh_split);
+  split_sig_b_ = tx::sign_input(split_body_, 0, main_b, scheme, SighashFlag::kAll, &sh_split);
 
   // Each party verifies the counterparty's pre-signature (counted through
   // the op hook, as adaptor verification bypasses the scheme interface)
   // and split signature (Table 3: 2 verifications per party).
   crypto::op_counters().verifies.fetch_add(2, std::memory_order_relaxed);
-  if (!crypto::adaptor_pre_verify(main_a_.pk, digest, sec.y_b.pk, pre_a_) ||
-      !crypto::adaptor_pre_verify(main_b_.pk, digest, sec.y_a.pk, pre_b_))
+  if (!crypto::adaptor_pre_verify(main_a.pk, digest, sec.y_b.pk, pre_a_) ||
+      !crypto::adaptor_pre_verify(main_b.pk, digest, sec.y_a.pk, pre_b_))
     throw std::logic_error("adaptor pre-signature invalid");
   const Hash256 split_digest = sh_split.digest(0, SighashFlag::kAll);
   auto check = [&](const crypto::Point& pk, const Bytes& wire) {
@@ -91,20 +55,16 @@ void GeneralizedChannel::sign_state(std::uint32_t state, const channel::StateVec
     if (!dec || !scheme.verify(pk, split_digest, dec->raw))
       throw std::logic_error("counterparty split signature invalid");
   };
-  check(main_b_.pk, split_sig_b_);  // A checks B
-  check(main_a_.pk, split_sig_a_);  // B checks A
+  check(main_b.pk, split_sig_b_);  // A checks B
+  check(main_a.pk, split_sig_a_);  // B checks A
 
   archive_.push_back({commit_body_, out_script_, pre_a_, pre_b_, st});
 }
 
 bool GeneralizedChannel::create() {
-  fund_script_ = script::multisig_2of2(main_a_.pk.compressed(), main_b_.pk.compressed());
   st_ = {params_.cash_a, params_.cash_b, {}};
   sn_ = 0;
-  // Mint only once the opening handshake got through, so an aborted create
-  // leaves no funds stranded in the 2-of-2.
-  if (send_reliable(PartyId::kA, "gc/create") == 0) return false;
-  fund_op_ = env_.ledger().mint(params_.capacity(), tx::Condition::p2wsh(fund_script_));
+  if (!mint_funding("gc/create", funding_script(keys_), params_.capacity())) return false;
   sign_state(0, st_);
   open_ = true;
   note_opened();
@@ -126,7 +86,7 @@ bool GeneralizedChannel::update(const channel::StateVec& next) {
     st_ = next;
     return abort_to(PartyId::kA);
   }
-  const StateSecrets old = state_secrets(sn_);
+  const StateSecrets old = state_secrets(params_.id, sn_);
   revealed_r_a_.push_back(old.r_a);
   revealed_r_b_.push_back(old.r_b);
   ++sn_;
@@ -137,31 +97,26 @@ bool GeneralizedChannel::update(const channel::StateVec& next) {
 
 tx::Transaction GeneralizedChannel::assemble_commit(PartyId publisher, std::uint32_t state) const {
   const ArchivedState& s = archive_.at(state);
-  const StateSecrets sec = state_secrets(state);
+  const StateSecrets sec = state_secrets(params_.id, state);
   tx::Transaction t = s.commit_body;
   Bytes sig_a, sig_b;
   if (publisher == PartyId::kA) {
     const Hash256 digest = tx::sighash_digest(t, 0, SighashFlag::kAll);
-    sig_a = script::encode_wire_sig(env_.scheme().sign(main_a_.sk, digest), SighashFlag::kAll);
+    sig_a = script::encode_wire_sig(env_.scheme().sign(keys_.a.main.sk, digest), SighashFlag::kAll);
     sig_b = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_b, sec.y_a.sk), SighashFlag::kAll);
   } else {
     const Hash256 digest = tx::sighash_digest(t, 0, SighashFlag::kAll);
     sig_a = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_a, sec.y_b.sk), SighashFlag::kAll);
-    sig_b = script::encode_wire_sig(env_.scheme().sign(main_b_.sk, digest), SighashFlag::kAll);
+    sig_b = script::encode_wire_sig(env_.scheme().sign(keys_.b.main.sk, digest), SighashFlag::kAll);
   }
   daricch::attach_funding_witness(t, 0, fund_script_, sig_a, sig_b);
   return t;
 }
 
 bool GeneralizedChannel::cooperative_close(PartyId initiator) {
-  require_open();
-  const auto& scheme = env_.scheme();
-  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
-  const tx::SighashCache sh_close(close);
-  const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
-  const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
-  daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  return post_cooperative_close(initiator, "gc/close", close);
+  return close_2of2(initiator, "gc/close",
+                    daricch::gen_fin_split(fund_op_, st_, keys_.a.payout, keys_.b.payout),
+                    keys_.a.main, keys_.b.main);
 }
 
 void GeneralizedChannel::force_close(PartyId who) {
@@ -235,22 +190,18 @@ void GeneralizedChannel::on_round() {
 
   // Revoked state: identify the publisher by adaptor extraction, then
   // punish with (extracted y, revealed r).
-  const StateSecrets sec = state_secrets(state);
+  const StateSecrets sec = state_secrets(params_.id, state);
   const auto publisher = channel::identify_publisher(*spender, rec->pre_a, rec->pre_b,
                                                      sec.y_a.pk, sec.y_b.pk, scheme);
   if (!publisher) return;
   const bool a_published = publisher->who == PartyId::kA;
   const Bytes& r = a_published ? revealed_r_a_.at(state) : revealed_r_b_.at(state);
-  tx::Transaction punish;
-  punish.inputs = {{{id, 0}}};
-  punish.nlocktime = 0;
-  punish.outputs = {{params_.capacity(),
-                     tx::Condition::p2wpkh(a_published ? pub_b_.main : pub_a_.main)}};
+  const PartyKeys& victim = keys_.of(other(publisher->who));
+  tx::Transaction punish = daricch::gen_sweep({id, 0}, params_.capacity(), victim.payout);
   const Hash256 digest = tx::sighash_digest(punish, 0, SighashFlag::kAll);
   const Bytes sig_y = script::encode_wire_sig(scheme.sign(publisher->y, digest), SighashFlag::kAll);
-  const crypto::Scalar& victim_sk = a_published ? main_b_.sk : main_a_.sk;
-  const Bytes sig_main = script::encode_wire_sig(scheme.sign(victim_sk, digest),
-                                                 SighashFlag::kAll);
+  const Bytes sig_main =
+      script::encode_wire_sig(scheme.sign(victim.main.sk, digest), SighashFlag::kAll);
   punish.witnesses.resize(1);
   // Branch selectors: outer ε (punish side), inner 1 = punish A / ε = punish B.
   punish.witnesses[0].stack = {sig_main, r, sig_y, a_published ? Bytes{1} : Bytes{}, Bytes{}};

@@ -8,7 +8,6 @@
 
 #include "src/channel/engine.h"
 #include "src/crypto/adaptor.h"
-#include "src/daric/wallet.h"
 #include "src/generalized/scripts.h"
 #include "src/tx/transaction.h"
 
@@ -30,32 +29,20 @@ class GeneralizedChannel : public channel::Engine {
   void publish_old_commit(sim::PartyId who, std::uint32_t state) override;
 
   std::uint32_t state_number() const override { return sn_; }
-  BytesView payout_pk(sim::PartyId who) const override {
-    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
-  }
+  BytesView payout_pk(sim::PartyId who) const override { return keys_.of(who).payout; }
 
   std::size_t party_storage_bytes(sim::PartyId who) const;  // O(n)
   const tx::Transaction& latest_commit_body() const { return commit_body_; }
 
  private:
-  struct StateSecrets {
-    crypto::KeyPair y_a, y_b;  // publishing statements Y = y·G
-    Bytes r_a, r_b;            // revocation preimages
-  };
-  StateSecrets state_secrets(std::uint32_t state) const;
-  script::Script output_script(const StateSecrets& s) const;
-  tx::Transaction build_commit_body(const script::Script& out_script, std::uint32_t state) const;
   tx::Transaction assemble_commit(sim::PartyId publisher, std::uint32_t state) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
 
-  daricch::DaricPubKeys pub_a_, pub_b_;
-  crypto::KeyPair main_a_, main_b_;
+  Keys keys_;
 
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
-  tx::OutPoint fund_op_;
-  script::Script fund_script_;
 
   // Latest state material.
   tx::Transaction commit_body_;

@@ -13,15 +13,47 @@
 #include "src/analyze/auth.h"
 #include "src/analyze/templates.h"
 #include "src/channel/params.h"
-#include "src/script/standard.h"
-#include "src/tx/output.h"
-#include "src/verify/model.h"
+#include "src/crypto/keys.h"
+#include "src/sim/party.h"
 
 namespace daric::generalized {
+
+/// One party's key: `main` funds the channel, (pre-)signs the commits and
+/// splits, and receives every payout (`payout`, its compressed public key).
+struct PartyKeys {
+  crypto::KeyPair main;
+  Bytes payout;
+};
+
+/// Both parties' keys, derived once per channel.
+struct Keys {
+  PartyKeys a, b;
+  const PartyKeys& of(sim::PartyId who) const { return who == sim::PartyId::kA ? a : b; }
+};
+Keys derive_keys(const std::string& channel_id);
+
+/// The funding output's 2-of-2 over the main keys.
+script::Script funding_script(const Keys& k);
+
+/// The per-state secrets of state `state`: each party's publishing
+/// statement Y = y·G and revocation preimage r.
+struct StateSecrets {
+  crypto::KeyPair y_a, y_b;
+  Bytes r_a, r_b;
+};
+StateSecrets state_secrets(const std::string& channel_id, std::uint32_t state);
 
 script::Script commit_output_script(BytesView pk_a, BytesView pk_b, BytesView statement_a,
                                     BytesView statement_b, BytesView rev_hash_a,
                                     BytesView rev_hash_b, std::uint32_t csv_delay);
+/// commit_output_script of the state whose secrets are `s`.
+script::Script output_script(const channel::ChannelParams& p, const Keys& k,
+                             const StateSecrets& s);
+
+/// The single commit of state `state` (nLT = S0+state, the state
+/// identifier of Sec. 8) spending `fund_op` into `out_script`.
+tx::Transaction commit_body(const channel::ChannelParams& p, const tx::OutPoint& fund_op,
+                            const script::Script& out_script, std::uint32_t state);
 
 /// Enumerates the generalized-channel engine's transaction templates for the
 /// model's state schedule — per-state commits, the delayed split, the punish

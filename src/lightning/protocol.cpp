@@ -3,9 +3,7 @@
 #include <stdexcept>
 
 #include "src/channel/storage.h"
-#include "src/crypto/sha256.h"
 #include "src/daric/builders.h"
-#include "src/daric/scripts.h"
 #include "src/obs/span.h"
 #include "src/tx/sighash.h"
 
@@ -15,46 +13,8 @@ using script::SighashFlag;
 using sim::PartyId;
 
 LightningChannel::LightningChannel(sim::Environment& env, channel::ChannelParams params)
-    : Engine(env, std::move(params), "lightning") {
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/ln");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/ln");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
-  main_a_ = crypto::derive_keypair(params_.id + "/ln/A/main");
-  main_b_ = crypto::derive_keypair(params_.id + "/ln/B/main");
-  delayed_a_ = crypto::derive_keypair(params_.id + "/ln/A/delayed");
-  delayed_b_ = crypto::derive_keypair(params_.id + "/ln/B/delayed");
+    : Engine(env, std::move(params), "lightning"), keys_(derive_keys(params_.id)) {
   env_.add_round_hook([this] { on_round(); });
-}
-
-crypto::KeyPair LightningChannel::revocation_keypair(PartyId owner, std::uint32_t state) const {
-  // The per-commitment secret of `owner`'s commit #state; revealed to the
-  // counterparty at revocation time.
-  return crypto::derive_keypair(params_.id + "/ln/rev/" + sim::party_name(owner) + "/" +
-                                std::to_string(state));
-}
-
-tx::Transaction LightningChannel::build_commit(PartyId owner, std::uint32_t state,
-                                               const channel::StateVec& st,
-                                               script::Script* to_local_out) const {
-  const bool a = owner == PartyId::kA;
-  const crypto::KeyPair rev = revocation_keypair(owner, state);
-  const script::Script to_local =
-      to_local_script(rev.pk.compressed(), static_cast<std::uint32_t>(params_.t_punish),
-                      (a ? delayed_a_ : delayed_b_).pk.compressed());
-  tx::Transaction t;
-  t.inputs = {{fund_op_}};
-  // Commitment number rides in nLockTime (BOLT 3 hides it there too; here
-  // it doubles as the honest parties' state identifier).
-  t.nlocktime = params_.s0 + state;
-  t.outputs = {{a ? st.to_a : st.to_b, tx::Condition::p2wsh(to_local)},
-               {a ? st.to_b : st.to_a, tx::Condition::p2wpkh(a ? pub_b_.main : pub_a_.main)}};
-  for (const channel::Htlc& h : st.htlcs) {
-    t.outputs.push_back(
-        {h.cash, tx::Condition::p2wsh(daricch::htlc_script(h, pub_a_.main, pub_b_.main))});
-  }
-  if (to_local_out) *to_local_out = to_local;
-  return t;
 }
 
 void LightningChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
@@ -63,15 +23,19 @@ void LightningChannel::sign_state(std::uint32_t state, const channel::StateVec& 
   // counted toward Table 3's Exp column.
   crypto::op_counters().exps.fetch_add(2, std::memory_order_relaxed);
 
-  commit_a_ = build_commit(PartyId::kA, state, st, &to_local_a_);
-  commit_b_ = build_commit(PartyId::kB, state, st, &to_local_b_);
+  Commit ca = build_commit(params_, keys_, fund_op_, PartyId::kA, state, st);
+  Commit cb = build_commit(params_, keys_, fund_op_, PartyId::kB, state, st);
+  commit_a_ = std::move(ca.body);
+  commit_b_ = std::move(cb.body);
   // One digest cache per commit body, shared between the two signatures on
   // it and the verification below.
   const tx::SighashCache sh_a(commit_a_), sh_b(commit_b_);
-  const Bytes sa_on_a = tx::sign_input(commit_a_, 0, main_a_, scheme, SighashFlag::kAll, &sh_a);
-  const Bytes sb_on_a = tx::sign_input(commit_a_, 0, main_b_, scheme, SighashFlag::kAll, &sh_a);
-  const Bytes sa_on_b = tx::sign_input(commit_b_, 0, main_a_, scheme, SighashFlag::kAll, &sh_b);
-  const Bytes sb_on_b = tx::sign_input(commit_b_, 0, main_b_, scheme, SighashFlag::kAll, &sh_b);
+  const crypto::KeyPair& main_a = keys_.a.main;
+  const crypto::KeyPair& main_b = keys_.b.main;
+  const Bytes sa_on_a = tx::sign_input(commit_a_, 0, main_a, scheme, SighashFlag::kAll, &sh_a);
+  const Bytes sb_on_a = tx::sign_input(commit_a_, 0, main_b, scheme, SighashFlag::kAll, &sh_a);
+  const Bytes sa_on_b = tx::sign_input(commit_b_, 0, main_a, scheme, SighashFlag::kAll, &sh_b);
+  const Bytes sb_on_b = tx::sign_input(commit_b_, 0, main_b, scheme, SighashFlag::kAll, &sh_b);
   // Each party verifies the counterparty's signature on its own commit
   // (Table 3: 1 verification per party at m = 0).
   auto check = [&](const tx::SighashCache& sh, const crypto::Point& pk, const Bytes& wire) {
@@ -79,22 +43,18 @@ void LightningChannel::sign_state(std::uint32_t state, const channel::StateVec& 
     if (!dec || !scheme.verify(pk, sh.digest(0, SighashFlag::kAll), dec->raw))
       throw std::logic_error("counterparty signature invalid");
   };
-  check(sh_a, main_b_.pk, sb_on_a);  // A checks B's sig on TX^A
-  check(sh_b, main_a_.pk, sa_on_b);  // B checks A's sig on TX^B
+  check(sh_a, main_b.pk, sb_on_a);  // A checks B's sig on TX^A
+  check(sh_b, main_a.pk, sa_on_b);  // B checks A's sig on TX^B
   daricch::attach_funding_witness(commit_a_, 0, fund_script_, sa_on_a, sb_on_a);
   daricch::attach_funding_witness(commit_b_, 0, fund_script_, sa_on_b, sb_on_b);
-  archive_.push_back({commit_a_, to_local_a_, PartyId::kA, state});
-  archive_.push_back({commit_b_, to_local_b_, PartyId::kB, state});
+  archive_.push_back({commit_a_, std::move(ca.to_local), PartyId::kA, state});
+  archive_.push_back({commit_b_, std::move(cb.to_local), PartyId::kB, state});
 }
 
 bool LightningChannel::create() {
-  fund_script_ = script::multisig_2of2(main_a_.pk.compressed(), main_b_.pk.compressed());
   st_ = {params_.cash_a, params_.cash_b, {}};
   sn_ = 0;
-  // Mint only once the opening handshake got through, so an aborted create
-  // leaves no funds stranded in the 2-of-2.
-  if (send_reliable(PartyId::kA, "ln/create") == 0) return false;
-  fund_op_ = env_.ledger().mint(params_.capacity(), tx::Condition::p2wsh(fund_script_));
+  if (!mint_funding("ln/create", funding_script(keys_), params_.capacity())) return false;
   sign_state(0, st_);
   open_ = true;
   note_opened();
@@ -112,8 +72,8 @@ bool LightningChannel::update(const channel::StateVec& next) {
   sign_state(sn_ + 1, next);
   if (send_or_close(PartyId::kA, "ln/revoke") == 0) return false;
   // Reveal the state-sn_ secrets; the counterparty stores them forever.
-  secrets_of_a_.push_back(revocation_keypair(PartyId::kA, sn_).sk.to_be_bytes());
-  secrets_of_b_.push_back(revocation_keypair(PartyId::kB, sn_).sk.to_be_bytes());
+  secrets_of_a_.push_back(revocation_keypair(params_.id, PartyId::kA, sn_).sk.to_be_bytes());
+  secrets_of_b_.push_back(revocation_keypair(params_.id, PartyId::kB, sn_).sk.to_be_bytes());
   ++sn_;
   st_ = next;
   note_updated({});
@@ -121,14 +81,9 @@ bool LightningChannel::update(const channel::StateVec& next) {
 }
 
 bool LightningChannel::cooperative_close(PartyId initiator) {
-  require_open();
-  const auto& scheme = env_.scheme();
-  tx::Transaction close = daricch::gen_fin_split(fund_op_, st_, pub_a_, pub_b_);
-  const tx::SighashCache sh_close(close);
-  const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
-  const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
-  daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  return post_cooperative_close(initiator, "ln/close", close);
+  return close_2of2(initiator, "ln/close",
+                    daricch::gen_fin_split(fund_op_, st_, keys_.a.payout, keys_.b.payout),
+                    keys_.a.main, keys_.b.main);
 }
 
 void LightningChannel::force_close(PartyId who) {
@@ -162,13 +117,10 @@ void LightningChannel::on_round() {
   if (pending_sweep_) {
     const auto& scheme = env_.scheme();
     if (!pending_sweep_->posted && env_.now() >= pending_sweep_->post_round) {
-      tx::Transaction sweep;
-      sweep.inputs = {{pending_sweep_->to_local_op}};
-      sweep.nlocktime = 0;
-      const bool a = pending_sweep_->owner == PartyId::kA;
-      sweep.outputs = {{pending_sweep_->cash, tx::Condition::p2wpkh(a ? pub_a_.main : pub_b_.main)}};
-      const Bytes sig = tx::sign_input(sweep, 0, (a ? delayed_a_ : delayed_b_).sk, scheme,
-                                       SighashFlag::kAll);
+      const PartyKeys& owner = keys_.of(pending_sweep_->owner);
+      tx::Transaction sweep =
+          daricch::gen_sweep(pending_sweep_->to_local_op, pending_sweep_->cash, owner.payout);
+      const Bytes sig = tx::sign_input(sweep, 0, owner.delayed.sk, scheme, SighashFlag::kAll);
       sweep.witnesses.resize(1);
       sweep.witnesses[0].stack = {sig, Bytes{}};  // ELSE (delayed) branch
       sweep.witnesses[0].witness_script = pending_sweep_->script;
@@ -203,19 +155,16 @@ void LightningChannel::on_round() {
   if (rec->state < sn_) {
     // Revoked commitment: the victim signs with the revealed secret and
     // claims the cheater's to_local output instantly.
-    const crypto::KeyPair rev = revocation_keypair(rec->owner, rec->state);
-    const bool victim_is_a = rec->owner == PartyId::kB;
-    tx::Transaction claim;
-    claim.inputs = {{{id, 0}}};
-    claim.nlocktime = 0;
-    claim.outputs = {{rec->tx.outputs[0].cash,
-                      tx::Condition::p2wpkh(victim_is_a ? pub_a_.main : pub_b_.main)}};
+    const crypto::KeyPair rev = revocation_keypair(params_.id, rec->owner, rec->state);
+    const PartyId victim = other(rec->owner);
+    tx::Transaction claim =
+        daricch::gen_sweep({id, 0}, rec->tx.outputs[0].cash, keys_.of(victim).payout);
     const Bytes sig = tx::sign_input(claim, 0, rev.sk, env_.scheme(), SighashFlag::kAll);
     claim.witnesses.resize(1);
     claim.witnesses[0].stack = {sig, Bytes{1}};  // IF (revocation) branch
     claim.witnesses[0].witness_script = rec->to_local;
     observe_weight(claim);
-    note_punish(victim_is_a ? PartyId::kA : PartyId::kB, rec->state, sn_);
+    note_punish(victim, rec->state, sn_);
     ledger.post(claim);
     pending_claim_txid_ = claim.txid();
     return;

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "src/channel/engine.h"
-#include "src/daric/wallet.h"
 #include "src/lightning/scripts.h"
 #include "src/tx/transaction.h"
 
@@ -34,9 +33,7 @@ class LightningChannel : public channel::Engine {
   /// Revocation secret of `owner`'s commit #state, as revealed to the
   /// counterparty (throws unless state < sn, i.e. actually revoked).
   crypto::Scalar revealed_secret(sim::PartyId owner, std::uint32_t state) const;
-  BytesView payout_pk(sim::PartyId who) const override {
-    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
-  }
+  BytesView payout_pk(sim::PartyId who) const override { return keys_.of(who).payout; }
 
  private:
   struct CommitRecord {
@@ -46,23 +43,15 @@ class LightningChannel : public channel::Engine {
     std::uint32_t state = 0;
   };
 
-  crypto::KeyPair revocation_keypair(sim::PartyId owner, std::uint32_t state) const;
-  tx::Transaction build_commit(sim::PartyId owner, std::uint32_t state,
-                               const channel::StateVec& st, script::Script* to_local_out) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
 
-  daricch::DaricPubKeys pub_a_, pub_b_;
-  crypto::KeyPair main_a_, main_b_;       // funding / commit keys
-  crypto::KeyPair delayed_a_, delayed_b_;
+  Keys keys_;
 
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
-  tx::OutPoint fund_op_;
-  script::Script fund_script_;
 
   tx::Transaction commit_a_, commit_b_;  // latest, fully signed
-  script::Script to_local_a_, to_local_b_;
 
   // Revealed revocation secrets: secrets_of_x_ = the secrets of x's *own* old
   // commits, held by the counterparty (this is the O(n) storage).

@@ -1,10 +1,31 @@
 #include "src/lightning/scripts.h"
 
-#include "src/crypto/keys.h"
-#include "src/daric/scripts.h"
-#include "src/daric/wallet.h"
+#include "src/daric/builders.h"
 
 namespace daric::lightning {
+
+namespace {
+PartyKeys derive_party(const std::string& base) {
+  PartyKeys k{crypto::derive_keypair(base + "/main"), crypto::derive_keypair(base + "/delayed"),
+              {}};
+  k.payout = k.main.pk.compressed();
+  return k;
+}
+}  // namespace
+
+Keys derive_keys(const std::string& channel_id) {
+  return {derive_party(channel_id + "/ln/A"), derive_party(channel_id + "/ln/B")};
+}
+
+script::Script funding_script(const Keys& k) {
+  return script::multisig_2of2(k.a.payout, k.b.payout);
+}
+
+crypto::KeyPair revocation_keypair(const std::string& channel_id, sim::PartyId owner,
+                                   std::uint32_t state) {
+  return crypto::derive_keypair(channel_id + "/ln/rev/" + sim::party_name(owner) + "/" +
+                                std::to_string(state));
+}
 
 script::Script to_local_script(BytesView revocation_pk, std::uint32_t to_self_delay,
                                BytesView delayed_pk) {
@@ -21,89 +42,60 @@ script::Script to_local_script(BytesView revocation_pk, std::uint32_t to_self_de
   return s;
 }
 
+Commit build_commit(const channel::ChannelParams& p, const Keys& k, const tx::OutPoint& fund_op,
+                    sim::PartyId owner, std::uint32_t state, const channel::StateVec& st) {
+  const bool a = owner == sim::PartyId::kA;
+  Commit c;
+  c.to_local = to_local_script(revocation_keypair(p.id, owner, state).pk.compressed(),
+                               static_cast<std::uint32_t>(p.t_punish),
+                               k.of(owner).delayed.pk.compressed());
+  c.body.inputs = {{fund_op}};
+  // BOLT 3 hides the commitment number in nLockTime too; here it doubles
+  // as the honest parties' state identifier.
+  c.body.nlocktime = p.s0 + state;
+  c.body.outputs = {{a ? st.to_a : st.to_b, tx::Condition::p2wsh(c.to_local)},
+                    {a ? st.to_b : st.to_a, tx::Condition::p2wpkh(k.of(sim::other(owner)).payout)}};
+  for (const channel::Htlc& h : st.htlcs) {
+    c.body.outputs.push_back(
+        {h.cash, tx::Condition::p2wsh(daricch::htlc_script(h, k.a.payout, k.b.payout))});
+  }
+  return c;
+}
+
 std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParams& p,
                                                      const verify::Options& model,
                                                      analyze::KnowledgeBase* kb) {
-  using analyze::Presign;
-  using analyze::Principal;
-  using analyze::PrincipalSet;
-  using analyze::TemplateInput;
-  using analyze::TemplateTag;
-  using analyze::TxTemplate;
-  using analyze::WitnessElem;
+  using namespace analyze;
   using script::SighashFlag;
-
-  const PrincipalSet kP{Principal::kPartyP};
-  const PrincipalSet kQ{Principal::kPartyQ};
-  const PrincipalSet kPQ{Principal::kPartyP, Principal::kPartyQ};
+  using sim::PartyId;
 
   std::vector<TxTemplate> out;
-  // Key derivations mirror LightningChannel's constructor.
-  const daricch::DaricPubKeys pub_a = to_pub(daricch::DaricKeys::derive("A", p.id + "/ln"));
-  const daricch::DaricPubKeys pub_b = to_pub(daricch::DaricKeys::derive("B", p.id + "/ln"));
-  const crypto::KeyPair main_a = crypto::derive_keypair(p.id + "/ln/A/main");
-  const crypto::KeyPair main_b = crypto::derive_keypair(p.id + "/ln/B/main");
-  const crypto::KeyPair delayed_a = crypto::derive_keypair(p.id + "/ln/A/delayed");
-  const crypto::KeyPair delayed_b = crypto::derive_keypair(p.id + "/ln/B/delayed");
+  const Keys k = derive_keys(p.id);
   const Amount cap = p.capacity();
   const auto n_latest = static_cast<std::uint32_t>(model.max_updates);
-
-  const script::Script fund_script =
-      script::multisig_2of2(main_a.pk.compressed(), main_b.pk.compressed());
-  const tx::OutPoint fund_op = analyze::template_outpoint(p.id + "/ln/fund");
-  auto fund_in = [&](PrincipalSet who, std::int32_t from) {
-    TemplateInput in;
-    in.spent = {cap, tx::Condition::p2wsh(fund_script)};
-    in.witness_script = fund_script;
-    in.witness = {WitnessElem::empty(), WitnessElem::sig(SighashFlag::kAll),
-                  WitnessElem::sig(SighashFlag::kAll)};
-    in.intended = who;
-    in.presigned = Presign{who, from};
-    return in;
-  };
-  auto rev_pk = [&](bool owner_a, std::uint32_t state) {
-    return crypto::derive_keypair(p.id + "/ln/rev/" + (owner_a ? "A" : "B") + "/" +
-                                  std::to_string(state))
-        .pk.compressed();
-  };
+  const script::Script fund_script = funding_script(k);
+  const tx::OutPoint fund_op = template_outpoint(p.id + "/ln/fund");
+  auto principal = [](PartyId who) { return who == PartyId::kA ? kP : kQ; };
 
   if (kb) {
-    kb->add_key(main_a.pk.compressed(), "ln/A/fund", kP);
-    kb->add_key(main_b.pk.compressed(), "ln/B/fund", kQ);
-    kb->add_key(delayed_a.pk.compressed(), "ln/A/delayed", kP);
-    kb->add_key(delayed_b.pk.compressed(), "ln/B/delayed", kQ);
-    // pub_{a,b}.main alias the funding keys (same derivation path), so the
-    // registrations above already cover the P2WPKH payout spends.
+    kb->add_key(k.a.payout, "ln/A/fund", kP);
+    kb->add_key(k.b.payout, "ln/B/fund", kQ);
+    kb->add_key(k.a.delayed.pk.compressed(), "ln/A/delayed", kP);
+    kb->add_key(k.b.delayed.pk.compressed(), "ln/B/delayed", kQ);
+    // The funding keys are the payout keys, so the registrations above
+    // already cover the P2WPKH payout spends.
     // BOLT-3 combined revocation secret: neither side can sign alone; the
     // victim learns the full secret when state j is revoked at time j+1.
     for (std::uint32_t j = 0; j <= n_latest; ++j) {
-      for (const bool owner_a : {true, false}) {
-        kb->add_key(rev_pk(owner_a, j),
-                    std::string("ln/rev/") + (owner_a ? "A/" : "B/") + std::to_string(j),
-                    {}, owner_a ? kQ : kP, static_cast<std::int32_t>(j) + 1);
+      for (const PartyId owner : {PartyId::kA, PartyId::kB}) {
+        kb->add_key(revocation_keypair(p.id, owner, j).pk.compressed(),
+                    std::string("ln/rev/") + sim::party_name(owner) + "/" + std::to_string(j),
+                    {}, principal(sim::other(owner)), static_cast<std::int32_t>(j) + 1);
       }
     }
   }
 
-  struct CommitRec {
-    tx::Transaction body;
-    script::Script to_local;
-  };
-  auto build_commit = [&](bool owner_a, std::uint32_t j) {
-    const Amount to_a = model.to_a(static_cast<int>(j));
-    const Amount to_b = cap - to_a;
-    CommitRec r;
-    r.to_local = to_local_script(rev_pk(owner_a, j),
-                                 static_cast<std::uint32_t>(p.t_punish),
-                                 (owner_a ? delayed_a : delayed_b).pk.compressed());
-    r.body.inputs = {{fund_op}};
-    r.body.nlocktime = p.s0 + j;
-    r.body.outputs = {{owner_a ? to_a : to_b, tx::Condition::p2wsh(r.to_local)},
-                      {owner_a ? to_b : to_a,
-                       tx::Condition::p2wpkh(owner_a ? pub_b.main : pub_a.main)}};
-    return r;
-  };
-  auto to_local_in = [&](const CommitRec& c, const WitnessElem& selector, Round age) {
+  auto to_local_in = [&](const Commit& c, const WitnessElem& selector, Round age) {
     TemplateInput in;
     in.spent = c.body.outputs[0];
     in.witness_script = c.to_local;
@@ -113,72 +105,58 @@ std::vector<analyze::TxTemplate> enumerate_templates(const channel::ChannelParam
   };
 
   for (std::uint32_t j = 0; j <= n_latest; ++j) {
-    for (const bool owner_a : {true, false}) {
-      const CommitRec c = build_commit(owner_a, j);
-      const std::string tag = std::string(owner_a ? "A," : "B,") + std::to_string(j);
+    for (const PartyId owner : {PartyId::kA, PartyId::kB}) {
+      const Commit c = build_commit(p, k, fund_op, owner, j, model_state(model, cap, j));
+      const std::string tag = std::string(sim::party_name(owner)) + "," + std::to_string(j);
       out.push_back({"lightning", "commit[" + tag + "]", c.body,
-                     {fund_in(owner_a ? kP : kQ, static_cast<std::int32_t>(j))},
+                     {funding_input(fund_script, cap, principal(owner),
+                                    static_cast<std::int32_t>(j))},
                      TemplateTag::kCommit, static_cast<std::int32_t>(j)});
 
-      tx::Transaction spend;
-      spend.inputs = {{{c.body.txid(), 0}}};
-      spend.nlocktime = 0;
+      const tx::OutPoint to_local{c.body.txid(), 0};
+      const Amount cash = c.body.outputs[0].cash;
       if (j == n_latest) {
         // Latest state: the owner sweeps its to_local after the CSV delay.
-        spend.outputs = {{c.body.outputs[0].cash,
-                          tx::Condition::p2wpkh(owner_a ? pub_a.main : pub_b.main)}};
         TemplateInput sweep_in = to_local_in(c, WitnessElem::empty(), p.t_punish);
-        sweep_in.intended = owner_a ? kP : kQ;
-        out.push_back({"lightning", "sweep[" + tag + "]", spend,
+        sweep_in.intended = principal(owner);
+        out.push_back({"lightning", "sweep[" + tag + "]",
+                       daricch::gen_sweep(to_local, cash, k.of(owner).payout),
                        {std::move(sweep_in)}});
       } else {
         // Revoked state: the victim claims instantly with the revealed secret.
-        spend.outputs = {{c.body.outputs[0].cash,
-                          tx::Condition::p2wpkh(owner_a ? pub_b.main : pub_a.main)}};
         TemplateInput breach_in = to_local_in(c, WitnessElem::constant(Bytes{1}), 0);
-        breach_in.intended = owner_a ? kQ : kP;
-        out.push_back({"lightning", "breach-claim[" + tag + "]", spend,
+        breach_in.intended = principal(sim::other(owner));
+        out.push_back({"lightning", "breach-claim[" + tag + "]",
+                       daricch::gen_sweep(to_local, cash, k.of(sim::other(owner)).payout),
                        {std::move(breach_in)},
                        TemplateTag::kPunish});
         // The cheater's own sweep attempt on the revoked commit — the race
         // the breach claim must win (CSV delay vs. instant revocation).
-        tx::Transaction cheat = spend;
-        cheat.outputs = {{c.body.outputs[0].cash,
-                          tx::Condition::p2wpkh(owner_a ? pub_a.main : pub_b.main)}};
         TemplateInput cheat_in = to_local_in(c, WitnessElem::empty(), p.t_punish);
-        cheat_in.intended = owner_a ? kP : kQ;
-        out.push_back({"lightning", "cheat-sweep[" + tag + "]", cheat,
+        cheat_in.intended = principal(owner);
+        out.push_back({"lightning", "cheat-sweep[" + tag + "]",
+                       daricch::gen_sweep(to_local, cash, k.of(owner).payout),
                        {std::move(cheat_in)}});
       }
     }
   }
 
+  const channel::StateVec latest = model_state(model, cap, n_latest);
   {
     // The counterparty's direct balance on the latest commit.
-    const CommitRec c = build_commit(true, n_latest);
-    tx::Transaction sweep;
-    sweep.inputs = {{{c.body.txid(), 1}}};
-    sweep.nlocktime = 0;
-    sweep.outputs = {{c.body.outputs[1].cash, tx::Condition::p2wpkh(pub_b.main)}};
+    const Commit c = build_commit(p, k, fund_op, PartyId::kA, n_latest, latest);
     TemplateInput in;
     in.spent = c.body.outputs[1];
-    in.witness = {WitnessElem::sig(SighashFlag::kAll), WitnessElem::constant(pub_b.main)};
+    in.witness = {WitnessElem::sig(SighashFlag::kAll), WitnessElem::constant(k.b.payout)};
     in.intended = kQ;
-    out.push_back({"lightning", "to-remote-sweep", sweep, {std::move(in)}});
+    out.push_back({"lightning", "to-remote-sweep",
+                   daricch::gen_sweep({c.body.txid(), 1}, in.spent.cash, k.b.payout),
+                   {std::move(in)}});
   }
 
-  {
-    tx::Transaction close;
-    close.inputs = {{fund_op}};
-    close.nlocktime = 0;
-    const channel::StateVec st{model.to_a(static_cast<int>(n_latest)),
-                               cap - model.to_a(static_cast<int>(n_latest)),
-                               {}};
-    close.outputs = daricch::state_outputs(st, pub_a.main, pub_b.main);
-    out.push_back({"lightning", "coop-close", close,
-                   {fund_in(kPQ, static_cast<std::int32_t>(n_latest))}});
-  }
-
+  out.push_back(coop_close_template(
+      "lightning", daricch::gen_fin_split(fund_op, latest, k.a.payout, k.b.payout), fund_script,
+      cap, static_cast<std::int32_t>(n_latest)));
   return out;
 }
 

@@ -275,7 +275,7 @@ DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& o)
     // Abandoned open: Daric's funding sources must still sit untouched (the
     // baselines mint only after the handshake).
     const auto source = [&](PartyId id) {
-      const auto key = crypto::derive_keypair(params.id + "/" + party_name(id) + "/funding-source");
+      const auto key = daricch::funding_source_keypair(params.id, id);
       return credited(env.ledger(), key.pk.compressed());
     };
     rep.closed = true;

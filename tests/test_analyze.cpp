@@ -1,6 +1,12 @@
-// Static analyzer tests: every engine's template set must prove clean, and
-// each lint must fire on a crafted broken fixture.
+// Static analyzer tests: every engine's template set must prove clean and
+// describe the commits the engine posts, and each lint must fire on a
+// crafted broken fixture.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <optional>
 
 #include "src/analyze/auth.h"
 #include "src/analyze/engines.h"
@@ -9,9 +15,14 @@
 #include "src/analyze/reach.h"
 #include "src/analyze/lints.h"
 #include "src/analyze/report.h"
+#include "src/cerberus/protocol.h"
 #include "src/crypto/keys.h"
 #include "src/crypto/sha256.h"
 #include "src/daric/scripts.h"
+#include "src/eltoo/protocol.h"
+#include "src/fppw/protocol.h"
+#include "src/generalized/protocol.h"
+#include "src/lightning/protocol.h"
 #include "src/script/interpreter.h"
 #include "src/script/standard.h"
 
@@ -61,6 +72,78 @@ TEST(AnalyzeEngines, MoreStatesStayClean) {
   Report rep;
   analyze::lint_templates(analyze::all_engine_templates(params, model), rep);
   EXPECT_EQ(rep.error_count(), 0u) << rep.render();
+}
+
+// The templates the analyzer proves things about are the transactions the
+// engines post: for each baseline and each state j of the default
+// schedule, the commit its engine publishes (force_close at the latest
+// state, publish_old_commit below it) has the txid of the enumerated commit
+// template once that template's funding input is bound to the engine's
+// funding outpoint.
+TEST(AnalyzeEngines, BaselineCommitsAreTheirTemplates) {
+  using sim::PartyId;
+  const verify::Options model;
+  const channel::ChannelParams params = analyze::params_for_model(model);
+  const Amount cap = params.capacity();
+  const auto n_latest = static_cast<std::uint32_t>(model.max_updates);
+  struct Baseline {
+    const char* engine;
+    const char* commit;  // template name prefix
+    bool per_party;      // one commit per party, named commit[A,j]
+    std::function<std::unique_ptr<channel::Engine>(sim::Environment&)> make;
+  };
+  const Baseline baselines[] = {
+      {"lightning", "commit", true,
+       [&](sim::Environment& env) {
+         return std::make_unique<lightning::LightningChannel>(env, params);
+       }},
+      {"eltoo", "update", false,
+       [&](sim::Environment& env) { return std::make_unique<eltoo::EltooChannel>(env, params); }},
+      {"generalized", "commit", false,
+       [&](sim::Environment& env) {
+         return std::make_unique<generalized::GeneralizedChannel>(env, params);
+       }},
+      // The enumerator's tower reward is capacity/100.
+      {"cerberus", "commit", true,
+       [&](sim::Environment& env) {
+         return std::make_unique<cerberus::CerberusChannel>(env, params, cap / 100);
+       }},
+      {"fppw", "commit", false,
+       [&](sim::Environment& env) { return std::make_unique<fppw::FppwChannel>(env, params); }},
+  };
+  for (const Baseline& b : baselines) {
+    const std::vector<TxTemplate> templates = analyze::engine_templates(b.engine, params, model);
+    for (std::uint32_t j = 0; j <= n_latest; ++j) {
+      for (const PartyId who : {PartyId::kA, PartyId::kB}) {
+        std::string name = std::string(b.commit) + "[";
+        if (b.per_party) name = name + sim::party_name(who) + ",";
+        name += std::to_string(j) + "]";
+        SCOPED_TRACE(std::string(b.engine) + "/" + name);
+        sim::Environment env(model.delta, crypto::schnorr_scheme());
+        const std::unique_ptr<channel::Engine> ch = b.make(env);
+        ASSERT_TRUE(ch->create());
+        for (std::uint32_t i = 1; i <= n_latest; ++i)
+          ASSERT_TRUE(ch->update(analyze::model_state(model, cap, i)));
+        if (j == n_latest)
+          ch->force_close(who);
+        else
+          ch->publish_old_commit(who, j);
+        std::optional<tx::Transaction> posted;
+        for (Round r = 0; r <= model.delta && !posted; ++r) {
+          env.advance_round();
+          posted = env.ledger().spender_of(ch->funding_outpoint());
+        }
+        ASSERT_TRUE(posted.has_value());
+
+        const auto t = std::find_if(templates.begin(), templates.end(),
+                                    [&](const TxTemplate& x) { return x.name == name; });
+        ASSERT_NE(t, templates.end());
+        tx::Transaction bound = t->body;
+        bound.inputs.at(0).prevout = ch->funding_outpoint();
+        EXPECT_EQ(bound.txid(), posted->txid());
+      }
+    }
+  }
 }
 
 // --- Fixture helpers ------------------------------------------------------

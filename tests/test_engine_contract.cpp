@@ -149,6 +149,26 @@ TEST_P(EngineContract, RevokedCommitWaitsForDarkMonitorsThenResolves) {
   EXPECT_EQ(paid(PartyId::kB), want.to_b);
 }
 
+/// Loses every message, so no handshake ever gets through.
+class DropEverything : public sim::FaultInjector {
+ public:
+  sim::MessageAction on_message(Round, PartyId, const std::string&) override {
+    return {sim::MessageFate::kDrop, 0};
+  }
+  Round post_delay(Round, Round) override { return 0; }
+};
+
+TEST_P(EngineContract, CreateThatTimesOutStrandsNoFunds) {
+  DropEverything drop;
+  env_.set_fault_injector(&drop);
+  EXPECT_FALSE(engine_->create());
+  // The 2-of-2 funding output is the only script output a create mints.
+  for (const auto& [op, u] : env_.ledger().utxos().entries())
+    EXPECT_NE(u.output.cond.type, tx::Condition::Type::kP2WSH)
+        << u.output.cash << " stranded in a script output";
+  env_.set_fault_injector(nullptr);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineContract, ::testing::ValuesIn(kCases),
                          [](const ::testing::TestParamInfo<EngineCase>& info) {
                            return std::string(info.param.name);

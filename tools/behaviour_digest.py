@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Behaviour-equivalence digests of the chaos and trace tools.
+"""Behaviour-equivalence digests of the chaos, trace and analyzer tools.
 
 Runs a fixed set of deterministic commands and hashes what they print and
 write:
 
-  chaos  daric_chaos --sweep 200 --protocol all -v
-         daric_chaos --durable-sweep 200 -v
-         daric_chaos --boundary
-  trace  daric_trace --engine E --scenario S for the 4 engines x 3 scenarios
-         daric_trace --replay tests/schedules/funds-loss-beyond-bound.sched
+  chaos    daric_chaos --sweep 200 --protocol all -v
+           daric_chaos --durable-sweep 200 -v
+           daric_chaos --boundary
+  trace    daric_trace --engine E --scenario S for the 4 engines x 3 scenarios
+           daric_trace --replay tests/schedules/funds-loss-beyond-bound.sched
+  analyze  daric_analyze --auth --json F --dot G over all six engines
 
 Every trace run contributes its stdout (with the exit status) and its four
-artifacts. The `sim.hooks.run` counter is dropped from the metrics artifacts
+artifacts; the analyzer run its stdout, JSON report and DOT graph. The `sim.hooks.run` counter is dropped from the metrics artifacts
 before hashing: it counts how many round hooks the environment called, a
 cost that scheduling changes are meant to move, not protocol behaviour.
 
@@ -84,7 +85,18 @@ def trace_digests(build: Path) -> dict[str, str]:
     return out
 
 
-GROUPS = {"chaos": chaos_digests, "trace": trace_digests}
+def analyze_digests(build: Path) -> dict[str, str]:
+    exe = str(build / "tools" / "daric_analyze")
+    with tempfile.TemporaryDirectory() as tmp:
+        # Relative output names keep any path the tool prints stable.
+        cmd = [exe, "--auth", "--json", "report.json", "--dot", "report.dot"]
+        out = {"analyze:auth/stdout": sha(run(cmd, Path(tmp)))}
+        for name in ("report.json", "report.dot"):
+            out[f"analyze:auth/{name}"] = sha((Path(tmp) / name).read_bytes())
+    return out
+
+
+GROUPS = {"chaos": chaos_digests, "trace": trace_digests, "analyze": analyze_digests}
 
 
 def parse(path: Path) -> dict[str, str]:

@@ -9,12 +9,14 @@
 #             model check, lint, then the ASan+UBSan tier-1 pass
 #   --fast    skip the sanitizer rebuild (plain build and tests + behaviour
 #             digests + model check + lint)
-#   --bench   build Release, run the crypto + update microbenches pinned to
-#             one CPU with 5 repetitions, write BENCH_crypto.json /
-#             BENCH_update_microbench.json (medians, min, cv) at the repo
-#             root; the update file also records the disabled-tracer cost vs
-#             the previously committed one (overhead_vs_baseline); both gates
-#             compare medians through the BM_HostAnchor host-speed rung
+#   --bench   build Release (fails on any compiler warning it prints, kept
+#             in build-release/build.log), run the crypto + update
+#             microbenches pinned to one CPU with 5 repetitions, write
+#             BENCH_crypto.json / BENCH_update_microbench.json (medians,
+#             min, cv) at the repo root; the update file also records the
+#             disabled-tracer cost vs the previously committed one
+#             (overhead_vs_baseline); both gates compare medians through
+#             the BM_HostAnchor host-speed rung
 #   --chaos   fixed-seed 200-schedule fault-injection sweep (Daric + all
 #             baselines) plus the downtime-boundary scan and the committed
 #             regression schedules, under ASan+UBSan; the sweep, crash-replay
@@ -207,9 +209,20 @@ if [[ "$TSAN" == 1 ]]; then
 fi
 
 if [[ "$BENCH" == 1 ]]; then
-  step "Release build for benchmarks"
+  step "Release build for benchmarks (no compiler warnings)"
+  # As for the plain build: the output goes to build-release/build.log, and
+  # any warning the -O3 compiles print fails the gate.
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-release -j --target bench_crypto bench_update_microbench >/dev/null
+  if ! cmake --build build-release -j --target bench_crypto bench_update_microbench \
+      bench_obs_scale >build-release/build.log 2>&1; then
+    tail -n 40 build-release/build.log >&2
+    echo "ERROR: the Release build failed (build-release/build.log)" >&2
+    exit 1
+  fi
+  if grep -n 'warning:' build-release/build.log >&2; then
+    echo "ERROR: the Release build printed compiler warnings (build-release/build.log)" >&2
+    exit 1
+  fi
 
   # Both microbenches run pinned to the last CPU, five repetitions of every
   # rung in random order, so a burst of host noise lands on random rungs
@@ -284,7 +297,6 @@ if ratio < 0.90:
 PY
 
   step "bench_obs_scale -> BENCH_obs_scale.json"
-  cmake --build build-release -j --target bench_obs_scale >/dev/null
   ./build-release/bench/bench_obs_scale \
     --benchmark_out=build-release/bench_obs_raw.json \
     --benchmark_out_format=json
@@ -390,7 +402,7 @@ if grep -n 'warning:' build/build.log >&2; then
 fi
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-step "behaviour digests: chaos reports and trace artifacts vs tests/golden/behaviour.sha256"
+step "behaviour digests: chaos reports, trace artifacts and analyzer report vs tests/golden/behaviour.sha256"
 python3 tools/behaviour_digest.py --build build --check tests/golden/behaviour.sha256
 
 step "static script/transaction analyzer (all engines, lints + spend graph + auth)"
