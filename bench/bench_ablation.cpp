@@ -107,7 +107,7 @@ int main() {
     const auto rv = env.ledger().spender_of({commit->txid(), 0});
     std::printf("  %-28s revocation weight %4zu WU, fee paid %lld sat\n",
                 feeable ? "SINGLE|ANYPREVOUT + fee pair:" : "ALL|ANYPREVOUT (baseline):",
-                tx::measure(*rv).weight(), static_cast<long long>(env.ledger().fees_total()));
+                tx::measure(rv->tx()).weight(), static_cast<long long>(env.ledger().fees_total()));
   }
   std::printf("The fee pair costs ~500 WU but frees the punishment from relying on\n");
   std::printf("pre-committed fees — the congestion robustness Sec. 8 argues for.\n");

@@ -1,6 +1,6 @@
 // Crypto hot-path benchmarks (google-benchmark): field arithmetic, scalar
-// multiplication, signing, signature verification, batch verification and
-// the ledger round that consumes it. BM_*NaiveLadder variants
+// multiplication, signing, signature verification, batch verification, the
+// ledger round that consumes it and the punish round built on that. BM_*NaiveLadder variants
 // re-run the full pre-optimization implementation (naive double-and-add
 // ladder AND generic field arithmetic) so `tools/check.sh --bench` can record
 // the speedup ratio in BENCH_crypto.json; the acceptance bar is
@@ -11,6 +11,7 @@
 #include "bench/bench_main.h"
 
 #include <array>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -20,8 +21,12 @@
 #include "src/crypto/keys.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
+#include "src/daric/protocol.h"
+#include "src/daric/watchtower.h"
 #include "src/ledger/ledger.h"
 #include "src/script/standard.h"
+#include "src/store/backend.h"
+#include "src/store/tower.h"
 #include "src/tx/sighash.h"
 
 namespace {
@@ -565,6 +570,72 @@ void BM_LedgerRoundOneBadSig(benchmark::State& state) { ledger_round(state, BadS
 BENCHMARK(BM_LedgerRoundOneBadSig)->Arg(188);
 void BM_LedgerRoundManyBadSigs(benchmark::State& state) { ledger_round(state, BadSigs::kAll); }
 BENCHMARK(BM_LedgerRoundManyBadSigs)->Arg(188);
+
+// --- punish round ------------------------------------------------------------
+
+// The layer ladder's tower round: one Environment::advance_round in which N
+// revoked commits confirm. Each cheat's victim is online, so its own monitor
+// punishes, and it has handed a TowerService on a MemoryBackend its package,
+// so the tower reacts in the same round (the two posts race; the loser is
+// rejected in a later, untimed round). Opening, updating and watching the
+// fleet is set-up outside the timing, once per iteration: about a
+// millisecond per channel, so each size runs a fixed number of iterations
+// (left to the library's minimum time, the two sizes spent three minutes
+// in set-up over five repetitions).
+struct PunishFleet {
+  sim::Environment env{2, crypto::schnorr_scheme()};
+  store::MemoryBackend disk;
+  store::TowerService tower{disk};
+  std::vector<std::unique_ptr<daricch::DaricChannel>> channels;
+};
+
+std::unique_ptr<PunishFleet> open_punish_fleet(std::size_t n) {
+  using sim::PartyId;
+  auto f = std::make_unique<PunishFleet>();
+  f->tower.begin_bulk_load();
+  for (std::size_t i = 0; i < n; ++i) {
+    channel::ChannelParams p;
+    p.id = "bench-punish/" + std::to_string(i);
+    p.cash_a = 500'000;
+    p.cash_b = 500'000;
+    p.t_punish = 6;
+    auto& ch = *f->channels.emplace_back(std::make_unique<daricch::DaricChannel>(f->env, p));
+    if (!ch.create() || !ch.update({400'000, 600'000, {}})) return nullptr;
+    f->tower.watch(store::make_watch_entry(
+        p, PartyId::kB, ch.funding_outpoint(), ch.party(PartyId::kA).pub(),
+        ch.party(PartyId::kB).pub(), daricch::make_watchtower_package(ch.party(PartyId::kB))));
+  }
+  f->tower.end_bulk_load();
+  f->tower.on_round(f->env.ledger());  // absorbs the set-up transactions
+  PunishFleet* fleet = f.get();
+  f->env.add_round_hook([fleet] { fleet->tower.on_round(fleet->env.ledger()); });
+  for (auto& ch : f->channels) ch->publish_old_commit(PartyId::kA, 0);
+  f->env.advance_round();  // the commits wait Δ = 2 rounds: the next one confirms them
+  return f;
+}
+
+void BM_PunishRound(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<PunishFleet> f = open_punish_fleet(n);
+    if (!f) {
+      state.SkipWithError("a channel of the fleet did not open");
+      break;
+    }
+    const obs::Counter& punished = f->env.metrics().counter("daric.punish.posted");
+    state.ResumeTiming();
+    f->env.advance_round();
+    state.PauseTiming();
+    if (punished.value() != n || f->tower.reactions() != n)
+      state.SkipWithError("not every victim and the tower reacted");
+    f.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PunishRound)->Arg(4)->Iterations(200);
+BENCHMARK(BM_PunishRound)->Arg(188)->Iterations(10);
 
 }  // namespace
 

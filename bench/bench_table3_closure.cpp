@@ -31,7 +31,7 @@ double measured_daric_dishonest() {
   ch.run_until_closed();
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto rv = env.ledger().spender_of({commit->txid(), 0});
-  return static_cast<double>(tx::measure(*commit).weight() + tx::measure(*rv).weight());
+  return static_cast<double>(tx::measure(commit->tx()).weight() + tx::measure(rv->tx()).weight());
 }
 
 double measured_daric_noncollab() {
@@ -43,7 +43,7 @@ double measured_daric_noncollab() {
   ch.run_until_closed();
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto split = env.ledger().spender_of({commit->txid(), 0});
-  return static_cast<double>(tx::measure(*commit).weight() + tx::measure(*split).weight());
+  return static_cast<double>(tx::measure(commit->tx()).weight() + tx::measure(split->tx()).weight());
 }
 
 }  // namespace

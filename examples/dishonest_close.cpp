@@ -38,10 +38,10 @@ int main() {
               channel::outcome_name(channel.party(PartyId::kB).outcome()),
               static_cast<long long>(*channel.party(PartyId::kB).closed_round() - fraud_round));
   std::printf("Revocation transaction pays Bob %lld sat — the *entire* capacity.\n",
-              static_cast<long long>(revocation->outputs[0].cash));
+              static_cast<long long>(revocation->tx().outputs[0].cash));
   std::printf("\nNote: Bob stored one revocation signature total, not one per state;\n");
   std::printf("its nLockTime (%u) outranks every revoked commit's CLTV, and the\n",
-              revocation->nlocktime);
+              revocation->tx().nlocktime);
   std::printf("latest commit's CLTV (%u) makes it unusable against honest closes.\n",
               channel.party(PartyId::kB).state_number());
   return 0;

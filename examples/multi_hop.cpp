@@ -65,12 +65,12 @@ int main() {
   const auto commit = env.ledger().spender_of(bc.funding_outpoint());
   const auto split = env.ledger().spender_of({commit->txid(), 0});
   const tx::Transaction redeem = daricch::build_htlc_redeem(
-      *split, 0, locked, bc.party(PartyId::kB), bc.party(PartyId::kA).pub(),
+      split->tx(), 0, locked, bc.party(PartyId::kB), bc.party(PartyId::kA).pub(),
       bc.party(PartyId::kB).pub(), invoice2.preimage);
   env.ledger().post(redeem);
   env.advance_rounds(3);
   std::printf("  split confirmed with %zu outputs; HTLC redeem confirmed: %s\n",
-              split->outputs.size(),
+              split->tx().outputs.size(),
               env.ledger().is_confirmed(redeem.txid()) ? "yes" : "no");
   std::printf("  Carol's redeem hands her %lld sat; the preimage on-chain lets Bob\n",
               static_cast<long long>(redeem.outputs[0].cash));

@@ -52,7 +52,7 @@ int main() {
               static_cast<long long>(*channel.party(PartyId::kA).closed_round()));
   const auto close_tx = env.ledger().spender_of(channel.funding_outpoint());
   std::printf("  on-chain split: A=%lld, B=%lld\n",
-              static_cast<long long>(close_tx->outputs[0].cash),
-              static_cast<long long>(close_tx->outputs[1].cash));
+              static_cast<long long>(close_tx->tx().outputs[0].cash),
+              static_cast<long long>(close_tx->tx().outputs[1].cash));
   return 0;
 }

@@ -50,6 +50,6 @@ int main() {
   const auto rv = env.ledger().spender_of({commit->txid(), 0});
   std::printf("Tower reacted: %s; revocation pays Bob %lld sat.\n",
               tower.reactions() > 0 ? "yes" : "no",
-              rv ? static_cast<long long>(rv->outputs[0].cash) : 0);
+              rv ? static_cast<long long>(rv->tx().outputs[0].cash) : 0);
   return 0;
 }

@@ -17,9 +17,9 @@ using sim::PartyId;
 
 void CerberusWatchtower::on_round(ledger::Ledger& l) {
   if (reacted_) return;
-  const auto spender = l.spender_of(fund_op_);
+  const ledger::AcceptedTx* spender = l.spender_of(fund_op_);
   if (!spender) return;
-  const Hash256 id = spender->txid();
+  const Hash256& id = spender->txid();
   for (const RevocationPackage& pkg : packages_) {
     if (pkg.revoked_commit_txid == id) {
       l.post(pkg.revocation);
@@ -163,8 +163,7 @@ void CerberusChannel::on_round() {
         sweep.witnesses.resize(1);
         sweep.witnesses[0].stack = {sig, Bytes{}};
         sweep.witnesses[0].witness_script = sw.script;
-        ledger.post(sweep);
-        sw.txid = sweep.txid();
+        sw.txid = ledger.post(sweep);
       }
       sweeps_posted_ = true;
     } else if (sweeps_posted_ &&
@@ -176,9 +175,9 @@ void CerberusChannel::on_round() {
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
+  const ledger::AcceptedTx* spender = ledger.spender_of(fund_op_);
   if (!spender) return;
-  const Hash256 id = spender->txid();
+  const Hash256& id = spender->txid();
   if (coop_close_txid_ == id) {
     close_as(channel::Outcome::kCooperative);
     return;
@@ -203,8 +202,7 @@ void CerberusChannel::on_round() {
   }
   // Latest commit: after T, the owner sweeps its local output 0 and the
   // counterparty its output 1, each with its own delayed key.
-  const auto conf = ledger.confirmation_round(id);
-  sweep_round_ = (conf ? *conf : env_.now()) + params_.t_punish;
+  sweep_round_ = spender->round() + params_.t_punish;
   const Commit& c = rec->commit;
   sweeps_ = {{{id, 0}, c.local, rec->owner, c.body.outputs[0].cash, {}},
              {{id, 1}, c.remote, other(rec->owner), c.body.outputs[1].cash, {}}};

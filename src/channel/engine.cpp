@@ -109,8 +109,7 @@ bool Engine::post_cooperative_close(sim::PartyId initiator, const char* type,
   if (send_or_close(initiator, type) == 0) return false;
   observe_weight(close);
   note_phase({}, "coop_close_posted");
-  env_.ledger().post(close);
-  coop_close_txid_ = close.txid();
+  coop_close_txid_ = env_.ledger().post(close);
   return run_until_closed();
 }
 

@@ -296,6 +296,7 @@ void restore_party(DaricChannel& ch, PartyId who, const ChannelSnapshot& s) {
   }
   p.pending_split_.reset();
   p.pending_revocation_txid_.reset();
+  p.own_rv_sig_ = {};  // RAM only: the crash lost it
   p.expected_coop_txid_.reset();
   p.outcome_ = CloseOutcome::kNone;
   p.closed_round_.reset();

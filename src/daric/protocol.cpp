@@ -76,9 +76,14 @@ SighashFlag revocation_flag(const channel::ChannelParams& p) {
 }  // namespace
 
 Bytes DaricParty::sign_own_revocation(const tx::Transaction& body) const {
-  // TX^A_RV spends TX^B_CM (rv2 keys); TX^B_RV spends TX^A_CM (rv keys).
-  const crypto::KeyPair& kp = id_ == PartyId::kA ? keys_.rv2 : keys_.rv;
-  return tx::sign_input(body, 0, kp, env_.scheme(), revocation_flag(params_));
+  const SighashFlag flag = revocation_flag(params_);
+  const Hash256 digest = tx::sighash_digest(body, 0, flag);
+  if (own_rv_sig_.wire.empty() || own_rv_sig_.digest != digest) {
+    // TX^A_RV spends TX^B_CM (rv2 keys); TX^B_RV spends TX^A_CM (rv keys).
+    const crypto::KeyPair& kp = id_ == PartyId::kA ? keys_.rv2 : keys_.rv;
+    own_rv_sig_ = {digest, script::encode_wire_sig(env_.scheme().sign_with(kp, digest), flag)};
+  }
+  return own_rv_sig_.wire;
 }
 
 const crypto::PrecomputedPoint& DaricParty::peer_table(PeerKey key) const {
@@ -104,34 +109,31 @@ void DaricParty::set_fee_source(const FeeSource& source, Amount fee) {
   punish_fee_ = fee;
 }
 
-void DaricParty::commit_to_published_split(const tx::Transaction& spender,
+void DaricParty::commit_to_published_split(const ledger::AcceptedTx& commit,
                                            const FloatingSplit& split,
                                            const script::Script& commit_scr) {
-  const auto confirmed = env_.ledger().confirmation_round(spender.txid());
   tx::Transaction bound = split.body;
-  bind_floating(bound, {spender.txid(), 0});
+  bind_floating(bound, {commit.txid(), 0});
   attach_split_witness(bound, 0, commit_scr, split.sig_a, split.sig_b);
-  pending_split_ = PendingSplit{std::move(bound),
-                                (confirmed ? *confirmed : env_.now()) + params_.t_punish, false};
+  pending_split_ = PendingSplit{std::move(bound), commit.round() + params_.t_punish, false, {}};
 }
 
-void DaricParty::punish(const tx::Transaction& spender, const CommitMatch& commit) {
+void DaricParty::punish(const Hash256& commit_txid, const CommitMatch& match) {
   tx::Transaction rv = gen_revoke(pub_own_.main, params_.capacity(), sn_ - 1, params_);
-  bind_floating(rv, {spender.txid(), 0});
+  bind_floating(rv, {commit_txid, 0});
   const Bytes own = sign_own_revocation(rv);
   if (id_ == PartyId::kA) {
-    attach_revoke_witness(rv, 0, commit.script, own, theta_sig_);  // [rv2_A, rv2_B]
+    attach_revoke_witness(rv, 0, match.script, own, theta_sig_);  // [rv2_A, rv2_B]
   } else {
-    attach_revoke_witness(rv, 0, commit.script, theta_sig_, own);  // [rv_A, rv_B]
+    attach_revoke_witness(rv, 0, match.script, theta_sig_, own);  // [rv_A, rv_B]
   }
   if (fee_outpoint_value_ && fee_key_) {
     attach_fee(rv, {fee_outpoint_value_->first, fee_outpoint_value_->second, *fee_key_},
                punish_fee_, env_.scheme());
   }
-  env_.ledger().post(rv);
-  pending_revocation_txid_ = rv.txid();
+  pending_revocation_txid_ = env_.ledger().post(rv);
   ch_.observe_weight(rv);
-  ch_.note_punish(id_, commit.state, sn_);
+  ch_.note_punish(id_, match.state, sn_);
 }
 
 void DaricParty::close_with(CloseOutcome outcome, Round round) {
@@ -182,40 +184,45 @@ void DaricParty::monitor() {
 
   if (pending_split_) {
     if (!pending_split_->posted && env_.now() >= pending_split_->post_round) {
-      ledger.post(pending_split_->bound);
+      pending_split_->txid = ledger.post(pending_split_->bound);
       pending_split_->posted = true;
       ch_.observe_weight(pending_split_->bound);
       ch_.note_phase(sim::party_name(id_), "split_posted");
-    } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->bound.txid())) {
+    } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->txid)) {
       close_with(CloseOutcome::kNonCollaborative, env_.now());
     }
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
+  const ledger::AcceptedTx* spender = ledger.spender_of(fund_op_);
   if (!spender) return;
-  const Hash256 id = spender->txid();
+  const Hash256& id = spender->txid();
 
   if (expected_coop_txid_ && id == *expected_coop_txid_) {
     close_with(CloseOutcome::kCooperative, env_.now());
     return;
   }
 
-  // Appendix D Punish: is the spender in the allowed set I?
-  if (id == cm_own_.txid()) {
+  // Appendix D Punish: is the spender in the allowed set I? Commit i has
+  // nLT = S0 + i, so only a commit with the spender's nLockTime can share
+  // its txid, and the others are not hashed.
+  const auto published = [&](const tx::Transaction& commit) {
+    return commit.nlocktime == spender->tx().nlocktime && commit.txid() == id;
+  };
+  if (published(cm_own_)) {
     commit_to_published_split(*spender, split_, cm_own_script_);
     return;
   }
-  if (id == cm_other_body_.txid()) {
+  if (published(cm_other_body_)) {
     commit_to_published_split(*spender, split_, cm_other_script_);
     return;
   }
   if (flag_ == channel::ChannelFlag::kUpdating) {
-    if (cm_own_new_ && id == cm_own_new_->txid()) {
+    if (cm_own_new_ && published(*cm_own_new_)) {
       commit_to_published_split(*spender, split_new_, cm_own_new_script_);
       return;
     }
-    if (id == cm_other_new_body_.txid()) {
+    if (published(cm_other_new_body_)) {
       commit_to_published_split(*spender, split_new_, cm_other_new_script_);
       return;
     }
@@ -226,9 +233,9 @@ void DaricParty::monitor() {
   if (sn_ > 0 && !theta_sig_.empty()) {
     const DaricPubKeys& pa = id_ == PartyId::kA ? pub_own_ : pub_other_;
     const DaricPubKeys& pb = id_ == PartyId::kA ? pub_other_ : pub_own_;
-    if (const auto commit = match_counterparty_commit(*spender, id_, pa, pb, params_.s0,
-                                                      params_.t_punish, sn_ - 1)) {
-      punish(*spender, *commit);
+    if (const auto match = match_counterparty_commit(spender->tx(), id_, pa, pb, params_.s0,
+                                                     params_.t_punish, sn_ - 1)) {
+      punish(id, *match);
       return;
     }
   }
@@ -237,9 +244,9 @@ void DaricParty::monitor() {
   // crash, or a counterparty commit at or above Θ's coverage. Whoever holds
   // that commit's split or revocation spends its output, and the channel
   // resolves then: punished if the spend took the revocation branch.
-  if (const auto out = ledger.spender_of({id, 0}))
-    close_with(takes_revocation_branch(*out) ? CloseOutcome::kPunished
-                                             : CloseOutcome::kNonCollaborative,
+  if (const ledger::AcceptedTx* out = ledger.spender_of({id, 0}))
+    close_with(takes_revocation_branch(out->tx()) ? CloseOutcome::kPunished
+                                                  : CloseOutcome::kNonCollaborative,
                env_.now());
 }
 
@@ -323,12 +330,12 @@ bool DaricChannel::create() {
   attach_p2wpkh_witness(
       tx_fu, 1, tx::sign_input(tx_fu, 1, b_.funding_key_, scheme, SighashFlag::kAll, &sh_fu),
       b_.funding_key_.pk.compressed());
-  env_.ledger().post(tx_fu);
+  const Hash256 fu_id = env_.ledger().post(tx_fu);
 
   // Step 6: wait ≤ Δ for confirmation, then finalize both Γ stores.
-  for (Round r = 0; r <= env_.delta() + 1 && !env_.ledger().is_confirmed(tx_fu.txid()); ++r)
+  for (Round r = 0; r <= env_.delta() + 1 && !env_.ledger().is_confirmed(fu_id); ++r)
     env_.advance_round();
-  if (!env_.ledger().is_confirmed(tx_fu.txid())) return false;
+  if (!env_.ledger().is_confirmed(fu_id)) return false;
 
   auto finalize = [&](DaricParty& p, const tx::Transaction& body_own,
                       const script::Script& script_own, const tx::Transaction& body_other,
@@ -604,11 +611,9 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
   const Bytes& sig_a = initiator == PartyId::kA ? sig_p : sig_q;
   const Bytes& sig_b = initiator == PartyId::kA ? sig_q : sig_p;
   attach_funding_witness(fin, 0, p.fund_script_, sig_a, sig_b);
-  a_.expected_coop_txid_ = fin.txid();
-  b_.expected_coop_txid_ = fin.txid();
   observe_weight(fin);
   note_phase(sim::party_name(initiator), "coop_close_posted");
-  env_.ledger().post(fin);
+  a_.expected_coop_txid_ = b_.expected_coop_txid_ = env_.ledger().post(fin);
   return run_until_closed();
 }
 

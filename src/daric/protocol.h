@@ -129,11 +129,15 @@ class DaricParty {
   bool idle() const;
   /// Puts the round hook to sleep exactly when idle().
   void refresh_wake();
-  void commit_to_published_split(const tx::Transaction& spender, const FloatingSplit& split,
+  void commit_to_published_split(const ledger::AcceptedTx& commit, const FloatingSplit& split,
                                  const script::Script& commit_script);
-  /// Posts the revocation of a commit Θ revokes (commit.state < sn).
-  void punish(const tx::Transaction& spender, const CommitMatch& commit);
-  Bytes sign_own_revocation(const tx::Transaction& bound_body) const;
+  /// Posts the revocation of the confirmed commit `commit_txid`, which Θ
+  /// revokes (match.state < sn).
+  void punish(const Hash256& commit_txid, const CommitMatch& match);
+  /// This party's ANYPREVOUT signature on its own TX_RV. The package for the
+  /// tower and the punishment sign the same digest (the floating body, bound
+  /// or not), so the signature is made once per revoked state.
+  Bytes sign_own_revocation(const tx::Transaction& body) const;
 
   DaricChannel& ch_;  // the engine shell: instruments and lifecycle events
   sim::PartyId id_;
@@ -176,6 +180,15 @@ class DaricParty {
   // Θ^P: counterparty's ANYPREVOUT signature on TX^P_RV,(sn-1).
   Bytes theta_sig_;
 
+  // The last own signature on TX^P_RV and the digest it signs (RAM only,
+  // never persisted; empty until the first): the tower package's
+  // signature, reused at punish time.
+  struct RevocationSig {
+    Hash256 digest;
+    Bytes wire;
+  };
+  mutable RevocationSig own_rv_sig_;
+
   // Close bookkeeping.
   /// Records the outcome and notifies the durability hook (store cleanup).
   void close_with(CloseOutcome outcome, Round round);
@@ -194,6 +207,7 @@ class DaricParty {
     tx::Transaction bound;  // ready-to-post split
     Round post_round = 0;
     bool posted = false;
+    Hash256 txid;  // bound's, once posted
   };
   std::optional<PendingSplit> pending_split_;
   std::optional<Hash256> pending_revocation_txid_;
@@ -238,8 +252,12 @@ class DaricChannel : public channel::Engine {
   std::uint32_t state_number() const override { return a_.sn_; }
   BytesView payout_pk(sim::PartyId who) const override { return party(who).pub().main; }
   channel::Outcome outcome(sim::PartyId who) const override { return party(who).outcome(); }
-  /// Both parties consider the channel closed.
-  bool closed() const override { return !a_.open_ && !b_.open_; }
+  /// Both parties consider the channel closed. A party's open_ clears only
+  /// when it closes, so a channel that never opened (before create, or
+  /// after a create that timed out) is not closed.
+  bool closed() const override {
+    return (a_.closed_round_ || b_.closed_round_) && !a_.open_ && !b_.open_;
+  }
   /// Each party runs its own Punish monitor.
   void set_monitor_online(bool a, bool b) override {
     a_.set_online(a);

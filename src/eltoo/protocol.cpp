@@ -147,7 +147,7 @@ void EltooChannel::on_round() {
   if (!monitoring()) return;
   auto& ledger = env_.ledger();
 
-  auto spender = ledger.spender_of(fund_op_);
+  const ledger::AcceptedTx* spender = ledger.spender_of(fund_op_);
   if (!spender) return;
   if (coop_close_txid_ == spender->txid()) {
     settle(sn_, channel::Outcome::kCooperative, "cooperative");
@@ -156,24 +156,22 @@ void EltooChannel::on_round() {
 
   // Walk the update chain to the deepest confirmed update transaction.
   std::uint32_t cur_state = 0;
-  tx::Transaction holder;
-  for (;;) {
-    if (spender->outputs.size() != 1) {
+  const ledger::AcceptedTx* holder = nullptr;
+  while (spender) {
+    if (spender->tx().outputs.size() != 1) {
       // A settlement (two or more outputs) finalized the channel.
       settle(cur_state, channel::Outcome::kNonCollaborative,
              cur_state < sn_ ? "stale-settled" : "settled");
       return;
     }
-    holder = *spender;
-    cur_state = holder.nlocktime - params_.s0;
-    auto next = ledger.spender_of({holder.txid(), 0});
-    if (!next) break;
-    spender = next;
+    holder = spender;
+    cur_state = holder->tx().nlocktime - params_.s0;
+    spender = ledger.spender_of({holder->txid(), 0});
   }
 
-  const auto conf = ledger.confirmation_round(holder.txid());
-  if (!tip_txid_ || *tip_txid_ != holder.txid()) {
-    tip_txid_ = holder.txid();
+  const Round conf = holder->round();
+  if (!tip_txid_ || *tip_txid_ != holder->txid()) {
+    tip_txid_ = holder->txid();
     tip_state_ = cur_state;
     settlement_posted_ = false;
     reacted_for_tip_ = false;
@@ -191,17 +189,17 @@ void EltooChannel::on_round() {
              {obs::Attr::s("kind", "override"),
               obs::Attr::i("stale_state", static_cast<std::int64_t>(cur_state)),
               obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
-      post_update_bound(sn_, {holder.txid(), 0}, archive_.at(cur_state).out_script, false);
+      post_update_bound(sn_, {holder->txid(), 0}, archive_.at(cur_state).out_script, false);
       reacted_for_tip_ = true;
     }
     return;
   }
 
   // Latest state on-chain: settle once the CSV matured.
-  if (!settlement_posted_ && conf && env_.now() >= *conf + params_.t_punish) {
+  if (!settlement_posted_ && env_.now() >= conf + params_.t_punish) {
     const ArchivedState& s = archive_.at(sn_);
     tx::Transaction t = s.set_body;
-    daricch::bind_floating(t, {holder.txid(), 0});
+    daricch::bind_floating(t, {holder->txid(), 0});
     t.witnesses.resize(1);
     t.witnesses[0].stack = {Bytes{}, s.set_sig_a, s.set_sig_b, Bytes{1}};
     t.witnesses[0].witness_script = s.out_script;

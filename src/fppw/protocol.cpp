@@ -141,11 +141,10 @@ void FppwChannel::on_round() {
     return;
   }
   if (pending_split_) {
-    auto& [post_round, bound] = *pending_split_;
-    if (post_round != -1 && env_.now() >= post_round) {
-      ledger.post(bound);
-      post_round = -1;
-    } else if (post_round == -1 && ledger.is_confirmed(bound.txid()) &&
+    PendingSplit& split = *pending_split_;
+    if (!split.txid && env_.now() >= split.post_round) {
+      split.txid = ledger.post(split.bound);
+    } else if (split.txid && ledger.is_confirmed(*split.txid) &&
                ledger.is_confirmed(*pending_release_)) {
       close_as(channel::Outcome::kNonCollaborative);
     }
@@ -169,10 +168,10 @@ void FppwChannel::on_round() {
   if (fraud_seen_round_ && !tower_online_) {
     if (env_.now() < *fraud_seen_round_ + params_.t_punish) return;
     // Identify the publisher by extraction, then claim the collateral.
-    const auto spender = ledger.spender_of(fund_op_);
+    const ledger::AcceptedTx* spender = ledger.spender_of(fund_op_);
     const auto state = state_of(*fraud_commit_txid_);
     if (!state || !spender) return;
-    const auto publisher = publisher_of(*spender, *state);
+    const auto publisher = publisher_of(spender->tx(), *state);
     if (!publisher) return;
     const bool a_pub = publisher->who == PartyId::kA;
     const PartyKeys& victim = keys_.of(other(publisher->who));
@@ -185,16 +184,15 @@ void FppwChannel::on_round() {
     pen.witnesses.resize(1);
     pen.witnesses[0].stack = {Bytes{}, sig_pen, sig_y, a_pub ? Bytes{1} : Bytes{}, Bytes{}};
     pen.witnesses[0].witness_script = archive_[*state].commit.out1;
-    ledger.post(pen);
+    pending_txid_ = ledger.post(pen);
     note_punish(other(publisher->who), *state, sn_);
-    pending_txid_ = pen.txid();
     pending_is_compensation_ = true;
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
+  const ledger::AcceptedTx* spender = ledger.spender_of(fund_op_);
   if (!spender) return;
-  const Hash256 id = spender->txid();
+  const Hash256& id = spender->txid();
   if (coop_close_txid_ == id) {
     close_as(channel::Outcome::kCooperative);
     return;
@@ -206,12 +204,12 @@ void FppwChannel::on_round() {
     // Revoked: the tower (if online) fires the pre-signed revocation for
     // the non-publishing victim.
     if (!tower_online_) {
-      fraud_seen_round_ = *ledger.confirmation_round(id);
+      fraud_seen_round_ = spender->round();
       fraud_commit_txid_ = id;
       return;
     }
     // An unidentified publisher is taken to be B.
-    const auto publisher = publisher_of(*spender, *state);
+    const auto publisher = publisher_of(spender->tx(), *state);
     const PartyId victim = publisher && publisher->who == PartyId::kA ? PartyId::kB : PartyId::kA;
     for (const RevocationRecord& rv : tower_revocations_) {
       if (rv.commit_txid != id) continue;
@@ -219,9 +217,8 @@ void FppwChannel::on_round() {
       const auto& payout = rv.revocation.outputs[0].cond;
       const bool pays_a = payout == tx::Condition::p2wpkh(keys_.a.payout);
       if ((victim == PartyId::kA) == pays_a) {
-        ledger.post(rv.revocation);
+        pending_txid_ = ledger.post(rv.revocation);
         note_punish(victim, *state, sn_);
-        pending_txid_ = rv.revocation.txid();
         pending_is_compensation_ = false;
         return;
       }
@@ -233,17 +230,15 @@ void FppwChannel::on_round() {
   // collateral release, which spends output 1 through its 3-of-3 branch
   // back to the tower (the co-signed collateral-release template). The
   // close counts once both confirm.
-  const auto conf = ledger.confirmation_round(id);
   tx::Transaction split = split_body_;
   split.witnesses.resize(1);
   split.witnesses[0].stack = {Bytes{}, split_sig_a_, split_sig_b_, Bytes{}};
   split.witnesses[0].witness_script = commit_.out0;
-  pending_split_ = {{(conf ? *conf : env_.now()) + params_.t_punish, std::move(split)}};
+  pending_split_ = PendingSplit{spender->round() + params_.t_punish, std::move(split), {}};
   tx::Transaction release = daricch::gen_sweep({id, 1}, collateral(), tower_payout_pk());
   release.witnesses.resize(1);
   sign_3of3(release, 0, commit_.out1);
-  ledger.post(release);
-  pending_release_ = release.txid();
+  pending_release_ = ledger.post(release);
 }
 
 std::size_t FppwChannel::party_storage_bytes(PartyId who) const {

@@ -89,7 +89,12 @@ class FppwChannel : public channel::Engine {
 
   std::optional<Hash256> pending_txid_;
   bool pending_is_compensation_ = false;
-  std::optional<std::pair<Round, tx::Transaction>> pending_split_;
+  struct PendingSplit {
+    Round post_round = 0;
+    tx::Transaction bound;
+    std::optional<Hash256> txid;  // once posted
+  };
+  std::optional<PendingSplit> pending_split_;
   std::optional<Hash256> pending_release_;  // set with pending_split_
   std::optional<Round> fraud_seen_round_;
   std::optional<Hash256> fraud_commit_txid_;

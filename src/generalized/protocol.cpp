@@ -148,17 +148,17 @@ void GeneralizedChannel::on_round() {
     if (!pending_split_->posted && env_.now() >= pending_split_->post_round) {
       observe_weight(pending_split_->bound);
       note_phase({}, "split_posted");
-      ledger.post(pending_split_->bound);
+      pending_split_->txid = ledger.post(pending_split_->bound);
       pending_split_->posted = true;
-    } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->bound.txid())) {
+    } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->txid)) {
       close_as(channel::Outcome::kNonCollaborative);
     }
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
+  const ledger::AcceptedTx* spender = ledger.spender_of(fund_op_);
   if (!spender) return;
-  const Hash256 id = spender->txid();
+  const Hash256& id = spender->txid();
   if (coop_close_txid_ == id) {
     close_as(channel::Outcome::kCooperative);
     return;
@@ -178,20 +178,19 @@ void GeneralizedChannel::on_round() {
 
   if (state == sn_) {
     // Latest state: schedule the split after the dispute delay.
-    const auto conf = ledger.confirmation_round(id);
     tx::Transaction split = split_body_;
     split.witnesses.resize(1);
     split.witnesses[0].stack = {Bytes{}, split_sig_a_, split_sig_b_, Bytes{1}};
     split.witnesses[0].witness_script = out_script_;
     pending_split_ =
-        PendingSplit{std::move(split), (conf ? *conf : env_.now()) + params_.t_punish, false};
+        PendingSplit{std::move(split), spender->round() + params_.t_punish, false, {}};
     return;
   }
 
   // Revoked state: identify the publisher by adaptor extraction, then
   // punish with (extracted y, revealed r).
   const StateSecrets sec = state_secrets(params_.id, state);
-  const auto publisher = channel::identify_publisher(*spender, rec->pre_a, rec->pre_b,
+  const auto publisher = channel::identify_publisher(spender->tx(), rec->pre_a, rec->pre_b,
                                                      sec.y_a.pk, sec.y_b.pk, scheme);
   if (!publisher) return;
   const bool a_published = publisher->who == PartyId::kA;
@@ -208,8 +207,7 @@ void GeneralizedChannel::on_round() {
   punish.witnesses[0].witness_script = rec->out_script;
   observe_weight(punish);
   note_punish(other(publisher->who), state, sn_);
-  ledger.post(punish);
-  pending_punish_txid_ = punish.txid();
+  pending_punish_txid_ = ledger.post(punish);
 }
 
 std::size_t GeneralizedChannel::party_storage_bytes(PartyId who) const {

@@ -67,6 +67,7 @@ class GeneralizedChannel : public channel::Engine {
     tx::Transaction bound;
     Round post_round = 0;
     bool posted = false;
+    Hash256 txid;  // bound's, once posted
   };
   std::optional<PendingSplit> pending_split_;
 };

@@ -44,17 +44,17 @@ void Ledger::set_obs(obs::Tracer* tracer, obs::Registry* metrics) {
   }
 }
 
-void Ledger::post(const tx::Transaction& t) {
+Hash256 Ledger::post(const tx::Transaction& t) {
   Round delay = delta_;
   if (delay_policy_) {
     delay = delay_policy_(t, delta_);
     if (delay < 0) delay = 0;
     if (delay > delta_) delay = delta_;
   }
-  post_with_delay(t, delay);
+  return post_with_delay(t, delay);
 }
 
-void Ledger::post_with_delay(const tx::Transaction& t, Round delay) {
+Hash256 Ledger::post_with_delay(const tx::Transaction& t, Round delay) {
   if (delay < 0 || delay > delta_) throw std::invalid_argument("delay must be in [0, Δ]");
   const Hash256 id = t.txid();
   records_.push_back({id, now_, now_ + delay, false, TxError::kOk});
@@ -64,6 +64,7 @@ void Ledger::post_with_delay(const tx::Transaction& t, Round delay) {
     tracer_->emit(now_, obs::EventKind::kTxPost, "ledger", {}, {},
                   {obs::Attr::s("txid", txid_label(id)),
                    obs::Attr::i("due", now_ + delay)});
+  return id;
 }
 
 void Ledger::advance_round() {
@@ -224,7 +225,7 @@ void Ledger::process_due() {
   queue_ = std::move(keep);
   const tx::ProvenSigs proven = prove_round_signatures(due);
   std::uint64_t confirmed_this_round = 0;
-  for (const Pending& p : due) {
+  for (Pending& p : due) {
     const TxError err = validate_transaction(
         p.tx, p.txid, {utxos_, seen_txids_, now_, scheme_, {&proven, nullptr}});
     records_[p.record_index].processed = true;
@@ -249,17 +250,17 @@ void Ledger::process_due() {
 
     const Hash256& id = p.txid;
     fees_total_ += transaction_fee(p.tx, utxos_);
-    for (const tx::TxIn& in : p.tx.inputs) {
+    const AcceptedTx& stored = accepted_.emplace_back(now_, std::move(p.tx), id);
+    const tx::Transaction& t = stored.tx();
+    for (const tx::TxIn& in : t.inputs) {
       utxos_.erase(in.prevout);
-      spent_by_[in.prevout] = id;
+      spent_by_[in.prevout] = &stored;
     }
-    for (std::uint32_t i = 0; i < p.tx.outputs.size(); ++i) {
-      utxos_.add({{id, i}, p.tx.outputs[i], now_});
+    for (std::uint32_t i = 0; i < t.outputs.size(); ++i) {
+      utxos_.add({{id, i}, t.outputs[i], now_});
     }
     seen_txids_.insert(id);
     confirmed_round_[id] = now_;
-    tx_by_id_[id] = p.tx;
-    accepted_.push_back({now_, p.tx});
   }
   if (txs_per_round_) txs_per_round_->observe(static_cast<std::int64_t>(confirmed_this_round));
 }
@@ -285,10 +286,9 @@ std::optional<Round> Ledger::confirmation_round(const Hash256& txid) const {
   return it->second;
 }
 
-std::optional<tx::Transaction> Ledger::spender_of(const tx::OutPoint& op) const {
+const AcceptedTx* Ledger::spender_of(const tx::OutPoint& op) const {
   const auto it = spent_by_.find(op);
-  if (it == spent_by_.end()) return std::nullopt;
-  return tx_by_id_.at(it->second);
+  return it == spent_by_.end() ? nullptr : it->second;
 }
 
 std::optional<TxError> Ledger::post_result(const Hash256& txid) const {

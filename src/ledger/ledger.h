@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -16,9 +17,23 @@
 
 namespace daric::ledger {
 
-struct AcceptedTx {
-  Round round = 0;
-  tx::Transaction tx;
+/// A confirmed transaction as the ledger stores it: the only copy, with
+/// the round it confirmed in and its txid, computed once when it was posted.
+/// accepted() lists these in confirmation order; spender_of points into them.
+class AcceptedTx {
+ public:
+  AcceptedTx(Round round, tx::Transaction tx, const Hash256& txid)
+      : round_(round), tx_(std::move(tx)), txid_(txid) {}
+
+  Round round() const { return round_; }
+  const tx::Transaction& tx() const { return tx_; }
+  /// tx().txid(), read rather than recomputed.
+  const Hash256& txid() const { return txid_; }
+
+ private:
+  Round round_;
+  tx::Transaction tx_;
+  Hash256 txid_;
 };
 
 struct PostRecord {
@@ -33,6 +48,9 @@ class Ledger {
  public:
   Ledger(Round delta, const crypto::SignatureScheme& scheme)
       : delta_(delta), scheme_(scheme) {}
+  // spent_by_ points into accepted_, so a copy would point into the original.
+  Ledger(const Ledger&) = delete;
+  Ledger& operator=(const Ledger&) = delete;
 
   Round now() const { return now_; }
   Round delta() const { return delta_; }
@@ -45,9 +63,9 @@ class Ledger {
 
   /// Posts a transaction; it will be processed `delay` rounds from now
   /// (delay defaults to Δ, or to the installed delay policy's choice;
-  /// must be in [0, Δ]).
-  void post(const tx::Transaction& t);
-  void post_with_delay(const tx::Transaction& t, Round delay);
+  /// must be in [0, Δ]). Returns its txid, which the post computes anyway.
+  Hash256 post(const tx::Transaction& t);
+  Hash256 post_with_delay(const tx::Transaction& t, Round delay);
 
   /// Adversary-chosen per-post confirmation delay τ ∈ [0, Δ] applied to
   /// every plain post(). The policy's return value is clamped to [0, Δ].
@@ -70,11 +88,14 @@ class Ledger {
   std::optional<Round> confirmation_round(const Hash256& txid) const;
   bool is_unspent(const tx::OutPoint& op) const { return utxos_.contains(op); }
   std::optional<Utxo> find_utxo(const tx::OutPoint& op) const { return utxos_.find(op); }
-  /// The confirmed transaction that spent `op`, if any.
-  std::optional<tx::Transaction> spender_of(const tx::OutPoint& op) const;
+  /// The confirmed transaction that spent `op`, or null while `op` is
+  /// unspent. The pointer stays valid for the ledger's lifetime.
+  const AcceptedTx* spender_of(const tx::OutPoint& op) const;
   std::optional<TxError> post_result(const Hash256& txid) const;
 
-  const std::vector<AcceptedTx>& accepted() const { return accepted_; }
+  /// Every confirmed transaction in confirmation order. Entries never move:
+  /// a reference stays valid while later rounds confirm more.
+  const std::deque<AcceptedTx>& accepted() const { return accepted_; }
   const UtxoSet& utxos() const { return utxos_; }
   Amount minted_total() const { return minted_total_; }
   Amount fees_total() const { return fees_total_; }
@@ -108,9 +129,8 @@ class Ledger {
   UtxoSet utxos_;
   std::unordered_set<Hash256, Hash256Hasher> seen_txids_;
   std::unordered_map<Hash256, Round, Hash256Hasher> confirmed_round_;
-  std::unordered_map<tx::OutPoint, Hash256, tx::OutPointHasher> spent_by_;
-  std::unordered_map<Hash256, tx::Transaction, Hash256Hasher> tx_by_id_;
-  std::vector<AcceptedTx> accepted_;
+  std::unordered_map<tx::OutPoint, const AcceptedTx*, tx::OutPointHasher> spent_by_;
+  std::deque<AcceptedTx> accepted_;  // the one stored copy of each confirmed transaction
   Amount minted_total_ = 0;
   Amount fees_total_ = 0;
   std::uint64_t mint_counter_ = 0;

@@ -126,18 +126,17 @@ void LightningChannel::on_round() {
       sweep.witnesses[0].witness_script = pending_sweep_->script;
       observe_weight(sweep);
       note_phase(sim::party_name(pending_sweep_->owner), "sweep_posted");
-      ledger.post(sweep);
+      pending_sweep_->txid = ledger.post(sweep);
       pending_sweep_->posted = true;
-      pending_sweep_->txid = sweep.txid();
     } else if (pending_sweep_->posted && ledger.is_confirmed(pending_sweep_->txid)) {
       close_as(channel::Outcome::kNonCollaborative);
     }
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
+  const ledger::AcceptedTx* spender = ledger.spender_of(fund_op_);
   if (!spender) return;
-  const Hash256 id = spender->txid();
+  const Hash256& id = spender->txid();
   if (coop_close_txid_ == id) {
     close_as(channel::Outcome::kCooperative);
     return;
@@ -165,18 +164,16 @@ void LightningChannel::on_round() {
     claim.witnesses[0].witness_script = rec->to_local;
     observe_weight(claim);
     note_punish(victim, rec->state, sn_);
-    ledger.post(claim);
-    pending_claim_txid_ = claim.txid();
+    pending_claim_txid_ = ledger.post(claim);
     return;
   }
 
   // Latest commitment: owner sweeps its to_local after the CSV delay.
-  const auto conf = ledger.confirmation_round(id);
   pending_sweep_ = PendingSweep{{id, 0},
                                 rec->to_local,
                                 rec->owner,
                                 rec->tx.outputs[0].cash,
-                                (conf ? *conf : env_.now()) + params_.t_punish,
+                                spender->round() + params_.t_punish,
                                 false,
                                 {}};
 }

@@ -17,9 +17,9 @@ LightningWatchtower::StatePackage make_ln_tower_package(const LightningChannel& 
 
 void LightningWatchtower::on_round(ledger::Ledger& l) {
   if (reacted_) return;
-  const auto spender = l.spender_of(fund_op_);
+  const ledger::AcceptedTx* spender = l.spender_of(fund_op_);
   if (!spender) return;
-  const Hash256 id = spender->txid();
+  const Hash256& id = spender->txid();
   for (const StatePackage& pkg : packages_) {
     if (pkg.counterparty_commit_txid != id) continue;
     // Revoked commit on-chain: claim the cheater's to_local instantly.

@@ -20,9 +20,11 @@
 // the chaos drills and tools read instead of keeping bespoke statistics.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "src/ledger/ledger.h"
@@ -79,15 +81,20 @@ class Environment {
   /// Registers a hook executed at the end of every round in which it is
   /// awake (punish watchers). Hooks start awake.
   HookId add_round_hook(std::function<void()> hook) {
+    const HookId id = hooks_.size();
     hooks_.push_back(std::move(hook));
-    awake_.push_back(1);
-    return hooks_.size() - 1;
+    if (id % 64 == 0) awake_.push_back(0);
+    set_awake_bit(id, true);
+    return id;
   }
 
   /// Puts a hook to sleep or wakes it. Only a hook whose call would change
   /// nothing may sleep: a sleeping hook misses rounds until it is woken by
   /// this call or by a spend of an outpoint it watches.
-  void set_hook_awake(HookId id, bool awake) { awake_.at(id) = awake ? 1 : 0; }
+  void set_hook_awake(HookId id, bool awake) {
+    if (id >= hooks_.size()) throw std::out_of_range("no such round hook");
+    set_awake_bit(id, awake);
+  }
 
   /// Wakes `id` in the first round whose hooks run after a confirmed
   /// transaction spends `op` (before any hook of that round).
@@ -100,13 +107,22 @@ class Environment {
     if (tracer_.enabled())
       tracer_.emit(now(), obs::EventKind::kRoundAdvance, "sim", {}, {});
     wake_spent_watchers();
-    // Indexed, not iterated: a hook may wake or put to sleep any hook,
-    // itself included, and a later hook woken this way still runs now.
+    // In registration order, visiting only the awake bits of each word. A
+    // hook may wake or put to sleep any hook, itself included, so the word
+    // is read again after every call: a later hook woken this way still
+    // runs now, and one put to sleep does not.
     std::uint64_t ran = 0;
-    for (HookId i = 0, n = hooks_.size(); i < n; ++i) {
-      if (!awake_[i]) continue;
-      hooks_[i]();
-      ++ran;
+    const HookId n = hooks_.size();
+    for (std::size_t w = 0; w * 64 < n; ++w) {
+      const HookId base = w * 64;
+      const HookId count = n - base;  // hooks from this word on, registered before the round
+      std::uint64_t due = count >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+      while (const std::uint64_t live = awake_[w] & due) {
+        const int bit = std::countr_zero(live);
+        due &= ~((std::uint64_t{2} << bit) - 1);  // this hook and those before it are done
+        hooks_[base + static_cast<HookId>(bit)]();
+        ++ran;
+      }
     }
     hooks_run_->inc(ran);
   }
@@ -173,19 +189,27 @@ class Environment {
   void wake_spent_watchers() {
     const auto& accepted = ledger_.accepted();
     for (; scanned_ < accepted.size(); ++scanned_) {
-      for (const tx::TxIn& in : accepted[scanned_].tx.inputs) {
+      for (const tx::TxIn& in : accepted[scanned_].tx().inputs) {
         const auto [first, last] = watchers_.equal_range(in.prevout);
-        for (auto it = first; it != last; ++it) awake_[it->second] = 1;
+        for (auto it = first; it != last; ++it) set_awake_bit(it->second, true);
         watchers_.erase(first, last);
       }
     }
+  }
+
+  void set_awake_bit(HookId id, bool awake) {
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    if (awake)
+      awake_[id / 64] |= bit;
+    else
+      awake_[id / 64] &= ~bit;
   }
 
   ledger::Ledger ledger_;
   FaultInjector* injector_ = nullptr;
   Round message_delay_budget_ = 3;
   std::vector<std::function<void()>> hooks_;
-  std::vector<std::uint8_t> awake_;  // per hook, kept apart so the scan stays dense
+  std::vector<std::uint64_t> awake_;  // one bit per hook, 64 hooks a word
   std::unordered_multimap<tx::OutPoint, HookId, tx::OutPointHasher> watchers_;
   std::size_t scanned_ = 0;  // accepted() entries already checked for watched spends
   obs::Tracer tracer_;

@@ -127,8 +127,7 @@ EndgameResult run_cheat_endgame(Environment& env, daricch::DaricChannel& ch, Par
 
   EndgameResult res;
   res.punished = victim.outcome() == daricch::CloseOutcome::kPunished;
-  const auto commit_spender = env.ledger().spender_of({cheat_txid, 0});
-  res.funds_lost = commit_spender.has_value() && !res.punished;
+  res.funds_lost = env.ledger().spender_of({cheat_txid, 0}) && !res.punished;
   res.closed = !victim.channel_open() || res.funds_lost;
   return res;
 }

@@ -204,16 +204,21 @@ void TowerService::watch(const WatchEntry& entry) {
 void TowerService::retire(const tx::OutPoint& fund_op) {
   IndexEntry* slot = find(fund_op);
   if (!slot || slot->len == 0) return;
+  append_retire(*slot);
+  if (bulk_load_) return;
+  backend_.sync();
+  maybe_compact();
+}
+
+void TowerService::append_retire(IndexEntry& slot) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(TowerRecordKind::kRetire));
-  write_outpoint(w, fund_op);
+  write_outpoint(w, slot.op);
   append_record(backend_, w.take());
-  if (!bulk_load_) backend_.sync();
-  live_bytes_ -= slot->len;
-  slot->len = 0;
+  live_bytes_ -= slot.len;
+  slot.len = 0;
   --live_;
   if (channels_gauge_) channels_gauge_->set(static_cast<std::int64_t>(live_));
-  if (!bulk_load_) maybe_compact();
 }
 
 void TowerService::end_bulk_load() {
@@ -227,21 +232,27 @@ void TowerService::on_round(ledger::Ledger& l) {
   OBS_SPAN("tower.round");
   const auto& accepted = l.accepted();
   if (cursor_ > accepted.size()) cursor_ = 0;  // fresh ledger (tests)
+  bool retired = false;
   for (; cursor_ < accepted.size(); ++cursor_) {
-    const tx::Transaction& t = accepted[cursor_].tx;
-    for (const tx::TxIn& in : t.inputs) {
+    const ledger::AcceptedTx& spender = accepted[cursor_];
+    for (const tx::TxIn& in : spender.tx().inputs) {
       IndexEntry* slot = find(in.prevout);
       if (!slot || slot->len == 0) continue;
-      react(l, *slot, t);
+      react(l, *slot, spender);
       // The funding outpoint is spent either way — nothing left to watch.
-      // Retire durably so a restarted tower does not resurrect the channel.
-      retire(in.prevout);
+      append_retire(*slot);
+      retired = true;
     }
   }
+  if (!retired || bulk_load_) return;
+  // One group commit for the round's retires, durable before on_round
+  // returns, so a restarted tower does not resurrect a spent channel.
+  backend_.sync();
+  maybe_compact();
 }
 
 void TowerService::react(ledger::Ledger& l, const IndexEntry& slot,
-                         const tx::Transaction& spender) {
+                         const ledger::AcceptedTx& spender) {
   OBS_SPAN("tower.react");
   const Bytes payload = backend_.read(slot.offset, slot.len);
   Reader r(payload);
@@ -250,8 +261,8 @@ void TowerService::react(ledger::Ledger& l, const IndexEntry& slot,
       deserialize_watch_entry(BytesView{payload}.subspan(1));
 
   // The monitor's punishability test, off the loaded record.
-  const auto commit = daricch::match_counterparty_commit(spender, e.client, e.pub_a, e.pub_b,
-                                                         e.s0, e.t_punish, e.revoked_state);
+  const auto commit = daricch::match_counterparty_commit(
+      spender.tx(), e.client, e.pub_a, e.pub_b, e.s0, e.t_punish, e.revoked_state);
   if (!commit) return;
 
   tx::Transaction rv = e.rv_body;

@@ -14,7 +14,9 @@
 // Updating a channel's package appends a fresh record and repoints the
 // index; the log compacts back to one record per live channel once it
 // exceeds a constant factor of the live bytes, restoring the Table-1
-// O(1)-per-channel storage bound on disk as well as in RAM.
+// O(1)-per-channel storage bound on disk as well as in RAM. The channels a
+// round spends retire as one group: their records are appended as the
+// round is read, then synced and checked for compaction once.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +69,8 @@ class TowerService {
   void begin_bulk_load() { bulk_load_ = true; }
   void end_bulk_load();
 
-  /// Consumes newly accepted ledger transactions since the last call.
+  /// Consumes newly accepted ledger transactions since the last call and
+  /// retires every watched channel they spend, with one sync at the end.
   void on_round(ledger::Ledger& l);
 
   std::size_t channels() const { return live_; }
@@ -97,8 +100,11 @@ class TowerService {
   /// per-insert dedup lookups would be O(n²).
   void finish_bulk_index();
   void insert_index(const tx::OutPoint& op, std::uint64_t offset, std::uint32_t len);
+  /// Appends `slot`'s retire record and drops it from the live set; the
+  /// caller syncs.
+  void append_retire(IndexEntry& slot);
   void maybe_compact();
-  void react(ledger::Ledger& l, const IndexEntry& slot, const tx::Transaction& spender);
+  void react(ledger::Ledger& l, const IndexEntry& slot, const ledger::AcceptedTx& spender);
 
   StorageBackend& backend_;
   /// Sorted by outpoint up to sorted_; appended tail is searched linearly

@@ -51,9 +51,9 @@ void ConformanceChecker::on_round() {
   auto& ledger = env_.ledger();
 
   if (!funding_spent_round_) {
-    const auto spender = ledger.spender_of(channel_.funding_outpoint());
+    const ledger::AcceptedTx* spender = ledger.spender_of(channel_.funding_outpoint());
     if (!spender) return;
-    funding_spent_round_ = *ledger.confirmation_round(spender->txid());
+    funding_spent_round_ = spender->round();
     // Snapshot γ at the moment of the spend (Punish phase of F). When an
     // update is in flight the two parties may sit one state apart; both
     // states are acceptable resolutions (γ.st / γ.st′ with flag = 2).
@@ -67,8 +67,8 @@ void ConformanceChecker::on_round() {
     if (b.flag() == channel::ChannelFlag::kUpdating) gamma_st_prime_ = b.pending_state();
 
     // The spender itself may already resolve the channel (TX_SP̄ path).
-    if (matches_state(spender->outputs, gamma_st_) ||
-        matches_state(spender->outputs, gamma_st_prime_)) {
+    if (matches_state(spender->tx().outputs, gamma_st_) ||
+        matches_state(spender->tx().outputs, gamma_st_prime_)) {
       resolved_ = true;
       return;
     }
@@ -77,19 +77,18 @@ void ConformanceChecker::on_round() {
 
   // Funding spent by a commit: F expects resolution within T + Δ rounds
   // (+2 rounds of monitor scheduling slack in this engine).
-  const auto spender = ledger.spender_of(channel_.funding_outpoint());
+  const ledger::AcceptedTx* spender = ledger.spender_of(channel_.funding_outpoint());
   const Round deadline =
       *funding_spent_round_ + channel_.params().t_punish + env_.delta() + 2;
 
-  const auto resolution = ledger.spender_of({spender->txid(), 0});
-  if (resolution) {
+  if (const ledger::AcceptedTx* resolution = ledger.spender_of({spender->txid(), 0})) {
+    const std::vector<tx::Output>& outputs = resolution->tx().outputs;
     // Case 1 of F.Punish: everything to one party.
-    if (resolution->outputs.size() == 1 &&
-        resolution->outputs[0].cash == channel_.params().capacity()) {
+    if (outputs.size() == 1 && outputs[0].cash == channel_.params().capacity()) {
       const auto& a_pk = channel_.party(PartyId::kA).pub().main;
       const auto& b_pk = channel_.party(PartyId::kB).pub().main;
-      if (resolution->outputs[0].cond == tx::Condition::p2wpkh(a_pk) ||
-          resolution->outputs[0].cond == tx::Condition::p2wpkh(b_pk)) {
+      if (outputs[0].cond == tx::Condition::p2wpkh(a_pk) ||
+          outputs[0].cond == tx::Condition::p2wpkh(b_pk)) {
         resolved_ = true;
         return;
       }
@@ -98,8 +97,8 @@ void ConformanceChecker::on_round() {
       return;
     }
     // Case 2: the split realizes γ.st (or γ.st' mid-update).
-    if (matches_state(resolution->outputs, gamma_st_) ||
-        (had_st_prime_ && matches_state(resolution->outputs, gamma_st_prime_))) {
+    if (matches_state(outputs, gamma_st_) ||
+        (had_st_prime_ && matches_state(outputs, gamma_st_prime_))) {
       resolved_ = true;
       return;
     }

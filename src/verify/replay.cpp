@@ -39,19 +39,14 @@ std::optional<ReplayOutcome> read_payouts(const sim::Environment& env, DaricChan
   out.outcome = a.outcome();
   if (b.outcome() != a.outcome()) return std::nullopt;  // parties must agree
 
-  const auto fund_spender = env.ledger().spender_of(ch.funding_outpoint());
-  if (!fund_spender) return std::nullopt;
-  const tx::Transaction* settle = &*fund_spender;
-  std::optional<tx::Transaction> second;
-  if (out.outcome != CloseOutcome::kCooperative) {
-    second = env.ledger().spender_of({fund_spender->txid(), 0});
-    if (!second) return std::nullopt;
-    settle = &*second;
-  }
+  const ledger::AcceptedTx* settle = env.ledger().spender_of(ch.funding_outpoint());
+  if (settle && out.outcome != CloseOutcome::kCooperative)
+    settle = env.ledger().spender_of({settle->txid(), 0});
+  if (!settle) return std::nullopt;
 
   const tx::Condition pay_a = tx::Condition::p2wpkh(a.pub().main);
   const tx::Condition pay_b = tx::Condition::p2wpkh(b.pub().main);
-  for (const tx::Output& o : settle->outputs) {
+  for (const tx::Output& o : settle->tx().outputs) {
     if (o.cond == pay_a) out.payout_a += o.cash;
     else if (o.cond == pay_b) out.payout_b += o.cash;
     else return std::nullopt;  // unexpected output

@@ -78,13 +78,13 @@ TEST_P(CerberusPunishSweep, TowerPunishesAndCollectsReward) {
 
   // The revocation pays (capacity − reward) to B and the reward to the tower.
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
-  ASSERT_TRUE(commit.has_value());
+  ASSERT_NE(commit, nullptr);
   const auto rv = env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(rv.has_value());
-  EXPECT_EQ(rv->outputs.size(), 2u);
-  EXPECT_EQ(rv->outputs[0].cash, 1'000'000 - kReward);
-  EXPECT_EQ(rv->outputs[1].cash, kReward);
-  EXPECT_EQ(rv->outputs[1].cond,
+  ASSERT_NE(rv, nullptr);
+  EXPECT_EQ(rv->tx().outputs.size(), 2u);
+  EXPECT_EQ(rv->tx().outputs[0].cash, 1'000'000 - kReward);
+  EXPECT_EQ(rv->tx().outputs[1].cash, kReward);
+  EXPECT_EQ(rv->tx().outputs[1].cond,
             tx::Condition::p2wpkh(ch.tower_reward_pk()));
 }
 

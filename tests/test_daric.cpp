@@ -3,6 +3,9 @@
 // closure timing, state ordering, storage, and the watchtower.
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "src/crypto/sig_scheme.h"
 #include "src/daric/protocol.h"
 #include "src/daric/watchtower.h"
 #include "src/obs/sinks.h"
@@ -117,9 +120,9 @@ TEST(DaricClose, CooperativeSplitsLatestState) {
     EXPECT_EQ(f.ch->party(p).outcome(), CloseOutcome::kCooperative);
   // The funding output is spent by a transaction paying 20k/80k.
   const auto spender = f.env.ledger().spender_of(f.ch->funding_outpoint());
-  ASSERT_TRUE(spender.has_value());
-  EXPECT_EQ(spender->outputs[0].cash, 20'000);
-  EXPECT_EQ(spender->outputs[1].cash, 80'000);
+  ASSERT_NE(spender, nullptr);
+  EXPECT_EQ(spender->tx().outputs[0].cash, 20'000);
+  EXPECT_EQ(spender->tx().outputs[1].cash, 80'000);
 }
 
 TEST(DaricClose, NonCollaborativeDeliversLatestState) {
@@ -132,11 +135,11 @@ TEST(DaricClose, NonCollaborativeDeliversLatestState) {
   EXPECT_EQ(f.ch->party(PartyId::kB).outcome(), CloseOutcome::kNonCollaborative);
   // The split transaction carries the latest state.
   const auto spender = f.env.ledger().spender_of(f.ch->funding_outpoint());
-  ASSERT_TRUE(spender.has_value());
+  ASSERT_NE(spender, nullptr);
   const auto split = f.env.ledger().spender_of({spender->txid(), 0});
-  ASSERT_TRUE(split.has_value());
-  EXPECT_EQ(split->outputs[0].cash, 25'000);
-  EXPECT_EQ(split->outputs[1].cash, 75'000);
+  ASSERT_NE(split, nullptr);
+  EXPECT_EQ(split->tx().outputs[0].cash, 25'000);
+  EXPECT_EQ(split->tx().outputs[1].cash, 75'000);
 }
 
 TEST(DaricClose, BoundedClosureWithinTPlusDelta) {
@@ -178,12 +181,12 @@ TEST_P(DaricPunishSweep, EveryRevokedStateIsPunished) {
   EXPECT_EQ(f.ch->party(PartyId::kB).outcome(), CloseOutcome::kPunished);
   // B owns the full capacity on-chain now.
   const auto commit = f.env.ledger().spender_of(f.ch->funding_outpoint());
-  ASSERT_TRUE(commit.has_value());
+  ASSERT_NE(commit, nullptr);
   const auto rv = f.env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(rv.has_value());
-  EXPECT_EQ(rv->outputs.size(), 1u);
-  EXPECT_EQ(rv->outputs[0].cash, 100'000);
-  EXPECT_EQ(rv->outputs[0].cond,
+  ASSERT_NE(rv, nullptr);
+  EXPECT_EQ(rv->tx().outputs.size(), 1u);
+  EXPECT_EQ(rv->tx().outputs[0].cash, 100'000);
+  EXPECT_EQ(rv->tx().outputs[0].cond,
             tx::Condition::p2wpkh(f.ch->party(PartyId::kB).pub().main));
 }
 
@@ -230,6 +233,47 @@ TEST(DaricPunish, LatestCommitIsNotPunishable) {
   EXPECT_EQ(f.ch->party(PartyId::kB).outcome(), CloseOutcome::kNonCollaborative);
 }
 
+// The tower package and the punishment sign the same ANYPREVOUT digest of
+// the victim's TX_RV (the floating body, bound or not), so a victim whose
+// package covers the latest revoked state punishes with that package's own
+// signature and signs nothing. A victim without a package, or with one an
+// update old, signs once at punish time. Signs are counted through a
+// CountingScheme over the rounds from the cheat to the punishment, in
+// which nobody else signs.
+TEST(DaricPunish, OnlineVictimReusesItsPackageSignature) {
+  enum class Package { kNone, kLatest, kOneUpdateOld };
+  const crypto::CountingScheme counting(crypto::schnorr_scheme());
+  for (const Package pkg : {Package::kNone, Package::kLatest, Package::kOneUpdateOld}) {
+    SCOPED_TRACE(static_cast<int>(pkg));
+    sim::Environment env(kDelta, counting);
+    DaricChannel ch(env, make_params("punish-memo-" + std::to_string(static_cast<int>(pkg))));
+    ASSERT_TRUE(ch.create());
+    ASSERT_TRUE(ch.update({50'000, 50'000, {}}));
+    std::optional<daricch::WatchtowerPackage> package;
+    if (pkg == Package::kOneUpdateOld)
+      package = daricch::make_watchtower_package(ch.party(PartyId::kB));
+    ASSERT_TRUE(ch.update({70'000, 30'000, {}}));
+    if (pkg == Package::kLatest) package = daricch::make_watchtower_package(ch.party(PartyId::kB));
+
+    const std::uint64_t signs_before = crypto::op_counters().signs;
+    ch.publish_old_commit(PartyId::kA, 0);
+    ASSERT_TRUE(ch.run_until_closed());
+    EXPECT_EQ(crypto::op_counters().signs - signs_before, pkg == Package::kLatest ? 0u : 1u);
+    ASSERT_EQ(ch.party(PartyId::kB).outcome(), CloseOutcome::kPunished);
+
+    const auto commit = env.ledger().spender_of(ch.funding_outpoint());
+    ASSERT_NE(commit, nullptr);
+    const auto rv = env.ledger().spender_of({commit->txid(), 0});
+    ASSERT_NE(rv, nullptr);
+    const Bytes& victim_sig = rv->tx().witnesses[0].stack[2];  // [ε, rv_A, rv_B, 1]
+    if (pkg == Package::kLatest) {
+      EXPECT_EQ(victim_sig, package->sig_b);
+    } else if (pkg == Package::kOneUpdateOld) {
+      EXPECT_NE(victim_sig, package->sig_b);
+    }
+  }
+}
+
 TEST(DaricPunish, StateOrderingBlocksOldSplitOnNewCommit) {
   // A split with nLT = S0+1 cannot spend a commit whose CLTV is S0+2:
   // the ledger's script check rejects it even after the CSV delay.
@@ -241,7 +285,7 @@ TEST(DaricPunish, StateOrderingBlocksOldSplitOnNewCommit) {
   f.ch->party(PartyId::kB).force_close();
   f.env.advance_rounds(kDelta + 1);
   const auto commit = f.env.ledger().spender_of(f.ch->funding_outpoint());
-  ASSERT_TRUE(commit.has_value());
+  ASSERT_NE(commit, nullptr);
 
   tx::Transaction old_split;
   old_split.nlocktime = 1;
@@ -280,12 +324,12 @@ TEST_P(DaricAbortSweep, AbortAtAnyMessageForceCloses) {
   EXPECT_FALSE(f.ch->party(PartyId::kA).channel_open());
   EXPECT_FALSE(f.ch->party(PartyId::kB).channel_open());
   const auto spender = f.env.ledger().spender_of(f.ch->funding_outpoint());
-  ASSERT_TRUE(spender.has_value());
+  ASSERT_NE(spender, nullptr);
   const auto split = f.env.ledger().spender_of({spender->txid(), 0});
-  ASSERT_TRUE(split.has_value());
-  EXPECT_EQ(split->total_output_value(), 100'000);
+  ASSERT_NE(split, nullptr);
+  EXPECT_EQ(split->tx().total_output_value(), 100'000);
   // The enforced state is either the old state (50/50) or the new (40/60):
-  const Amount a_share = split->outputs[0].cash;
+  const Amount a_share = split->tx().outputs[0].cash;
   EXPECT_TRUE(a_share == 50'000 || a_share == 40'000) << a_share;
 }
 
@@ -401,13 +445,13 @@ TEST(DaricUpdate, CorruptedSignatureInEachMessageClosesAtTheLastVerifiedState) {
       EXPECT_EQ(ch.party(who).outcome(), CloseOutcome::kNonCollaborative);
     // The split pays that state's balances and conserves the capacity.
     const auto commit = env.ledger().spender_of(ch.funding_outpoint());
-    ASSERT_TRUE(commit.has_value());
-    EXPECT_EQ(commit->total_output_value(), 100'000);
+    ASSERT_NE(commit, nullptr);
+    EXPECT_EQ(commit->tx().total_output_value(), 100'000);
     const auto split = env.ledger().spender_of({commit->txid(), 0});
-    ASSERT_TRUE(split.has_value());
-    EXPECT_EQ(split->total_output_value(), 100'000);
-    EXPECT_EQ(split->outputs[0].cash, state == 1 ? 50'000 : 40'000);
-    EXPECT_EQ(split->outputs[1].cash, state == 1 ? 50'000 : 60'000);
+    ASSERT_NE(split, nullptr);
+    EXPECT_EQ(split->tx().total_output_value(), 100'000);
+    EXPECT_EQ(split->tx().outputs[0].cash, state == 1 ? 50'000 : 40'000);
+    EXPECT_EQ(split->tx().outputs[1].cash, state == 1 ? 50'000 : 60'000);
   }
 }
 
@@ -453,11 +497,11 @@ TEST(DaricWatchtowerTest, PunishesWhilePartyOffline) {
   EXPECT_EQ(f.ch->party(PartyId::kB).outcome(), CloseOutcome::kNone);  // B saw nothing
   // All channel funds ended at B's payout key.
   const auto commit = f.env.ledger().spender_of(f.ch->funding_outpoint());
-  ASSERT_TRUE(commit.has_value());
+  ASSERT_NE(commit, nullptr);
   EXPECT_EQ(commit->txid(), cheat);
   const auto rv = f.env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(rv.has_value());
-  EXPECT_EQ(rv->outputs[0].cond, tx::Condition::p2wpkh(f.ch->party(PartyId::kB).pub().main));
+  ASSERT_NE(rv, nullptr);
+  EXPECT_EQ(rv->tx().outputs[0].cond, tx::Condition::p2wpkh(f.ch->party(PartyId::kB).pub().main));
 }
 
 TEST(DaricWatchtowerTest, StorageConstantAcrossUpdates) {
@@ -506,21 +550,21 @@ TEST(DaricHtlc, RedeemAndClaimbackAfterNonCollabClose) {
   ASSERT_TRUE(f.ch->run_until_closed());
 
   const auto commit = f.env.ledger().spender_of(f.ch->funding_outpoint());
-  ASSERT_TRUE(commit.has_value());
+  ASSERT_NE(commit, nullptr);
   const auto split = f.env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(split.has_value());
-  ASSERT_EQ(split->outputs.size(), 4u);
+  ASSERT_NE(split, nullptr);
+  ASSERT_EQ(split->tx().outputs.size(), 4u);
 
   const auto& a = f.ch->party(PartyId::kA);
   const auto& b = f.ch->party(PartyId::kB);
   // B redeems HTLC 0 with the preimage.
   const tx::Transaction redeem =
-      daricch::build_htlc_redeem(*split, 0, st, b, a.pub(), b.pub(), s1.preimage);
+      daricch::build_htlc_redeem(split->tx(), 0, st, b, a.pub(), b.pub(), s1.preimage);
   f.env.ledger().post(redeem);
   // B, the payer of HTLC 1, claws it back after its timeout.
   f.env.advance_rounds(4);
   const tx::Transaction back =
-      daricch::build_htlc_claimback(*split, 1, st, b, a.pub(), b.pub());
+      daricch::build_htlc_claimback(split->tx(), 1, st, b, a.pub(), b.pub());
   f.env.ledger().post(back);
   f.env.advance_rounds(kDelta + 1);
   EXPECT_TRUE(f.env.ledger().is_confirmed(redeem.txid()));

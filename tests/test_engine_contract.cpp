@@ -162,6 +162,8 @@ TEST_P(EngineContract, CreateThatTimesOutStrandsNoFunds) {
   DropEverything drop;
   env_.set_fault_injector(&drop);
   EXPECT_FALSE(engine_->create());
+  // A channel that never opened is not closed either.
+  EXPECT_FALSE(engine_->closed());
   // The 2-of-2 funding output is the only script output a create mints.
   for (const auto& [op, u] : env_.ledger().utxos().entries())
     EXPECT_NE(u.output.cond.type, tx::Condition::Type::kP2WSH)
@@ -187,13 +189,13 @@ TEST(EngineContractFppw, ForceCloseReleasesTheTowersCollateral) {
   ASSERT_TRUE(ch.run_until_closed());
   EXPECT_EQ(ch.outcome(PartyId::kA), Outcome::kNonCollaborative);
   const auto commit = env.ledger().spender_of(fppw.funding_outpoint());
-  ASSERT_TRUE(commit.has_value());
+  ASSERT_NE(commit, nullptr);
   const auto release = env.ledger().spender_of({commit->txid(), 1});
-  ASSERT_TRUE(release.has_value());
+  ASSERT_NE(release, nullptr);
   ASSERT_TRUE(env.ledger().is_confirmed(release->txid()));
-  ASSERT_EQ(release->outputs.size(), 1u);
-  EXPECT_EQ(release->outputs[0].cond, tx::Condition::p2wpkh(fppw.tower_payout_pk()));
-  EXPECT_EQ(release->outputs[0].cash, commit->outputs[1].cash);
+  ASSERT_EQ(release->tx().outputs.size(), 1u);
+  EXPECT_EQ(release->tx().outputs[0].cond, tx::Condition::p2wpkh(fppw.tower_payout_pk()));
+  EXPECT_EQ(release->tx().outputs[0].cash, commit->tx().outputs[1].cash);
   const Amount tower = credited(env.ledger(), fppw.tower_payout_pk());
   EXPECT_EQ(tower, fppw.collateral());
   EXPECT_EQ(credited(env.ledger(), ch.payout_pk(PartyId::kA)), kLast.to_a);

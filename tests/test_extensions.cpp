@@ -225,11 +225,11 @@ TEST(FeeHandling, FeeBumpedRevocationConfirms) {
   // and the ledger collected exactly the fee.
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto rv = env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(rv.has_value());
-  EXPECT_EQ(rv->inputs.size(), 2u);
-  EXPECT_EQ(rv->outputs.size(), 2u);
-  EXPECT_EQ(rv->outputs[0].cash, 1'000'000);  // full capacity to B
-  EXPECT_EQ(rv->outputs[1].cash, 6'000);      // change
+  ASSERT_NE(rv, nullptr);
+  EXPECT_EQ(rv->tx().inputs.size(), 2u);
+  EXPECT_EQ(rv->tx().outputs.size(), 2u);
+  EXPECT_EQ(rv->tx().outputs[0].cash, 1'000'000);  // full capacity to B
+  EXPECT_EQ(rv->tx().outputs[1].cash, 6'000);      // change
   EXPECT_EQ(env.ledger().fees_total(), 4'000);
 }
 
@@ -269,7 +269,7 @@ TEST(ChannelReset, ResetChainConfirmsOnLedger) {
   ch.party(PartyId::kA).force_close();
   env.advance_rounds(kDelta + 2);
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
-  ASSERT_TRUE(commit.has_value());
+  ASSERT_NE(commit, nullptr);
 
   // The party's own monitor wants to publish the *normal* split at
   // c + T; in a real reset both parties replace their stored split with

@@ -48,8 +48,8 @@ TEST(Fppw, CreateUpdateCooperativeClose) {
   EXPECT_EQ(ch.outcome(PartyId::kA), channel::Outcome::kCooperative);
   // The tower's collateral came back in the close transaction.
   const auto close = env.ledger().spender_of(ch.funding_outpoint());
-  ASSERT_TRUE(close.has_value());
-  EXPECT_EQ(close->outputs.back().cash, ch.collateral());
+  ASSERT_NE(close, nullptr);
+  EXPECT_EQ(close->tx().outputs.back().cash, ch.collateral());
 }
 
 TEST(Fppw, ForceCloseSplitsAfterDelay) {
@@ -80,10 +80,10 @@ TEST_P(FppwPunishSweep, OnlineTowerFiresRevocation) {
   // collateral to the tower.
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto rv = env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(rv.has_value());
-  ASSERT_EQ(rv->outputs.size(), 2u);
-  EXPECT_EQ(rv->outputs[0].cash, 1'000'000);
-  EXPECT_EQ(rv->outputs[1].cash, ch.collateral());
+  ASSERT_NE(rv, nullptr);
+  ASSERT_EQ(rv->tx().outputs.size(), 2u);
+  EXPECT_EQ(rv->tx().outputs[0].cash, 1'000'000);
+  EXPECT_EQ(rv->tx().outputs[1].cash, ch.collateral());
   EXPECT_FALSE(env.ledger().is_unspent({commit->txid(), 1}));  // both inputs spent
 }
 
@@ -106,9 +106,9 @@ TEST(Fppw, OfflineTowerVictimTakesCollateral) {
   // The penalty transaction paid the collateral to the victim B.
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto pen = env.ledger().spender_of({commit->txid(), 1});
-  ASSERT_TRUE(pen.has_value());
-  EXPECT_EQ(pen->outputs.size(), 1u);
-  EXPECT_EQ(pen->outputs[0].cash, ch.collateral());
+  ASSERT_NE(pen, nullptr);
+  EXPECT_EQ(pen->tx().outputs.size(), 1u);
+  EXPECT_EQ(pen->tx().outputs[0].cash, ch.collateral());
 }
 
 TEST(Fppw, PartyAndTowerStorageGrowLinearly) {

@@ -74,8 +74,8 @@ TEST(Integration, PartyAndTowerRaceIsBenign) {
   // Exactly one revocation output on-chain.
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto rv = env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(rv.has_value());
-  EXPECT_EQ(rv->outputs[0].cash, 1'000'000);
+  ASSERT_NE(rv, nullptr);
+  EXPECT_EQ(rv->tx().outputs[0].cash, 1'000'000);
 }
 
 // Fee-ready revocations survive the full delegation pipeline: watchtower
@@ -130,12 +130,12 @@ TEST(Integration, CooperativeCloseWithHtlcsOnChain) {
   ASSERT_TRUE(ch.update(st));
   ASSERT_TRUE(ch.cooperative_close());
   const auto close = env.ledger().spender_of(ch.funding_outpoint());
-  ASSERT_TRUE(close.has_value());
-  ASSERT_EQ(close->outputs.size(), 3u);
-  EXPECT_EQ(close->outputs[2].cash, 100'000);
+  ASSERT_NE(close, nullptr);
+  ASSERT_EQ(close->tx().outputs.size(), 3u);
+  EXPECT_EQ(close->tx().outputs[2].cash, 100'000);
   // The HTLC output is live and redeemable with the preimage.
   const tx::Transaction redeem = daricch::build_htlc_redeem(
-      *close, 0, st, ch.party(PartyId::kB), ch.party(PartyId::kA).pub(),
+      close->tx(), 0, st, ch.party(PartyId::kB), ch.party(PartyId::kA).pub(),
       ch.party(PartyId::kB).pub(), h.preimage);
   env.ledger().post(redeem);
   env.advance_rounds(kDelta + 1);

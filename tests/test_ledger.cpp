@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <random>
+#include <vector>
 
 #include "src/crypto/sha256.h"
 #include "src/ledger/fee_market.h"
@@ -194,11 +196,46 @@ TEST_F(LedgerTest, DoubleSpendFirstWins) {
 TEST_F(LedgerTest, SpenderOfTracksConfirmedSpends) {
   const tx::OutPoint op = ledger_.mint(1000, tx::Condition::p2wpkh(kOwner.pk.compressed()));
   const tx::Transaction t = spend_p2wpkh(op, 1000, 1000, kOwner);
-  EXPECT_FALSE(ledger_.spender_of(op).has_value());
+  EXPECT_EQ(ledger_.spender_of(op), nullptr);
   ledger_.post_with_delay(t, 0);
   ledger_.advance_round();
-  ASSERT_TRUE(ledger_.spender_of(op).has_value());
+  ASSERT_NE(ledger_.spender_of(op), nullptr);
   EXPECT_EQ(ledger_.spender_of(op)->txid(), t.txid());
+}
+
+// accepted() holds the one stored copy of each confirmed transaction, with
+// the txid its post computed and the round it confirmed in. spender_of
+// points into that store, and no entry moves while later rounds confirm
+// more (read back under ASan, a moved entry is a use after free).
+TEST_F(LedgerTest, SpenderOfReferencesTheStoredConfirmation) {
+  constexpr int kRounds = 8, kPerRound = 16;
+  std::vector<tx::OutPoint> ops;
+  for (int i = 0; i < kRounds * kPerRound + 1; ++i)
+    ops.push_back(ledger_.mint(1000 + i, tx::Condition::p2wpkh(kOwner.pk.compressed())));
+  std::vector<tx::Transaction> posted;
+  std::vector<const ledger::AcceptedTx*> refs;
+  for (int r = 0; r < kRounds; ++r) {
+    for (int i = r * kPerRound; i < (r + 1) * kPerRound; ++i) {
+      posted.push_back(spend_p2wpkh(ops[i], 1000 + i, 900 + i, kOwner));
+      EXPECT_EQ(ledger_.post_with_delay(posted.back(), 0), posted.back().txid());
+    }
+    ledger_.advance_round();
+    for (int i = r * kPerRound; i < (r + 1) * kPerRound; ++i)
+      refs.push_back(ledger_.spender_of(ops[i]));
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      ASSERT_NE(refs[i], nullptr) << "spend " << i;
+      EXPECT_EQ(refs[i], ledger_.spender_of(ops[i])) << "spend " << i;
+      EXPECT_EQ(refs[i]->txid(), posted[i].txid()) << "spend " << i;
+      EXPECT_EQ(refs[i]->tx().txid(), posted[i].txid()) << "spend " << i;
+      EXPECT_EQ(refs[i]->round(), static_cast<Round>(i / kPerRound + 1)) << "spend " << i;
+    }
+  }
+  EXPECT_EQ(ledger_.spender_of(ops.back()), nullptr);
+  ASSERT_EQ(ledger_.accepted().size(), posted.size());
+  for (const ledger::AcceptedTx& e : ledger_.accepted()) {
+    EXPECT_EQ(e.txid(), e.tx().txid());
+    EXPECT_EQ(std::optional<Round>(e.round()), ledger_.confirmation_round(e.txid()));
+  }
 }
 
 TEST_F(LedgerTest, ValueConservationInvariant) {
@@ -386,7 +423,7 @@ void expect_same_round(bool bad_sig, bool bad_child) {
     EXPECT_EQ(batched.post_result(t.txid()), ref.post_result(t.txid()));
   ASSERT_EQ(batched.accepted().size(), ref.accepted().size());
   for (std::size_t i = 0; i < ref.accepted().size(); ++i)
-    EXPECT_EQ(batched.accepted()[i].tx.txid(), ref.accepted()[i].tx.txid()) << "position " << i;
+    EXPECT_EQ(batched.accepted()[i].txid(), ref.accepted()[i].txid()) << "position " << i;
   ASSERT_EQ(batched.utxos().size(), ref.utxos().size());
   for (const auto& [op, u] : ref.utxos().entries()) {
     const auto other = batched.find_utxo(op);

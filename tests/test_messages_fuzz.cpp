@@ -153,13 +153,13 @@ TEST(MutationSweep, WitnessTamperingNeverValidates) {
   ASSERT_TRUE(ch.run_until_closed());
   const auto commit = env.ledger().spender_of(ch.funding_outpoint());
   const auto rv = env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(rv.has_value());
+  ASSERT_NE(rv, nullptr);
 
-  const tx::Output spent = commit->outputs[0];
-  ASSERT_EQ(tx::verify_input(*rv, 0, spent, env.scheme(), 0), script::ScriptError::kOk);
+  const tx::Output spent = commit->tx().outputs[0];
+  ASSERT_EQ(tx::verify_input(rv->tx(), 0, spent, env.scheme(), 0), script::ScriptError::kOk);
   for (std::size_t el : {1u, 2u}) {  // the two multisig signatures
-    for (std::size_t i = 0; i < rv->witnesses[0].stack[el].size(); i += 5) {
-      tx::Transaction mutated = *rv;
+    for (std::size_t i = 0; i < rv->tx().witnesses[0].stack[el].size(); i += 5) {
+      tx::Transaction mutated = rv->tx();
       mutated.witnesses[0].stack[el][i] ^= 0x01;
       EXPECT_NE(tx::verify_input(mutated, 0, spent, env.scheme(), 0),
                 script::ScriptError::kOk)

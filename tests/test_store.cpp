@@ -4,7 +4,11 @@
 // O(1)-per-channel TowerService.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/crypto/sig_scheme.h"
 #include "src/daric/persistence.h"
@@ -44,13 +48,43 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
 
 // --- CRC-32C --------------------------------------------------------------
 
+using Crc32cFn = std::uint32_t (*)(std::uint32_t, BytesView);
+
+// Every kernel this CPU runs, the portable reference first.
+std::vector<std::pair<std::string, Crc32cFn>> crc_kernels() {
+  std::vector<std::pair<std::string, Crc32cFn>> k = {
+      {"slice-by-4", store::crc32c_detail::extend_portable}};
+#if defined(__x86_64__)
+  if (store::crc32c_detail::sse42_available())
+    k.emplace_back("sse4.2", store::crc32c_detail::extend_sse42);
+#endif
+  std::string names;
+  for (const auto& [name, fn] : k) names += (names.empty() ? "" : ", ") + name;
+  std::printf("[   INFO   ] CRC-32C kernels run: %s\n", names.c_str());
+  ::testing::Test::RecordProperty("crc32c_kernels", names);
+  return k;
+}
+
+// The check value and the RFC 3720 iSCSI vectors, through the dispatched
+// crc32c and through every kernel this CPU runs.
 TEST(Crc32c, KnownVectors) {
-  const Bytes check{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(store::crc32c(check), 0xE3069283u);
-  EXPECT_EQ(store::crc32c({}), 0x00000000u);
-  // RFC 3720 iSCSI test vectors.
-  EXPECT_EQ(store::crc32c(Bytes(32, 0x00)), 0x8A9136AAu);
-  EXPECT_EQ(store::crc32c(Bytes(32, 0xFF)), 0x62A8AB43u);
+  Bytes ascending(32), descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<Byte>(i);
+    descending[i] = static_cast<Byte>(31 - i);
+  }
+  const std::pair<Bytes, std::uint32_t> kVectors[] = {
+      {{}, 0x00000000u},
+      {{'1', '2', '3', '4', '5', '6', '7', '8', '9'}, 0xE3069283u},
+      {Bytes(32, 0x00), 0x8A9136AAu},
+      {Bytes(32, 0xFF), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},
+  };
+  for (const auto& [msg, want] : kVectors) EXPECT_EQ(store::crc32c(msg), want) << msg.size();
+  for (const auto& [name, fn] : crc_kernels())
+    for (const auto& [msg, want] : kVectors)
+      EXPECT_EQ(fn(0, msg), want) << name << ", " << msg.size() << " bytes";
 }
 
 TEST(Crc32c, StreamingMatchesOneShot) {
@@ -62,6 +96,28 @@ TEST(Crc32c, StreamingMatchesOneShot) {
     crc = store::crc32c_extend(crc, BytesView{data}.subspan(cut));
     EXPECT_EQ(crc, whole) << "split at " << cut;
   }
+}
+
+// Lengths 0–4,096 at each of the eight alignments a word load can see, from
+// a zero and from a running crc, against the portable kernel.
+TEST(Crc32c, KernelsAgreeAtEveryLengthAndAlignment) {
+  const auto kernels = crc_kernels();
+  Rng rng(0x5e42ull);
+  const Bytes buf = random_bytes(rng, 4096 + 8);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const BytesView view = BytesView{buf}.subspan(align, len);
+      const std::uint32_t seed = static_cast<std::uint32_t>(len * 0x9e3779b9u);
+      const std::uint32_t want0 = store::crc32c_detail::extend_portable(0, view);
+      const std::uint32_t want = store::crc32c_detail::extend_portable(seed, view);
+      for (const auto& [name, fn] : kernels) {
+        ASSERT_EQ(fn(0, view), want0) << name << ", offset " << align << ", length " << len;
+        ASSERT_EQ(fn(seed, view), want) << name << ", offset " << align << ", length " << len;
+      }
+    }
+  }
+  EXPECT_EQ(store::crc32c(BytesView{buf}.subspan(3, 1000)),
+            store::crc32c_detail::extend_portable(0, BytesView{buf}.subspan(3, 1000)));
 }
 
 // --- Backends -------------------------------------------------------------
@@ -539,6 +595,48 @@ TEST(MonitorWake, OnlineWithoutARoundDoesNotResetTheGap) {
   EXPECT_EQ(a.max_offline_gap(), 5);
 }
 
+// The round visits the awake bits of each 64-hook word in registration
+// order, re-reading the word after every call. Against the plain index loop
+// (check each hook's flag when its turn comes), over three words: hooks
+// wake and put to sleep hooks before and after themselves, in their own
+// word and in others, and the call sequences and sim.hooks.run agree.
+TEST(MonitorWake, HookScanMatchesTheIndexLoopAcrossWords) {
+  constexpr std::size_t kHooks = 150;  // the third word is partial
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  int round = 0;
+  const auto act = [&round](std::size_t i, const auto& set) {
+    set((i * 7 + static_cast<std::size_t>(round) * 13) % kHooks, (i + round) % 3 != 0);
+    set((i * 11 + 5) % kHooks, (i + round) % 2 == 0);
+  };
+  std::vector<std::size_t> ran;
+  for (std::size_t i = 0; i < kHooks; ++i) {
+    env.add_round_hook([&, i] {
+      ran.push_back(i);
+      act(i, [&env](std::size_t h, bool on) { env.set_hook_awake(h, on); });
+    });
+  }
+  std::vector<char> awake(kHooks, 1);
+  for (std::size_t i = 0; i < kHooks; i += 5) {
+    env.set_hook_awake(i, false);
+    awake[i] = 0;
+  }
+  const obs::Counter& hooks_run = env.metrics().counter("sim.hooks.run");
+  for (round = 0; round < 6; ++round) {
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < kHooks; ++i) {
+      if (!awake[i]) continue;
+      want.push_back(i);
+      act(i, [&awake](std::size_t h, bool on) { awake[h] = on ? 1 : 0; });
+    }
+    ran.clear();
+    const std::uint64_t before = hooks_run.value();
+    env.advance_round();
+    EXPECT_EQ(ran, want) << "round " << round;
+    EXPECT_EQ(hooks_run.value() - before, want.size()) << "round " << round;
+  }
+  EXPECT_THROW(env.set_hook_awake(kHooks, true), std::out_of_range);
+}
+
 TEST(MonitorWake, QuiescentChannelsRunNoPartyMonitor) {
   sim::Environment env(kDelta, crypto::schnorr_scheme());
   std::vector<std::unique_ptr<daricch::DaricChannel>> chans;
@@ -627,14 +725,24 @@ TEST(Tower, WatchEntryRoundTrips) {
 }
 
 /// A MemoryBackend that counts reads, to show when the tower goes back to
-/// its log.
+/// its log, and its syncs and whole-image replaces (compactions).
 class CountingBackend : public store::MemoryBackend {
  public:
   Bytes read(std::size_t off, std::size_t len) const override {
     ++reads;
     return MemoryBackend::read(off, len);
   }
+  void sync() override {
+    ++syncs;
+    MemoryBackend::sync();
+  }
+  void replace(BytesView contents) override {
+    ++replaces;
+    MemoryBackend::replace(contents);
+  }
   mutable int reads = 0;
+  int syncs = 0;
+  int replaces = 0;
 };
 
 TEST(Tower, PunishesRevokedCommitAndSurvivesRestart) {
@@ -671,7 +779,7 @@ TEST(Tower, PunishesRevokedCommitAndSurvivesRestart) {
   EXPECT_EQ(tower.reactions(), 1u);
   EXPECT_EQ(tower.channels(), 2u);  // spent funding outpoint retired
   const auto spender = env.ledger().spender_of({cheat_txid, 0});
-  ASSERT_TRUE(spender.has_value());  // the revocation landed on-chain
+  ASSERT_NE(spender, nullptr);  // the revocation landed on-chain
   EXPECT_EQ(env.metrics().counter("tower.reactions").value(), 1);
 
   // Restart from the same disk image: the survivors are still watched.
@@ -698,9 +806,85 @@ TEST(Tower, PunishesRevokedCommitAndSurvivesRestart) {
   EXPECT_EQ(reborn.channels(), 1u);
   EXPECT_EQ(disk.reads, reads_after_restore + 1);
   const auto rv = env.ledger().spender_of({cheat2_txid, 0});
-  ASSERT_TRUE(rv.has_value());
-  EXPECT_EQ(rv->outputs[0].cond,
+  ASSERT_NE(rv, nullptr);
+  EXPECT_EQ(rv->tx().outputs[0].cond,
             tx::Condition::p2wpkh(chans[2]->party(PartyId::kB).pub().main));
+}
+
+// The channels one round spends retire as a group: 40 watched channels
+// spent in one round (20 revoked-commit cheats with both clients dark, 20
+// honest force closes) cost the tower one sync and at most one compaction,
+// and the retires are durable when on_round returns. A restart keeps only
+// the two unspent channels and still punishes a later cheat on one.
+TEST(Tower, RoundOfManySpendsSyncsAndCompactsOnce) {
+  constexpr int kSpent = 40, kKept = 2;
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  std::vector<std::unique_ptr<daricch::DaricChannel>> chans;
+  CountingBackend disk;
+  store::TowerService tower(disk);
+  for (int i = 0; i < kSpent + kKept; ++i) {
+    chans.push_back(std::make_unique<daricch::DaricChannel>(
+        env, make_params("tower-group-" + std::to_string(i))));
+    daricch::DaricChannel& ch = *chans.back();
+    ASSERT_TRUE(ch.create());
+    ASSERT_TRUE(ch.update({450'000, 550'000, {}}));
+    tower.watch(store::make_watch_entry(
+        ch.params(), PartyId::kB, ch.funding_outpoint(), ch.party(PartyId::kA).pub(),
+        ch.party(PartyId::kB).pub(), daricch::make_watchtower_package(ch.party(PartyId::kB))));
+  }
+  tower.on_round(env.ledger());  // absorbs the set-up transactions
+  ASSERT_EQ(tower.channels(), static_cast<std::size_t>(kSpent + kKept));
+
+  std::vector<Hash256> cheats;
+  for (int i = 0; i < kSpent; ++i) {
+    daricch::DaricChannel& ch = *chans[i];
+    if (i % 2 == 0) {
+      ch.set_monitor_online(false, false);
+      cheats.push_back(ch.archived_commits(PartyId::kA)[0].txid());
+      ch.publish_old_commit(PartyId::kA, 0);
+    } else {
+      ch.force_close(PartyId::kA);
+    }
+  }
+  // Every commit was posted in this round with the default delay Δ.
+  for (Round r = 1; r < kDelta; ++r) {
+    env.advance_round();
+    tower.on_round(env.ledger());
+  }
+  env.advance_round();
+  const int syncs = disk.syncs, replaces = disk.replaces;
+  tower.on_round(env.ledger());
+  EXPECT_EQ(tower.channels(), static_cast<std::size_t>(kKept));
+  EXPECT_EQ(tower.reactions(), cheats.size());
+  EXPECT_EQ(disk.syncs - syncs, 1);
+  EXPECT_LE(disk.replaces - replaces, 1);
+  EXPECT_EQ(disk.synced_size(), disk.size());
+  for (Round r = 0; r <= kDelta; ++r) {
+    env.advance_round();
+    tower.on_round(env.ledger());
+  }
+  for (const Hash256& cheat : cheats) {
+    const auto rv = env.ledger().spender_of({cheat, 0});
+    ASSERT_NE(rv, nullptr);
+    EXPECT_TRUE(daricch::takes_revocation_branch(rv->tx()));
+  }
+
+  store::TowerService reborn(disk);
+  EXPECT_EQ(reborn.recovery().status, store::LogStatus::kOk);
+  EXPECT_EQ(reborn.channels(), static_cast<std::size_t>(kKept));
+  daricch::DaricChannel& kept = *chans[kSpent];
+  kept.set_monitor_online(false, false);
+  const Hash256 cheat = kept.archived_commits(PartyId::kA)[0].txid();
+  kept.publish_old_commit(PartyId::kA, 0);
+  for (Round r = 0; r < 2 * kDelta + 2; ++r) {
+    env.advance_round();
+    reborn.on_round(env.ledger());
+  }
+  EXPECT_EQ(reborn.reactions(), 1u);
+  EXPECT_EQ(reborn.channels(), static_cast<std::size_t>(kKept - 1));
+  const auto rv = env.ledger().spender_of({cheat, 0});
+  ASSERT_NE(rv, nullptr);
+  EXPECT_EQ(rv->tx().outputs[0].cond, tx::Condition::p2wpkh(kept.party(PartyId::kB).pub().main));
 }
 
 TEST(Tower, PackageUpdatesCompactToConstantPerChannel) {
